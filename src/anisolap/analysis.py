@@ -14,7 +14,9 @@ import scipy.special as sc
 from .evolve import DensityField, continuum_dft_abs2, evolve_spectral
 from .measures import DirectionalMeasure, support_directions
 from .realspace import ScalarField, bilinear_form, _graded_radial_rule
-from .symbols import gaussian_symbol, isotropic_reference_symbol, tempered_symbol
+from .symbols import (
+    gaussian_symbol, isotropic_reference_symbol, make_generator, tempered_symbol,
+)
 
 __all__ = [
     "CoercivityReport",
@@ -176,9 +178,8 @@ def parseval_bilinear_check(field_q: ScalarField, measure: DirectionalMeasure,
     grid = SpectralGrid(n, half_width, n_points)
     vals = field_q.f(grid.points()).reshape(grid.shape())
     qhat2 = continuum_dft_abs2(vals, grid)
-    psi = np.asarray(
-        tempered_symbol(measure, beta, lam, grid.k_points(), method="nodes")
-    ).reshape(grid.shape())
+    psi = make_generator("tempered_aniso", n, measure=measure, beta=beta, lam=lam,
+                         method="nodes").on_grid(grid)
     dk = (math.pi / half_width) ** n
     spectral = (
         2.0 * abs(sc.gamma(-beta)) / (2.0 * math.pi) ** n

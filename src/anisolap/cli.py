@@ -337,7 +337,7 @@ def _cmd_analyze(args) -> int:
                       deviations_axes=rep.deviations_axes.tolist())
     elif verb == "equivalence":
         from .evolve import spectral_apply
-        from .symbols import tempered_symbol
+        from .symbols import make_generator
 
         cases = _require(cfg, "cases", "equivalence config")
         results = []
@@ -348,8 +348,8 @@ def _cmd_analyze(args) -> int:
             grid = _grid_from_config(case["grid"])
             tol = float(case.get("tol", 1e-3))
             vals = field.f(grid.points()).reshape(grid.shape())
-            psi = np.asarray(tempered_symbol(measure, beta, lam, grid.k_points())
-                             ).reshape(grid.shape())
+            psi = make_generator("tempered_aniso", measure.dimension, measure=measure,
+                                 beta=beta, lam=lam).on_grid(grid)
             spectral = spectral_apply(vals, psi)
             ax = grid.axis()
             xmax = float(case.get("xmax", 2.0))

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .symbols import GeneratorSymbol
+
 __all__ = [
     "SpectralGrid",
     "DensityField",
@@ -139,6 +141,11 @@ def gaussian_density(grid: SpectralGrid, variance: float, center=None) -> Densit
 
 
 def _symbol_on_grid(symbol, grid: SpectralGrid) -> np.ndarray:
+    """psi on the grid lattice.  A GeneratorSymbol goes through its cached
+    half-spectrum route; a plain callable is evaluated at every wavenumber,
+    since psi(-k) = conj psi(k) is not guaranteed for it."""
+    if isinstance(symbol, GeneratorSymbol):
+        return symbol.on_grid(grid)
     psi = np.asarray(symbol(grid.k_points()), dtype=complex)
     return psi.reshape(grid.shape())
 
@@ -164,7 +171,11 @@ def _nyquist_shell_mass(transform: np.ndarray, grid: SpectralGrid) -> float:
 
 def evolve_spectral(p0: DensityField, symbol, t: float, *,
                     boundary_tol: float = 1e-6, check_boundary: bool = True) -> DensityField:
-    """Exact grid semigroup: multiply the transform by exp(t*psi(k))."""
+    """Exact grid semigroup: multiply the transform by exp(t*psi(k)).
+
+    A GeneratorSymbol is evaluated on half of the lattice (the other half is
+    psi(-k) = conj psi(k)) and cached per grid, so repeated evolutions on one
+    grid evaluate it once; a plain callable is called on every wavenumber."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     psi = _symbol_on_grid(symbol, p0.grid)

@@ -10,7 +10,6 @@ with SeedSequence.spawn, which keeps results independent of the worker count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -19,6 +18,7 @@ import numpy as np
 import scipy.special as sc
 
 from .measures import DirectionalMeasure, measure_nodes
+from .symbols import _worker_cap
 
 __all__ = [
     "JumpSpec",
@@ -277,7 +277,7 @@ def ensemble_endpoints_parallel(spec: JumpSpec, zeta: float, t: float,
     seqs = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [n_paths // n_chunks + (1 if i < n_paths % n_chunks else 0)
              for i in range(n_chunks)]
-    max_workers = int(os.environ.get("ANISOLAP_THREADS", "0")) or None
+    max_workers = _worker_cap()
 
     def work(args):
         sq, sz = args

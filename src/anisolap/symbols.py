@@ -13,8 +13,12 @@ which is exact for lam = 0 as well (eta = +-pi/2).
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,10 +27,11 @@ import scipy.special as sc
 from .measures import (
     DirectionalMeasure,
     StabilityProfile,
+    _integrate_band_adaptive,
     band_nodes,
     is_symmetric,
+    measure_nodes,
     moments,
-    sphere_integrate,
 )
 
 __all__ = [
@@ -42,6 +47,8 @@ __all__ = [
 ]
 
 _BETA1_GAP = 1e-6
+_BLOCK_ROWS = 64  # wavenumbers per block of the fixed-node quadrature
+_GRID_CACHE_SIZE = 4  # grids whose symbol values a GeneratorSymbol keeps
 
 
 class MixedStabilityRangeWarning(UserWarning):
@@ -139,20 +146,44 @@ def _stable_band_2d(pts, band, beta: float):
 # symbol evaluators
 # ---------------------------------------------------------------------------
 
-def _band_quadrature(pts, measure, per_component, refinement, order, skip=()):
-    """Sum of band contributions via fixed Gauss-Legendre nodes.
+def _worker_cap() -> int:
+    """Thread-pool size: ANISOLAP_THREADS, or one per core when unset or 0."""
+    return int(os.environ.get("ANISOLAP_THREADS", "0")) or os.cpu_count() or 1
 
-    per_component(u, comp_index) maps dot products (P, M_c) to the integrand
-    values for component comp_index; skip lists band indices handled elsewhere.
+
+def _band_sum(pts, node_sets):
+    """Fixed-node quadrature: one column per (g, dirs, w) node set.
+
+    Column j of the (P, len(node_sets)) result is (g(u) * w).sum(axis=1) with
+    u = pts @ dirs.T, taken over fixed blocks of at most _BLOCK_ROWS rows, so
+    memory is O(block x M) rather than O(P x M).  Blocks run on up to
+    ANISOLAP_THREADS workers; the boundaries depend only on P, so the sums do
+    not depend on the worker count.
     """
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for j, band in enumerate(measure.bands):
-        if j in skip:
-            continue
-        dirs, w = band_nodes(band, refinement=refinement, order=order)
-        u = pts @ dirs.T
-        out += (per_component(u, len(measure.atoms) + j) * w).sum(axis=1)
+    P = pts.shape[0]
+    out = np.empty((P, len(node_sets)), dtype=complex)
+    n_blocks = max(1, -(-P // _BLOCK_ROWS))
+    # equal blocks, so none has a single row: BLAS takes its matrix-vector
+    # path for one row, which rounds u differently
+    edges = [P * i // n_blocks for i in range(n_blocks + 1)]
+
+    def block(i):
+        rows = slice(edges[i], edges[i + 1])
+        for j, (g, dirs, w) in enumerate(node_sets):
+            out[rows, j] = (g(pts[rows] @ dirs.T) * w).sum(axis=1)
+
+    workers = min(n_blocks, _worker_cap())
+    if workers == 1:
+        for i in range(n_blocks):
+            block(i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(block, range(n_blocks)))
     return out
+
+
+def _node_sets(bands, g, refinement, order):
+    return [(g, *band_nodes(band, refinement=refinement, order=order)) for band in bands]
 
 
 def _resolve_method(method: str, n_points: int, measure) -> str:
@@ -163,18 +194,16 @@ def _resolve_method(method: str, n_points: int, measure) -> str:
     return "adaptive" if n_points <= 64 else "nodes"
 
 
-def _adaptive_bands(pts, measure, integrand_of_u, tol):
+def _adaptive_bands(pts, bands, integrand_of_u, tol):
     """Per-point adaptive band integration with kink-aware splitting (2D)."""
-    from .measures import _integrate_band_adaptive  # shared quadrature core
-
     out = np.zeros(pts.shape[0], dtype=complex)
     for p in range(pts.shape[0]):
         kvec = pts[p]
         splits = ()
-        if measure.dimension == 2 and (kvec[0] != 0 or kvec[1] != 0):
+        if pts.shape[1] == 2 and (kvec[0] != 0 or kvec[1] != 0):
             tk = math.atan2(kvec[1], kvec[0])
             splits = (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
-        for band in measure.bands:
+        for band in bands:
             out[p] += _integrate_band_adaptive(
                 band, lambda d: integrand_of_u(d @ kvec), tol, splits
             )
@@ -204,12 +233,11 @@ def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
             for band in measure.bands:
                 out += _stable_band_2d(pts, band, beta)
         elif _resolve_method(method, pts.shape[0], measure) == "adaptive":
-            out += _adaptive_bands(pts, measure, lambda u: _bracket(u, beta, lam), tol)
+            out += _adaptive_bands(pts, measure.bands, partial(_bracket, beta=beta, lam=lam), tol)
         else:
-            out += _band_quadrature(
-                pts, measure, lambda u, c: _bracket(u, beta, lam),
-                refinement, order,
-            )
+            g = partial(_bracket, beta=beta, lam=lam)
+            for col in _band_sum(pts, _node_sets(measure.bands, g, refinement, order)).T:
+                out += col
     return _restore(sign * out, shape)
 
 
@@ -249,9 +277,10 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
                 cpos, cneg = _cos_pow_band(t0 - theta_k, t1 - theta_k, 1.0)
                 out += 0.5 * math.pi * band.density * kn * (cpos + cneg)
         elif _resolve_method(method, pts.shape[0], measure) == "adaptive":
-            out += _adaptive_bands(pts, measure, g, tol)
+            out += _adaptive_bands(pts, measure.bands, g, tol)
         else:
-            out += _band_quadrature(pts, measure, lambda u, c: g(u), refinement, order)
+            for col in _band_sum(pts, _node_sets(measure.bands, g, refinement, order)).T:
+                out += col
     return _restore(-out, shape)
 
 
@@ -292,28 +321,26 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
     for i, (d, w) in enumerate(measure.atoms):
         bi, li = profile.betas[i], profile.lambdas[i]
         out += _ceil_sign(bi) * w * _bracket(pts @ d, bi, li)
-    from .measures import _integrate_band_adaptive
-
+    n_atoms = len(measure.atoms)
+    rules = [(profile.betas[n_atoms + j], profile.lambdas[n_atoms + j])
+             for j in range(len(measure.bands))]
+    gs = [partial(_bracket, beta=bj, lam=lj) for bj, lj in rules]
+    closed = [lj == 0.0 and measure.dimension == 2 for _, lj in rules]
+    adaptive = _resolve_method(method, pts.shape[0], measure) == "adaptive"
+    on_nodes = [] if adaptive else [j for j, c in enumerate(closed) if not c]
+    if on_nodes:
+        sums = _band_sum(pts, [
+            (gs[j], *band_nodes(measure.bands[j], refinement=refinement, order=order))
+            for j in on_nodes])
     for j, band in enumerate(measure.bands):
-        ci = len(measure.atoms) + j
-        bj, lj = profile.betas[ci], profile.lambdas[ci]
+        bj = rules[j][0]
         sign = _ceil_sign(bj)
-        if lj == 0.0 and measure.dimension == 2:
+        if closed[j]:
             out += sign * _stable_band_2d(pts, band, bj)
-        elif _resolve_method(method, pts.shape[0], measure) == "adaptive":
-            for p in range(pts.shape[0]):
-                kvec = pts[p]
-                splits = ()
-                if measure.dimension == 2 and np.any(kvec != 0):
-                    tk = math.atan2(kvec[1], kvec[0])
-                    splits = (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
-                out[p] += sign * _integrate_band_adaptive(
-                    band, lambda d: _bracket(d @ kvec, bj, lj), tol, splits
-                )
+        elif adaptive:
+            out += sign * _adaptive_bands(pts, [band], gs[j], tol)
         else:
-            dirs, w = band_nodes(band, refinement=refinement, order=order)
-            u = pts @ dirs.T
-            out += sign * (_bracket(u, bj, lj) * w).sum(axis=1)
+            out += sign * sums[:, on_nodes.index(j)]
     return _restore(out, shape)
 
 
@@ -349,26 +376,22 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     if sig.shape != (measure.n_components,) or np.any(sig <= 0):
         raise ValueError("sigmas must give one positive spread per measure component")
     pts, shape = _k_points(k, 2)
-    dirs, w, comp = _measure_nodes_cached(measure, refinement, order)
+    dirs, w, comp = measure_nodes(measure, refinement=refinement, order=order)
     s = sig[comp]
-    u = pts @ dirs.T
-    x = u * s / math.sqrt(2.0)
-    # radial - s^2, where radial = s^2 - u s^3 sqrt(2) dawsn(x)
-    # + i u s^3 sqrt(pi/2) exp(-(u s)^2 / 2) is s^2 times the Rayleigh
-    # characteristic function at u = k.phi; every term carries a factor u, so
-    # the sum vanishes exactly at k = 0
-    radial_dev = (
-        - u * s ** 3 * math.sqrt(2.0) * sc.dawsn(x)
-        + 1j * u * s ** 3 * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (u * s) ** 2)
-    )
+
+    def radial_dev(u):
+        # radial - s^2, where radial = s^2 - u s^3 sqrt(2) dawsn(x)
+        # + i u s^3 sqrt(pi/2) exp(-(u s)^2 / 2) is s^2 times the Rayleigh
+        # characteristic function at u = k.phi; every term carries a factor u,
+        # so the sum vanishes exactly at k = 0
+        x = u * s / math.sqrt(2.0)
+        return (
+            - u * s ** 3 * math.sqrt(2.0) * sc.dawsn(x)
+            + 1j * u * s ** 3 * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (u * s) ** 2)
+        )
+
     c_m = 1.0 / np.sum(w * s ** 2)
-    return _restore(c_m * (radial_dev * w).sum(axis=1), shape)
-
-
-def _measure_nodes_cached(measure, refinement, order):
-    from .measures import measure_nodes
-
-    return measure_nodes(measure, refinement=refinement, order=order)
+    return _restore(c_m * _band_sum(pts, [(radial_dev, dirs, w)])[:, 0], shape)
 
 
 def isotropic_reference_symbol(beta: float, lam: float, k, n: int, *,
@@ -451,7 +474,9 @@ class GeneratorSymbol:
 
     zeta scales the whole symbol (jump rate of the compound-Poisson picture,
     or a plain diffusion-coefficient rescale); evaluation is pure and safe to
-    share across threads.
+    share across threads.  on_grid evaluates psi on a SpectralGrid's lattice
+    from half of its wavenumbers and caches the result per grid on the
+    instance.
     """
 
     kind: str
@@ -469,6 +494,8 @@ class GeneratorSymbol:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
+        if self.method not in ("auto", "nodes", "adaptive"):
+            raise ValueError(f"unknown quadrature method {self.method!r}")
         if self.kind == "beta1_aniso" and not is_symmetric(self.measure):
             raise ValueError("exponent-1 symbols require a symmetric measure")
         if self.kind in ("gaussian_aniso", "stable_aniso", "tempered_aniso",
@@ -477,9 +504,13 @@ class GeneratorSymbol:
                 raise ValueError(f"{self.kind} requires a directional measure")
             if self.measure.dimension != self.dimension:
                 raise ValueError("measure dimension mismatch")
+        object.__setattr__(self, "_grid_cache", {})
+        object.__setattr__(self, "_grid_lock", threading.Lock())
 
-    def evaluate(self, k):
+    def evaluate(self, k, method: Optional[str] = None):
+        """psi(k); method overrides self.method for this call."""
         kind = self.kind
+        method = self.method if method is None else method
         if kind == "gaussian_iso":
             base = gaussian_symbol("iso", k, sigma=self.sigma, dimension=self.dimension)
         elif kind == "gaussian_axes":
@@ -489,18 +520,18 @@ class GeneratorSymbol:
                                    sigmas=self.sigmas, refinement=self.refinement)
         elif kind == "stable_aniso":
             base = tempered_symbol(self.measure, self.beta, 0.0, k,
-                                   method=self.method, refinement=self.refinement)
+                                   method=method, refinement=self.refinement)
         elif kind == "tempered_aniso":
             base = tempered_symbol(self.measure, self.beta, self.lam, k,
-                                   method=self.method, refinement=self.refinement)
+                                   method=method, refinement=self.refinement)
         elif kind == "beta1_aniso":
-            base = beta1_symbol(self.measure, self.lam, k, method=self.method,
+            base = beta1_symbol(self.measure, self.lam, k, method=method,
                                 refinement=self.refinement, _skip_symmetry_check=True)
         elif kind == "beta2_quadratic":
             base = beta2_symbol(self.measure, self.lam or 0.0, k)
         elif kind == "general_profile":
             base = general_profile_symbol(self.measure, self.profile, k,
-                                          method=self.method, refinement=self.refinement)
+                                          method=method, refinement=self.refinement)
         else:  # isotropic_reference, as a generator: the negated reference value
             base = -1.0 * isotropic_reference_symbol(self.beta, self.lam or 0.0, k, self.dimension)
         arr = np.atleast_1d(np.asarray(base))
@@ -511,6 +542,39 @@ class GeneratorSymbol:
         return self.zeta * base
 
     __call__ = evaluate
+
+    def on_grid(self, grid) -> np.ndarray:
+        """Read-only psi on the fftfreq lattice of grid, shaped grid.shape().
+
+        One wavenumber of each pair (k, -k) is evaluated, plus every point on
+        a Nyquist plane (its mirror lies off the lattice); the rest is filled
+        in by psi(-k) = conj psi(k).  method="auto" resolves on the full
+        number of lattice points.  The last _GRID_CACHE_SIZE grids are cached.
+        """
+        with self._grid_lock:
+            psi = self._grid_cache.get(grid)
+            if psi is None:
+                psi = self._half_spectrum(grid)
+                self._grid_cache[grid] = psi
+                if len(self._grid_cache) > _GRID_CACHE_SIZE:
+                    del self._grid_cache[next(iter(self._grid_cache))]
+        return psi
+
+    def _half_spectrum(self, grid) -> np.ndarray:
+        shape, N = grid.shape(), grid.n_points
+        idx = np.indices(shape).reshape(grid.dimension, -1)
+        flat = np.arange(idx.shape[1])
+        mirror = np.ravel_multi_index((N - idx) % N, shape)
+        own = np.any(idx == N // 2, axis=0) | (flat <= mirror)
+        method = self.method
+        if self.measure is not None:
+            method = _resolve_method(method, flat.size, self.measure)
+        vals = np.empty(flat.size, dtype=complex)
+        vals[own] = self.evaluate(grid.k_points()[own], method=method)
+        vals[~own] = np.conj(vals[mirror[~own]])
+        psi = vals.reshape(shape)
+        psi.setflags(write=False)
+        return psi
 
 
 def make_generator(kind: str, dimension: int, **params) -> GeneratorSymbol:
@@ -531,6 +595,8 @@ def symbol_to_json(sym: GeneratorSymbol) -> dict:
             doc[name] = getattr(sym, name)
     if sym.sigmas is not None:
         doc["sigmas"] = list(sym.sigmas)
+    doc["method"] = sym.method
+    doc["refinement"] = sym.refinement
     return doc
 
 
@@ -552,4 +618,6 @@ def symbol_from_json(doc: dict) -> GeneratorSymbol:
         lam=doc.get("lam"),
         sigma=doc.get("sigma"),
         sigmas=tuple(doc["sigmas"]) if "sigmas" in doc else None,
+        method=doc.get("method", "auto"),
+        refinement=int(doc.get("refinement", 96)),
     )

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 import scipy.integrate as si
 import scipy.special as sc
 
+import anisolap.symbols as symbols_mod
 from anisolap.measures import (
     StabilityProfile,
     make_atomic_measure,
     make_banded_measure,
+    measure_to_json,
     uniform_measure,
 )
 from anisolap.symbols import (
@@ -21,6 +24,8 @@ from anisolap.symbols import (
     general_profile_symbol,
     isotropic_reference_symbol,
     make_generator,
+    symbol_from_json,
+    symbol_to_json,
     tempered_symbol,
 )
 
@@ -365,6 +370,52 @@ class TestGeneratorObjects:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_generator("bogus", 2)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="method"):
+            make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=1.3,
+                           lam=0.1, method="simpson")
+
+
+class TestJson:
+    def generators(self):
+        m2 = fig1_measure()
+        sym_m = make_atomic_measure(2, [((1, 0), .25), ((-1, 0), .25),
+                                        ((0, 1), .25), ((0, -1), .25)])
+        kw = dict(method="nodes", refinement=192, zeta=1.5)
+        return [
+            make_generator("gaussian_iso", 2, sigma=0.8, **kw),
+            make_generator("gaussian_axes", 3, sigma=0.8, **kw),
+            make_generator("gaussian_aniso", 2, measure=m2, sigmas=(0.7, 1.1), **kw),
+            make_generator("stable_aniso", 2, measure=m2, beta=1.3, **kw),
+            make_generator("tempered_aniso", 1, measure=onesided1d(), beta=0.6, lam=0.4,
+                           method="adaptive", refinement=48),
+            make_generator("beta1_aniso", 2, measure=sym_m, lam=0.5, **kw),
+            make_generator("beta2_quadratic", 2, measure=m2, lam=0.2, **kw),
+            make_generator("general_profile", 2, measure=m2,
+                           profile=StabilityProfile((1.3, 1.7), (0.1, 0.0)), **kw),
+            make_generator("isotropic_reference", 2, beta=1.3, lam=0.5, **kw),
+        ]
+
+    def test_round_trip_every_kind(self):
+        # documents, not dataclasses, are compared: == on atom arrays is ambiguous
+        gens = self.generators()
+        assert {g.kind for g in gens} == set(symbols_mod._KINDS)
+        for g in gens:
+            doc = symbol_to_json(g)
+            back = symbol_from_json(json.loads(json.dumps(doc)))
+            assert symbol_to_json(back) == doc
+            assert (back.method, back.refinement) == (g.method, g.refinement)
+
+    def test_config_fields_are_read(self):
+        doc = {"kind": "tempered_aniso", "dimension": 2, "beta": 0.8, "lam": 0.5,
+               "measure": measure_to_json(fig1_measure()),
+               "method": "nodes", "refinement": 192}
+        sym = symbol_from_json(doc)
+        assert (sym.method, sym.refinement) == ("nodes", 192)
+        k = np.array([[0.7, 0.2], [1.5, -3.0]])
+        want = tempered_symbol(fig1_measure(), 0.8, 0.5, k, method="nodes", refinement=192)
+        assert np.array_equal(sym(k), want)
 
 
 class TestScalingLimitInvariant:
