@@ -442,9 +442,5 @@ def main(argv=None) -> int:
         return 2
 
 
-def console_main():  # pragma: no cover
-    sys.exit(main())
-
-
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

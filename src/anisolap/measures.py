@@ -550,10 +550,6 @@ class StabilityProfile:
     def has_beta_one(self) -> bool:
         return any(abs(b - 1.0) < 1e-6 for b in self.betas)
 
-    @property
-    def has_beta_two(self) -> bool:
-        return any(b == 2.0 for b in self.betas)
-
 
 # ---------------------------------------------------------------------------
 # JSON serialisation

@@ -487,9 +487,8 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     if GP is None or GQ is None:
         raise ValueError("bilinear_form requires analytic gradients for the tube correction")
 
-    support = max(field_p.support_radius, field_q.support_radius)
     if R is None:
-        R = 2.0 * L + (0.0 if math.isfinite(support) else 0.0)
+        R = 2.0 * L
     r, wr = _graded_radial_rule(delta, R, panels_per_decade, order)
     kern = wr * r ** (-1.0 - beta) * (np.exp(-lam * r) if lam > 0 else 1.0)
     dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
@@ -511,7 +510,7 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     # difference product tends to p(x) q(x); skipped for fields without a
     # finite support radius (their differences need not decay)
     e0 = radial_moment_upper(0, beta, lam, R)
-    if math.isfinite(support):
+    if math.isfinite(max(field_p.support_radius, field_q.support_radius)):
         far = float(P @ Q) * cell * e0
     else:
         far = 0.0

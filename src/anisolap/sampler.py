@@ -373,9 +373,11 @@ def sample_inverse_subordinator(alpha: float, t: float, rng,
 def matched_rate(spec: JumpSpec) -> float:
     """Jump rate zeta for which zeta*(Phi_0(k)-1) approximates the Levy symbol
     of the same (beta, lambda, measure): the kernel mass above the cutoff over
-    |Gamma(-beta)|."""
+    |Gamma(-beta)|.  Undefined at beta = 1, where Gamma(-beta) has a pole."""
     if spec.kind not in ("stable", "tempered_stable"):
         raise ValueError("matched_rate applies to power-law jump kinds")
+    if spec.beta == 1.0:
+        raise ValueError("the matched rate is undefined at beta = 1 (Gamma(-beta) has a pole)")
     from .realspace import radial_moment_upper
 
     mass = radial_moment_upper(0, spec.beta, spec.lam, spec.r0)
@@ -383,7 +385,19 @@ def matched_rate(spec: JumpSpec) -> float:
 
 
 def jump_cf(spec: JumpSpec, k) -> complex:
-    """Characteristic function Phi_0(k) = E exp(i k.Y) of a single jump."""
+    """Characteristic function Phi_0(k) = E exp(i k.Y) of a single jump.
+
+    Power-law kinds average the radial transform Phi(k.phi) over the
+    measure's quadrature directions (refinement 64).  Phi(u) - 1 is one array
+    expression in double precision over all directions: with x = (lam - iu) r0
+    it is the series of the lower incomplete gamma function, written as a
+    difference from u = 0, when |x| <= 1, Legendre's continued fraction
+    (modified Lentz) when |x| > 1, and e^{-x} - x E_1(x) at beta = 1.  So
+    Phi_0(0) = 1 and Phi_0(-k) = conj Phi_0(k) exactly.  Against 40-digit
+    mpmath the absolute error on Phi is below 5e-14, and below 1e-11 for
+    |beta - 1| < 0.05, where the series loses digits to the pole of
+    Gamma(-beta).  A continued fraction that does not converge raises
+    RuntimeError."""
     k = np.asarray(k, dtype=float).reshape(spec.dimension)
     if spec.kind == "gaussian_iso":
         return complex(math.exp(-0.5 * spec.sigma ** 2 * float(k @ k)))
@@ -394,24 +408,118 @@ def jump_cf(spec: JumpSpec, k) -> complex:
 
         return 1.0 + complex(gaussian_symbol("aniso", k, measure=spec.measure,
                                              sigmas=spec.sigmas))
-    # power-law kinds: directional quadrature of the radial transform
     dirs, w, _ = measure_nodes(spec.measure, refinement=64)
-    u = dirs @ k
-    vals = np.array([_truncated_power_cf(spec.beta, spec.lam, spec.r0, ui) for ui in u])
-    return complex((w * vals).sum() / w.sum())
+    phi = 1.0 + _truncated_power_cf_minus_one(spec.beta, spec.lam, spec.r0, dirs @ k)
+    return complex((w * phi).sum() / w.sum())
 
 
-def _truncated_power_cf(beta: float, lam: float, r0: float, u: float) -> complex:
-    """E e^{iuR} for the radius law with survival prop. to the kernel tail on
-    [r0, inf): int_{r0}^inf e^{iur} e^{-lam r} r^{-1-beta} dr, normalised."""
-    import mpmath as mp
+# |x| <= 1: the n-th series term is at most 2n / (n! (n - beta)), below 1e-21 at n = 24
+_SERIES_TERMS = 24
+_CF_MAX_ITER = 500
+_CF_TOL = 4.0 * np.finfo(float).eps
 
-    z = mp.mpc(lam, -u)
-    norm = mp.gammainc(-beta, lam * r0) * lam ** beta if lam > 0 else r0 ** (-beta) / beta
-    if abs(u) < 1e-14:
-        return 1.0 + 0.0j
-    val = z ** beta * mp.gammainc(-beta, z * r0)
-    return complex(val / norm)
+
+def _truncated_power_cf_minus_one(beta: float, lam: float, r0: float, u) -> np.ndarray:
+    """Phi(u) - 1, elementwise over u, for the radius law prop. to
+    e^{-lam r} r^{-1-beta} on [r0, inf).
+
+    With x = (lam - iu) r0 and g(x) = x^beta Gamma(-beta, x)
+    = int_1^inf e^{-xt} t^{-1-beta} dt, Phi(u) = g(x) / g(lam r0)."""
+    s = np.asarray(u, dtype=float) * r0
+    y = lam * r0
+    x = y - 1j * s
+    try:
+        norm = _scaled_upper_gamma(beta, np.array([complex(y)]))[0]
+        if beta == 1.0:
+            return _scaled_upper_gamma(beta, x) / norm - 1.0
+        out = np.empty_like(x)
+        near = np.abs(x) <= 1.0
+        out[near] = _series_difference(beta, x[near], y, s[near]) / norm
+        out[~near] = _scaled_upper_gamma(beta, x[~near]) / norm - 1.0
+    except _NotConverged as exc:
+        raise RuntimeError(
+            f"incomplete-gamma continued fraction did not converge in {_CF_MAX_ITER} "
+            f"iterations (beta = {beta}, lambda = {lam}, r0 = {r0}, |x| = {exc.args[0]:.6g})"
+        ) from None
+    return out
+
+
+def _scaled_upper_gamma(beta: float, x: np.ndarray) -> np.ndarray:
+    """g(x) = x^beta Gamma(-beta, x) for Re x >= 0: the continued fraction
+    for |x| > 1; for |x| <= 1, e^{-x} - x E_1(x) at beta = 1 and the series
+    otherwise."""
+    out = np.empty_like(x)
+    far = np.abs(x) > 1.0
+    out[far] = np.exp(-x[far]) * _legendre_cf(beta, x[far])
+    xn = x[~far]
+    if beta == 1.0:
+        # x E_1(x) -> 0 as x -> 0, where exp1 is infinite
+        at0 = xn == 0
+        xs = np.where(at0, 1.0, xn)
+        out[~far] = np.exp(-xn) - np.where(at0, 0.0, xs * sc.exp1(xs))
+        return out
+    terms = _series_coefficients(beta)[:, None] * (-xn) ** np.arange(_SERIES_TERMS + 1)[:, None]
+    out[~far] = math.gamma(-beta) * xn ** beta - terms.sum(axis=0)
+    return out
+
+
+def _series_coefficients(beta: float) -> np.ndarray:
+    """c_n = 1 / (n! (n - beta)), n = 0 .. _SERIES_TERMS."""
+    n = np.arange(_SERIES_TERMS + 1)
+    return 1.0 / (sc.factorial(n) * (n - beta))
+
+
+def _series_difference(beta: float, x: np.ndarray, y: float, s: np.ndarray) -> np.ndarray:
+    """g(x) - g(y) for |x| <= 1 and x = y - is, y >= 0, from
+    g(x) = Gamma(-beta) x^beta - sum_n c_n (-x)^n.  The n = 0 terms cancel, so
+    the difference is exactly 0 at s = 0 and keeps its relative accuracy
+    near it."""
+    if y > 0:
+        t = -s / y
+        log1p_it = 0.5 * np.log1p(t * t) + 1j * np.arctan(t)
+        pow_diff = y ** beta * np.expm1(beta * log1p_it)
+    else:
+        pow_diff = np.abs(s) ** beta * np.exp(-0.5j * math.pi * beta * np.sign(s))
+    # d_n = (-x)^n - (-y)^n = -x d_{n-1} + is (-y)^{n-1}
+    c = _series_coefficients(beta)
+    step = 1j * s
+    d = step
+    total = c[1] * d
+    ypow = 1.0
+    for n in range(2, _SERIES_TERMS + 1):
+        ypow *= -y
+        d = -x * d + step * ypow
+        total = total + c[n] * d
+    return math.gamma(-beta) * pow_diff - total
+
+
+def _legendre_cf(beta: float, x: np.ndarray) -> np.ndarray:
+    """F(x) with Gamma(-beta, x) = e^{-x} x^{-beta} F(x), by Legendre's
+    continued fraction in the modified Lentz form.  An element stops updating
+    once converged, so each value is independent of the others in x."""
+    a = -beta
+    b = x + 1.0 - a
+    c = np.full_like(x, 1e300)
+    d = 1.0 / b
+    h = d.copy()
+    live = np.arange(x.size)
+    for i in range(1, _CF_MAX_ITER + 1):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h[live] *= delta
+        going = np.abs(delta - 1.0) > _CF_TOL
+        if not going.any():
+            return h
+        live, b, c, d = live[going], b[going], c[going], d[going]
+    raise _NotConverged(float(np.abs(x[live]).max()))
+
+
+class _NotConverged(Exception):
+    """The continued fraction ran out of iterations; args[0] is the largest
+    |x| left unconverged."""
 
 
 # ---------------------------------------------------------------------------

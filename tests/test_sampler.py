@@ -215,6 +215,13 @@ class TestEcf:
             tol = 5.0 / math.sqrt(n) + bias
             assert abs(est.value - theory) <= tol
 
+    def test_matched_rate_undefined_at_beta_one(self):
+        for lam in (0.0, 1.0):
+            spec = JumpSpec("tempered_stable", 1, measure=uniform_measure(1), beta=1.0,
+                            lam=lam, r0=1e-3)
+            with pytest.raises(ValueError, match="undefined at beta = 1"):
+                matched_rate(spec)
+
     def test_fig1_upward_drift_against_isotropic(self):
         # shared master seed; the band measure pushes paths upward
         beta, r0, T = 1.3, 0.01, 500.0
