@@ -12,7 +12,7 @@ import numpy as np
 import scipy.special as sc
 
 from .evolve import DensityField, continuum_dft_abs2, evolve_spectral
-from .measures import DirectionalMeasure, support_directions
+from .measures import DirectionalMeasure, _composite_gl, support_directions
 from .realspace import ScalarField, bilinear_form, _graded_radial_rule
 from .symbols import (
     gaussian_symbol, isotropic_reference_symbol, make_generator, tempered_symbol,
@@ -235,11 +235,7 @@ def counterexample_1d(beta: float = 0.5, lam: float = 1.0,
         kern = lambda r: r ** (-1.0 - beta) * np.exp(-lam * r)
         r1, w1 = _graded_radial_rule(1e-13 * T, T, panels_per_decade=10, order=10)
         lo = float(np.sum(w1 * r1 * kern(r1)))
-        edges = np.linspace(T, 2.0 * T, 33)
-        x, w = np.polynomial.legendre.leggauss(10)
-        r2 = (0.5 * (edges[:-1] + edges[1:])[:, None]
-              + 0.5 * np.diff(edges)[:, None] * x[None, :]).ravel()
-        w2 = (0.5 * np.diff(edges)[:, None] * w[None, :]).ravel()
+        r2, w2 = _composite_gl(np.linspace(T, 2.0 * T, 33), 10)
         hi = float(np.sum(w2 * (2.0 * T - r2) * kern(r2)))
         values[i] = 2.0 * (lo + hi)
     limit = 2.0 * sc.gamma(1.0 - beta) * lam ** (beta - 1.0) if lam > 0 else None

@@ -227,6 +227,7 @@ def uniform_measure(dimension) -> DirectionalMeasure:
 # ---------------------------------------------------------------------------
 
 _GL_CACHE: dict = {}
+_BLOCK_PANELS = 1024  # panels per integrand call of the adaptive band quadrature
 
 
 def _gl(order: int):
@@ -235,10 +236,12 @@ def _gl(order: int):
     return _GL_CACHE[order]
 
 
-def _segment_nodes(a, b, order):
+def _composite_gl(edges, order):
+    """Gauss-Legendre of the given order on each panel between consecutive
+    edges; returns (nodes, weights), panel by panel."""
     x, w = _gl(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8,
@@ -260,11 +263,9 @@ def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8,
         total = t1 - t0
         for a, b in zip(cuts[:-1], cuts[1:]):
             n_pan = max(2, int(round(refinement * (b - a) / total)))
-            edges = np.linspace(a, b, n_pan + 1)
-            for u, v in zip(edges[:-1], edges[1:]):
-                x, w = _segment_nodes(u, v, order)
-                thetas.append(x)
-                weights.append(w)
+            x, w = _composite_gl(np.linspace(a, b, n_pan + 1), order)
+            thetas.append(x)
+            weights.append(w)
         theta = np.concatenate(thetas)
         w = np.concatenate(weights) * band.density
         return _angles_to_dirs_2d(theta), w
@@ -272,22 +273,8 @@ def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8,
     t0, t1, p0, p1 = band.bounds
     n_t = max(2, refinement // 4)
     n_p = max(2, refinement // 4)
-    ct_edges = np.linspace(math.cos(t1), math.cos(t0), n_t + 1)
-    p_edges = np.linspace(p0, p1, n_p + 1)
-    cts, wts = [], []
-    for a, b in zip(ct_edges[:-1], ct_edges[1:]):
-        x, w = _segment_nodes(a, b, order)
-        cts.append(x)
-        wts.append(w)
-    ct = np.concatenate(cts)
-    wt = np.concatenate(wts)
-    ps, wps = [], []
-    for a, b in zip(p_edges[:-1], p_edges[1:]):
-        x, w = _segment_nodes(a, b, order)
-        ps.append(x)
-        wps.append(w)
-    ph = np.concatenate(ps)
-    wp = np.concatenate(wps)
+    ct, wt = _composite_gl(np.linspace(math.cos(t1), math.cos(t0), n_t + 1), order)
+    ph, wp = _composite_gl(np.linspace(p0, p1, n_p + 1), order)
     CT, PH = np.meshgrid(ct, ph, indexing="ij")
     W = np.outer(wt, wp) * band.density
     theta = np.arccos(np.clip(CT.ravel(), -1.0, 1.0))
@@ -316,65 +303,90 @@ def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int 
     return np.concatenate(dirs), np.concatenate(weights), np.concatenate(comp)
 
 
-def _integrate_band_adaptive(band, f, tol, split_angles, order=15):
-    """Adaptive composite Gauss-Legendre over one band."""
-    if band.dimension == 2:
-        t0, t1 = band.bounds
-        cuts = sorted({t0, t1} | {
-            t0 + ((s - t0) % _TWO_PI)
-            for s in split_angles
-            if t0 + 1e-13 < t0 + ((s - t0) % _TWO_PI) < t1 - 1e-13
-        })
-
-        def eval_seg(a, b):
-            x, w = _segment_nodes(a, b, order)
-            vals = f(_angles_to_dirs_2d(x))
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite integrand value on the sphere")
-            return np.sum(w * vals)
-
-        total = 0.0 + 0.0j
-        stack = [(a, b, eval_seg(a, b), 0) for a, b in zip(cuts[:-1], cuts[1:])]
-        while stack:
-            a, b, coarse, depth = stack.pop()
-            mid = 0.5 * (a + b)
-            left, right = eval_seg(a, mid), eval_seg(mid, b)
-            if abs(left + right - coarse) < max(tol, 1e-16) or depth >= 40:
-                total += left + right
-            else:
-                stack.append((a, mid, left, depth + 1))
-                stack.append((mid, b, right, depth + 1))
-        return complex(total) * band.density
-
-    t0, t1, p0, p1 = band.bounds
-
-    def eval_rect(c0, c1, q0, q1):
-        xt, wt = _segment_nodes(c0, c1, 7)
-        xp, wp = _segment_nodes(q0, q1, 7)
-        CT, PH = np.meshgrid(xt, xp, indexing="ij")
-        theta = np.arccos(np.clip(CT.ravel(), -1.0, 1.0))
-        vals = f(_angles_to_dirs_3d(theta, PH.ravel()))
+def _panel_sums(box, owner, f, order):
+    """Fixed-rule integral over each panel of the integrand owner[i], taken
+    _BLOCK_PANELS panels at a time.  box is (P, 1, 2), theta intervals with
+    Gauss-Legendre of the given order, in 2D, and (P, 2, 2), (cos theta, phi)
+    rectangles with the 7 x 7 tensor rule, in 3D."""
+    out = np.empty(len(box), dtype=complex)
+    x, w = _gl(order if box.shape[1] == 1 else 7)
+    for s in range(0, len(box), _BLOCK_PANELS):
+        rows = slice(s, s + _BLOCK_PANELS)
+        lo, hi = box[rows, :, :1], box[rows, :, 1:]
+        nodes, wts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
+        if box.shape[1] == 1:
+            dirs, wts = _angles_to_dirs_2d(nodes[:, 0]), wts[:, 0]
+        else:
+            theta = np.arccos(np.clip(nodes[:, 0], -1.0, 1.0))
+            dirs = _angles_to_dirs_3d(np.repeat(theta, 7, axis=1), np.tile(nodes[:, 1], 7))
+            wts = (wts[:, 0, :, None] * wts[:, 1, None, :]).reshape(len(theta), 49)
+        vals = f(dirs, owner[rows])
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand value on the sphere")
-        return np.sum(np.outer(wt, wp).ravel() * vals)
+        out[rows] = (wts * vals).sum(axis=1)
+    return out
 
-    c0, c1 = math.cos(t1), math.cos(t0)
-    total = 0.0 + 0.0j
-    stack = [(c0, c1, p0, p1, eval_rect(c0, c1, p0, p1), 0)]
-    while stack:
-        a, b, q0, q1, coarse, depth = stack.pop()
-        am, qm = 0.5 * (a + b), 0.5 * (q0 + q1)
-        parts = [
-            (a, am, q0, qm), (am, b, q0, qm), (a, am, qm, q1), (am, b, qm, q1)
-        ]
-        fine_vals = [eval_rect(*p) for p in parts]
-        fine = sum(fine_vals)
-        if abs(fine - coarse) < max(tol, 1e-16) or depth >= 14:
-            total += fine
-        else:
-            for p, v in zip(parts, fine_vals):
-                stack.append((*p, v, depth + 1))
-    return complex(total) * band.density
+
+def _integrate_band_adaptive(band, f, tol, splits, order=15):
+    """Adaptive integrals of len(splits) integrands over one band.
+
+    f(dirs, owner) returns, for a (P, M, n) block of directions, the values
+    (P, M) of the integrands owner (P,) that the panels belong to.  A panel
+    is accepted when its 2 halves (2D) or 4 quarters (3D) sum to within
+    max(tol, 1e-16) of it, or at depth 40 (2D) or 14 (3D); in 2D no panel of
+    integrand i straddles the angles splits[i].  Each level evaluates the
+    active panels of all integrands together.  An integrand's accepted sums
+    are added in descending lexicographic order of their child-index paths,
+    the order of a depth-first pass that refines the last child first, so
+    the result does not depend on the batching.
+    """
+    if band.dimension == 2:
+        t0, t1 = band.bounds
+        max_depth, axes = 40, 1
+        box, owner, key = [], [], []
+        for i, angles in enumerate(splits):
+            cuts = sorted({t0, t1} | {
+                t0 + ((s - t0) % _TWO_PI)
+                for s in angles
+                if t0 + 1e-13 < t0 + ((s - t0) % _TWO_PI) < t1 - 1e-13
+            })
+            box += zip(cuts[:-1], cuts[1:])
+            owner += [i] * (len(cuts) - 1)
+            key += range(len(cuts) - 1)
+    else:
+        t0, t1, p0, p1 = band.bounds
+        max_depth, axes = 14, 2
+        box = [(math.cos(t1), math.cos(t0), p0, p1)] * len(splits)
+        owner, key = range(len(splits)), [0] * len(splits)
+    box = np.array(box, dtype=float).reshape(-1, axes, 2)
+    owner = np.array(owner, dtype=np.intp)
+    key = np.array(key, dtype=np.int64) << axes * max_depth
+    coarse = _panel_sums(box, owner, f, order)
+    # child c takes the upper half of axis j when bit j of c is set
+    bit = (np.arange(2 ** axes)[:, None] >> np.arange(axes)) & 1
+    accepted = []
+    for depth in range(max_depth + 1):
+        edges = np.stack([box[..., 0], 0.5 * (box[..., 0] + box[..., 1]), box[..., 1]], axis=-1)
+        kids = edges[:, np.arange(axes)[:, None], bit[..., None] + [0, 1]]
+        vals = _panel_sums(kids.reshape(-1, axes, 2), owner.repeat(len(bit)), f,
+                           order).reshape(len(box), len(bit))
+        fine = np.add.accumulate(vals, axis=1)[:, -1]
+        # np.hypot, not np.abs: the complex abs ufunc rounds differently
+        # from the scalar abs of the depth-first pass
+        err = np.hypot((fine - coarse).real, (fine - coarse).imag)
+        done = (err < max(tol, 1e-16)) | (depth == max_depth)
+        accepted.append((owner[done], key[done], fine[done]))
+        if done.all():
+            break
+        box, coarse = kids[~done].reshape(-1, axes, 2), vals[~done].ravel()
+        key = (key[~done, None] | np.arange(len(bit)) << axes * (max_depth - depth - 1)).ravel()
+        owner = owner[~done].repeat(len(bit))
+    owner, key, fine = (np.concatenate(a) for a in zip(*accepted))
+    rank = np.lexsort((-key, owner))
+    totals = [0.0 + 0.0j] * len(splits)
+    for i, v in zip(owner[rank].tolist(), fine[rank].tolist()):
+        totals[i] += v
+    return np.array([t * band.density for t in totals], dtype=complex)
 
 
 def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10,
@@ -382,9 +394,11 @@ def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10,
     """Integrate a function of the direction against the measure.
 
     integrand is called with an (M, n) array of unit vectors and must return
-    an (M,) array (real or complex).  Atoms are summed exactly; bands use
-    adaptive composite Gauss-Legendre of the given order with absolute
-    tolerance tol, never straddling the listed split angles (2D).
+    an (M,) array (real or complex).  Atoms are summed exactly; bands are
+    integrated adaptively to absolute tolerance tol, in 2D by composite
+    Gauss-Legendre of the given order never straddling the listed split
+    angles, in 3D by a 7 x 7 Gauss-Legendre tensor rule in (cos theta, phi)
+    (order and split_angles do not apply).
     """
     total = 0.0 + 0.0j
     for d, w in measure.atoms:
@@ -393,9 +407,14 @@ def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10,
             raise ValueError("non-finite integrand value on the sphere")
         total += w * complex(val)
     n_bands = max(1, len(measure.bands))
+
+    def f(dirs, owner):
+        flat = dirs.reshape(-1, dirs.shape[-1])
+        return np.broadcast_to(integrand(flat), flat.shape[:1]).reshape(dirs.shape[:2])
+
     for band in measure.bands:
-        total += _integrate_band_adaptive(band, integrand, tol / n_bands,
-                                          split_angles, order=order)
+        total += _integrate_band_adaptive(band, f, tol / n_bands, [split_angles],
+                                          order=order)[0]
     return complex(total)
 
 

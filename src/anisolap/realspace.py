@@ -17,7 +17,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special as sc
 
-from .measures import DirectionalMeasure, StabilityProfile, is_symmetric, measure_nodes, moments
+from .measures import (
+    DirectionalMeasure, StabilityProfile, _composite_gl, is_symmetric, measure_nodes, moments,
+)
 
 __all__ = [
     "ScalarField",
@@ -91,7 +93,10 @@ def gaussian_bump(dimension: int, center=None, width: float = 1.0,
 
     def f(x):
         d = np.asarray(x, dtype=float) - c
-        return amplitude * np.exp(-0.5 * np.sum(d * d, axis=-1) / w2)
+        s = d[..., 0] * d[..., 0]
+        for i in range(1, dimension):
+            s = s + d[..., i] * d[..., i]
+        return amplitude * np.exp(-0.5 * s / w2)
 
     def grad(x):
         d = np.asarray(x, dtype=float) - c
@@ -151,12 +156,7 @@ def _graded_radial_rule(delta: float, R: float, panels_per_decade: int = 8,
                         order: int = 8):
     n_panels = max(4, int(math.ceil(panels_per_decade * math.log10(R / delta))))
     edges = np.geomspace(delta, R, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(order)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    r = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    wr = (halves[:, None] * w[None, :]).ravel()
-    return r, wr
+    return _composite_gl(edges, order)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +434,8 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
         c_m = 1.0 / float(wdir @ s ** 2)
         # radial rule on t = r / sigma_dir: int_0^inf g(sigma t) e^{-t^2/2} t dt
         edges = np.linspace(0.0, 8.5, 18)
-        xg, wg = np.polynomial.legendre.leggauss(10)
-        tt = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * xg[None, :]).ravel()
-        tw = (0.5 * np.diff(edges)[:, None] * wg[None, :]).ravel() * tt * np.exp(-0.5 * tt * tt)
+        tt, tw = _composite_gl(edges, 10)
+        tw = tw * tt * np.exp(-0.5 * tt * tt)
         for i, xi in enumerate(pts):
             fx = field.f(xi)
             Y = xi[None, None, :] - (tt[:, None, None] * s[None, :, None]) * dirs[None, :, :]
@@ -480,10 +479,12 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     X = np.stack([g.ravel() for g in mesh], axis=-1)
     cell = h ** n
 
+    # the Parseval check passes one field twice; evaluate it once
+    same = field_q is field_p
     P = field_p.f(X)
-    Q = field_q.f(X)
+    Q = P if same else field_q.f(X)
     GP = field_p.grad(X) if field_p.grad else None
-    GQ = field_q.grad(X) if field_q.grad else None
+    GQ = GP if same else (field_q.grad(X) if field_q.grad else None)
     if GP is None or GQ is None:
         raise ValueError("bilinear_form requires analytic gradients for the tube correction")
 
@@ -498,7 +499,7 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
         d = dirs[a]
         Y = X[:, None, :] + r[None, :, None] * d[None, None, :]
         dp = P[:, None] - field_p.f(Y)
-        dq = Q[:, None] - field_q.f(Y)
+        dq = dp if same else Q[:, None] - field_q.f(Y)
         total += wdir[a] * float(((dp * dq) @ kern).sum()) * cell
 
     # diagonal tube: integrand ~ (grad p . z)(grad q . z) |z|^(-n-beta) e^(-lam|z|)

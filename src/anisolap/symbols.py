@@ -27,6 +27,7 @@ import scipy.special as sc
 from .measures import (
     DirectionalMeasure,
     StabilityProfile,
+    _composite_gl,
     _integrate_band_adaptive,
     band_nodes,
     is_symmetric,
@@ -195,18 +196,21 @@ def _resolve_method(method: str, n_points: int, measure) -> str:
 
 
 def _adaptive_bands(pts, bands, integrand_of_u, tol):
-    """Per-point adaptive band integration with kink-aware splitting (2D)."""
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for p in range(pts.shape[0]):
-        kvec = pts[p]
-        splits = ()
+    """Adaptive band integrals of integrand_of_u(k.phi), one integrand per
+    wavenumber, with 2D panels split at the kinks theta_k +- pi/2."""
+    splits = [()] * pts.shape[0]
+    for p, kvec in enumerate(pts):
         if pts.shape[1] == 2 and (kvec[0] != 0 or kvec[1] != 0):
             tk = math.atan2(kvec[1], kvec[0])
-            splits = (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
-        for band in bands:
-            out[p] += _integrate_band_adaptive(
-                band, lambda d: integrand_of_u(d @ kvec), tol, splits
-            )
+            splits[p] = (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
+
+    def f(dirs, owner):
+        # a stacked matrix product rounds u as dirs @ kvec does per wavenumber
+        return integrand_of_u((dirs @ pts[owner][:, :, None])[..., 0])
+
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for band in bands:
+        out += _integrate_band_adaptive(band, f, tol, splits)
     return out
 
 
@@ -432,29 +436,19 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int, *,
         theta_edges = 0.5 * math.pi - np.concatenate(
             [0.5 * math.pi * np.geomspace(1e-10, 1.0, n_panels)[::-1], [0.0]]
         )
-        t, tw = _panel_nodes(theta_edges, order)
+        t, tw = _composite_gl(theta_edges, order)
         vals = f(kn[:, None] * np.cos(t)[None, :])
         out = (2.0 / math.pi) * (vals * tw[None, :]).sum(axis=1)
     else:
         # int_0^1 f(|k| t) dt, graded toward the kink at t = 0
         t_edges = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, n_panels)])
-        t, tw = _panel_nodes(t_edges, order)
+        t, tw = _composite_gl(t_edges, order)
         vals = f(kn[:, None] * t[None, :])
         out = (vals * tw[None, :]).sum(axis=1)
     out = np.maximum(out, 0.0)
     if shape == ():
         return float(out[0])
     return out.reshape(shape)
-
-
-def _panel_nodes(edges, order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,12 @@ class TestSymmetry:
         assert not is_symmetric(make_atomic_measure(1, [((1,), 1.0)]))
         assert not is_symmetric(fig1_measure())
 
+    def test_3d_bands(self):
+        assert is_symmetric(uniform_measure(3)) is True
+        upper = make_banded_measure(3, [AngularBand((0.0, 0.5 * math.pi, 0.0, TWO_PI),
+                                                    1.0 / TWO_PI)])
+        assert is_symmetric(upper) is False
+
 
 class TestJson:
     def test_roundtrip(self):
