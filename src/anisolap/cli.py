@@ -193,6 +193,20 @@ def _cmd_symbol(args) -> int:
     return 0
 
 
+def _real_space_operator(op: dict, cases=("I", "II", "general")):
+    """fn(field, measure, pts) for the real-space case op names; an unknown
+    case is a config error."""
+    case = op.get("case", "I")
+    if case not in cases:
+        raise ConfigError(f"unknown operator case {case!r}; expected one of {', '.join(cases)}")
+    if case == "general":
+        prof = StabilityProfile(tuple(op["profile"]["betas"]), tuple(op["profile"]["lambdas"]))
+        return lambda field, measure, pts: apply_general(field, measure, prof, pts)
+    beta, lam = float(op["beta"]), float(op.get("lam", 0.0))
+    fn = apply_caseII if case == "II" else apply_caseI
+    return lambda field, measure, pts: fn(field, measure, beta, lam, pts)
+
+
 def _cmd_apply(args) -> int:
     cfg = _load_config(args.config)
     op = _require(cfg, "operator", "apply config")
@@ -202,16 +216,7 @@ def _cmd_apply(args) -> int:
         field_cfg = dict(field_cfg, kind=args.field)
     field = _field_from_config(field_cfg, measure.dimension)
     pts = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
-    case = op.get("case", "I")
-    if case == "I":
-        vals = apply_caseI(field, measure, float(op["beta"]), float(op.get("lam", 0.0)), pts)
-    elif case == "II":
-        vals = apply_caseII(field, measure, float(op["beta"]), float(op.get("lam", 0.0)), pts)
-    elif case == "general":
-        prof = StabilityProfile(tuple(op["profile"]["betas"]), tuple(op["profile"]["lambdas"]))
-        vals = apply_general(field, measure, prof, pts)
-    else:
-        raise ConfigError(f"unknown operator case {case!r}")
+    vals = _real_space_operator(op)(field, measure, pts)
     header = ",".join(f"x{i+1}" for i in range(measure.dimension)) + ",value"
     np.savetxt(args.out, np.column_stack([pts, vals]), delimiter=",",
                header=header, fmt="%.17g")
@@ -342,6 +347,8 @@ def _cmd_analyze(args) -> int:
         cases = _require(cfg, "cases", "equivalence config")
         results = []
         for case in cases:
+            # the spectral reference is the constant-profile symbol
+            apply_case = _real_space_operator(case, cases=("I", "II"))
             measure = measure_from_json(case["measure"])
             beta, lam = float(case["beta"]), float(case.get("lam", 0.0))
             field = _field_from_config(case.get("field", {}), measure.dimension)
@@ -362,8 +369,7 @@ def _cmd_analyze(args) -> int:
                 mesh = np.meshgrid(*([ax[ii]] * measure.dimension), indexing="ij")
                 pts = np.stack([g.ravel() for g in mesh], axis=-1)
                 ref = spectral[np.ix_(*([ii] * measure.dimension))].ravel()
-            fn = apply_caseII if case.get("case", "I") == "II" else apply_caseI
-            direct = fn(field, measure, beta, lam, pts)
+            direct = apply_case(field, measure, pts)
             rel = float(np.linalg.norm(direct - ref) / np.linalg.norm(ref))
             name = case.get("name", f"case_{len(results)}")
             ok &= _check_line(f"equivalence_{name}", rel, tol, rel <= tol)

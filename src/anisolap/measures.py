@@ -317,8 +317,11 @@ def _panel_sums(box, owner, f, order):
         if box.shape[1] == 1:
             dirs, wts = _angles_to_dirs_2d(nodes[:, 0]), wts[:, 0]
         else:
-            theta = np.arccos(np.clip(nodes[:, 0], -1.0, 1.0))
-            dirs = _angles_to_dirs_3d(np.repeat(theta, 7, axis=1), np.tile(nodes[:, 1], 7))
+            # trig once per distinct theta and phi of the tensor rule
+            theta = np.arccos(np.clip(nodes[:, 0], -1.0, 1.0))[:, :, None]
+            st, phi = np.sin(theta), nodes[:, 1, None, :]
+            dirs = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)),
+                            axis=-1).reshape(len(theta), 49, 3)
             wts = (wts[:, 0, :, None] * wts[:, 1, None, :]).reshape(len(theta), 49)
         vals = f(dirs, owner[rows])
         if not np.all(np.isfinite(vals)):
@@ -528,6 +531,13 @@ def is_symmetric(measure: DirectionalMeasure, tol: float = 1e-9) -> bool:
 # stability profiles
 # ---------------------------------------------------------------------------
 
+def _check_exponent(beta: float, what: str = "beta", hint: str = "") -> None:
+    """Raise ValueError unless beta lies in (0,1) or (1,2); exponents within
+    1e-6 of 1 belong to the exponent-1 formulas."""
+    if not (0.0 < beta < 2.0) or abs(beta - 1.0) < 1e-6:
+        raise ValueError(f"{what} must lie in (0,1) or (1,2){hint}")
+
+
 @dataclass(frozen=True)
 class StabilityProfile:
     """Per-component jump exponent and tempering rate, aligned with the
@@ -564,10 +574,6 @@ class StabilityProfile:
         if len(self.betas) != measure.n_components:
             raise ValueError("profile length does not match measure components")
         return self
-
-    @property
-    def has_beta_one(self) -> bool:
-        return any(abs(b - 1.0) < 1e-6 for b in self.betas)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ import numpy as np
 import scipy.special as sc
 
 from .measures import (
-    DirectionalMeasure, StabilityProfile, _composite_gl, is_symmetric, measure_nodes, moments,
+    DirectionalMeasure, StabilityProfile, _check_exponent, _composite_gl, is_symmetric,
+    measure_nodes, moments,
 )
 
 __all__ = [
@@ -159,6 +160,13 @@ def _graded_radial_rule(delta: float, R: float, panels_per_decade: int = 8,
     return _composite_gl(edges, order)
 
 
+def _radial_kernel(beta: float, lam: float, delta: float, R: float,
+                   panels_per_decade: int, order: int):
+    """Graded radial nodes r on [delta, R] and kernel weights wr * r^(-1-beta) e^(-lam r)."""
+    r, wr = _graded_radial_rule(delta, R, panels_per_decade, order)
+    return r, wr * r ** (-1.0 - beta) * (np.exp(-lam * r) if lam > 0 else 1.0)
+
+
 # ---------------------------------------------------------------------------
 # (tempered) stable operators
 # ---------------------------------------------------------------------------
@@ -181,12 +189,12 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, delta, R,
 
     mode: 'one_sided' (exponent < 1), 'symmetric' (second differences, any
     exponent, symmetric weights), 'gradient' (exponent > 1, regularised).
-    Returns (value, tail_estimate); the 1/|Gamma(-beta)| factor is included.
+    The 1/|Gamma(-beta)| factor is included.  Raises QuadratureTailError if
+    the estimated tail remainder exceeds tail_tol.
     """
     x = np.asarray(x, dtype=float)
     fx = float(field.f(x))
-    r, wr = _graded_radial_rule(delta, R, panels_per_decade, order)
-    kern = wr * r ** (-1.0 - beta) * (np.exp(-lam * r) if lam > 0 else 1.0)
+    r, kern = _radial_kernel(beta, lam, delta, R, panels_per_decade, order)
     gnorm = abs(sc.gamma(-beta))
     grad = None if mode == "symmetric" else field.gradient(x)
     finite_support = math.isfinite(field.support_radius)
@@ -249,7 +257,7 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, delta, R,
         raise QuadratureTailError(
             f"estimated tail remainder {tail_est:.3e} exceeds {tail_tol:.3e}"
         )
-    return value, tail_est
+    return value
 
 
 def _as_points(x, n):
@@ -263,17 +271,38 @@ def _as_points(x, n):
     raise ValueError(f"points must have shape (n,) or (P, {n})")
 
 
+def _apply_blocks(field, measure, x, blocks, delta, R, panels_per_decade, order, tail_tol):
+    """Operator values at the points x: the sum over kernel blocks
+    (dirs, w, beta, lam, mode, drift) of _apply_pointwise, blocks outside and
+    points inside."""
+    pts, single = _as_points(x, measure.dimension)
+    vals = np.zeros(len(pts))
+    for dirs, w, beta, lam, mode, drift in blocks:
+        for i, xi in enumerate(pts):
+            vals[i] += _apply_pointwise(
+                field, xi, dirs, w, beta, lam, mode, delta, _resolve_R(field, xi, lam, R),
+                panels_per_decade, order, drift, tail_tol,
+            )
+    return vals[0] if single else vals
+
+
+def _drift(beta: float, lam: float, b):
+    """Finite-part drift Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)| * b; zero at lam = 0."""
+    if lam > 0:
+        return (sc.gamma(1.0 - beta) * lam ** (beta - 1.0) / abs(sc.gamma(-beta))) * b
+    return np.zeros_like(b)
+
+
 def apply_caseI(field: ScalarField, measure: DirectionalMeasure, beta: float,
                 lam: float, x, *, delta: float = 1e-4, R: float | None = None,
                 panels_per_decade: int = 8, order: int = 8, refinement: int = 32,
-                tail_tol: float | None = None, return_report: bool = False):
+                tail_tol: float | None = None):
     """Difference-kernel form, valid for beta < 1 or symmetric measures.
 
     For beta in (1,2) the measure must be symmetric and paired second
     differences are used, which keeps every intermediate finite.
     """
-    if not (0.0 < beta < 2.0) or abs(beta - 1.0) < 1e-6:
-        raise ValueError("beta must lie in (0,1) or (1,2)")
+    _check_exponent(beta)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     mode = "one_sided"
@@ -283,25 +312,14 @@ def apply_caseI(field: ScalarField, measure: DirectionalMeasure, beta: float,
                              "use apply_caseII for asymmetric measures")
         mode = "symmetric"
     dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
-    pts, single = _as_points(x, measure.dimension)
-    vals = np.empty(len(pts))
-    tails = np.empty(len(pts))
-    for i, xi in enumerate(pts):
-        Ri = _resolve_R(field, xi, lam, R)
-        vals[i], tails[i] = _apply_pointwise(
-            field, xi, dirs, wdir, beta, lam, mode, delta, Ri,
-            panels_per_decade, order, None, tail_tol,
-        )
-    out = vals[0] if single else vals
-    if return_report:
-        return out, {"tail_estimate": tails[0] if single else tails}
-    return out
+    return _apply_blocks(field, measure, x, [(dirs, wdir, beta, lam, mode, None)],
+                         delta, R, panels_per_decade, order, tail_tol)
 
 
 def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
                  lam: float, x, *, delta: float = 1e-4, R: float | None = None,
                  panels_per_decade: int = 8, order: int = 8, refinement: int = 32,
-                 tail_tol: float | None = None, return_report: bool = False):
+                 tail_tol: float | None = None):
     """Gradient-regularised (finite-part) form for beta in (1,2).
 
     Adds the drift correction -Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)|
@@ -314,25 +332,10 @@ def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
         raise ValueError("lambda must be nonnegative")
     if field.grad is None:
         raise ValueError("the gradient-regularised form requires an analytic gradient")
-    b = moments(measure).mean
-    if lam > 0:
-        drift = (sc.gamma(1.0 - beta) * lam ** (beta - 1.0) / abs(sc.gamma(-beta))) * b
-    else:
-        drift = np.zeros_like(b)
+    drift = _drift(beta, lam, moments(measure).mean)
     dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
-    pts, single = _as_points(x, measure.dimension)
-    vals = np.empty(len(pts))
-    tails = np.empty(len(pts))
-    for i, xi in enumerate(pts):
-        Ri = _resolve_R(field, xi, lam, R)
-        vals[i], tails[i] = _apply_pointwise(
-            field, xi, dirs, wdir, beta, lam, "gradient", delta, Ri,
-            panels_per_decade, order, drift, tail_tol,
-        )
-    out = vals[0] if single else vals
-    if return_report:
-        return out, {"tail_estimate": tails[0] if single else tails}
-    return out
+    return _apply_blocks(field, measure, x, [(dirs, wdir, beta, lam, "gradient", drift)],
+                         delta, R, panels_per_decade, order, tail_tol)
 
 
 def apply_general(field: ScalarField, measure: DirectionalMeasure,
@@ -348,36 +351,19 @@ def apply_general(field: ScalarField, measure: DirectionalMeasure,
     int_c phi dm.
     """
     profile = profile.for_measure(measure)
-    needs_grad = any(b > 1.0 for b in profile.betas)
-    if needs_grad and field.grad is None:
+    for b in profile.betas:
+        _check_exponent(b, "profile exponents")
+    if any(b > 1.0 for b in profile.betas) and field.grad is None:
         raise ValueError("components with exponent above 1 require a gradient")
     dirs, wdir, comp = measure_nodes(measure, refinement=refinement)
-    pts, single = _as_points(x, measure.dimension)
-    vals = np.zeros(len(pts))
-    for ci in range(measure.n_components):
-        bi, li = profile.betas[ci], profile.lambdas[ci]
-        if not (0.0 < bi < 2.0) or abs(bi - 1.0) < 1e-6:
-            raise ValueError("profile exponents must lie in (0,1) or (1,2)")
-        sel = comp == ci
-        d, w = dirs[sel], wdir[sel]
-        if bi > 1.0:
-            mode = "gradient"
-            b_c = (w[:, None] * d).sum(axis=0)
-            if li > 0:
-                drift = (sc.gamma(1.0 - bi) * li ** (bi - 1.0) / abs(sc.gamma(-bi))) * b_c
-            else:
-                drift = np.zeros(measure.dimension)
+    blocks = []
+    for ci, (bi, li) in enumerate(zip(profile.betas, profile.lambdas)):
+        d, w = dirs[comp == ci], wdir[comp == ci]
+        if bi < 1.0:
+            blocks.append((d, w, bi, li, "one_sided", None))
         else:
-            mode = "one_sided"
-            drift = None
-        for i, xi in enumerate(pts):
-            Ri = _resolve_R(field, xi, li, R)
-            v, _ = _apply_pointwise(
-                field, xi, d, w, bi, li, mode, delta, Ri,
-                panels_per_decade, order, drift, tail_tol,
-            )
-            vals[i] += v
-    return vals[0] if single else vals
+            blocks.append((d, w, bi, li, "gradient", _drift(bi, li, (w[:, None] * d).sum(axis=0))))
+    return _apply_blocks(field, measure, x, blocks, delta, R, panels_per_decade, order, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +476,7 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
 
     if R is None:
         R = 2.0 * L
-    r, wr = _graded_radial_rule(delta, R, panels_per_decade, order)
-    kern = wr * r ** (-1.0 - beta) * (np.exp(-lam * r) if lam > 0 else 1.0)
+    r, kern = _radial_kernel(beta, lam, delta, R, panels_per_decade, order)
     dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
 
     total = 0.0

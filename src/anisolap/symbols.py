@@ -27,6 +27,7 @@ import scipy.special as sc
 from .measures import (
     DirectionalMeasure,
     StabilityProfile,
+    _check_exponent,
     _composite_gl,
     _integrate_band_adaptive,
     band_nodes,
@@ -47,7 +48,6 @@ __all__ = [
     "make_generator",
 ]
 
-_BETA1_GAP = 1e-6
 _BLOCK_ROWS = 64  # wavenumbers per block of the fixed-node quadrature
 _GRID_CACHE_SIZE = 4  # grids whose symbol values a GeneratorSymbol keeps
 
@@ -107,11 +107,12 @@ def _F_cos_pow(x, beta: float):
     return np.sign(x) * total * sc.betainc(0.5, 0.5 * (beta + 1.0), s * s)
 
 
-def _cos_pow_band(a, b, beta: float):
-    """(Cpos, Cneg): integrals of |cos w|^beta over [a, b] restricted to
-    cos w > 0 and cos w < 0.  a, b arrays with 0 < b - a <= 2*pi."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _cos_pow_parts(pts, band, beta: float):
+    """|k| and (Cpos, Cneg): the integrals of |cos w|^beta, w = theta - theta_k,
+    over a 2D band's arc restricted to cos w > 0 and cos w < 0."""
+    kn = np.hypot(pts[:, 0], pts[:, 1])
+    theta_k = np.arctan2(pts[:, 1], pts[:, 0])
+    a, b = band.bounds[0] - theta_k, band.bounds[1] - theta_k
     cpos = np.zeros_like(a)
     cneg = np.zeros_like(a)
     j0 = np.floor((a + 0.5 * math.pi) / math.pi)
@@ -129,18 +130,21 @@ def _cos_pow_band(a, b, beta: float):
         even = (np.mod(j, 2.0) == 0.0)
         cpos += np.where(active & even, val, 0.0)
         cneg += np.where(active & ~even, val, 0.0)
-    return cpos, cneg
+    return kn, cpos, cneg
 
 
 def _stable_band_2d(pts, band, beta: float):
     """Exact band contribution to int (-i k.phi)^beta m(phi) dphi for lam = 0."""
-    kn = np.hypot(pts[:, 0], pts[:, 1])
-    theta_k = np.arctan2(pts[:, 1], pts[:, 0])
-    t0, t1 = band.bounds
-    cpos, cneg = _cos_pow_band(t0 - theta_k, t1 - theta_k, beta)
+    kn, cpos, cneg = _cos_pow_parts(pts, band, beta)
     rot = np.exp(-1j * beta * 0.5 * math.pi)
     out = band.density * kn ** beta * (cpos * rot + cneg * np.conj(rot))
     return np.where(kn > 0, out, 0.0 + 0.0j)
+
+
+def _cos_pow_band(pts, band):
+    """Exact band contribution to (pi/2) int |k.phi| m(phi) dphi (exponent 1, lam = 0)."""
+    kn, cpos, cneg = _cos_pow_parts(pts, band, 1.0)
+    return 0.5 * math.pi * band.density * kn * (cpos + cneg)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +187,6 @@ def _band_sum(pts, node_sets):
     return out
 
 
-def _node_sets(bands, g, refinement, order):
-    return [(g, *band_nodes(band, refinement=refinement, order=order)) for band in bands]
-
-
 def _resolve_method(method: str, n_points: int, measure) -> str:
     if method != "auto":
         return method
@@ -214,35 +214,59 @@ def _adaptive_bands(pts, bands, integrand_of_u, tol):
     return out
 
 
+def _measure_integral(measure, pts, comps, method, refinement, order, tol):
+    """sum over the components c of sign_c * int g_c(k.phi) m_c(dphi).
+
+    comps holds one (sign, g, closed) per component of measure, atoms first;
+    closed(pts, band) is the exact band integral, or None.  Atoms are summed
+    exactly; each band takes its closed form if it has one, else adaptive
+    quadrature or the fixed nodes, as method resolves for len(pts).  The
+    components are added in measure order.
+    """
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for (d, w), (sign, g, _) in zip(measure.atoms, comps):
+        out += sign * w * g(pts @ d)
+    bands = list(zip(measure.bands, comps[len(measure.atoms):]))
+    adaptive = _resolve_method(method, pts.shape[0], measure) == "adaptive"
+    on_nodes = [] if adaptive else [
+        (g, *band_nodes(band, refinement=refinement, order=order))
+        for band, (_, g, closed) in bands if closed is None]
+    sums = iter(_band_sum(pts, on_nodes).T if on_nodes else ())
+    for band, (sign, g, closed) in bands:
+        if closed is not None:
+            out += sign * closed(pts, band)
+        elif adaptive:
+            out += sign * _adaptive_bands(pts, [band], g, tol)
+        else:
+            out += sign * next(sums)
+    return out
+
+
+def _stable_symbol(measure, betas, lams, k, method, refinement, order, tol):
+    """The (tempered) stable symbol with exponent betas[c] and rate lams[c] on
+    component c; untempered 2D bands take the closed form."""
+    pts, shape = _k_points(k, measure.dimension)
+    comps = [(_ceil_sign(b), partial(_bracket, beta=b, lam=l),
+              partial(_stable_band_2d, beta=b) if l == 0.0 and measure.dimension == 2 else None)
+             for b, l in zip(betas, lams)]
+    return _restore(_measure_integral(measure, pts, comps, method, refinement, order, tol), shape)
+
+
 def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
                     method: str = "auto", refinement: int = 96, order: int = 8,
                     tol: float = 1e-12):
     """Symbol of the anisotropic (tempered) stable generator.
 
-    Returns (-1)^ceil(beta) * int ((lam - i k.phi)^beta - lam^beta) m(phi) dphi.
-    beta must lie in (0,1) or (1,2); beta near 1 is rejected (use beta1_symbol)
-    and beta = 2 has its own quadratic reduction (beta2_symbol).
+    Returns (-1)^ceil(beta) * int ((lam - i k.phi)^beta - lam^beta) m(phi) dphi,
+    the constant-profile case of general_profile_symbol.  beta must lie in
+    (0,1) or (1,2); beta near 1 is rejected (use beta1_symbol) and beta = 2
+    has its own quadratic reduction (beta2_symbol).
     """
-    if not (0.0 < beta < 2.0) or abs(beta - 1.0) < _BETA1_GAP:
-        raise ValueError("beta must lie in (0,1) or (1,2); use beta1_symbol/beta2_symbol otherwise")
+    _check_exponent(beta, hint="; use beta1_symbol/beta2_symbol otherwise")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    pts, shape = _k_points(k, measure.dimension)
-    sign = _ceil_sign(beta)
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for d, w in measure.atoms:
-        out += w * _bracket(pts @ d, beta, lam)
-    if measure.bands:
-        if lam == 0.0 and measure.dimension == 2:
-            for band in measure.bands:
-                out += _stable_band_2d(pts, band, beta)
-        elif _resolve_method(method, pts.shape[0], measure) == "adaptive":
-            out += _adaptive_bands(pts, measure.bands, partial(_bracket, beta=beta, lam=lam), tol)
-        else:
-            g = partial(_bracket, beta=beta, lam=lam)
-            for col in _band_sum(pts, _node_sets(measure.bands, g, refinement, order)).T:
-                out += col
-    return _restore(sign * out, shape)
+    m = measure.n_components
+    return _stable_symbol(measure, (beta,) * m, (lam,) * m, k, method, refinement, order, tol)
 
 
 def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
@@ -269,23 +293,9 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
             u = np.asarray(u, dtype=float)
             return u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
 
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for d, w in measure.atoms:
-        out += w * g(pts @ d)
-    if measure.bands:
-        if lam == 0.0 and measure.dimension == 2:
-            kn = np.hypot(pts[:, 0], pts[:, 1])
-            theta_k = np.arctan2(pts[:, 1], pts[:, 0])
-            for band in measure.bands:
-                t0, t1 = band.bounds
-                cpos, cneg = _cos_pow_band(t0 - theta_k, t1 - theta_k, 1.0)
-                out += 0.5 * math.pi * band.density * kn * (cpos + cneg)
-        elif _resolve_method(method, pts.shape[0], measure) == "adaptive":
-            out += _adaptive_bands(pts, measure.bands, g, tol)
-        else:
-            for col in _band_sum(pts, _node_sets(measure.bands, g, refinement, order)).T:
-                out += col
-    return _restore(-out, shape)
+    closed = _cos_pow_band if lam == 0.0 and measure.dimension == 2 else None
+    comps = [(-1.0, g, closed)] * measure.n_components
+    return _restore(_measure_integral(measure, pts, comps, method, refinement, order, tol), shape)
 
 
 def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
@@ -311,8 +321,7 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
     """
     profile = profile.for_measure(measure)
     for b in profile.betas:
-        if not (0.0 < b < 2.0) or abs(b - 1.0) < _BETA1_GAP:
-            raise ValueError("profile exponents must lie in (0,1) or (1,2)")
+        _check_exponent(b, "profile exponents")
     lo = any(b < 1.0 for b in profile.betas)
     hi = any(b > 1.0 for b in profile.betas)
     if lo and hi:
@@ -320,32 +329,8 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
             "profile mixes exponents below and above 1; per-component sign applied",
             MixedStabilityRangeWarning,
         )
-    pts, shape = _k_points(k, measure.dimension)
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for i, (d, w) in enumerate(measure.atoms):
-        bi, li = profile.betas[i], profile.lambdas[i]
-        out += _ceil_sign(bi) * w * _bracket(pts @ d, bi, li)
-    n_atoms = len(measure.atoms)
-    rules = [(profile.betas[n_atoms + j], profile.lambdas[n_atoms + j])
-             for j in range(len(measure.bands))]
-    gs = [partial(_bracket, beta=bj, lam=lj) for bj, lj in rules]
-    closed = [lj == 0.0 and measure.dimension == 2 for _, lj in rules]
-    adaptive = _resolve_method(method, pts.shape[0], measure) == "adaptive"
-    on_nodes = [] if adaptive else [j for j, c in enumerate(closed) if not c]
-    if on_nodes:
-        sums = _band_sum(pts, [
-            (gs[j], *band_nodes(measure.bands[j], refinement=refinement, order=order))
-            for j in on_nodes])
-    for j, band in enumerate(measure.bands):
-        bj = rules[j][0]
-        sign = _ceil_sign(bj)
-        if closed[j]:
-            out += sign * _stable_band_2d(pts, band, bj)
-        elif adaptive:
-            out += sign * _adaptive_bands(pts, [band], gs[j], tol)
-        else:
-            out += sign * sums[:, on_nodes.index(j)]
-    return _restore(out, shape)
+    return _stable_symbol(measure, profile.betas, profile.lambdas, k,
+                          method, refinement, order, tol)
 
 
 def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
@@ -406,8 +391,7 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int, *,
     (lam^2 + (k.phi)^2)^(beta/2) cos(beta*eta)) dphi, a real value >= 0 used
     as the denominator of the coercivity ratio.
     """
-    if not (0.0 < beta < 2.0) or abs(beta - 1.0) < _BETA1_GAP:
-        raise ValueError("beta must lie in (0,1) or (1,2)")
+    _check_exponent(beta)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     pts, shape = _k_points(k, n)
@@ -455,11 +439,29 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int, *,
 # generator objects
 # ---------------------------------------------------------------------------
 
-_KINDS = (
-    "gaussian_iso", "gaussian_axes", "gaussian_aniso", "stable_aniso",
-    "tempered_aniso", "beta1_aniso", "beta2_quadratic", "general_profile",
-    "isotropic_reference",
-)
+# kind -> psi(sym, k, method); each entry looks up its evaluator at call
+# time, so a rebinding of the module-level name reaches GeneratorSymbol
+_EVALUATORS = {
+    "gaussian_iso": lambda s, k, method: gaussian_symbol(
+        "iso", k, sigma=s.sigma, dimension=s.dimension),
+    "gaussian_axes": lambda s, k, method: gaussian_symbol(
+        "axes", k, sigma=s.sigma, dimension=s.dimension),
+    "gaussian_aniso": lambda s, k, method: gaussian_symbol(
+        "aniso", k, measure=s.measure, sigmas=s.sigmas, refinement=s.refinement),
+    "stable_aniso": lambda s, k, method: tempered_symbol(
+        s.measure, s.beta, 0.0, k, method=method, refinement=s.refinement),
+    "tempered_aniso": lambda s, k, method: tempered_symbol(
+        s.measure, s.beta, s.lam, k, method=method, refinement=s.refinement),
+    "beta1_aniso": lambda s, k, method: beta1_symbol(
+        s.measure, s.lam, k, method=method, refinement=s.refinement, _skip_symmetry_check=True),
+    "beta2_quadratic": lambda s, k, method: beta2_symbol(s.measure, s.lam or 0.0, k),
+    "general_profile": lambda s, k, method: general_profile_symbol(
+        s.measure, s.profile, k, method=method, refinement=s.refinement),
+    # as a generator: the negated reference value
+    "isotropic_reference": lambda s, k, method: -1.0 * isotropic_reference_symbol(
+        s.beta, s.lam or 0.0, k, s.dimension),
+}
+_KINDS = tuple(_EVALUATORS)
 
 
 @dataclass(frozen=True)
@@ -503,31 +505,8 @@ class GeneratorSymbol:
 
     def evaluate(self, k, method: Optional[str] = None):
         """psi(k); method overrides self.method for this call."""
-        kind = self.kind
         method = self.method if method is None else method
-        if kind == "gaussian_iso":
-            base = gaussian_symbol("iso", k, sigma=self.sigma, dimension=self.dimension)
-        elif kind == "gaussian_axes":
-            base = gaussian_symbol("axes", k, sigma=self.sigma, dimension=self.dimension)
-        elif kind == "gaussian_aniso":
-            base = gaussian_symbol("aniso", k, measure=self.measure,
-                                   sigmas=self.sigmas, refinement=self.refinement)
-        elif kind == "stable_aniso":
-            base = tempered_symbol(self.measure, self.beta, 0.0, k,
-                                   method=method, refinement=self.refinement)
-        elif kind == "tempered_aniso":
-            base = tempered_symbol(self.measure, self.beta, self.lam, k,
-                                   method=method, refinement=self.refinement)
-        elif kind == "beta1_aniso":
-            base = beta1_symbol(self.measure, self.lam, k, method=method,
-                                refinement=self.refinement, _skip_symmetry_check=True)
-        elif kind == "beta2_quadratic":
-            base = beta2_symbol(self.measure, self.lam or 0.0, k)
-        elif kind == "general_profile":
-            base = general_profile_symbol(self.measure, self.profile, k,
-                                          method=method, refinement=self.refinement)
-        else:  # isotropic_reference, as a generator: the negated reference value
-            base = -1.0 * isotropic_reference_symbol(self.beta, self.lam or 0.0, k, self.dimension)
+        base = _EVALUATORS[self.kind](self, k, method)
         arr = np.atleast_1d(np.asarray(base))
         slack = 1e-10 * max(1.0, float(np.max(np.abs(arr))))
         if float(np.max(arr.real)) > slack:

@@ -120,6 +120,26 @@ class TestApplyAndEquivalence:
         assert all(c["relative_l2"] <= c["tol"] for c in rep["cases"])
 
 
+    # equivalence compares against the constant-profile symbol, so it takes
+    # cases I and II only
+    @pytest.mark.parametrize("verb, name", [
+        ("apply", "bogus"), ("equivalence", "bogus"), ("equivalence", "general")])
+    def test_unknown_case_is_a_config_error(self, tmp_path, capsys, verb, name):
+        case = {"case": name, "measure": M1_SYM, "beta": 0.5, "lam": 1.0}
+        if verb == "apply":
+            pts = tmp_path / "pts.csv"
+            np.savetxt(pts, np.zeros((1, 1)), delimiter=",", header="x1")
+            cfg = write_json(tmp_path, "c.json", {"operator": case})
+            argv = ["apply", "--config", cfg, "--points", str(pts),
+                    "--out", str(tmp_path / "vals.csv")]
+        else:
+            cfg = write_json(tmp_path, "c.json", {"cases": [dict(
+                case, grid={"dimension": 1, "half_width": 8.0, "n_points": 64})]})
+            argv = ["analyze", "equivalence", "--config", cfg]
+        assert main(argv) == 2
+        assert f"unknown operator case '{name}'" in capsys.readouterr().err
+
+
 class TestEvolveCompare:
     def test_roundtrip_and_compare(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {

@@ -234,8 +234,6 @@ class TestStabilityProfile:
         m = fig1_measure()
         prof = StabilityProfile.constant(m, 1.3, 0.5)
         assert prof.betas == (1.3, 1.3)
-        assert not prof.has_beta_one
-        assert StabilityProfile((1.0,), (0.0,)).has_beta_one
 
     def test_length_mismatch_detected(self):
         m = fig1_measure()
