@@ -22,8 +22,8 @@ from .evolve import (
 from .measures import StabilityProfile, measure_from_json
 from .realspace import apply_caseI, apply_caseII, apply_general, gaussian_bump
 from .sampler import (
-    JumpSpec, empirical_cf, ensemble_endpoints_parallel, jump_cf,
-    jump_from_json, simulate_compound_poisson,
+    empirical_cf, ensemble_endpoints_parallel, jump_cf, jump_from_json,
+    simulate_compound_poisson,
 )
 from .symbols import symbol_from_json
 from .multistate import (

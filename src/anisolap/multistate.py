@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampler import JumpSpec, Trajectory, jump_cf, sample_jump
+from .sampler import Trajectory, jump_cf, sample_jump
 
 __all__ = [
     "WaitingLaw",

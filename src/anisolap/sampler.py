@@ -79,6 +79,8 @@ class JumpSpec:
                 raise ValueError("r0 must be positive")
             if self.lam < 0:
                 raise ValueError("lambda must be nonnegative")
+            if self.max_rejections < 1:
+                raise ValueError("max_rejections must be at least 1")
         if self.measure is not None and self.measure.dimension != self.dimension:
             raise ValueError("measure dimension mismatch")
 
@@ -130,33 +132,50 @@ def _component_sampler(measure: DirectionalMeasure):
     return masses / masses.sum()
 
 
-def sample_direction(measure: DirectionalMeasure, rng, size: Optional[int] = None):
-    """Draw directions from the measure: atoms by weight, bands uniformly
-    within their region (with respect to the sphere surface measure)."""
-    n = 1 if size is None else int(size)
-    probs = _component_sampler(measure)
+def _directions(measure: DirectionalMeasure, probs, n: int, rng, draw=None) -> np.ndarray:
+    """n unit directions from components drawn with probabilities probs, in the
+    draw order of sample_direction; draw(ci, idx), if given, draws more for
+    component ci at its positions idx right after that component's angles."""
     comp = rng.choice(len(probs), size=n, p=probs)
-    out = np.empty((n, measure.dimension))
+    dim = measure.dimension
+    out = np.empty((n, dim))
+    ang = np.empty((dim - 1, n))
     n_atoms = len(measure.atoms)
     for ci in range(len(probs)):
-        sel = comp == ci
-        cnt = int(sel.sum())
-        if cnt == 0:
+        idx = np.flatnonzero(comp == ci)
+        if len(idx) == 0:
             continue
         if ci < n_atoms:
-            out[sel] = measure.atoms[ci][0]
+            out[idx] = measure.atoms[ci][0]
+        elif dim == 2:
+            t0, t1 = measure.bands[ci - n_atoms].bounds
+            ang[0, idx] = rng.uniform(t0, t1, size=len(idx))
         else:
-            band = measure.bands[ci - n_atoms]
-            if band.dimension == 2:
-                t0, t1 = band.bounds
-                theta = rng.uniform(t0, t1, size=cnt)
-                out[sel] = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            else:
-                t0, t1, p0, p1 = band.bounds
-                ct = rng.uniform(math.cos(t1), math.cos(t0), size=cnt)
-                phi = rng.uniform(p0, p1, size=cnt)
-                st = np.sqrt(1.0 - ct * ct)
-                out[sel] = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+            t0, t1, p0, p1 = measure.bands[ci - n_atoms].bounds
+            ang[0, idx] = rng.uniform(math.cos(t1), math.cos(t0), size=len(idx))
+            ang[1, idx] = rng.uniform(p0, p1, size=len(idx))
+        if draw is not None:
+            draw(ci, idx)
+    if measure.bands:
+        pos = slice(None) if n_atoms == 0 else np.flatnonzero(comp >= n_atoms)
+        azimuth = ang[-1, pos]
+        out[pos, 0] = np.cos(azimuth)
+        out[pos, 1] = np.sin(azimuth)
+        if dim == 3:
+            ct = ang[0, pos]
+            out[pos, 2] = ct
+            out[pos, :2] *= np.sqrt(1.0 - ct * ct)[:, None]
+    return out
+
+
+def sample_direction(measure: DirectionalMeasure, rng, size: Optional[int] = None):
+    """Draw directions from the measure: atoms by weight, bands uniformly
+    within their region (with respect to the sphere surface measure).
+
+    Draw order: one rng.choice over the components, then one rng.uniform per
+    band component in component order (two in 3D: cos theta, then phi)."""
+    n = 1 if size is None else int(size)
+    out = _directions(measure, _component_sampler(measure), n, rng)
     return out[0] if size is None else out
 
 
@@ -166,15 +185,17 @@ def _pareto_radii(beta: float, r0: float, rng, n: int) -> np.ndarray:
 
 def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
                     max_rejections: int) -> np.ndarray:
-    out = np.empty(n)
-    todo = np.arange(n)
-    for _ in range(max_rejections):
+    out = _pareto_radii(beta, r0, rng, n)
+    todo = np.flatnonzero(rng.uniform(size=n) > np.exp(-lam * out))
+    for _ in range(max_rejections - 1):
+        if len(todo) == 0:
+            return out
         prop = _pareto_radii(beta, r0, rng, len(todo))
         accept = rng.uniform(size=len(todo)) <= np.exp(-lam * prop)
         out[todo[accept]] = prop[accept]
         todo = todo[~accept]
-        if len(todo) == 0:
-            return out
+    if len(todo) == 0:
+        return out
     raise RuntimeError(
         f"tempered radius rejection exceeded {max_rejections} rounds "
         f"(lambda*r0 = {lam * r0:.3g})"
@@ -194,34 +215,22 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
         out[np.arange(n), axis] = amp
     elif spec.kind == "gaussian_aniso":
         # direction density prop. to m(phi) sigma(phi)^2, radius Rayleigh(sigma)
-        probs = _component_sampler(spec.measure)
         sig = np.asarray(spec.sigmas)
-        w = probs * sig ** 2
-        w = w / w.sum()
-        comp = rng.choice(len(w), size=n, p=w)
-        out = np.empty((n, dim))
-        n_atoms = len(spec.measure.atoms)
-        for ci in range(len(w)):
-            sel = comp == ci
-            cnt = int(sel.sum())
-            if cnt == 0:
-                continue
-            if ci < n_atoms:
-                d = np.broadcast_to(spec.measure.atoms[ci][0], (cnt, dim))
-            else:
-                band = spec.measure.bands[ci - n_atoms]
-                t0, t1 = band.bounds
-                theta = rng.uniform(t0, t1, size=cnt)
-                d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            r = sig[ci] * np.sqrt(2.0 * rng.exponential(size=cnt))
-            out[sel] = r[:, None] * d
+        w = _component_sampler(spec.measure) * sig ** 2
+        r = np.empty(n)
+
+        def radii(ci, idx):
+            r[idx] = sig[ci] * np.sqrt(2.0 * rng.exponential(size=len(idx)))
+
+        out = _directions(spec.measure, w / w.sum(), n, rng, radii)
+        out *= r[:, None]
     else:
-        d = sample_direction(spec.measure, rng, size=n)
+        out = sample_direction(spec.measure, rng, size=n)
         if spec.kind == "tempered_stable" and spec.lam > 0:
             r = _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, spec.max_rejections)
         else:
             r = _pareto_radii(spec.beta, spec.r0, rng, n)
-        out = r[:, None] * d
+        out *= r[:, None]
     return out[0] if size is None else out
 
 
@@ -263,7 +272,9 @@ def compound_poisson_endpoints(spec: JumpSpec, zeta: float, t: float,
     if total == 0:
         return out
     jumps = sample_jump(spec, rng, size=total)
-    csum = np.concatenate([np.zeros((1, spec.dimension)), np.cumsum(jumps, axis=0)])
+    csum = np.empty((total + 1, spec.dimension))
+    csum[0] = 0.0
+    np.cumsum(jumps, axis=0, out=csum[1:])
     stops = np.cumsum(counts)
     starts = stops - counts
     out += csum[stops] - csum[starts]

@@ -60,7 +60,6 @@ from anisolap.symbols import (
     beta1_symbol,
     beta2_symbol,
     gaussian_symbol,
-    isotropic_reference_symbol,
     make_generator,
     tempered_symbol,
 )

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from importlib import resources
 
 import numpy as np

@@ -5,7 +5,6 @@ import pytest
 
 from anisolap.evolve import (
     BoundaryMassError,
-    DensityField,
     SpectralGrid,
     compare_densities,
     delta_density,

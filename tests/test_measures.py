@@ -6,7 +6,6 @@ import pytest
 
 from anisolap.measures import (
     AngularBand,
-    DirectionalMeasure,
     StabilityProfile,
     is_nondegenerate,
     is_symmetric,

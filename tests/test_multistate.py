@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
-from anisolap.measures import make_atomic_measure, uniform_measure
+from anisolap.measures import uniform_measure
 from anisolap.multistate import (
     FunctionalSpec,
     StateModel,

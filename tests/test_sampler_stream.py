@@ -1,0 +1,278 @@
+"""The jump sampler against the mask-loop sampler it replaced.
+
+sample_direction, _tempered_radii, sample_jump and compound_poisson_endpoints
+of that sampler are kept here verbatim as the reference.  Every case asserts
+equal arrays, not close ones: the rewrite makes the same draws in the same
+order and the same arithmetic on each element, so a seed keeps reproducing
+every endpoint bit for bit."""
+
+import math
+from typing import Optional
+
+import numpy as np
+import pytest
+
+import anisolap.sampler as sampler
+from anisolap.measures import (
+    DirectionalMeasure,
+    make_atomic_measure,
+    make_banded_measure,
+    make_measure,
+    uniform_measure,
+)
+from anisolap.sampler import JumpSpec, _component_sampler, _pareto_radii
+
+TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# the mask-loop reference
+# ---------------------------------------------------------------------------
+
+def sample_direction(measure: DirectionalMeasure, rng, size: Optional[int] = None):
+    """Draw directions from the measure: atoms by weight, bands uniformly
+    within their region (with respect to the sphere surface measure)."""
+    n = 1 if size is None else int(size)
+    probs = _component_sampler(measure)
+    comp = rng.choice(len(probs), size=n, p=probs)
+    out = np.empty((n, measure.dimension))
+    n_atoms = len(measure.atoms)
+    for ci in range(len(probs)):
+        sel = comp == ci
+        cnt = int(sel.sum())
+        if cnt == 0:
+            continue
+        if ci < n_atoms:
+            out[sel] = measure.atoms[ci][0]
+        else:
+            band = measure.bands[ci - n_atoms]
+            if band.dimension == 2:
+                t0, t1 = band.bounds
+                theta = rng.uniform(t0, t1, size=cnt)
+                out[sel] = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            else:
+                t0, t1, p0, p1 = band.bounds
+                ct = rng.uniform(math.cos(t1), math.cos(t0), size=cnt)
+                phi = rng.uniform(p0, p1, size=cnt)
+                st = np.sqrt(1.0 - ct * ct)
+                out[sel] = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+    return out[0] if size is None else out
+
+
+def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
+                    max_rejections: int) -> np.ndarray:
+    out = np.empty(n)
+    todo = np.arange(n)
+    for _ in range(max_rejections):
+        prop = _pareto_radii(beta, r0, rng, len(todo))
+        accept = rng.uniform(size=len(todo)) <= np.exp(-lam * prop)
+        out[todo[accept]] = prop[accept]
+        todo = todo[~accept]
+        if len(todo) == 0:
+            return out
+    raise RuntimeError(
+        f"tempered radius rejection exceeded {max_rejections} rounds "
+        f"(lambda*r0 = {lam * r0:.3g})"
+    )
+
+
+def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
+    """Draw jump vectors from the spec's law."""
+    n = 1 if size is None else int(size)
+    dim = spec.dimension
+    if spec.kind == "gaussian_iso":
+        out = spec.sigma * rng.standard_normal((n, dim))
+    elif spec.kind == "gaussian_axes":
+        axis = rng.integers(0, dim, size=n)
+        amp = spec.sigma * rng.standard_normal(n)
+        out = np.zeros((n, dim))
+        out[np.arange(n), axis] = amp
+    elif spec.kind == "gaussian_aniso":
+        # direction density prop. to m(phi) sigma(phi)^2, radius Rayleigh(sigma)
+        probs = _component_sampler(spec.measure)
+        sig = np.asarray(spec.sigmas)
+        w = probs * sig ** 2
+        w = w / w.sum()
+        comp = rng.choice(len(w), size=n, p=w)
+        out = np.empty((n, dim))
+        n_atoms = len(spec.measure.atoms)
+        for ci in range(len(w)):
+            sel = comp == ci
+            cnt = int(sel.sum())
+            if cnt == 0:
+                continue
+            if ci < n_atoms:
+                d = np.broadcast_to(spec.measure.atoms[ci][0], (cnt, dim))
+            else:
+                band = spec.measure.bands[ci - n_atoms]
+                t0, t1 = band.bounds
+                theta = rng.uniform(t0, t1, size=cnt)
+                d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            r = sig[ci] * np.sqrt(2.0 * rng.exponential(size=cnt))
+            out[sel] = r[:, None] * d
+    else:
+        d = sample_direction(spec.measure, rng, size=n)
+        if spec.kind == "tempered_stable" and spec.lam > 0:
+            r = _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, spec.max_rejections)
+        else:
+            r = _pareto_radii(spec.beta, spec.r0, rng, n)
+        out = r[:, None] * d
+    return out[0] if size is None else out
+
+
+def compound_poisson_endpoints(spec: JumpSpec, zeta: float, t: float,
+                               n_paths: int, rng, start=None) -> np.ndarray:
+    """Vectorised endpoint ensemble X(t) for n_paths independent walks."""
+    if zeta <= 0 or t < 0:
+        raise ValueError("zeta must be positive and t nonnegative")
+    x0 = np.zeros(spec.dimension) if start is None else np.asarray(start, dtype=float)
+    counts = rng.poisson(zeta * t, size=n_paths)
+    total = int(counts.sum())
+    out = np.broadcast_to(x0, (n_paths, spec.dimension)).copy()
+    if total == 0:
+        return out
+    jumps = sample_jump(spec, rng, size=total)
+    csum = np.concatenate([np.zeros((1, spec.dimension)), np.cumsum(jumps, axis=0)])
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    out += csum[stops] - csum[starts]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# measures and laws
+# ---------------------------------------------------------------------------
+
+TINY = 1e-12  # a component that a few dozen draws never choose
+
+MEASURES = {
+    "atoms": make_atomic_measure(2, [((1, 0), 0.5), ((0, -1), 0.3), ((-0.6, 0.8), 0.2)]),
+    "fig1": make_banded_measure(2, [((0.0, math.pi), 2.0 / (3.0 * math.pi)),
+                                    ((math.pi, TWO_PI), 1.0 / (3.0 * math.pi))]),
+    # the empty band comes before a drawn one, so skipping it must not draw
+    "mixed_2d": make_measure(2, atoms=[((0.0, 1.0), 0.4 - TINY)],
+                             bands=[((math.pi, TWO_PI), TINY / math.pi),
+                                    ((0.0, math.pi / 2), 0.6 / (math.pi / 2))]),
+    "band_3d": make_banded_measure(3, [((0.0, math.pi / 2, 0.0, TWO_PI), 1.0 / TWO_PI)]),
+    "uniform_3d": uniform_measure(3),
+    "mixed_3d": make_measure(3, atoms=[((0.0, 0.0, -1.0), 0.25)],
+                             bands=[((0.2, 1.1, 0.5, 4.0),
+                                     0.75 / ((math.cos(0.2) - math.cos(1.1)) * 3.5))]),
+}
+SIZES = [None, 1, 2, 37, 1000]
+
+
+def same_stream(ref, new, *args, seed=11, **kw):
+    """Equal output from the same seed, and the generator left in the same state."""
+    rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, b = ref(*args, rng_ref, **kw), new(*args, rng_new, **kw)
+    assert np.shape(a) == np.shape(b)
+    assert np.array_equal(a, b)
+    assert rng_ref.bit_generator.state == rng_new.bit_generator.state
+
+
+def power_law_specs():
+    for name, m in MEASURES.items():
+        yield f"stable-{name}", JumpSpec("stable", m.dimension, measure=m, beta=1.3, r0=1e-3)
+        yield f"tempered-{name}", JumpSpec("tempered_stable", m.dimension, measure=m,
+                                           beta=1.3, lam=0.5, r0=1e-3)
+        # lambda * r0 = 1.5: several rejection rounds
+        yield f"tempered_rounds-{name}", JumpSpec("tempered_stable", m.dimension, measure=m,
+                                                  beta=0.7, lam=3.0, r0=0.5)
+
+
+def gaussian_aniso_specs():
+    for name in ("atoms", "fig1", "mixed_2d"):
+        m = MEASURES[name]
+        sig = (0.4, 1.7, 0.9)[:m.n_components]
+        yield f"gaussian_aniso-{name}", JumpSpec("gaussian_aniso", 2, measure=m, sigmas=sig)
+
+
+SPECS = dict([*power_law_specs(), *gaussian_aniso_specs()])
+
+
+class TestSameStream:
+    def test_an_empty_component_occurs(self):
+        # mixed_2d at size 37 really exercises the skip of an empty component
+        m = MEASURES["mixed_2d"]
+        comp = np.random.default_rng(11).choice(3, size=37, p=_component_sampler(m))
+        assert np.bincount(comp, minlength=3).tolist()[1] == 0
+        assert np.all(np.bincount(comp, minlength=3)[[0, 2]] > 0)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_sample_direction(self, name, size):
+        same_stream(sample_direction, sampler.sample_direction, MEASURES[name], size=size)
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("name", SPECS)
+    def test_sample_jump(self, name, size):
+        same_stream(sample_jump, sampler.sample_jump, SPECS[name], size=size)
+
+    @pytest.mark.parametrize("name", ["tempered-fig1", "tempered_rounds-mixed_2d",
+                                      "gaussian_aniso-mixed_2d", "stable-mixed_3d"])
+    def test_compound_poisson_endpoints(self, name):
+        same_stream(compound_poisson_endpoints, sampler.compound_poisson_endpoints,
+                    SPECS[name], 40.0, 1.0, 300)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ensemble_endpoints_parallel(self, monkeypatch, threads):
+        monkeypatch.setenv("ANISOLAP_THREADS", threads)
+        spec = SPECS["tempered-fig1"]
+        seqs = np.random.SeedSequence(20261).spawn(16)
+        sizes = [26 if i < 8 else 25 for i in range(16)]
+        want = np.concatenate([
+            compound_poisson_endpoints(spec, 60.0, 1.0, sz, np.random.default_rng(sq))
+            for sq, sz in zip(seqs, sizes)])
+        got = sampler.ensemble_endpoints_parallel(spec, 60.0, 1.0, 408, 20261)
+        assert np.array_equal(got, want)
+
+
+class TestRejectionCap:
+    BETA, LAM, R0, N = 0.7, 3.0, 0.5, 200
+
+    def rounds_needed(self, seed):
+        """Rounds the reference needs for this seed: the least cap it meets."""
+        for m in range(1, 1000):
+            try:
+                _tempered_radii(self.BETA, self.LAM, self.R0,
+                                np.random.default_rng(seed), self.N, m)
+                return m
+            except RuntimeError:
+                continue
+        raise AssertionError("reference needs more than 1000 rounds")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cap_at_rounds_needed(self, seed):
+        m = self.rounds_needed(seed)
+        assert m >= 3
+        args = (self.BETA, self.LAM, self.R0)
+        want = _tempered_radii(*args, np.random.default_rng(seed), self.N, m)
+        got = sampler._tempered_radii(*args, np.random.default_rng(seed), self.N, m)
+        assert np.array_equal(got, want)
+        with pytest.raises(RuntimeError) as ref_err:
+            _tempered_radii(*args, np.random.default_rng(seed), self.N, m - 1)
+        with pytest.raises(RuntimeError) as new_err:
+            sampler._tempered_radii(*args, np.random.default_rng(seed), self.N, m - 1)
+        assert str(new_err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 50])
+    def test_cap_of_one_accepting_round(self, n):
+        # lambda*r0 = 1e-7: one round accepts every proposal
+        args = (self.BETA, 1e-6, 0.1, np.random.default_rng(5), n, 1)
+        want = _tempered_radii(*args)
+        args = (self.BETA, 1e-6, 0.1, np.random.default_rng(5), n, 1)
+        assert np.array_equal(sampler._tempered_radii(*args), want)
+
+    def test_cap_of_one_rejecting_round(self):
+        with pytest.raises(RuntimeError) as ref_err:
+            _tempered_radii(self.BETA, self.LAM, self.R0, np.random.default_rng(5), self.N, 1)
+        with pytest.raises(RuntimeError) as new_err:
+            sampler._tempered_radii(self.BETA, self.LAM, self.R0,
+                                    np.random.default_rng(5), self.N, 1)
+        assert str(new_err.value) == str(ref_err.value)
+
+    def test_cap_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="max_rejections"):
+            JumpSpec("tempered_stable", 2, measure=MEASURES["fig1"], beta=1.3, lam=0.5,
+                     max_rejections=0)

@@ -16,7 +16,6 @@ from anisolap.measures import (
     uniform_measure,
 )
 from anisolap.symbols import (
-    GeneratorSymbol,
     MixedStabilityRangeWarning,
     beta1_symbol,
     beta2_symbol,
