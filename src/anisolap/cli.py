@@ -311,7 +311,7 @@ def _cmd_analyze(args) -> int:
             half_width=float(cfg.get("half_width", 12.0)),
             n_points=int(cfg.get("n_points", 256)), budget=budget)
         ok &= _check_line("parseval_relative_deviation", rep.relative_deviation,
-                          budget, rep.relative_deviation <= budget)
+                          budget, rep.passed)
         report.update(direct=rep.direct, spectral=rep.spectral,
                       relative_deviation=rep.relative_deviation)
     elif verb == "counterexample":

@@ -170,12 +170,14 @@ def _nyquist_shell_mass(transform: np.ndarray, grid: SpectralGrid) -> float:
 
 
 def evolve_spectral(p0: DensityField, symbol, t: float, *,
-                    boundary_tol: float = 1e-6, check_boundary: bool = True) -> DensityField:
+                    check_boundary: bool = True) -> DensityField:
     """Exact grid semigroup: multiply the transform by exp(t*psi(k)).
 
     A GeneratorSymbol is evaluated on half of the lattice (the other half is
     psi(-k) = conj psi(k)) and cached per grid, so repeated evolutions on one
-    grid evaluate it once; a plain callable is called on every wavenumber."""
+    grid evaluate it once; a plain callable is called on every wavenumber.
+    With check_boundary, BoundaryMassError is raised when the outermost
+    cells hold more than 1e-6 of the mass."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     psi = _symbol_on_grid(symbol, p0.grid)
@@ -188,11 +190,9 @@ def evolve_spectral(p0: DensityField, symbol, t: float, *,
     result = DensityField(p0.grid, out, p0.time + t, ringing)
     if check_boundary:
         frac = result.boundary_mass_fraction()
-        if frac > boundary_tol:
+        if frac > 1e-6:
             raise BoundaryMassError(
-                f"boundary cells hold {frac:.2e} of the mass (> {boundary_tol:.1e}); "
-                "enlarge the box"
-            )
+                f"boundary cells hold {frac:.2e} of the mass (> 1.0e-06); enlarge the box")
     return result
 
 
@@ -205,18 +205,14 @@ class TimeFractionalResult:
 
 
 def evolve_time_fractional(p0: DensityField, symbol, alpha: float, t: float,
-                           n_subordination_samples: int, rng, *,
-                           resolution: float | None = None,
-                           check_boundary: bool = False) -> TimeFractionalResult:
+                           n_subordination_samples: int, rng) -> TimeFractionalResult:
     """Subordinated evolution: average the semigroup over inverse-subordinator
     times E(t); the Monte Carlo standard-error field is reported."""
     from .sampler import sample_inverse_subordinator
 
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
-    taus = sample_inverse_subordinator(
-        alpha, t, rng, size=n_subordination_samples, resolution=resolution
-    )
+    taus = sample_inverse_subordinator(alpha, t, rng, size=n_subordination_samples)
     psi = _symbol_on_grid(symbol, p0.grid)
     base = np.fft.ifftn(p0.values)
     mean = np.zeros(p0.grid.shape())
@@ -228,18 +224,15 @@ def evolve_time_fractional(p0: DensityField, symbol, alpha: float, t: float,
         m2 += delta * (vals - mean)
     n = len(taus)
     stderr = np.sqrt(m2 / max(n - 1, 1) / n)
-    out = DensityField(p0.grid, mean, p0.time + t)
-    if check_boundary and out.boundary_mass_fraction() > 1e-6:
-        raise BoundaryMassError("boundary mass check failed")
-    return TimeFractionalResult(out, stderr, n, float(np.mean(taus)))
+    return TimeFractionalResult(DensityField(p0.grid, mean, p0.time + t), stderr, n,
+                                float(np.mean(taus)))
 
 
-def density_from_samples(endpoints: np.ndarray, grid: SpectralGrid, *,
-                         max_outside: float = 0.01) -> DensityField:
+def density_from_samples(endpoints: np.ndarray, grid: SpectralGrid) -> DensityField:
     """Normalised histogram of sample endpoints on the grid cells.
 
     Cells are centred on the grid points; points outside the box are counted
-    and an error is raised when they exceed max_outside of the total.
+    and ValueError is raised when they exceed 1% of the total.
     """
     pts = np.asarray(endpoints, dtype=float)
     if pts.size == 0:
@@ -252,7 +245,7 @@ def density_from_samples(endpoints: np.ndarray, grid: SpectralGrid, *,
     idx = np.round((pts + grid.half_width) / grid.spacing).astype(int)
     inside = np.all((idx >= 0) & (idx < grid.n_points), axis=1)
     n_out = int(n_total - inside.sum())
-    if n_out > max_outside * n_total:
+    if n_out > 0.01 * n_total:
         raise ValueError(
             f"{n_out} of {n_total} samples fall outside the box; enlarge it"
         )

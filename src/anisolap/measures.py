@@ -244,31 +244,18 @@ def _composite_gl(edges, order):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8,
-               split_angles=()):
+def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8):
     """Fixed quadrature nodes/weights (w.r.t. the sphere surface measure).
 
     Returns (directions (M, n), weights (M,)); weights include the density.
-    split_angles lists 2D polar angles at which the integrand is known to be
-    non-smooth; panels never straddle them.
+    In 2D, composite Gauss-Legendre of the given order on max(2, refinement)
+    equal panels of the arc; in 3D, a tensor rule on max(2, refinement // 4)
+    panels per axis of (cos theta, phi).
     """
     if band.dimension == 2:
         t0, t1 = band.bounds
-        cuts = sorted({t0, t1} | {
-            s for s0 in split_angles
-            for s in (t0 + ((s0 - t0) % _TWO_PI),)
-            if t0 + 1e-14 < s < t1 - 1e-14
-        })
-        thetas, weights = [], []
-        total = t1 - t0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            n_pan = max(2, int(round(refinement * (b - a) / total)))
-            x, w = _composite_gl(np.linspace(a, b, n_pan + 1), order)
-            thetas.append(x)
-            weights.append(w)
-        theta = np.concatenate(thetas)
-        w = np.concatenate(weights) * band.density
-        return _angles_to_dirs_2d(theta), w
+        theta, w = _composite_gl(np.linspace(t0, t1, max(2, refinement) + 1), order)
+        return _angles_to_dirs_2d(theta), w * band.density
     # 3D: tensor rule in (cos(theta), phi); surface measure absorbed by the substitution
     t0, t1, p0, p1 = band.bounds
     n_t = max(2, refinement // 4)
@@ -282,8 +269,7 @@ def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8,
     return dirs, W.ravel()
 
 
-def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int = 8,
-                  split_angles=()):
+def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int = 8):
     """All quadrature nodes of a measure: exact atoms plus band rules.
 
     Returns (directions (M, n), weights (M,), component_index (M,)) where
@@ -295,21 +281,20 @@ def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int 
         weights.append(np.array([w]))
         comp.append(np.array([i]))
     for j, band in enumerate(measure.bands):
-        d, w = band_nodes(band, refinement=refinement, order=order,
-                          split_angles=split_angles)
+        d, w = band_nodes(band, refinement=refinement, order=order)
         dirs.append(d)
         weights.append(w)
         comp.append(np.full(len(w), len(measure.atoms) + j, dtype=int))
     return np.concatenate(dirs), np.concatenate(weights), np.concatenate(comp)
 
 
-def _panel_sums(box, owner, f, order):
+def _panel_sums(box, owner, f):
     """Fixed-rule integral over each panel of the integrand owner[i], taken
     _BLOCK_PANELS panels at a time.  box is (P, 1, 2), theta intervals with
-    Gauss-Legendre of the given order, in 2D, and (P, 2, 2), (cos theta, phi)
+    15-point Gauss-Legendre, in 2D, and (P, 2, 2), (cos theta, phi)
     rectangles with the 7 x 7 tensor rule, in 3D."""
     out = np.empty(len(box), dtype=complex)
-    x, w = _gl(order if box.shape[1] == 1 else 7)
+    x, w = _gl(15 if box.shape[1] == 1 else 7)
     for s in range(0, len(box), _BLOCK_PANELS):
         rows = slice(s, s + _BLOCK_PANELS)
         lo, hi = box[rows, :, :1], box[rows, :, 1:]
@@ -330,7 +315,7 @@ def _panel_sums(box, owner, f, order):
     return out
 
 
-def _integrate_band_adaptive(band, f, tol, splits, order=15):
+def _integrate_band_adaptive(band, f, tol, splits):
     """Adaptive integrals of len(splits) integrands over one band.
 
     f(dirs, owner) returns, for a (P, M, n) block of directions, the values
@@ -364,15 +349,15 @@ def _integrate_band_adaptive(band, f, tol, splits, order=15):
     box = np.array(box, dtype=float).reshape(-1, axes, 2)
     owner = np.array(owner, dtype=np.intp)
     key = np.array(key, dtype=np.int64) << axes * max_depth
-    coarse = _panel_sums(box, owner, f, order)
+    coarse = _panel_sums(box, owner, f)
     # child c takes the upper half of axis j when bit j of c is set
     bit = (np.arange(2 ** axes)[:, None] >> np.arange(axes)) & 1
     accepted = []
     for depth in range(max_depth + 1):
         edges = np.stack([box[..., 0], 0.5 * (box[..., 0] + box[..., 1]), box[..., 1]], axis=-1)
         kids = edges[:, np.arange(axes)[:, None], bit[..., None] + [0, 1]]
-        vals = _panel_sums(kids.reshape(-1, axes, 2), owner.repeat(len(bit)), f,
-                           order).reshape(len(box), len(bit))
+        vals = _panel_sums(kids.reshape(-1, axes, 2), owner.repeat(len(bit)),
+                           f).reshape(len(box), len(bit))
         fine = np.add.accumulate(vals, axis=1)[:, -1]
         # np.hypot, not np.abs: the complex abs ufunc rounds differently
         # from the scalar abs of the depth-first pass
@@ -393,15 +378,15 @@ def _integrate_band_adaptive(band, f, tol, splits, order=15):
 
 
 def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10,
-                     split_angles=(), order: int = 15):
+                     split_angles=()):
     """Integrate a function of the direction against the measure.
 
     integrand is called with an (M, n) array of unit vectors and must return
     an (M,) array (real or complex).  Atoms are summed exactly; bands are
     integrated adaptively to absolute tolerance tol, in 2D by composite
-    Gauss-Legendre of the given order never straddling the listed split
-    angles, in 3D by a 7 x 7 Gauss-Legendre tensor rule in (cos theta, phi)
-    (order and split_angles do not apply).
+    15-point Gauss-Legendre never straddling the listed split angles, in 3D
+    by a 7 x 7 Gauss-Legendre tensor rule in (cos theta, phi) (split_angles
+    do not apply).
     """
     total = 0.0 + 0.0j
     for d, w in measure.atoms:
@@ -416,8 +401,7 @@ def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10,
         return np.broadcast_to(integrand(flat), flat.shape[:1]).reshape(dirs.shape[:2])
 
     for band in measure.bands:
-        total += _integrate_band_adaptive(band, f, tol / n_bands, [split_angles],
-                                          order=order)[0]
+        total += _integrate_band_adaptive(band, f, tol / n_bands, [split_angles])[0]
     return complex(total)
 
 
@@ -433,15 +417,16 @@ class MomentSummary:
     mean: np.ndarray
 
 
-def moments(measure: DirectionalMeasure, tol: float = 1e-12) -> MomentSummary:
+def moments(measure: DirectionalMeasure) -> MomentSummary:
+    """Mean and second moment matrix, each entry by sphere_integrate to 1e-12."""
     n = measure.dimension
     A = np.empty((n, n))
     b = np.empty(n)
     for i in range(n):
-        b[i] = sphere_integrate(measure, lambda d, i=i: d[:, i], tol=tol).real
+        b[i] = sphere_integrate(measure, lambda d, i=i: d[:, i], tol=1e-12).real
         for j in range(i, n):
             A[i, j] = A[j, i] = sphere_integrate(
-                measure, lambda d, i=i, j=j: d[:, i] * d[:, j], tol=tol
+                measure, lambda d, i=i, j=j: d[:, i] * d[:, j], tol=1e-12
             ).real
     A.setflags(write=False)
     b.setflags(write=False)
@@ -506,8 +491,9 @@ def _reflected(measure: DirectionalMeasure) -> DirectionalMeasure:
     return DirectionalMeasure(measure.dimension, atoms, tuple(bands))
 
 
-def is_symmetric(measure: DirectionalMeasure, tol: float = 1e-9) -> bool:
-    """m(phi) == m(-phi), tested by comparing odd moments and band structure."""
+def is_symmetric(measure: DirectionalMeasure) -> bool:
+    """m(phi) == m(-phi), tested by comparing the integrals of a few test
+    functions against the measure and its reflection to within 1e-9."""
     refl = _reflected(measure)
     # compare via integrals of a small separating family of test functions
     tests = []
@@ -522,7 +508,7 @@ def is_symmetric(measure: DirectionalMeasure, tol: float = 1e-9) -> bool:
     for f in tests:
         a = sphere_integrate(measure, f, tol=1e-11)
         b = sphere_integrate(refl, f, tol=1e-11)
-        if abs(a - b) > tol:
+        if abs(a - b) > 1e-9:
             return False
     return True
 

@@ -253,14 +253,14 @@ def _fourier_ode_oracle(model: StateModel, k, t: float) -> np.ndarray:
 
 
 def validate_multistate(model: StateModel, k_probes, t: float, n_paths: int,
-                        rng, tolerance: Optional[float] = None) -> ValidationReport:
+                        rng) -> ValidationReport:
     """Compare ensemble state-resolved ECFs against the matrix-exponential
-    oracle at the probe wavenumbers; refuses power-law waiting, whose
-    transform is only asymptotic."""
+    oracle at the probe wavenumbers, to 5/sqrt(n_paths); refuses power-law
+    waiting, whose transform is only asymptotic."""
     if not model.all_exponential:
         raise ValueError("validation requires exponential waiting in every state")
     ens = multistate_endpoints(model, t, n_paths, rng)
-    tol = tolerance if tolerance is not None else 5.0 / math.sqrt(n_paths)
+    tol = 5.0 / math.sqrt(n_paths)
     devs = []
     for k in np.atleast_2d(np.asarray(k_probes, dtype=float)):
         oracle = _fourier_ode_oracle(model, k, t)

@@ -43,9 +43,11 @@ class QuadratureTailError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar test function with optional analytic derivatives.
+    """Scalar test function with its analytic derivatives.
 
-    f maps (..., n) arrays to (...) values.  support_radius is a radius
+    f maps (..., n) arrays to (...) values.  The operators need hess, and
+    grad in every mode but case I's paired second differences; they raise
+    ValueError for a field without them.  support_radius is a radius
     beyond which |f| <= cutoff; fields that never decay use infinity, in
     which case far-field truncation is estimated by probing instead of the
     closed-form tail.
@@ -58,32 +60,13 @@ class ScalarField:
     support_radius: float = math.inf
     cutoff: float = 0.0
 
-    def __call__(self, x):
-        return self.f(np.asarray(x, dtype=float))
-
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        g = np.empty(self.dimension)
-        for i in range(self.dimension):
-            e = np.zeros(self.dimension)
-            e[i] = h
-            g[i] = (self.f(x + e) - self.f(x - e)) / (2 * h)
-        return g
+        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
 
     def hess_quadform(self, x, dirs):
         """phi^T H(x) phi for each row of dirs."""
-        x = np.asarray(x, dtype=float)
-        if self.hess is not None:
-            H = np.asarray(self.hess(x), dtype=float)
-            return np.einsum("ai,ij,aj->a", dirs, H, dirs)
-        h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-        fx = self.f(x)
-        plus = self.f(x[None, :] + h * dirs)
-        minus = self.f(x[None, :] - h * dirs)
-        return (plus - 2.0 * fx + minus) / (h * h)
+        H = np.asarray(self.hess(np.asarray(x, dtype=float)), dtype=float)
+        return np.einsum("ai,ij,aj->a", dirs, H, dirs)
 
 
 def gaussian_bump(dimension: int, center=None, width: float = 1.0,
@@ -160,10 +143,14 @@ def _graded_radial_rule(delta: float, R: float, panels_per_decade: int = 8,
     return _composite_gl(edges, order)
 
 
-def _radial_kernel(beta: float, lam: float, delta: float, R: float,
-                   panels_per_decade: int, order: int):
-    """Graded radial nodes r on [delta, R] and kernel weights wr * r^(-1-beta) e^(-lam r)."""
-    r, wr = _graded_radial_rule(delta, R, panels_per_decade, order)
+# the tube r < _TUBE_RADIUS around each point is replaced by its Taylor moment
+_TUBE_RADIUS = 1e-4
+
+
+def _radial_kernel(beta: float, lam: float, R: float):
+    """Graded radial nodes r on [_TUBE_RADIUS, R] and kernel weights
+    wr * r^(-1-beta) e^(-lam r)."""
+    r, wr = _graded_radial_rule(_TUBE_RADIUS, R)
     return r, wr * r ** (-1.0 - beta) * (np.exp(-lam * r) if lam > 0 else 1.0)
 
 
@@ -171,9 +158,7 @@ def _radial_kernel(beta: float, lam: float, delta: float, R: float,
 # (tempered) stable operators
 # ---------------------------------------------------------------------------
 
-def _resolve_R(field: ScalarField, x, lam: float, R: float | None) -> float:
-    if R is not None:
-        return R
+def _resolve_R(field: ScalarField, x, lam: float) -> float:
     if math.isfinite(field.support_radius):
         return field.support_radius + float(np.linalg.norm(x)) + 1.0
     if lam > 0:
@@ -183,8 +168,7 @@ def _resolve_R(field: ScalarField, x, lam: float, R: float | None) -> float:
     return 50.0 * (1.0 + float(np.linalg.norm(x)))
 
 
-def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, delta, R,
-                     panels_per_decade, order, drift_vec, tail_tol):
+def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, R, drift_vec, tail_tol):
     """Operator value at one point for one (beta, lam) kernel block.
 
     mode: 'one_sided' (exponent < 1), 'symmetric' (second differences, any
@@ -194,7 +178,7 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, delta, R,
     """
     x = np.asarray(x, dtype=float)
     fx = float(field.f(x))
-    r, kern = _radial_kernel(beta, lam, delta, R, panels_per_decade, order)
+    r, kern = _radial_kernel(beta, lam, R)
     gnorm = abs(sc.gamma(-beta))
     grad = None if mode == "symmetric" else field.gradient(x)
     finite_support = math.isfinite(field.support_radius)
@@ -217,16 +201,16 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, delta, R,
         radial = kern @ bracket
         total += float(w @ radial)
 
-        # inner Taylor correction on [0, delta]; the paired second difference
+        # inner Taylor correction on [0, _TUBE_RADIUS]; the paired second difference
         # carries twice the quadratic term of the one-sided bracket
         quad = field.hess_quadform(x, d)
-        m2 = radial_moment_lower(2, beta, lam, delta)
+        m2 = radial_moment_lower(2, beta, lam, _TUBE_RADIUS)
         if mode == "symmetric":
             inner = quad * m2
         else:
             inner = 0.5 * quad * m2
             if mode == "one_sided":
-                m1 = radial_moment_lower(1, beta, lam, delta)
+                m1 = radial_moment_lower(1, beta, lam, _TUBE_RADIUS)
                 inner = inner - (d @ grad) * m1
         total += float(w @ inner)
 
@@ -271,18 +255,21 @@ def _as_points(x, n):
     raise ValueError(f"points must have shape (n,) or (P, {n})")
 
 
-def _apply_blocks(field, measure, x, blocks, delta, R, panels_per_decade, order, tail_tol):
+def _apply_blocks(field, measure, x, blocks, tail_tol):
     """Operator values at the points x: the sum over kernel blocks
     (dirs, w, beta, lam, mode, drift) of _apply_pointwise, blocks outside and
-    points inside."""
+    points inside.  Raises ValueError first if the field lacks a derivative
+    that a block's mode uses."""
+    if field.grad is None and any(mode != "symmetric" for _, _, _, _, mode, _ in blocks):
+        raise ValueError("this operator form requires an analytic gradient")
+    if field.hess is None:
+        raise ValueError("the Taylor correction near r = 0 requires an analytic Hessian")
     pts, single = _as_points(x, measure.dimension)
     vals = np.zeros(len(pts))
     for dirs, w, beta, lam, mode, drift in blocks:
         for i, xi in enumerate(pts):
-            vals[i] += _apply_pointwise(
-                field, xi, dirs, w, beta, lam, mode, delta, _resolve_R(field, xi, lam, R),
-                panels_per_decade, order, drift, tail_tol,
-            )
+            vals[i] += _apply_pointwise(field, xi, dirs, w, beta, lam, mode,
+                                        _resolve_R(field, xi, lam), drift, tail_tol)
     return vals[0] if single else vals
 
 
@@ -294,9 +281,7 @@ def _drift(beta: float, lam: float, b):
 
 
 def apply_caseI(field: ScalarField, measure: DirectionalMeasure, beta: float,
-                lam: float, x, *, delta: float = 1e-4, R: float | None = None,
-                panels_per_decade: int = 8, order: int = 8, refinement: int = 32,
-                tail_tol: float | None = None):
+                lam: float, x, *, refinement: int = 32, tail_tol: float | None = None):
     """Difference-kernel form, valid for beta < 1 or symmetric measures.
 
     For beta in (1,2) the measure must be symmetric and paired second
@@ -312,14 +297,11 @@ def apply_caseI(field: ScalarField, measure: DirectionalMeasure, beta: float,
                              "use apply_caseII for asymmetric measures")
         mode = "symmetric"
     dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
-    return _apply_blocks(field, measure, x, [(dirs, wdir, beta, lam, mode, None)],
-                         delta, R, panels_per_decade, order, tail_tol)
+    return _apply_blocks(field, measure, x, [(dirs, wdir, beta, lam, mode, None)], tail_tol)
 
 
 def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
-                 lam: float, x, *, delta: float = 1e-4, R: float | None = None,
-                 panels_per_decade: int = 8, order: int = 8, refinement: int = 32,
-                 tail_tol: float | None = None):
+                 lam: float, x, *, refinement: int = 32, tail_tol: float | None = None):
     """Gradient-regularised (finite-part) form for beta in (1,2).
 
     Adds the drift correction -Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)|
@@ -330,19 +312,14 @@ def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
         raise ValueError("beta must lie in (1,2)")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if field.grad is None:
-        raise ValueError("the gradient-regularised form requires an analytic gradient")
     drift = _drift(beta, lam, moments(measure).mean)
     dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
     return _apply_blocks(field, measure, x, [(dirs, wdir, beta, lam, "gradient", drift)],
-                         delta, R, panels_per_decade, order, tail_tol)
+                         tail_tol)
 
 
 def apply_general(field: ScalarField, measure: DirectionalMeasure,
-                  profile: StabilityProfile, x, *, delta: float = 1e-4,
-                  R: float | None = None, panels_per_decade: int = 8,
-                  order: int = 8, refinement: int = 32,
-                  tail_tol: float | None = None):
+                  profile: StabilityProfile, x, *, tail_tol: float | None = None):
     """Direction-dependent (beta(phi), lambda(phi)) operator.
 
     Applies the one-sided logic per component with exponent < 1 and the
@@ -353,9 +330,7 @@ def apply_general(field: ScalarField, measure: DirectionalMeasure,
     profile = profile.for_measure(measure)
     for b in profile.betas:
         _check_exponent(b, "profile exponents")
-    if any(b > 1.0 for b in profile.betas) and field.grad is None:
-        raise ValueError("components with exponent above 1 require a gradient")
-    dirs, wdir, comp = measure_nodes(measure, refinement=refinement)
+    dirs, wdir, comp = measure_nodes(measure, refinement=32)
     blocks = []
     for ci, (bi, li) in enumerate(zip(profile.betas, profile.lambdas)):
         d, w = dirs[comp == ci], wdir[comp == ci]
@@ -363,7 +338,7 @@ def apply_general(field: ScalarField, measure: DirectionalMeasure,
             blocks.append((d, w, bi, li, "one_sided", None))
         else:
             blocks.append((d, w, bi, li, "gradient", _drift(bi, li, (w[:, None] * d).sum(axis=0))))
-    return _apply_blocks(field, measure, x, blocks, delta, R, panels_per_decade, order, tail_tol)
+    return _apply_blocks(field, measure, x, blocks, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +415,16 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
 def bilinear_form(field_p: ScalarField, field_q: ScalarField,
                   measure: DirectionalMeasure, beta: float, lam: float, *,
                   half_width: float = 10.0, n_points: int = 256,
-                  delta: float = 1e-4, R: float | None = None,
-                  panels_per_decade: int = 8, order: int = 8,
-                  refinement: int = 32, return_report: bool = False):
+                  return_report: bool = False):
     """Symmetric-kernel double form (no 1/|Gamma(-beta)| factor):
 
         a(p,q) = int int (p(x)-p(y)) (q(x)-q(y)) m((x-y)/|x-y|)
                  e^(-lam|x-y|) |x-y|^(-n-beta) dx dy.
 
     Computed with y in polar coordinates around each lattice point x: the
-    diagonal tube r < delta is replaced by its Taylor-corrected moment and
-    the far field r > R by the decayed-field closed form; both corrections
-    and the lattice truncation are reported.
+    diagonal tube r < _TUBE_RADIUS is replaced by its Taylor-corrected moment
+    and the far field r > R = 2 half_width by the decayed-field closed form;
+    both corrections and the lattice truncation are reported.
     """
     if not is_symmetric(measure):
         raise ValueError("the symmetric-kernel bilinear form requires a symmetric measure")
@@ -474,10 +447,9 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     if GP is None or GQ is None:
         raise ValueError("bilinear_form requires analytic gradients for the tube correction")
 
-    if R is None:
-        R = 2.0 * L
-    r, kern = _radial_kernel(beta, lam, delta, R, panels_per_decade, order)
-    dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
+    R = 2.0 * L
+    r, kern = _radial_kernel(beta, lam, R)
+    dirs, wdir, _ = measure_nodes(measure, refinement=32)
 
     total = 0.0
     for a in range(len(wdir)):
@@ -488,7 +460,7 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
         total += wdir[a] * float(((dp * dq) @ kern).sum()) * cell
 
     # diagonal tube: integrand ~ (grad p . z)(grad q . z) |z|^(-n-beta) e^(-lam|z|)
-    m2 = radial_moment_lower(2, beta, lam, delta)
+    m2 = radial_moment_lower(2, beta, lam, _TUBE_RADIUS)
     A = moments(measure).covariance
     tube = float(np.einsum("pi,ij,pj->", GP, A, GQ)) * cell * m2
 

@@ -281,13 +281,19 @@ def compound_poisson_endpoints(spec: JumpSpec, zeta: float, t: float,
     return out
 
 
+# The ensemble splits its seed into this many chunks, whatever the worker
+# count.  The chunking is part of the seeded stream: another count draws other
+# endpoints from the same seed.
+_ENSEMBLE_CHUNKS = 16
+
+
 def ensemble_endpoints_parallel(spec: JumpSpec, zeta: float, t: float,
-                                n_paths: int, seed: int, n_chunks: int = 16) -> np.ndarray:
-    """Chunk-deterministic ensemble; results do not depend on the worker
-    count (ANISOLAP_THREADS bounds the pool)."""
-    seqs = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [n_paths // n_chunks + (1 if i < n_paths % n_chunks else 0)
-             for i in range(n_chunks)]
+                                n_paths: int, seed: int) -> np.ndarray:
+    """Chunk-deterministic ensemble of _ENSEMBLE_CHUNKS seeded chunks; results
+    do not depend on the worker count (ANISOLAP_THREADS bounds the pool)."""
+    seqs = np.random.SeedSequence(seed).spawn(_ENSEMBLE_CHUNKS)
+    q, r = divmod(n_paths, _ENSEMBLE_CHUNKS)
+    sizes = [q + (1 if i < r else 0) for i in range(_ENSEMBLE_CHUNKS)]
     max_workers = _worker_cap()
 
     def work(args):
@@ -354,16 +360,15 @@ def sample_one_sided_stable(alpha: float, rng, size: Optional[int] = None):
 
 
 def sample_inverse_subordinator(alpha: float, t: float, rng,
-                                size: Optional[int] = None,
-                                resolution: float | None = None):
+                                size: Optional[int] = None):
     """First-passage inverse E(t) = inf{tau : S(tau) > t} of the stable
-    subordinator, simulated on a tau-grid of step resolution * t^alpha."""
+    subordinator, simulated on a tau-grid of step 1e-3 * t^alpha."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
     if t <= 0:
         raise ValueError("t must be positive")
     n = 1 if size is None else int(size)
-    dtau = (resolution if resolution is not None else 1e-3) * t ** alpha
+    dtau = 1e-3 * t ** alpha
     scale = dtau ** (1.0 / alpha)
     s = np.zeros(n)
     tau = np.zeros(n)
@@ -552,6 +557,7 @@ def jump_to_json(spec: JumpSpec) -> dict:
     if spec.kind in ("stable", "tempered_stable"):
         doc["lam"] = spec.lam
         doc["r0"] = spec.r0
+        doc["max_rejections"] = spec.max_rejections
     return doc
 
 
@@ -568,4 +574,5 @@ def jump_from_json(doc: dict) -> JumpSpec:
         beta=doc.get("beta"),
         lam=float(doc.get("lam", 0.0)),
         r0=float(doc.get("r0", 1e-3)),
+        max_rejections=int(doc.get("max_rejections", 10_000)),
     )

@@ -214,7 +214,7 @@ def _adaptive_bands(pts, bands, integrand_of_u, tol):
     return out
 
 
-def _measure_integral(measure, pts, comps, method, refinement, order, tol):
+def _measure_integral(measure, pts, comps, method, refinement, tol):
     """sum over the components c of sign_c * int g_c(k.phi) m_c(dphi).
 
     comps holds one (sign, g, closed) per component of measure, atoms first;
@@ -229,7 +229,7 @@ def _measure_integral(measure, pts, comps, method, refinement, order, tol):
     bands = list(zip(measure.bands, comps[len(measure.atoms):]))
     adaptive = _resolve_method(method, pts.shape[0], measure) == "adaptive"
     on_nodes = [] if adaptive else [
-        (g, *band_nodes(band, refinement=refinement, order=order))
+        (g, *band_nodes(band, refinement=refinement))
         for band, (_, g, closed) in bands if closed is None]
     sums = iter(_band_sum(pts, on_nodes).T if on_nodes else ())
     for band, (sign, g, closed) in bands:
@@ -242,19 +242,18 @@ def _measure_integral(measure, pts, comps, method, refinement, order, tol):
     return out
 
 
-def _stable_symbol(measure, betas, lams, k, method, refinement, order, tol):
+def _stable_symbol(measure, betas, lams, k, method, refinement, tol):
     """The (tempered) stable symbol with exponent betas[c] and rate lams[c] on
     component c; untempered 2D bands take the closed form."""
     pts, shape = _k_points(k, measure.dimension)
     comps = [(_ceil_sign(b), partial(_bracket, beta=b, lam=l),
               partial(_stable_band_2d, beta=b) if l == 0.0 and measure.dimension == 2 else None)
              for b, l in zip(betas, lams)]
-    return _restore(_measure_integral(measure, pts, comps, method, refinement, order, tol), shape)
+    return _restore(_measure_integral(measure, pts, comps, method, refinement, tol), shape)
 
 
 def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
-                    method: str = "auto", refinement: int = 96, order: int = 8,
-                    tol: float = 1e-12):
+                    method: str = "auto", refinement: int = 96, tol: float = 1e-12):
     """Symbol of the anisotropic (tempered) stable generator.
 
     Returns (-1)^ceil(beta) * int ((lam - i k.phi)^beta - lam^beta) m(phi) dphi,
@@ -266,12 +265,12 @@ def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     m = measure.n_components
-    return _stable_symbol(measure, (beta,) * m, (lam,) * m, k, method, refinement, order, tol)
+    return _stable_symbol(measure, (beta,) * m, (lam,) * m, k, method, refinement, tol)
 
 
 def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
-                 method: str = "auto", refinement: int = 96, order: int = 8,
-                 tol: float = 1e-12, _skip_symmetry_check: bool = False):
+                 method: str = "auto", refinement: int = 96,
+                 _skip_symmetry_check: bool = False):
     """Generator symbol for exponent 1 (symmetric measures only).
 
     lam = 0:  -(pi/2) * int |k.phi| m(phi) dphi.
@@ -295,7 +294,7 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
 
     closed = _cos_pow_band if lam == 0.0 and measure.dimension == 2 else None
     comps = [(-1.0, g, closed)] * measure.n_components
-    return _restore(_measure_integral(measure, pts, comps, method, refinement, order, tol), shape)
+    return _restore(_measure_integral(measure, pts, comps, method, refinement, 1e-12), shape)
 
 
 def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
@@ -310,8 +309,7 @@ def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
 
 
 def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfile, k, *,
-                           method: str = "auto", refinement: int = 96, order: int = 8,
-                           tol: float = 1e-12):
+                           method: str = "auto", refinement: int = 96, tol: float = 1e-12):
     """Symbol with direction-dependent beta(phi), lambda(phi).
 
     Each atom/band carries its own (beta, lambda) and the sign prefactor
@@ -329,14 +327,12 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
             "profile mixes exponents below and above 1; per-component sign applied",
             MixedStabilityRangeWarning,
         )
-    return _stable_symbol(measure, profile.betas, profile.lambdas, k,
-                          method, refinement, order, tol)
+    return _stable_symbol(measure, profile.betas, profile.lambdas, k, method, refinement, tol)
 
 
 def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
                     measure: Optional[DirectionalMeasure] = None,
-                    sigmas=None, dimension: int = 2,
-                    refinement: int = 96, order: int = 8):
+                    sigmas=None, dimension: int = 2, refinement: int = 96):
     """Phi_0(k) - 1 for compound-Poisson Gaussian jump laws.
 
     iso:  exp(-sigma^2 |k|^2 / 2) - 1.
@@ -365,7 +361,7 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     if sig.shape != (measure.n_components,) or np.any(sig <= 0):
         raise ValueError("sigmas must give one positive spread per measure component")
     pts, shape = _k_points(k, 2)
-    dirs, w, comp = measure_nodes(measure, refinement=refinement, order=order)
+    dirs, w, comp = measure_nodes(measure, refinement=refinement)
     s = sig[comp]
 
     def radial_dev(u):
@@ -383,13 +379,13 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     return _restore(c_m * _band_sum(pts, [(radial_dev, dirs, w)])[:, 0], shape)
 
 
-def isotropic_reference_symbol(beta: float, lam: float, k, n: int, *,
-                               n_panels: int = 40, order: int = 12):
+def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     """Nonnegative reference multiplier of the isotropic operator.
 
     Returns (-1)^ceil(beta) * (1/omega_n) * int (lam^beta -
     (lam^2 + (k.phi)^2)^(beta/2) cos(beta*eta)) dphi, a real value >= 0 used
-    as the denominator of the coercivity ratio.
+    as the denominator of the coercivity ratio: in closed form for n = 1 or
+    lam = 0, else by 40 graded Gauss-Legendre panels of order 12.
     """
     _check_exponent(beta)
     if lam < 0:
@@ -418,15 +414,15 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int, *,
         # (2/pi) * int_0^{pi/2} f(|k| cos(theta)) dtheta with panels graded
         # toward theta = pi/2, where f has its (smoothed) |u|^beta kink
         theta_edges = 0.5 * math.pi - np.concatenate(
-            [0.5 * math.pi * np.geomspace(1e-10, 1.0, n_panels)[::-1], [0.0]]
+            [0.5 * math.pi * np.geomspace(1e-10, 1.0, 40)[::-1], [0.0]]
         )
-        t, tw = _composite_gl(theta_edges, order)
+        t, tw = _composite_gl(theta_edges, 12)
         vals = f(kn[:, None] * np.cos(t)[None, :])
         out = (2.0 / math.pi) * (vals * tw[None, :]).sum(axis=1)
     else:
         # int_0^1 f(|k| t) dt, graded toward the kink at t = 0
-        t_edges = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, n_panels)])
-        t, tw = _composite_gl(t_edges, order)
+        t_edges = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 40)])
+        t, tw = _composite_gl(t_edges, 12)
         vals = f(kn[:, None] * t[None, :])
         out = (vals * tw[None, :]).sum(axis=1)
     out = np.maximum(out, 0.0)

@@ -71,6 +71,14 @@ class TestCoercivity:
             assert sl["numerator_large"] == pytest.approx(beta, rel=0.05)
             assert sl["reference_large"] == pytest.approx(beta, rel=0.05)
 
+    def test_slopes_along_a_given_direction(self):
+        m = fig1_measure()
+        sl = symbol_asymptotic_slopes(m, 1.3, 0.5, direction=[0.0, 2.0])
+        assert sl == symbol_asymptotic_slopes(m, 1.3, 0.5, direction=[0.0, 1.0])
+        assert sl["numerator_small"] == pytest.approx(2.0, rel=0.05)
+        assert sl["numerator_large"] == pytest.approx(1.3, rel=0.05)
+        assert sl != symbol_asymptotic_slopes(m, 1.3, 0.5, direction=[1.0, 0.0])
+
     def test_slopes_need_tempering(self):
         m = uniform_measure(2)
         with pytest.raises(ValueError):
@@ -86,9 +94,11 @@ class TestParseval:
 
     def test_budget_enforced(self):
         m = make_atomic_measure(1, [((1,), 0.5), ((-1,), 0.5)])
-        with pytest.raises(RuntimeError, match="budget"):
-            parseval_bilinear_check(gaussian_bump(1), m, 0.5, 1.0,
-                                    half_width=12.0, n_points=384, budget=1e-12)
+        rep = parseval_bilinear_check(gaussian_bump(1), m, 0.5, 1.0,
+                                      half_width=12.0, n_points=384, budget=1e-12)
+        assert not rep.passed
+        assert rep.relative_deviation > 1e-12
+        assert rep.quadrature_budget["budget"] == 1e-12
 
     def test_zero_field(self):
         from anisolap.realspace import ScalarField, bilinear_form

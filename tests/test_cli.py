@@ -181,6 +181,14 @@ class TestEcfAndMultistate:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (3, 8)
 
+    def test_ecf_rejection_cap_below_one_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "jump": {"kind": "tempered_stable", "dimension": 1, "measure": M1_SYM,
+                     "beta": 0.7, "lam": 0.5, "r0": 0.01, "max_rejections": 0},
+            "zeta": 1.0, "t": 1.0, "paths": 100, "seed": 11, "k_list": [[0.5]]})
+        assert main(["ecf", "--config", cfg, "--out", str(tmp_path / "ecf.csv")]) == 2
+        assert "max_rejections" in capsys.readouterr().err
+
     def test_multistate_validate(self, tmp_path, capsys):
         model = {
             "N": 2, "M": [[0.0, 1.0], [1.0, 0.0]], "init": [1.0, 0.0],
@@ -226,6 +234,18 @@ class TestAnalyzeVerbs:
             "beta": 1.5, "lam": 0.5, "expect": "degenerate"})
         assert main(["analyze", "coercivity", "--config", cfg]) == 0
         assert "degenerate_witness_numerator" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget, code, status", [(1e-2, 0, "PASS"), (1e-12, 1, "FAIL")])
+    def test_parseval(self, tmp_path, capsys, budget, code, status):
+        cfg = write_json(tmp_path, "c.json", {
+            "measure": M1_SYM, "beta": 0.5, "lam": 1.0, "budget": budget})
+        out = tmp_path / "rep.json"
+        assert main(["analyze", "parseval", "--config", cfg, "--out", str(out)]) == code
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("CHECK parseval_relative_deviation ")
+        assert line.endswith(f"status={status}")
+        rep = json.loads(out.read_text())
+        assert 1e-12 < rep["relative_deviation"] <= 1e-2
 
     def test_scaling(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"sigmas": [0.4, 0.2, 0.1], "K1": 1.0})

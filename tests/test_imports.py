@@ -1,20 +1,28 @@
-"""Every top-level import of the package and of the tests is used.
+"""Every top-level import of the package and of the tests is used, and every
+top-level definition of the package is referenced.
 
 A stand-in for a lint step: each module is parsed with ast, and a name bound
 by a module-level import must appear as a name somewhere in that module (or
 in its __all__).  ``from __future__`` imports and the re-exports of the
-package's __init__.py are exempt."""
+package's __init__.py are exempt.  A function, class or constant defined at
+the top of a package module must appear as a name or an attribute somewhere
+in the package or the tests, outside its own definition and __all__."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    p for p in [*(ROOT / "src" / "anisolap").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((ROOT / "src" / "anisolap").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+FILES = sorted(p for p in PACKAGE + TESTS if p.name != "__init__.py")
+
+
+def is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
 def unused_imports(source: str) -> list:
@@ -29,8 +37,7 @@ def unused_imports(source: str) -> list:
                 bound[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        if is_all(node):
             used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
@@ -43,3 +50,54 @@ def test_no_unused_top_level_imports(path):
 def test_checker_flags_an_unused_import():
     src = "from __future__ import annotations\nimport os\nimport math as m\nprint(m.pi)\n"
     assert unused_imports(src) == [(2, "os")]
+
+
+def references(node) -> Counter:
+    """Names read and attribute names used anywhere under node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+        or isinstance(n, ast.Attribute))
+
+
+def definitions(tree) -> dict:
+    """Top-level functions, classes and assigned constants, by name."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not is_all(node):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def unreferenced_definitions(modules: dict, others=()) -> list:
+    """(module, name) of each definition in modules (name -> source) that no
+    source in modules or others references outside its own definition."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    total = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in tree.body:
+            if not is_all(node):
+                total.update(references(node))
+    return sorted(
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in definitions(tree).items()
+        if total[name] == references(node)[name])
+
+
+def test_every_package_definition_is_referenced():
+    modules = {p.stem: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
+    others = [p.read_text() for p in [ROOT / "src" / "anisolap" / "__init__.py", *TESTS]]
+    assert unreferenced_definitions(modules, others) == []
+
+
+def test_checker_flags_an_unreferenced_definition():
+    mod = ("__all__ = ['used', 'orphan']\nLIMIT = 3\n"
+           "def used(n):\n    return used(n - 1) if n else LIMIT\n"
+           "def orphan(n):\n    return orphan(n - 1)\n")
+    assert unreferenced_definitions({"m": mod}, ["from m import used\nused(2)\n"]) == [
+        ("m", "orphan")]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from anisolap.measures import (
     uniform_measure,
 )
 from anisolap.realspace import (
+    QuadratureTailError,
     ScalarField,
     apply_caseI,
     apply_caseII,
@@ -290,6 +292,30 @@ class TestStructure:
         no_grad = ScalarField(1, f=bump.f, grad=None)
         with pytest.raises(ValueError, match="gradient"):
             apply_caseII(no_grad, onesided1d(), 1.5, 0.5, np.array([0.0]))
+
+    def test_missing_derivatives(self):
+        bump = gaussian_bump(1)
+        no_grad, no_hess = replace(bump, grad=None), replace(bump, hess=None)
+        x = np.array([0.3])
+        with pytest.raises(ValueError, match="gradient"):
+            apply_caseI(no_grad, onesided1d(), 0.5, 0.5, x)
+        with pytest.raises(ValueError, match="gradient"):
+            apply_general(no_grad, sym1d(), StabilityProfile((0.5, 0.5), (0.0, 0.0)), x)
+        # case I's paired second differences never use the gradient
+        assert apply_caseI(no_grad, sym1d(), 1.5, 0.5, x) == apply_caseI(bump, sym1d(), 1.5, 0.5, x)
+        with pytest.raises(ValueError, match="Hessian"):
+            apply_caseI(no_hess, sym1d(), 1.5, 0.5, x)
+        with pytest.raises(ValueError, match="Hessian"):
+            apply_caseII(no_hess, onesided1d(), 1.5, 0.5, x)
+
+    def test_tail_tolerance(self):
+        # a plane wave never decays, so the far field is estimated by probing
+        fld = cosine_field([1.0])
+        x = np.array([0.3])
+        with pytest.raises(QuadratureTailError, match="tail remainder"):
+            apply_caseI(fld, sym1d(), 0.6, 0.0, x, tail_tol=1e-12)
+        assert apply_caseI(fld, sym1d(), 0.6, 0.0, x, tail_tol=1.0) == apply_caseI(
+            fld, sym1d(), 0.6, 0.0, x)
 
 
 class TestBilinearForm:

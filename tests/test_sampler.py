@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -245,6 +246,18 @@ class TestMsd:
         assert abs(est.value - want) <= 3.0 * est.stderr
         assert not est.heavy_tail_warning
 
+    def test_start(self):
+        # a start point shifts every endpoint and leaves the displacements
+        spec = JumpSpec("stable", 2, measure=fig1_measure(), beta=1.3, r0=0.01)
+        start = np.array([0.3, -1.7])
+        ends = compound_poisson_endpoints(spec, 2.0, 1.0, 500, np.random.default_rng(21))
+        moved = compound_poisson_endpoints(spec, 2.0, 1.0, 500, np.random.default_rng(21),
+                                           start=start)
+        assert np.array_equal(moved, ends + start)
+        a, b = ensemble_msd(ends), ensemble_msd(moved, start=start)
+        assert np.allclose([b.value, b.stderr], [a.value, a.stderr])
+        assert b.heavy_tail_warning == a.heavy_tail_warning
+
     def test_zero_time(self):
         est = ensemble_msd(np.zeros((100, 2)))
         assert est.value == 0.0
@@ -297,6 +310,23 @@ class TestJson:
         assert spec2.kind == spec.kind and spec2.beta == spec.beta
         assert spec2.measure.bands[0].density == pytest.approx(
             spec.measure.bands[0].density)
+
+    def test_max_rejections_roundtrip(self):
+        spec = JumpSpec("tempered_stable", 2, measure=fig1_measure(), beta=1.3,
+                        lam=0.5, r0=0.01, max_rejections=7)
+        doc = json.loads(json.dumps(jump_to_json(spec)))
+        assert doc["max_rejections"] == 7
+        assert jump_from_json(doc).max_rejections == 7
+        del doc["max_rejections"]
+        assert jump_from_json(doc).max_rejections == 10_000
+
+    def test_gaussian_aniso_roundtrip(self):
+        spec = JumpSpec("gaussian_aniso", 2, sigmas=(0.8, 1.2), measure=fig1_measure())
+        doc = json.loads(json.dumps(jump_to_json(spec)))
+        assert doc["sigmas"] == [0.8, 1.2] and "max_rejections" not in doc
+        spec2 = jump_from_json(doc)
+        assert (spec2.kind, spec2.sigmas) == ("gaussian_aniso", (0.8, 1.2))
+        assert spec2.measure.bands == spec.measure.bands
 
     def test_validation(self):
         with pytest.raises(ValueError):

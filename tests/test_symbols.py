@@ -321,6 +321,18 @@ class TestIsotropicReference:
         val = isotropic_reference_symbol(beta, lam, [kn, 0.0], 2)
         assert abs(val - ref) < 1e-9 * abs(ref)
 
+    @pytest.mark.parametrize("beta", [0.6, 1.4])
+    @pytest.mark.parametrize("n, rel", [(2, 1e-13), (3, 1e-9)])
+    def test_untempered_closed_form(self, n, rel, beta):
+        # the lam = 0 closed form against the uniform-measure symbol: closed
+        # form in 2D, adaptive quadrature in 3D, where k on the polar axis
+        # puts the kink of |k.phi|^beta on a panel edge
+        k = (np.random.default_rng(23).normal(scale=3.0, size=(8, 2)) if n == 2
+             else np.array([[0.0, 0.0, 7.0]]))
+        val = isotropic_reference_symbol(beta, 0.0, k, n)
+        want = -np.real(tempered_symbol(uniform_measure(n), beta, 0.0, k, method="adaptive"))
+        assert np.allclose(val, want, rtol=rel, atol=0.0)
+
     def test_monotone_in_radius(self):
         radii = np.linspace(0.0, 6.0, 25)
         vals = isotropic_reference_symbol(0.7, 1.1, radii[:, None] * np.array([[0.6, 0.8]]), 2)
