@@ -19,7 +19,7 @@ from .evolve import (
     DensityField, SpectralGrid, compare_densities, delta_density,
     evolve_spectral, gaussian_density,
 )
-from .measures import StabilityProfile, measure_from_json
+from .measures import StabilityProfile, from_json, measure_from_json, to_json
 from .realspace import apply_caseI, apply_caseII, apply_general, gaussian_bump
 from .sampler import (
     empirical_cf, ensemble_endpoints_parallel, jump_cf, jump_from_json,
@@ -75,12 +75,6 @@ def _field_from_config(cfg: dict, dim: int):
     return gaussian_bump(dim, center=cfg.get("center"),
                          width=float(cfg.get("width", 1.0)),
                          amplitude=float(cfg.get("amplitude", 1.0)))
-
-
-def _grid_from_config(cfg: dict) -> SpectralGrid:
-    return SpectralGrid(int(_require(cfg, "dimension", "grid")),
-                        float(_require(cfg, "half_width", "grid")),
-                        int(_require(cfg, "n_points", "grid")))
 
 
 def _initial_from_config(cfg: dict, grid: SpectralGrid) -> DensityField:
@@ -200,7 +194,7 @@ def _real_space_operator(op: dict, cases=("I", "II", "general")):
     if case not in cases:
         raise ConfigError(f"unknown operator case {case!r}; expected one of {', '.join(cases)}")
     if case == "general":
-        prof = StabilityProfile(tuple(op["profile"]["betas"]), tuple(op["profile"]["lambdas"]))
+        prof = from_json(StabilityProfile, _require(op, "profile", "operator"))
         return lambda field, measure, pts: apply_general(field, measure, prof, pts)
     beta, lam = float(op["beta"]), float(op.get("lam", 0.0))
     fn = apply_caseII if case == "II" else apply_caseI
@@ -227,7 +221,7 @@ def _cmd_apply(args) -> int:
 def _cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
     sym = symbol_from_json(_require(cfg, "symbol", "evolve config"))
-    grid = _grid_from_config(_require(cfg, "grid", "evolve config"))
+    grid = from_json(SpectralGrid, _require(cfg, "grid", "evolve config"))
     p0 = _initial_from_config(cfg.get("initial", {}), grid)
     rho = evolve_spectral(p0, sym, float(args.t))
     _write_density_csv(args.out, rho)
@@ -252,7 +246,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_multistate(args) -> int:
     cfg = _load_config(args.config)
-    model = state_model_from_json(cfg if "M" in cfg else _require(cfg, "model", "multistate config"))
+    # an inline model shares its top level with the run fields t, paths, seed, k_probes
+    doc = ({k: cfg[k] for k in ("N", "M", "init", "waiting", "jumps") if k in cfg}
+           if "M" in cfg else _require(cfg, "model", "multistate config"))
+    model = state_model_from_json(doc)
     t = args.t if args.t is not None else float(cfg.get("t", 1.0))
     n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 10000))
     seed = _seed_or_die(args, cfg)
@@ -286,7 +283,6 @@ def _cmd_analyze(args) -> int:
 
     cfg = _load_config(args.config)
     verb = args.verb
-    report: dict = {"verb": verb}
     ok = True
     if verb == "coercivity":
         measure = measure_from_json(_require(cfg, "measure", "coercivity config"))
@@ -300,8 +296,6 @@ def _cmd_analyze(args) -> int:
             ok &= _check_line("degenerate_witness_numerator", rep.witness_numerator,
                               1e-10, rep.verdict == "degenerate-direction-found"
                               and rep.witness_numerator <= 1e-10)
-        report.update(ratio_infimum=rep.ratio_infimum, verdict=rep.verdict,
-                      argmin_k=rep.argmin_k.tolist(), probes=rep.probe_description)
     elif verb == "parseval":
         measure = measure_from_json(_require(cfg, "measure", "parseval config"))
         field = _field_from_config(cfg.get("field", {}), measure.dimension)
@@ -312,8 +306,6 @@ def _cmd_analyze(args) -> int:
             n_points=int(cfg.get("n_points", 256)), budget=budget)
         ok &= _check_line("parseval_relative_deviation", rep.relative_deviation,
                           budget, rep.passed)
-        report.update(direct=rep.direct, spectral=rep.spectral,
-                      relative_deviation=rep.relative_deviation)
     elif verb == "counterexample":
         rep = analysis.counterexample_1d(
             beta=float(cfg.get("beta", 0.5)), lam=float(cfg.get("lam", 1.0)),
@@ -321,25 +313,18 @@ def _cmd_analyze(args) -> int:
         ok &= _check_line("counterexample_positive_and_monotone",
                           float(rep.values[-1]), 0.0,
                           rep.all_positive and rep.monotone)
-        report.update(truncations=rep.truncations.tolist(), values=rep.values.tolist(),
-                      seminorm_product=rep.seminorm_product, limit=rep.limit_value)
     elif verb == "mass":
         sym = symbol_from_json(_require(cfg, "symbol", "mass config"))
-        grid = _grid_from_config(_require(cfg, "grid", "mass config"))
+        grid = from_json(SpectralGrid, _require(cfg, "grid", "mass config"))
         p0 = _initial_from_config(cfg.get("initial", {}), grid)
         rep = analysis.mass_conservation_check(sym, p0, cfg.get("times", (0.5, 1.0, 2.0)))
         ok &= _check_line("mass_drift", rep.max_drift, rep.tolerance, rep.passed)
-        report.update(times=rep.times.tolist(), masses=rep.masses.tolist(),
-                      max_drift=rep.max_drift)
     elif verb == "scaling":
         rep = analysis.scaling_limit_check(
             cfg.get("sigmas", (0.4, 0.2, 0.1, 0.05)), float(cfg.get("K1", 1.0)),
             cfg.get("k_probes", ((1.0, 0.0), (0.5, 0.5), (0.2, -0.7))))
         worst = float(np.max(np.abs(rep.rung_ratios_iso / (rep.sigmas[:-1] / rep.sigmas[1:]) ** 2 - 1.0)))
         ok &= _check_line("scaling_rung_ratio_error", worst, 0.2, rep.passed)
-        report.update(sigmas=rep.sigmas.tolist(),
-                      deviations_iso=rep.deviations_iso.tolist(),
-                      deviations_axes=rep.deviations_axes.tolist())
     elif verb == "equivalence":
         from .evolve import spectral_apply
         from .symbols import make_generator
@@ -352,7 +337,7 @@ def _cmd_analyze(args) -> int:
             measure = measure_from_json(case["measure"])
             beta, lam = float(case["beta"]), float(case.get("lam", 0.0))
             field = _field_from_config(case.get("field", {}), measure.dimension)
-            grid = _grid_from_config(case["grid"])
+            grid = from_json(SpectralGrid, case["grid"])
             tol = float(case.get("tol", 1e-3))
             vals = field.f(grid.points()).reshape(grid.shape())
             psi = make_generator("tempered_aniso", measure.dimension, measure=measure,
@@ -374,12 +359,12 @@ def _cmd_analyze(args) -> int:
             name = case.get("name", f"case_{len(results)}")
             ok &= _check_line(f"equivalence_{name}", rel, tol, rel <= tol)
             results.append({"name": name, "relative_l2": rel, "tol": tol})
-        report["cases"] = results
+        rep = {"cases": results}
     else:
         raise ConfigError(f"unknown analyze verb {verb!r}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, default=float)
+            json.dump({"verb": verb, **to_json(rep)}, fh, indent=2)
     return 0 if ok else 1
 
 

@@ -5,13 +5,17 @@ In 2D a band is an arc parametrised by its polar angle; in 3D it is a
 latitude-longitude rectangle with density taken with respect to the surface
 measure sin(theta) dtheta dphi.  In 1D the "sphere" is the two-point set
 {-1, +1} and only atoms are allowed.
+
+to_json and from_json are the one JSON format of the config dataclasses
+built on measures (symbols, jump laws, state models, profiles, grids).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -33,6 +37,8 @@ __all__ = [
     "moments",
     "measure_to_json",
     "measure_from_json",
+    "to_json",
+    "from_json",
     "is_symmetric",
 ]
 
@@ -534,8 +540,8 @@ class StabilityProfile:
     generic evaluators reject those values themselves.
     """
 
-    betas: tuple
-    lambdas: tuple
+    betas: tuple[float, ...]
+    lambdas: tuple[float, ...]
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
@@ -584,3 +590,57 @@ def measure_from_json(doc) -> DirectionalMeasure:
         AngularBand(tuple(b["region"]), float(b["density"])) for b in doc.get("bands", [])
     )
     return DirectionalMeasure(int(doc["dimension"]), atoms, bands)
+
+
+def to_json(obj):
+    """JSON document of a config dataclass, read back by from_json: fields
+    that are None or at their default are left out, a measure is written by
+    measure_to_json, and arrays and tuples become lists."""
+    if isinstance(obj, DirectionalMeasure):
+        return measure_to_json(obj)
+    if is_dataclass(obj):
+        return {f.name: to_json(v) for f in fields(obj)
+                if (v := getattr(obj, f.name)) is not None
+                and (f.default is MISSING or v != f.default)}
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
+def from_json(cls, doc):
+    """The config dataclass cls from its JSON document.
+
+    Each value is converted to its field's annotated type (int, float, str,
+    tuple[X, ...], Optional[X], a measure or a nested dataclass).  An unknown
+    field or a missing required field raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for what, names in (("unknown", set(doc) - {f.name for f in fields(cls)}),
+                        ("missing", required - set(doc))):
+        if names:
+            listed = ", ".join(map(repr, sorted(names)))
+            raise ValueError(f"{what} field {listed} in {cls.__name__}")
+    hints = get_type_hints(cls)
+    return cls(**{name: _decode(hints[name], v) for name, v in doc.items()})
+
+
+def _decode(tp, value):
+    if value is None:
+        return None
+    if get_origin(tp) is Union:  # Optional[X]
+        return _decode(get_args(tp)[0], value)
+    if get_origin(tp) is tuple:
+        return tuple(_decode(get_args(tp)[0], v) for v in value)
+    if tp is DirectionalMeasure:
+        return measure_from_json(value)
+    if is_dataclass(tp):
+        return from_json(tp, value)
+    if tp in (int, float, str):
+        return tp(value)
+    return value

@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampler import Trajectory, jump_cf, sample_jump
+from .measures import from_json, to_json
+from .sampler import JumpSpec, Trajectory, jump_cf, sample_jump
 
 __all__ = [
     "WaitingLaw",
@@ -79,8 +80,8 @@ class StateModel:
 
     M: np.ndarray
     init: np.ndarray
-    waiting: tuple
-    jumps: tuple
+    waiting: tuple[WaitingLaw, ...]
+    jumps: tuple[JumpSpec, ...]
 
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
@@ -287,36 +288,12 @@ def empirical_functional_cf(functional_values: np.ndarray, rho: float):
 # ---------------------------------------------------------------------------
 
 def state_model_to_json(model: StateModel) -> dict:
-    from .sampler import jump_to_json
-
-    waits = []
-    for w in model.waiting:
-        if w.kind == "exp":
-            waits.append({"kind": "exp", "rate": w.rate})
-        else:
-            waits.append({"kind": "power_law", "alpha": w.alpha, "scale": w.scale})
-    return {
-        "N": model.n_states,
-        "M": model.M.tolist(),
-        "init": model.init.tolist(),
-        "waiting": waits,
-        "jumps": [jump_to_json(j) for j in model.jumps],
-    }
+    return {"N": model.n_states, **to_json(model)}
 
 
 def state_model_from_json(doc: dict) -> StateModel:
-    from .sampler import jump_from_json
-
-    n = int(doc["N"])
-    waits = []
-    for w in doc["waiting"]:
-        if w["kind"] == "exp":
-            waits.append(WaitingLaw("exp", rate=float(w["rate"])))
-        else:
-            waits.append(WaitingLaw("power_law", alpha=float(w["alpha"]),
-                                    scale=float(w.get("scale", 1.0))))
-    jumps = tuple(jump_from_json(j) for j in doc["jumps"])
-    model = StateModel(M=doc["M"], init=doc["init"], waiting=tuple(waits), jumps=jumps)
-    if model.n_states != n:
+    """The model of doc; its optional "N" must match the length of init."""
+    model = from_json(StateModel, {k: v for k, v in doc.items() if k != "N"})
+    if doc.get("N", model.n_states) != model.n_states:
         raise ValueError("declared N does not match init length")
     return model

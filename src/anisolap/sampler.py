@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.special as sc
 
-from .measures import DirectionalMeasure, measure_nodes
+from .measures import DirectionalMeasure, from_json, measure_nodes, to_json
 from .symbols import _worker_cap
 
 __all__ = [
@@ -49,7 +49,7 @@ class JumpSpec:
     kind: str
     dimension: int
     sigma: Optional[float] = None
-    sigmas: Optional[tuple] = None
+    sigmas: Optional[tuple[float, ...]] = None
     measure: Optional[DirectionalMeasure] = None
     beta: Optional[float] = None
     lam: float = 0.0
@@ -240,24 +240,18 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
 
 def simulate_compound_poisson(spec: JumpSpec, zeta: float, T: float, start,
                               rng) -> Trajectory:
-    """Exponential(zeta) inter-event times up to T; one jump per event."""
+    """Rate-zeta Poisson events on [0, T] as a Poisson(zeta T) count of sorted
+    uniform times (the law of Exponential(zeta) gaps); one jump per event."""
     if zeta <= 0 or T <= 0:
         raise ValueError("zeta and T must be positive")
     x = np.asarray(start, dtype=float).reshape(spec.dimension)
-    times = [0.0]
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / zeta)
-        if t > T:
-            break
-        times.append(t)
-    n_jumps = len(times) - 1
+    n_jumps = int(rng.poisson(zeta * T))
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, T, n_jumps))])
     pos = np.empty((n_jumps + 1, spec.dimension))
     pos[0] = x
     if n_jumps:
-        jumps = sample_jump(spec, rng, size=n_jumps)
-        pos[1:] = x + np.cumsum(jumps, axis=0)
-    return Trajectory(np.asarray(times), pos)
+        pos[1:] = x + np.cumsum(sample_jump(spec, rng, size=n_jumps), axis=0)
+    return Trajectory(times, pos)
 
 
 def compound_poisson_endpoints(spec: JumpSpec, zeta: float, t: float,
@@ -543,36 +537,8 @@ class _NotConverged(Exception):
 # ---------------------------------------------------------------------------
 
 def jump_to_json(spec: JumpSpec) -> dict:
-    from .measures import measure_to_json
-
-    doc = {"kind": spec.kind, "dimension": spec.dimension}
-    if spec.sigma is not None:
-        doc["sigma"] = spec.sigma
-    if spec.sigmas is not None:
-        doc["sigmas"] = list(spec.sigmas)
-    if spec.measure is not None:
-        doc["measure"] = measure_to_json(spec.measure)
-    if spec.beta is not None:
-        doc["beta"] = spec.beta
-    if spec.kind in ("stable", "tempered_stable"):
-        doc["lam"] = spec.lam
-        doc["r0"] = spec.r0
-        doc["max_rejections"] = spec.max_rejections
-    return doc
+    return to_json(spec)
 
 
 def jump_from_json(doc: dict) -> JumpSpec:
-    from .measures import measure_from_json
-
-    measure = measure_from_json(doc["measure"]) if "measure" in doc else None
-    return JumpSpec(
-        kind=doc["kind"],
-        dimension=int(doc["dimension"]),
-        sigma=doc.get("sigma"),
-        sigmas=tuple(doc["sigmas"]) if "sigmas" in doc else None,
-        measure=measure,
-        beta=doc.get("beta"),
-        lam=float(doc.get("lam", 0.0)),
-        r0=float(doc.get("r0", 1e-3)),
-        max_rejections=int(doc.get("max_rejections", 10_000)),
-    )
+    return from_json(JumpSpec, doc)

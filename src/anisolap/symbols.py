@@ -31,9 +31,11 @@ from .measures import (
     _composite_gl,
     _integrate_band_adaptive,
     band_nodes,
+    from_json,
     is_symmetric,
     measure_nodes,
     moments,
+    to_json,
 )
 
 __all__ = [
@@ -479,7 +481,7 @@ class GeneratorSymbol:
     beta: Optional[float] = None
     lam: Optional[float] = None
     sigma: Optional[float] = None
-    sigmas: Optional[tuple] = None
+    sigmas: Optional[tuple[float, ...]] = None
     method: str = "auto"
     refinement: int = 96
 
@@ -551,42 +553,8 @@ def make_generator(kind: str, dimension: int, **params) -> GeneratorSymbol:
 
 
 def symbol_to_json(sym: GeneratorSymbol) -> dict:
-    from .measures import measure_to_json
-
-    doc = {"kind": sym.kind, "dimension": sym.dimension, "zeta": sym.zeta}
-    if sym.measure is not None:
-        doc["measure"] = measure_to_json(sym.measure)
-    if sym.profile is not None:
-        doc["profile"] = {"betas": list(sym.profile.betas),
-                          "lambdas": list(sym.profile.lambdas)}
-    for name in ("beta", "lam", "sigma"):
-        if getattr(sym, name) is not None:
-            doc[name] = getattr(sym, name)
-    if sym.sigmas is not None:
-        doc["sigmas"] = list(sym.sigmas)
-    doc["method"] = sym.method
-    doc["refinement"] = sym.refinement
-    return doc
+    return to_json(sym)
 
 
 def symbol_from_json(doc: dict) -> GeneratorSymbol:
-    from .measures import measure_from_json
-
-    measure = measure_from_json(doc["measure"]) if "measure" in doc else None
-    profile = None
-    if "profile" in doc:
-        profile = StabilityProfile(tuple(doc["profile"]["betas"]),
-                                   tuple(doc["profile"]["lambdas"]))
-    return GeneratorSymbol(
-        kind=doc["kind"],
-        dimension=int(doc["dimension"]),
-        zeta=float(doc.get("zeta", 1.0)),
-        measure=measure,
-        profile=profile,
-        beta=doc.get("beta"),
-        lam=doc.get("lam"),
-        sigma=doc.get("sigma"),
-        sigmas=tuple(doc["sigmas"]) if "sigmas" in doc else None,
-        method=doc.get("method", "auto"),
-        refinement=int(doc.get("refinement", 96)),
-    )
+    return from_json(GeneratorSymbol, doc)

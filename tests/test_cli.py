@@ -107,6 +107,25 @@ class TestApplyAndEquivalence:
                            np.linspace(-1, 1, 7)[:, None])
         assert np.allclose(got[:, 1], want, atol=1e-12)
 
+    def test_apply_general_matches_direct_call(self, tmp_path):
+        from anisolap.measures import StabilityProfile, measure_from_json
+        from anisolap.realspace import apply_general, gaussian_bump
+
+        x = np.linspace(-1, 1, 7)[:, None]
+        pts = tmp_path / "pts.csv"
+        np.savetxt(pts, x, delimiter=",", header="x1", fmt="%.17g")
+        cfg = write_json(tmp_path, "c.json", {
+            "operator": {"case": "general", "measure": M1_SYM,
+                         "profile": {"betas": [0.5, 1.5], "lambdas": [1.0, 0.0]}},
+            "field": {"kind": "gaussian", "width": 1.0}})
+        out = tmp_path / "vals.csv"
+        assert main(["apply", "--config", cfg, "--points", str(pts),
+                     "--out", str(out)]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        want = apply_general(gaussian_bump(1), measure_from_json(M1_SYM),
+                             StabilityProfile((0.5, 1.5), (1.0, 0.0)), x)
+        assert np.array_equal(got[:, 1], want)
+
     def test_theorem1_bundled_config(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["analyze", "equivalence", "--config",
@@ -152,6 +171,16 @@ class TestEvolveCompare:
         assert main(["compare", "--a", str(a), "--b", str(b)]) == 0
         out = capsys.readouterr().out
         assert "COMPARE l1=0.000000e+00" in out
+
+    def test_misspelled_field_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "symbol": {"kind": "gaussian_iso", "dimension": 1, "sigma": 1.0,
+                       "refinment": 192},
+            "grid": {"dimension": 1, "half_width": 16.0, "n_points": 128}})
+        out = tmp_path / "a.csv"
+        assert main(["evolve", "--config", cfg, "--t", "1.0", "--out", str(out)]) == 2
+        assert "unknown field 'refinment' in GeneratorSymbol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_l1_tolerance_flag(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", {
@@ -234,6 +263,22 @@ class TestAnalyzeVerbs:
             "beta": 1.5, "lam": 0.5, "expect": "degenerate"})
         assert main(["analyze", "coercivity", "--config", cfg]) == 0
         assert "degenerate_witness_numerator" in capsys.readouterr().out
+
+    # the infimum for the four axis atoms at beta 1.5, lambda 0.5 is about 0.907
+    @pytest.mark.parametrize("floor, code, status", [(0.5, 0, "PASS"), (0.95, 1, "FAIL")])
+    def test_coercivity_floor(self, tmp_path, capsys, floor, code, status):
+        cfg = write_json(tmp_path, "c.json", {
+            "measure": {"dimension": 2, "atoms": [[[1.0, 0.0], 0.25], [[-1.0, 0.0], 0.25],
+                                                  [[0.0, 1.0], 0.25], [[0.0, -1.0], 0.25]],
+                        "bands": []},
+            "beta": 1.5, "lam": 0.5, "expect": "coercive", "floor": floor})
+        out = tmp_path / "rep.json"
+        assert main(["analyze", "coercivity", "--config", cfg, "--out", str(out)]) == code
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("CHECK coercivity_infimum ") and line.endswith(f"status={status}")
+        rep = json.loads(out.read_text())
+        assert rep["verdict"] == "coercive" and 0.5 < rep["ratio_infimum"] < 0.95
+        assert rep["probe_description"]
 
     @pytest.mark.parametrize("budget, code, status", [(1e-2, 0, "PASS"), (1e-12, 1, "FAIL")])
     def test_parseval(self, tmp_path, capsys, budget, code, status):

@@ -382,6 +382,12 @@ class TestGeneratorObjects:
         with pytest.raises(ValueError):
             make_generator("bogus", 2)
 
+    def test_positive_real_part_raises(self, monkeypatch):
+        monkeypatch.setitem(symbols_mod._EVALUATORS, "gaussian_iso",
+                            lambda s, k, method: np.full(len(k), 1e-6 + 0j))
+        with pytest.raises(RuntimeError, match="violated Re psi <= 0"):
+            make_generator("gaussian_iso", 2, sigma=1.0)(np.ones((3, 2)))
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=1.3,
