@@ -1,7 +1,9 @@
 """Command-line entry point: wires JSON configs to the library modules and
 emits CSV/JSON artifacts plus machine-readable CHECK summary lines.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error,
+3 numerical failure (boundary mass, quadrature tail, rejection sampling, a
+continued fraction or a symbol invariant).
 Summary line format:  CHECK <name> value=<v> tol=<t> status=PASS|FAIL
 """
 
@@ -19,7 +21,9 @@ from .evolve import (
     DensityField, SpectralGrid, compare_densities, delta_density,
     evolve_spectral, gaussian_density,
 )
-from .measures import StabilityProfile, from_json, measure_from_json, to_json
+from .measures import (
+    NumericalError, StabilityProfile, from_json, measure_from_json, to_json,
+)
 from .realspace import apply_caseI, apply_caseII, apply_general, gaussian_bump
 from .sampler import (
     empirical_cf, ensemble_endpoints_parallel, jump_cf, jump_from_json,
@@ -431,6 +435,9 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import NumericalError
 from .symbols import GeneratorSymbol
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 
-class BoundaryMassError(RuntimeError):
+class BoundaryMassError(NumericalError):
     """Too much probability mass near the periodic boundary."""
 
 

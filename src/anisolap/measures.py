@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -40,11 +42,51 @@ __all__ = [
     "to_json",
     "from_json",
     "is_symmetric",
+    "NumericalError",
 ]
 
 MASS_TOL = 1e-10
 RANK_TOL = 1e-8
 _TWO_PI = 2.0 * math.pi
+
+
+class NumericalError(RuntimeError):
+    """A numerical method failed to reach its accuracy (boundary mass,
+    quadrature tail, rejection sampling, a continued fraction, a symbol
+    invariant); the CLI reports it with exit code 3."""
+
+
+def _worker_cap() -> int:
+    """Thread-pool size: ANISOLAP_THREADS, or one per core when unset or 0.
+    Any other value than a nonnegative integer raises ValueError."""
+    raw = os.environ.get("ANISOLAP_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"ANISOLAP_THREADS must be a nonnegative integer, not {raw!r}")
+    return n or os.cpu_count() or 1
+
+
+def _pool_map(fn, items) -> list:
+    """[fn(x) for x in items] on up to _worker_cap() threads, in item order;
+    the first exception raised by fn, in item order, propagates."""
+    items = list(items)
+    workers = min(len(items), _worker_cap())
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, items))
+
+
+def _row_blocks(n: int, size: int) -> list:
+    """Slices of range(n) in equal blocks of at most size rows.  With size >= 4
+    no block has a single row unless n is 1: BLAS takes its matrix-vector path
+    for one row, which rounds differently."""
+    n_blocks = max(1, -(-n // size))
+    edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -583,13 +625,33 @@ def measure_to_json(measure: DirectionalMeasure) -> dict:
 
 
 def measure_from_json(doc) -> DirectionalMeasure:
+    """The measure of measure_to_json's document; an unknown or missing key,
+    at the measure or at a band, or a value of the wrong JSON type raises
+    ValueError."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    atoms = tuple((np.asarray(c, dtype=float), float(w)) for c, w in doc.get("atoms", []))
-    bands = tuple(
-        AngularBand(tuple(b["region"]), float(b["density"])) for b in doc.get("bands", [])
-    )
-    return DirectionalMeasure(int(doc["dimension"]), atoms, bands)
+    _check_keys(doc, {"dimension", "atoms", "bands"}, {"dimension"}, "measure")
+    for b in doc.get("bands", []):
+        _check_keys(b, {"region", "density"}, {"region", "density"}, "measure band")
+    try:
+        atoms = tuple((np.asarray(c, dtype=float), float(w)) for c, w in doc.get("atoms", []))
+        bands = tuple(AngularBand(tuple(b["region"]), float(b["density"]))
+                      for b in doc.get("bands", []))
+        dimension = int(doc["dimension"])
+    except TypeError as exc:
+        raise ValueError(f"measure: {exc}") from None
+    return DirectionalMeasure(dimension, atoms, bands)
+
+
+def _check_keys(doc, allowed: set, required: set, what: str) -> None:
+    """ValueError unless doc is a JSON object whose keys are all in allowed
+    and include every key in required."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {doc!r}")
+    for kind, names in (("unknown", set(doc) - allowed), ("missing", required - set(doc))):
+        if names:
+            listed = ", ".join(map(repr, sorted(names)))
+            raise ValueError(f"{kind} field {listed} in {what}")
 
 
 def to_json(obj):
@@ -616,18 +678,19 @@ def from_json(cls, doc):
 
     Each value is converted to its field's annotated type (int, float, str,
     tuple[X, ...], Optional[X], a measure or a nested dataclass).  An unknown
-    field or a missing required field raises ValueError.
+    field, a missing required field or a value that does not convert raises
+    ValueError naming the class and the field.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
-    required = {f.name for f in fields(cls) if f.default is MISSING}
-    for what, names in (("unknown", set(doc) - {f.name for f in fields(cls)}),
-                        ("missing", required - set(doc))):
-        if names:
-            listed = ", ".join(map(repr, sorted(names)))
-            raise ValueError(f"{what} field {listed} in {cls.__name__}")
+    _check_keys(doc, {f.name for f in fields(cls)},
+                {f.name for f in fields(cls) if f.default is MISSING}, cls.__name__)
     hints = get_type_hints(cls)
-    return cls(**{name: _decode(hints[name], v) for name, v in doc.items()})
+    values = {}
+    for name, v in doc.items():
+        try:
+            values[name] = _decode(hints[name], v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field {name!r} of {cls.__name__}: {exc}") from None
+    return cls(**values)
 
 
 def _decode(tp, value):

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.special as sc
 
 from .measures import (
-    DirectionalMeasure, StabilityProfile, _check_exponent, _composite_gl, is_symmetric,
-    measure_nodes, moments,
+    DirectionalMeasure, NumericalError, StabilityProfile, _check_exponent, _composite_gl,
+    _pool_map, _row_blocks, is_symmetric, measure_nodes, moments,
 )
 
 __all__ = [
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-class QuadratureTailError(RuntimeError):
+class QuadratureTailError(NumericalError):
     """The estimated truncation remainder exceeds the requested tolerance."""
 
 
@@ -76,11 +77,21 @@ def gaussian_bump(dimension: int, center=None, width: float = 1.0,
     w2 = width * width
 
     def f(x):
-        d = np.asarray(x, dtype=float) - c
-        s = d[..., 0] * d[..., 0]
+        # one coordinate at a time and in place: no temporary of the shape of x
+        x = np.asarray(x, dtype=float)
+        s = x[..., 0] - c[0]
+        s *= s
         for i in range(1, dimension):
-            s = s + d[..., i] * d[..., i]
-        return amplitude * np.exp(-0.5 * s / w2)
+            d = x[..., i] - c[i]
+            d *= d
+            s += d
+        if np.ndim(s) == 0:  # one point: a numpy scalar has no buffer to write to
+            return amplitude * np.exp(-0.5 * s / w2)
+        s *= -0.5
+        s /= w2
+        np.exp(s, out=s)
+        s *= amplitude
+        return s
 
     def grad(x):
         d = np.asarray(x, dtype=float) - c
@@ -189,15 +200,16 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, R, drift_vec, tail_t
     for a0 in range(0, len(wdir), chunk):
         d = dirs[a0:a0 + chunk]
         w = wdir[a0:a0 + chunk]
-        pts_minus = x[None, None, :] - r[:, None, None] * d[None, :, :]
-        fm = field.f(pts_minus)
+        # the displaced points x -+ r phi reuse the buffer of r phi
+        disp = r[:, None, None] * d[None, :, :]
         if mode == "symmetric":
-            fp = field.f(x[None, None, :] + r[:, None, None] * d[None, :, :])
-            bracket = fm + fp - 2.0 * fx
-        elif mode == "gradient":
-            bracket = fm - fx + r[:, None] * (d @ grad)[None, :]
+            fm = field.f(x - disp)
+            bracket = fm + field.f(np.add(x, disp, out=disp)) - 2.0 * fx
         else:
+            fm = field.f(np.subtract(x, disp, out=disp))
             bracket = fm - fx
+            if mode == "gradient":
+                bracket += r[:, None] * (d @ grad)[None, :]
         radial = kern @ bracket
         total += float(w @ radial)
 
@@ -256,20 +268,26 @@ def _as_points(x, n):
 
 
 def _apply_blocks(field, measure, x, blocks, tail_tol):
-    """Operator values at the points x: the sum over kernel blocks
-    (dirs, w, beta, lam, mode, drift) of _apply_pointwise, blocks outside and
-    points inside.  Raises ValueError first if the field lacks a derivative
-    that a block's mode uses."""
+    """Operator values at the points x: for each point, the sum over kernel
+    blocks (dirs, w, beta, lam, mode, drift) of _apply_pointwise in block
+    order.  The points run on up to ANISOLAP_THREADS workers; each value is
+    computed alone, so the worker count does not change it.  Raises
+    ValueError first if the field lacks a derivative that a block's mode
+    uses."""
     if field.grad is None and any(mode != "symmetric" for _, _, _, _, mode, _ in blocks):
         raise ValueError("this operator form requires an analytic gradient")
     if field.hess is None:
         raise ValueError("the Taylor correction near r = 0 requires an analytic Hessian")
     pts, single = _as_points(x, measure.dimension)
-    vals = np.zeros(len(pts))
-    for dirs, w, beta, lam, mode, drift in blocks:
-        for i, xi in enumerate(pts):
-            vals[i] += _apply_pointwise(field, xi, dirs, w, beta, lam, mode,
-                                        _resolve_R(field, xi, lam), drift, tail_tol)
+
+    def value(xi):
+        total = 0.0
+        for dirs, w, beta, lam, mode, drift in blocks:
+            total += _apply_pointwise(field, xi, dirs, w, beta, lam, mode,
+                                      _resolve_R(field, xi, lam), drift, tail_tol)
+        return total
+
+    vals = np.array(_pool_map(value, pts), dtype=float)
     return vals[0] if single else vals
 
 
@@ -412,6 +430,9 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
 # bilinear form
 # ---------------------------------------------------------------------------
 
+_LATTICE_ROWS = 512  # lattice points per block of the bilinear form
+
+
 def bilinear_form(field_p: ScalarField, field_q: ScalarField,
                   measure: DirectionalMeasure, beta: float, lam: float, *,
                   half_width: float = 10.0, n_points: int = 256,
@@ -451,13 +472,20 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     r, kern = _radial_kernel(beta, lam, R)
     dirs, wdir, _ = measure_nodes(measure, refinement=32)
 
+    def radial(d, rows):
+        # the radial integrals at the lattice rows in direction d
+        Y = X[rows, None, :] + r[None, :, None] * d[None, None, :]
+        dp = P[rows, None] - field_p.f(Y)
+        dq = dp if same else Q[rows, None] - field_q.f(Y)
+        return (dp * dq) @ kern
+
+    # lattice rows in fixed blocks on up to ANISOLAP_THREADS workers, one
+    # direction at a time: memory is O(workers x block x radial nodes)
+    rows = _row_blocks(len(X), _LATTICE_ROWS)
     total = 0.0
     for a in range(len(wdir)):
-        d = dirs[a]
-        Y = X[:, None, :] + r[None, :, None] * d[None, None, :]
-        dp = P[:, None] - field_p.f(Y)
-        dq = dp if same else Q[:, None] - field_q.f(Y)
-        total += wdir[a] * float(((dp * dq) @ kern).sum()) * cell
+        rad = np.concatenate(_pool_map(partial(radial, dirs[a]), rows))
+        total += wdir[a] * float(rad.sum()) * cell
 
     # diagonal tube: integrand ~ (grad p . z)(grad q . z) |z|^(-n-beta) e^(-lam|z|)
     m2 = radial_moment_lower(2, beta, lam, _TUBE_RADIUS)

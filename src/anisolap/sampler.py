@@ -10,15 +10,15 @@ with SeedSequence.spawn, which keeps results independent of the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.special as sc
 
-from .measures import DirectionalMeasure, from_json, measure_nodes, to_json
-from .symbols import _worker_cap
+from .measures import (
+    DirectionalMeasure, NumericalError, _pool_map, from_json, measure_nodes, to_json,
+)
 
 __all__ = [
     "JumpSpec",
@@ -196,7 +196,7 @@ def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
         todo = todo[~accept]
     if len(todo) == 0:
         return out
-    raise RuntimeError(
+    raise NumericalError(
         f"tempered radius rejection exceeded {max_rejections} rounds "
         f"(lambda*r0 = {lam * r0:.3g})"
     )
@@ -288,18 +288,12 @@ def ensemble_endpoints_parallel(spec: JumpSpec, zeta: float, t: float,
     seqs = np.random.SeedSequence(seed).spawn(_ENSEMBLE_CHUNKS)
     q, r = divmod(n_paths, _ENSEMBLE_CHUNKS)
     sizes = [q + (1 if i < r else 0) for i in range(_ENSEMBLE_CHUNKS)]
-    max_workers = _worker_cap()
 
     def work(args):
         sq, sz = args
         return compound_poisson_endpoints(spec, zeta, t, sz, np.random.default_rng(sq))
 
-    if max_workers == 1:
-        parts = [work(a) for a in zip(seqs, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            parts = list(ex.map(work, zip(seqs, sizes)))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(_pool_map(work, zip(seqs, sizes)), axis=0)
 
 
 def empirical_cf(endpoints: np.ndarray, k) -> EcfEstimate:
@@ -407,7 +401,7 @@ def jump_cf(spec: JumpSpec, k) -> complex:
     mpmath the absolute error on Phi is below 5e-14, and below 1e-11 for
     |beta - 1| < 0.05, where the series loses digits to the pole of
     Gamma(-beta).  A continued fraction that does not converge raises
-    RuntimeError."""
+    NumericalError."""
     k = np.asarray(k, dtype=float).reshape(spec.dimension)
     if spec.kind == "gaussian_iso":
         return complex(math.exp(-0.5 * spec.sigma ** 2 * float(k @ k)))
@@ -447,7 +441,7 @@ def _truncated_power_cf_minus_one(beta: float, lam: float, r0: float, u) -> np.n
         out[near] = _series_difference(beta, x[near], y, s[near]) / norm
         out[~near] = _scaled_upper_gamma(beta, x[~near]) / norm - 1.0
     except _NotConverged as exc:
-        raise RuntimeError(
+        raise NumericalError(
             f"incomplete-gamma continued fraction did not converge in {_CF_MAX_ITER} "
             f"iterations (beta = {beta}, lambda = {lam}, r0 = {r0}, |x| = {exc.args[0]:.6g})"
         ) from None

@@ -13,10 +13,8 @@ which is exact for lam = 0 as well (eta = +-pi/2).
 from __future__ import annotations
 
 import math
-import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -26,10 +24,13 @@ import scipy.special as sc
 
 from .measures import (
     DirectionalMeasure,
+    NumericalError,
     StabilityProfile,
     _check_exponent,
     _composite_gl,
     _integrate_band_adaptive,
+    _pool_map,
+    _row_blocks,
     band_nodes,
     from_json,
     is_symmetric,
@@ -153,11 +154,6 @@ def _cos_pow_band(pts, band):
 # symbol evaluators
 # ---------------------------------------------------------------------------
 
-def _worker_cap() -> int:
-    """Thread-pool size: ANISOLAP_THREADS, or one per core when unset or 0."""
-    return int(os.environ.get("ANISOLAP_THREADS", "0")) or os.cpu_count() or 1
-
-
 def _band_sum(pts, node_sets):
     """Fixed-node quadrature: one column per (g, dirs, w) node set.
 
@@ -167,25 +163,13 @@ def _band_sum(pts, node_sets):
     ANISOLAP_THREADS workers; the boundaries depend only on P, so the sums do
     not depend on the worker count.
     """
-    P = pts.shape[0]
-    out = np.empty((P, len(node_sets)), dtype=complex)
-    n_blocks = max(1, -(-P // _BLOCK_ROWS))
-    # equal blocks, so none has a single row: BLAS takes its matrix-vector
-    # path for one row, which rounds u differently
-    edges = [P * i // n_blocks for i in range(n_blocks + 1)]
+    out = np.empty((pts.shape[0], len(node_sets)), dtype=complex)
 
-    def block(i):
-        rows = slice(edges[i], edges[i + 1])
+    def block(rows):
         for j, (g, dirs, w) in enumerate(node_sets):
             out[rows, j] = (g(pts[rows] @ dirs.T) * w).sum(axis=1)
 
-    workers = min(n_blocks, _worker_cap())
-    if workers == 1:
-        for i in range(n_blocks):
-            block(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(block, range(n_blocks)))
+    _pool_map(block, _row_blocks(pts.shape[0], _BLOCK_ROWS))
     return out
 
 
@@ -508,7 +492,7 @@ class GeneratorSymbol:
         arr = np.atleast_1d(np.asarray(base))
         slack = 1e-10 * max(1.0, float(np.max(np.abs(arr))))
         if float(np.max(arr.real)) > slack:
-            raise RuntimeError(
+            raise NumericalError(
                 f"{self.kind} symbol violated Re psi <= 0 (quadrature failure?)")
         return self.zeta * base
 

@@ -43,6 +43,38 @@ class TestErrors:
         assert code == 2
         assert "symbol" in capsys.readouterr().err
 
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "symbol": {"kind": "gaussian_iso", "dimension": [2], "sigma": 1.0}})
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "field 'dimension' of GeneratorSymbol" in capsys.readouterr().err
+
+    def test_unknown_measure_key_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "operator": {"case": "I", "beta": 0.8, "lam": 0.5,
+                         "measure": dict(FIG1, atom=[[[1.0, 0.0], 0.5]])}})
+        pts = tmp_path / "p.csv"
+        pts.write_text("x1,x2\n0.0,0.0\n")
+        code = main(["apply", "--config", cfg, "--points", str(pts),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "unknown field 'atom' in measure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_invalid_thread_cap_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("ANISOLAP_THREADS", value)
+        cfg = write_json(tmp_path, "c.json", {
+            "operator": {"case": "I", "beta": 0.8, "lam": 0.5, "measure": FIG1}})
+        pts = tmp_path / "p.csv"
+        pts.write_text("x1,x2\n0.0,0.0\n0.5,0.5\n")
+        code = main(["apply", "--config", cfg, "--points", str(pts),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"ANISOLAP_THREADS must be a nonnegative integer, not '{value}'" in err
+
     def test_sampling_requires_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {
             "jump": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},
@@ -50,6 +82,54 @@ class TestErrors:
         code = main(["sample", "--config", cfg, "--out", str(tmp_path / "t.csv")])
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+
+class TestNumericalFailures:
+    """Numerical failures end with one line on stderr and exit code 3."""
+
+    def expect_3(self, capsys, code, message):
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_boundary_mass(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "symbol": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0, "zeta": 5.0},
+            "grid": {"dimension": 2, "half_width": 3.0, "n_points": 32},
+            "initial": {"kind": "gaussian", "variance": 0.25}})
+        code = main(["evolve", "--config", cfg, "--t", "4.0", "--out", str(tmp_path / "a.csv")])
+        self.expect_3(capsys, code, "enlarge the box")
+
+    def test_exhausted_rejection(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "jump": {"kind": "tempered_stable", "dimension": 1, "measure": M1_SYM,
+                     "beta": 0.5, "lam": 500.0, "r0": 1.0, "max_rejections": 1},
+            "zeta": 1.0, "t": 1.0, "paths": 50, "seed": 11, "k_list": [[0.5]]})
+        code = main(["ecf", "--config", cfg, "--out", str(tmp_path / "ecf.csv")])
+        self.expect_3(capsys, code, "tempered radius rejection exceeded 1 rounds")
+
+    def test_unconverged_continued_fraction(self, tmp_path, capsys, monkeypatch):
+        import anisolap.sampler as sampler
+
+        monkeypatch.setattr(sampler, "_CF_MAX_ITER", 2)
+        cfg = write_json(tmp_path, "c.json", {
+            "jump": {"kind": "tempered_stable", "dimension": 1, "measure": M1_SYM,
+                     "beta": 1.3, "lam": 0.5, "r0": 1.0},
+            "zeta": 1.0, "t": 1.0, "paths": 50, "seed": 11, "k_list": [[5.0]]})
+        code = main(["ecf", "--config", cfg, "--out", str(tmp_path / "ecf.csv")])
+        self.expect_3(capsys, code, "continued fraction did not converge")
+
+    def test_positive_real_part(self, tmp_path, capsys, monkeypatch):
+        import anisolap.symbols as symbols
+
+        monkeypatch.setitem(symbols._EVALUATORS, "gaussian_iso",
+                            lambda s, k, method: np.full(len(k), 1e-6 + 0j))
+        cfg = write_json(tmp_path, "c.json", {
+            "symbol": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}})
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        self.expect_3(capsys, code, "violated Re psi <= 0")
 
 
 class TestSample:

@@ -203,3 +203,11 @@ class TestStrict:
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="StabilityProfile must be a JSON object"):
             from_json(StabilityProfile, [[1.5], [0.0]])
+
+    @pytest.mark.parametrize("field, value", [
+        ("dimension", [2]), ("sigma", [1.0]), ("sigma", "wide"), ("sigmas", 0.8),
+        ("dimension", {"n": 2})])
+    def test_wrong_json_type_named(self, field, value):
+        doc = dict({"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}, **{field: value})
+        with pytest.raises(ValueError, match=f"field '{field}' of GeneratorSymbol: "):
+            from_json(GeneratorSymbol, doc)

@@ -219,6 +219,27 @@ class TestJson:
         assert set(doc) == {"dimension", "atoms", "bands"}
         assert doc["bands"][0]["region"] == [0.0, math.pi]
 
+    def test_unknown_keys_named(self):
+        # a misspelled key used to be ignored, reading as another measure
+        band = {"region": [0.0, TWO_PI], "density": 1.0 / TWO_PI}
+        with pytest.raises(ValueError, match="unknown field 'atom' in measure$"):
+            measure_from_json({"dimension": 2, "bands": [band], "atom": [[[1, 0], 0.5]]})
+        with pytest.raises(ValueError, match="unknown field 'weight' in measure band"):
+            measure_from_json({"dimension": 2, "bands": [dict(band, weight=3)]})
+        with pytest.raises(ValueError, match="missing field 'density' in measure band"):
+            measure_from_json({"dimension": 2, "bands": [{"region": [0.0, TWO_PI]}]})
+        with pytest.raises(ValueError, match="missing field 'dimension' in measure"):
+            measure_from_json({"bands": [band]})
+        with pytest.raises(ValueError, match="measure band must be a JSON object"):
+            measure_from_json({"dimension": 2, "bands": [[0.0, TWO_PI]]})
+
+    def test_wrong_json_types(self):
+        for doc in ({"dimension": [2], "atoms": [[[1, 0], 1.0]]},
+                    {"dimension": 2, "atoms": [[[1, 0], [1.0]]]},
+                    {"dimension": 2, "bands": [{"region": 6.0, "density": 1.0}]}):
+            with pytest.raises(ValueError, match="^measure: "):
+                measure_from_json(doc)
+
 
 class TestStabilityProfile:
     def test_validation(self):
