@@ -47,6 +47,7 @@ __all__ = [
 
 MASS_TOL = 1e-10
 RANK_TOL = 1e-8
+_SYMMETRY_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
@@ -202,36 +203,25 @@ class DirectionalMeasure:
         return np.array([w for _, w in self.atoms] + [b.mass() for b in self.bands])
 
 
-def _check_disjoint(bands) -> None:
-    # pairwise overlap test on interval interiors, 2D arcs taken mod 2*pi
-    def intervals_2d(b):
-        t0, t1 = b.bounds
-        t0m = t0 % _TWO_PI
-        t1m = t0m + (t1 - t0)
-        if t1m <= _TWO_PI + 1e-15:
-            return [(t0m, t1m)]
-        return [(t0m, _TWO_PI), (0.0, t1m - _TWO_PI)]
+def _arcs(lo, hi) -> list:
+    """The arc [lo, hi) as one or two intervals of [0, 2*pi], split at 2*pi."""
+    lo_m = lo % _TWO_PI
+    hi_m = lo_m + (hi - lo)
+    if hi_m <= _TWO_PI + 1e-15:
+        return [(lo_m, hi_m)]
+    return [(lo_m, _TWO_PI), (0.0, hi_m - _TWO_PI)]
 
+
+def _check_disjoint(bands) -> None:
+    # pairwise overlap test on interval interiors, arcs (2D angles, 3D azimuths) mod 2*pi
     def overlap(a0, a1, b0, b1):
         return min(a1, b1) - max(a0, b0) > 1e-12
 
     for i in range(len(bands)):
         for j in range(i + 1, len(bands)):
-            bi, bj = bands[i], bands[j]
-            if bi.dimension == 2:
-                hit = any(
-                    overlap(*u, *v) for u in intervals_2d(bi) for v in intervals_2d(bj)
-                )
-            else:
-                ti = bi.bounds[:2]
-                tj = bj.bounds[:2]
-                polar = overlap(*ti, *tj)
-                hit = polar and any(
-                    overlap(*u, *v)
-                    for u in intervals_2d(AngularBand(bi.bounds[2:], 0.0))
-                    for v in intervals_2d(AngularBand(bj.bounds[2:], 0.0))
-                )
-            if hit:
+            bi, bj = bands[i].bounds, bands[j].bounds
+            polar = len(bi) == 2 or overlap(*bi[:2], *bj[:2])
+            if polar and any(overlap(*u, *v) for u in _arcs(*bi[-2:]) for v in _arcs(*bj[-2:])):
                 raise ValueError("angular bands must be pairwise disjoint")
 
 
@@ -526,39 +516,37 @@ def is_nondegenerate(measure: DirectionalMeasure):
     return True, [np.array(c) for c in chosen]
 
 
-def _reflected(measure: DirectionalMeasure) -> DirectionalMeasure:
-    atoms = tuple((-d, w) for d, w in measure.atoms)
-    bands = []
-    for b in measure.bands:
-        if b.dimension == 2:
-            t0, t1 = b.bounds
-            bands.append(AngularBand((t0 + math.pi, t1 + math.pi), b.density))
-        else:
-            t0, t1, p0, p1 = b.bounds
-            bands.append(AngularBand((math.pi - t1, math.pi - t0, p0 + math.pi, p1 + math.pi), b.density))
-    return DirectionalMeasure(measure.dimension, atoms, tuple(bands))
-
-
 def is_symmetric(measure: DirectionalMeasure) -> bool:
-    """m(phi) == m(-phi), tested by comparing the integrals of a few test
-    functions against the measure and its reflection to within 1e-9."""
-    refl = _reflected(measure)
-    # compare via integrals of a small separating family of test functions
-    tests = []
-    n = measure.dimension
-    for i in range(n):
-        tests.append(lambda d, i=i: d[:, i])
-        tests.append(lambda d, i=i: d[:, i] ** 3)
-        for j in range(i + 1, n):
-            tests.append(lambda d, i=i, j=j: d[:, i] * d[:, j] ** 2)
-    tests.append(lambda d: np.exp(np.sum(d * np.arange(1, n + 1), axis=-1)))
-    tests.append(lambda d: np.cos(1.7 * d[:, 0] + (d[:, 1] if n > 1 else 0.0)))
-    for f in tests:
-        a = sphere_integrate(measure, f, tol=1e-11)
-        b = sphere_integrate(refl, f, tol=1e-11)
-        if abs(a - b) > 1e-9:
-            return False
-    return True
+    """m(phi) == m(-phi), decided exactly up to _SYMMETRY_TOL = 1e-12.
+
+    Atoms: the weights at d and at -d have equal sums, directions within the
+    tolerance counting as one.  Bands: |m - Rm| has at most that mass on each
+    cell of the common refinement of the band edges and their reflections:
+    arcs mod 2 pi in 2D, reflected by theta -> theta + pi; (theta, phi)
+    rectangles in 3D, reflected by theta -> pi - theta, phi -> phi + pi.
+    """
+    d = np.array([a for a, _ in measure.atoms]).reshape(-1, measure.dimension)
+    w = np.array([x for _, x in measure.atoms])
+    same = np.linalg.norm(d[:, None] - d, axis=-1) <= _SYMMETRY_TOL
+    anti = np.linalg.norm(d[:, None] + d, axis=-1) <= _SYMMETRY_TOL
+    three = measure.dimension == 3
+    arcs = [_arcs(*b.bounds[-2:]) for b in measure.bands]
+    polar = [b.bounds[:2] if three else (0.0, math.pi) for b in measure.bands]
+    ends = np.array([0.0, _TWO_PI] + [e for a in arcs for u in a for e in u])
+    phi = np.unique(np.concatenate([ends, (ends + math.pi) % _TWO_PI]))
+    theta = np.unique([x for t0, t1 in polar for x in (0.0, t0, t1, math.pi - t0, math.pi - t1)])
+
+    def density(t, p):
+        # summed band density at polar angles t (a column) and azimuths p (a row)
+        return sum(b.density * ((t0 <= t) & (t < t1))
+                   * np.any([(u <= p) & (p < v) for u, v in a], axis=0)
+                   for b, (t0, t1), a in zip(measure.bands, polar, arcs))
+
+    t, p = 0.5 * (theta[:-1] + theta[1:])[:, None], 0.5 * (phi[:-1] + phi[1:])
+    diff = density(t, p) - density(math.pi - t, (p + math.pi) % _TWO_PI)
+    area = np.outer(np.cos(theta[:-1]) - np.cos(theta[1:]) if three else 1.0, np.diff(phi))
+    return bool(np.all(np.abs(same @ w - anti @ w) <= _SYMMETRY_TOL)
+                and np.all(np.abs(diff) * area <= _SYMMETRY_TOL))
 
 
 # ---------------------------------------------------------------------------

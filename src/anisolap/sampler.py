@@ -395,13 +395,13 @@ def jump_cf(spec: JumpSpec, k) -> complex:
     measure's quadrature directions (refinement 64).  Phi(u) - 1 is one array
     expression in double precision over all directions: with x = (lam - iu) r0
     it is the series of the lower incomplete gamma function, written as a
-    difference from u = 0, when |x| <= 1, Legendre's continued fraction
-    (modified Lentz) when |x| > 1, and e^{-x} - x E_1(x) at beta = 1.  So
+    difference from u = 0 with the two terms that have a pole at beta = 1
+    taken together as a regular function of beta - 1, when |x| <= 1, and
+    Legendre's continued fraction (modified Lentz) when |x| > 1.  So
     Phi_0(0) = 1 and Phi_0(-k) = conj Phi_0(k) exactly.  Against 40-digit
-    mpmath the absolute error on Phi is below 5e-14, and below 1e-11 for
-    |beta - 1| < 0.05, where the series loses digits to the pole of
-    Gamma(-beta).  A continued fraction that does not converge raises
-    NumericalError."""
+    mpmath the absolute error on Phi is below 5e-14 for every beta, and below
+    2e-14 for |beta - 1| <= 0.05.  A continued fraction that does not
+    converge raises NumericalError."""
     k = np.asarray(k, dtype=float).reshape(spec.dimension)
     if spec.kind == "gaussian_iso":
         return complex(math.exp(-0.5 * spec.sigma ** 2 * float(k @ k)))
@@ -413,8 +413,9 @@ def jump_cf(spec: JumpSpec, k) -> complex:
         return 1.0 + complex(gaussian_symbol("aniso", k, measure=spec.measure,
                                              sigmas=spec.sigmas))
     dirs, w, _ = measure_nodes(spec.measure, refinement=64)
-    phi = 1.0 + _truncated_power_cf_minus_one(spec.beta, spec.lam, spec.r0, dirs @ k)
-    return complex((w * phi).sum() / w.sum())
+    # the mean of Phi - 1, which is 0 exactly at k = 0 whatever the summation order
+    phi_m1 = _truncated_power_cf_minus_one(spec.beta, spec.lam, spec.r0, dirs @ k)
+    return 1.0 + complex((w * phi_m1).sum() / w.sum())
 
 
 # |x| <= 1: the n-th series term is at most 2n / (n! (n - beta)), below 1e-21 at n = 24
@@ -434,67 +435,78 @@ def _truncated_power_cf_minus_one(beta: float, lam: float, r0: float, u) -> np.n
     x = y - 1j * s
     try:
         norm = _scaled_upper_gamma(beta, np.array([complex(y)]))[0]
-        if beta == 1.0:
-            return _scaled_upper_gamma(beta, x) / norm - 1.0
         out = np.empty_like(x)
         near = np.abs(x) <= 1.0
-        out[near] = _series_difference(beta, x[near], y, s[near]) / norm
+        out[near] = _series_difference(beta, x[near], y) / norm
         out[~near] = _scaled_upper_gamma(beta, x[~near]) / norm - 1.0
     except _NotConverged as exc:
         raise NumericalError(
             f"incomplete-gamma continued fraction did not converge in {_CF_MAX_ITER} "
             f"iterations (beta = {beta}, lambda = {lam}, r0 = {r0}, |x| = {exc.args[0]:.6g})"
         ) from None
-    return out
+    # at u = 0 the quotient g(x) / g(lam r0) divides two separately vectorised
+    # evaluations, which may differ in the last bit
+    return np.where(s == 0.0, 0.0j, out)
 
 
 def _scaled_upper_gamma(beta: float, x: np.ndarray) -> np.ndarray:
     """g(x) = x^beta Gamma(-beta, x) for Re x >= 0: the continued fraction
-    for |x| > 1; for |x| <= 1, e^{-x} - x E_1(x) at beta = 1 and the series
-    otherwise."""
+    for |x| > 1 and the series for |x| <= 1."""
     out = np.empty_like(x)
     far = np.abs(x) > 1.0
     out[far] = np.exp(-x[far]) * _legendre_cf(beta, x[far])
-    xn = x[~far]
-    if beta == 1.0:
-        # x E_1(x) -> 0 as x -> 0, where exp1 is infinite
-        at0 = xn == 0
-        xs = np.where(at0, 1.0, xn)
-        out[~far] = np.exp(-xn) - np.where(at0, 0.0, xs * sc.exp1(xs))
-        return out
-    terms = _series_coefficients(beta)[:, None] * (-xn) ** np.arange(_SERIES_TERMS + 1)[:, None]
-    out[~far] = math.gamma(-beta) * xn ** beta - terms.sum(axis=0)
+    out[~far] = 1.0 / beta + _series_difference(beta, x[~far], 0.0)
     return out
 
 
-def _series_coefficients(beta: float) -> np.ndarray:
-    """c_n = 1 / (n! (n - beta)), n = 0 .. _SERIES_TERMS."""
-    n = np.arange(_SERIES_TERMS + 1)
-    return 1.0 / (sc.factorial(n) * (n - beta))
+def _pole_parts(beta: float):
+    """Gamma(2 - beta) / beta and (Gamma(2 - beta) - beta) / (beta (beta - 1))
+    as regular functions of e = beta - 1, from log Gamma(1 - e) = -log1p(-e)
+    - (1 - gamma) e + sum_{n >= 2} zetac(n) e^n / n, whose terms are below
+    2^-n / n for |e| < 1, so 1e-19 after n = 60."""
+    e = beta - 1.0
+    if e == 0.0:
+        return 1.0, np.euler_gamma - 1.0
+    n = np.arange(2, 60)
+    gm1 = math.expm1(-math.log1p(-e) - (1.0 - np.euler_gamma) * e
+                     + float(np.sum(sc.zetac(n) * e ** n / n)))
+    return (1.0 + gm1) / beta, (gm1 / e - 1.0) / beta
 
 
-def _series_difference(beta: float, x: np.ndarray, y: float, s: np.ndarray) -> np.ndarray:
-    """g(x) - g(y) for |x| <= 1 and x = y - is, y >= 0, from
-    g(x) = Gamma(-beta) x^beta - sum_n c_n (-x)^n.  The n = 0 terms cancel, so
-    the difference is exactly 0 at s = 0 and keeps its relative accuracy
-    near it."""
+def _power_m1(beta: float, log_z):
+    """(z^(beta - 1) - 1) / (beta - 1) from log z; log z at beta = 1."""
+    return log_z if beta == 1.0 else np.expm1((beta - 1.0) * log_z) / (beta - 1.0)
+
+
+def _series_difference(beta: float, x: np.ndarray, y: float) -> np.ndarray:
+    """g(x) - g(y) for |x| <= 1, Re x >= 0, and either x = y - is with y > 0
+    and s real, or y = 0, from g(x) = Gamma(-beta) x^beta - sum_n (-x)^n / (n! (n - beta)).
+    The n = 0 terms cancel, so the difference is exactly 0 at x = y and keeps
+    its relative accuracy near it.  Gamma(-beta) x^beta and the n = 1 term,
+    which have a pole at beta = 1, are taken together through _pole_parts and,
+    with E = _power_m1, (x^beta - y^beta - (x - y)) / (beta - 1)
+    = (x - y) E(x) + y^beta E(x / y)."""
+    step = y - x
     if y > 0:
-        t = -s / y
+        t = x.imag / y
         log1p_it = 0.5 * np.log1p(t * t) + 1j * np.arctan(t)
-        pow_diff = y ** beta * np.expm1(beta * log1p_it)
+        log_x = math.log(y) + log1p_it
+        ydiff = y ** beta * _power_m1(beta, log1p_it)
     else:
-        pow_diff = np.abs(s) ** beta * np.exp(-0.5j * math.pi * beta * np.sign(s))
-    # d_n = (-x)^n - (-y)^n = -x d_{n-1} + is (-y)^{n-1}
-    c = _series_coefficients(beta)
-    step = 1j * s
+        log_x = np.log(np.where(x == 0, 1.0, x))
+        ydiff = 0.0
+    ratio, shift = _pole_parts(beta)
+    pole = ratio * (ydiff - step * _power_m1(beta, log_x)) - step * shift
+    # d_n = (-x)^n - (-y)^n = -x d_{n-1} + (y - x) (-y)^{n-1}
     d = step
-    total = c[1] * d
+    total = 0.0
     ypow = 1.0
-    for n in range(2, _SERIES_TERMS + 1):
+    n = np.arange(2, _SERIES_TERMS + 1)
+    for c in 1.0 / (sc.factorial(n) * (n - beta)):
         ypow *= -y
         d = -x * d + step * ypow
-        total = total + c[n] * d
-    return math.gamma(-beta) * pow_diff - total
+        total = total + c * d
+    return pole - total
 
 
 def _legendre_cf(beta: float, x: np.ndarray) -> np.ndarray:

@@ -255,8 +255,7 @@ def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
 
 
 def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
-                 method: str = "auto", refinement: int = 96,
-                 _skip_symmetry_check: bool = False):
+                 method: str = "auto", refinement: int = 96):
     """Generator symbol for exponent 1 (symmetric measures only).
 
     lam = 0:  -(pi/2) * int |k.phi| m(phi) dphi.
@@ -266,7 +265,7 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if not _skip_symmetry_check and not is_symmetric(measure):
+    if not is_symmetric(measure):
         raise ValueError("the exponent-1 symbol is defined here only for symmetric measures")
     pts, shape = _k_points(k, measure.dimension)
 
@@ -435,7 +434,7 @@ _EVALUATORS = {
     "tempered_aniso": lambda s, k, method: tempered_symbol(
         s.measure, s.beta, s.lam, k, method=method, refinement=s.refinement),
     "beta1_aniso": lambda s, k, method: beta1_symbol(
-        s.measure, s.lam, k, method=method, refinement=s.refinement, _skip_symmetry_check=True),
+        s.measure, s.lam, k, method=method, refinement=s.refinement),
     "beta2_quadratic": lambda s, k, method: beta2_symbol(s.measure, s.lam or 0.0, k),
     "general_profile": lambda s, k, method: general_profile_symbol(
         s.measure, s.profile, k, method=method, refinement=s.refinement),
@@ -474,14 +473,14 @@ class GeneratorSymbol:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.method not in ("auto", "nodes", "adaptive"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.kind == "beta1_aniso" and not is_symmetric(self.measure):
-            raise ValueError("exponent-1 symbols require a symmetric measure")
         if self.kind in ("gaussian_aniso", "stable_aniso", "tempered_aniso",
                          "beta1_aniso", "beta2_quadratic", "general_profile"):
             if self.measure is None:
                 raise ValueError(f"{self.kind} requires a directional measure")
             if self.measure.dimension != self.dimension:
                 raise ValueError("measure dimension mismatch")
+        if self.kind == "beta1_aniso" and not is_symmetric(self.measure):
+            raise ValueError("exponent-1 symbols require a symmetric measure")
         object.__setattr__(self, "_grid_cache", {})
         object.__setattr__(self, "_grid_lock", threading.Lock())
 

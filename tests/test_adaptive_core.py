@@ -180,8 +180,9 @@ INTEGRANDS_OF_U = {
 }
 
 
-def is_symmetric_tests(n):
-    """The separating test functions of measures.is_symmetric."""
+def smooth_integrands(n):
+    """Smooth integrands on the sphere in R^n: the odd monomials d_i and d_i^3,
+    d_i d_j^2 for i < j, exp(d . (1, ..., n)) and cos(1.7 d_1 + d_2)."""
     tests = []
     for i in range(n):
         tests.append(lambda d, i=i: d[:, i])
@@ -279,12 +280,12 @@ class TestSphereIntegrate:
     @pytest.mark.parametrize("name", sorted(BANDS_3D))
     def test_3d_symmetry_functions(self, name):
         m = make_banded_measure(3, [BANDS_3D[name]])
-        for f in is_symmetric_tests(3):
+        for f in smooth_integrands(3):
             assert sphere_integrate(m, f, tol=1e-7) == reference_sphere_integrate(m, f, tol=1e-7)
 
     def test_3d_block_size_does_not_matter(self, block):
         m = make_banded_measure(3, [BANDS_3D["hemisphere"]])
-        f = is_symmetric_tests(3)[-1]
+        f = smooth_integrands(3)[-1]
         assert sphere_integrate(m, f, tol=1e-9) == reference_sphere_integrate(m, f, tol=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

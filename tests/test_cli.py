@@ -75,6 +75,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"ANISOLAP_THREADS must be a nonnegative integer, not '{value}'" in err
 
+    def test_beta1_without_measure_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "symbol": {"kind": "beta1_aniso", "dimension": 2, "lam": 0.5}})
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "requires a directional measure" in err
+
     def test_sampling_requires_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {
             "jump": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},

@@ -1,5 +1,6 @@
-"""Every top-level import of the package and of the tests is used, and every
-top-level definition of the package is referenced.
+"""Every top-level import of the package and of the tests is used, every
+top-level definition of the package is referenced, and no function of the
+package has a parameter whose name starts with an underscore.
 
 A stand-in for a lint step: each module is parsed with ast, and a name bound
 by a module-level import must appear as a name somewhere in that module (or
@@ -101,3 +102,30 @@ def test_checker_flags_an_unreferenced_definition():
            "def orphan(n):\n    return orphan(n - 1)\n")
     assert unreferenced_definitions({"m": mod}, ["from m import used\nused(2)\n"]) == [
         ("m", "orphan")]
+
+
+def private_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter whose name starts with
+    an underscore: a private keyword is a knob that bypasses the function's
+    own checks for some callers."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            out += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg)
+                    for p in params if p is not None and p.arg.startswith("_")]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_parameters(path):
+    assert private_parameters(path.read_text()) == []
+
+
+def test_checker_flags_a_private_parameter():
+    src = ("def f(x, *, _fast=False):\n    return x\n"
+           "g = lambda _y: _y\n"
+           "def h(self, __p, *_rest, **kw):\n    return kw\n")
+    assert private_parameters(src) == [(1, "f", "_fast"), (3, "<lambda>", "_y"),
+                                       (4, "h", "__p"), (4, "h", "_rest")]

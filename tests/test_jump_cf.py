@@ -44,9 +44,10 @@ def oracle_phi(beta, lam, r0, us):
     return np.array(out, dtype=complex)
 
 
-# near beta = 1 the series cancels two terms of size 1/|beta - 1|
+# near beta = 1 the two series terms of size 1/|beta - 1| are summed as one
+# regular function of beta - 1; the largest error there is 1.2e-14 (beta 0.95)
 @pytest.mark.parametrize("beta,tol", [(b, 5e-14) for b in (0.3, 0.5, 0.8, 1.3, 1.5, 1.7, 1.9)]
-                         + [(b, 1e-11) for b in (0.95, 0.999, 1.0, 1.001, 1.05)])
+                         + [(b, 2e-14) for b in (0.95, 0.999, 1.0, 1.001, 1.05)])
 def test_matches_oracle(beta, tol):
     for lam in LAMS:
         for r0 in R0S:
@@ -59,16 +60,21 @@ def measures():
         "atoms": make_atomic_measure(2, [((1, 0), 0.4), ((0, 1), 0.35), ((-0.6, -0.8), 0.25)]),
         "bands2d": fig1_measure(),
         "bands3d": uniform_measure(3),
+        # its node weights sum to 1 as reals but not as the real parts of a
+        # complex sum
+        "wrapped": make_banded_measure(2, [((0.3467045147728577, 6.629889821952444),
+                                            0.15915494309189535)]),
     }
 
 
 # (beta, lam, r0): series norm, lam = 0, beta = 1, and lam r0 > 1, where
-# the norm comes from the continued fraction
+# the norm comes from the continued fraction (at r0 = 1 every direction of
+# uniform_measure(3) takes it too, vectorised apart from the norm)
 LAWS = [(1.3, 0.5, 1e-3), (0.7, 0.0, 0.05), (1.0, 2.0, 0.1), (1.0, 0.0, 0.1),
-        (1.5, 50.0, 0.1)]
+        (1.5, 50.0, 0.1), (1.375, 2.0, 1.0)]
 
 
-@pytest.mark.parametrize("which", ["atoms", "bands2d", "bands3d"])
+@pytest.mark.parametrize("which", ["atoms", "bands2d", "bands3d", "wrapped"])
 @pytest.mark.parametrize("beta,lam,r0", LAWS)
 def test_exact_at_zero_and_hermitian(which, beta, lam, r0):
     m = measures()[which]

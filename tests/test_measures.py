@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from anisolap.measures import (
     sphere_integrate,
     uniform_measure,
 )
+from anisolap.realspace import apply_caseI, bilinear_form, gaussian_bump
+from anisolap.symbols import beta1_symbol, make_generator
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,6 +186,35 @@ class TestNondegeneracy:
             assert not is_nondegenerate(make_atomic_measure(3, atoms2))[0]
 
 
+def square_wave_measure():
+    """Density (1 + e5 sgn sin 5t + e7 sgn sin 7t) / 2pi on the 22 arcs between
+    the zeros of sin 5t and sin 7t.  m - Rm has only the odd harmonics 5, 7,
+    15, 21, ..., so test integrals of odd polynomials up to degree 3 cannot
+    see it, and e7 makes the integral of exp(x + 2y) against it vanish, while
+    the integral of sin 5t is 4 e5 / pi = 0.038."""
+    cuts = sorted({Fraction(j, 10) for j in range(11)} | {Fraction(j, 14) for j in range(15)})
+    edges = [TWO_PI * float(c) for c in cuts]
+    x, w = np.polynomial.legendre.leggauss(30)
+
+    def odd_part(k):
+        # integral of exp(cos t + 2 sin t) sgn sin kt dt
+        total = 0.0
+        for a, b in zip(edges, edges[1:]):
+            t = 0.5 * (a + b) + 0.5 * (b - a) * x
+            total += np.sign(math.sin(k * 0.5 * (a + b))) * 0.5 * (b - a) * np.dot(
+                w, np.exp(np.cos(t) + 2.0 * np.sin(t)))
+        return total
+
+    e5 = 0.03
+    e7 = -e5 * odd_part(5) / odd_part(7)
+    bands = []
+    for a, b in zip(edges, edges[1:]):
+        mid = 0.5 * (a + b)
+        sq = e5 * np.sign(math.sin(5 * mid)) + e7 * np.sign(math.sin(7 * mid))
+        bands.append(((a, b), (1.0 + sq) / TWO_PI))
+    return make_measure(2, bands=bands)
+
+
 class TestSymmetry:
     def test_symmetric_cases(self):
         assert is_symmetric(uniform_measure(1))
@@ -199,6 +231,68 @@ class TestSymmetry:
         upper = make_banded_measure(3, [AngularBand((0.0, 0.5 * math.pi, 0.0, TWO_PI),
                                                     1.0 / TWO_PI)])
         assert is_symmetric(upper) is False
+
+    def test_square_wave_is_asymmetric(self):
+        m = square_wave_measure()
+        assert len(m.bands) == 22
+        assert min(b.density for b in m.bands) > 0
+        assert is_symmetric(m) is False
+
+    def test_square_wave_is_refused_where_symmetry_is_required(self):
+        m = square_wave_measure()
+        k = np.array([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            beta1_symbol(m, 0.5, k)
+        with pytest.raises(ValueError, match="symmetric"):
+            make_generator("beta1_aniso", 2, measure=m, lam=0.5)
+        field = gaussian_bump(2)
+        with pytest.raises(ValueError, match="symmetric"):
+            apply_caseI(field, m, 1.5, 0.5, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="symmetric"):
+            bilinear_form(field, field, m, 0.5, 1.0, n_points=8)
+
+    def test_split_not_at_a_reflected_edge(self):
+        # the reflection of the split at 1 is 1 + pi, which is no edge
+        m = make_banded_measure(2, [((0.0, 1.0), 1.0 / TWO_PI), ((1.0, TWO_PI), 1.0 / TWO_PI)])
+        assert is_symmetric(m) is True
+        shifted = make_banded_measure(2, [((-2.5, 1.0), 1.0 / TWO_PI),
+                                          ((1.0, 3.783185307179586), 1.0 / TWO_PI)])
+        assert is_symmetric(shifted) is True
+
+    def test_3d_hemisphere(self):
+        half = make_banded_measure(3, [AngularBand((0.0, math.pi, 0.0, math.pi), 0.5 / math.pi)])
+        assert is_symmetric(half) is False
+
+    @pytest.mark.parametrize("split", [None, 3.0])
+    def test_3d_wrapping_rectangle_and_its_reflection(self, split):
+        t0, t1, p0, p1 = 0.2, 0.9, 5.5, 7.0
+        area = (math.cos(t0) - math.cos(t1)) * (p1 - p0)
+        rho = 0.5 / area
+        refl = [(math.pi - t1, math.pi - t0, p0 - math.pi, p1 - math.pi)]
+        if split is not None:
+            refl = [(*refl[0][:3], split), (*refl[0][:2], split, refl[0][3])]
+        m = make_banded_measure(3, [((t0, t1, p0, p1), rho)] + [(r, rho) for r in refl])
+        assert is_symmetric(m) is True
+        # the same rectangle reflected in phi only is not -m
+        swapped = make_banded_measure(3, [((t0, t1, p0, p1), rho),
+                                          ((t0, t1, p0 - math.pi, p1 - math.pi), rho)])
+        assert is_symmetric(swapped) is False
+
+    def test_atoms_exactly(self):
+        dup = make_measure(2, atoms=[((1.0, 0.0), 0.25), ((1.0, 0.0), 0.25), ((-1.0, 0.0), 0.5)])
+        assert is_symmetric(dup) is True
+        zero = make_measure(2, atoms=[((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5), ((0.0, 1.0), 0.0)])
+        assert is_symmetric(zero) is True
+        rng = np.random.default_rng(5)
+        atoms = []
+        for t in rng.uniform(-10.0, 10.0, 12):
+            w = rng.uniform(0.1, 1.0)
+            atoms += [((math.cos(t), math.sin(t)), w), ((math.cos(t + math.pi),
+                                                         math.sin(t + math.pi)), w)]
+        assert is_symmetric(make_atomic_measure(2, atoms)) is True
+        lopsided = make_measure(2, atoms=[((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.25),
+                                          ((-1.0, 0.0), 0.125), ((0.0, 1.0), 0.125)])
+        assert is_symmetric(lopsided) is False
 
 
 class TestJson:
