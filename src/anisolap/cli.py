@@ -113,11 +113,18 @@ def _read_density_csv(path: str) -> DensityField:
                         float(fields["time"]))
 
 
-def _seed_or_die(args, cfg) -> int:
+def _run_fields(args, cfg: dict, where: str, paths: int, t=None):
+    """(t, paths, seed) of a sampling verb: each flag overrides its config
+    field; t is required when no default is given, and so is the seed."""
+    t = args.t if args.t is not None else float(
+        _require(cfg, "t", where) if t is None else cfg.get("t", t))
+    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", paths))
+    if n_paths < 1:
+        raise ConfigError(f"paths must be at least 1, got {n_paths}")
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("sampling requires a seed (flag --seed or config field)")
-    return int(seed)
+    return t, n_paths, int(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +135,7 @@ def _cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     spec = jump_from_json(_require(cfg, "jump", "sample config"))
     zeta = float(cfg.get("zeta", 1.0))
-    T = args.t if args.t is not None else float(_require(cfg, "t", "sample config"))
-    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 1))
-    seed = _seed_or_die(args, cfg)
+    T, n_paths, seed = _run_fields(args, cfg, "sample config", paths=1)
     start = np.asarray(cfg.get("start", [0.0] * spec.dimension), dtype=float)
     rngs = np.random.SeedSequence(seed).spawn(n_paths)
     rows = []
@@ -148,9 +153,7 @@ def _cmd_ecf(args) -> int:
     cfg = _load_config(args.config)
     spec = jump_from_json(_require(cfg, "jump", "ecf config"))
     zeta = float(cfg.get("zeta", 1.0))
-    t = args.t if args.t is not None else float(_require(cfg, "t", "ecf config"))
-    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 10000))
-    seed = _seed_or_die(args, cfg)
+    t, n_paths, seed = _run_fields(args, cfg, "ecf config", paths=10000)
     ks = _parse_k_list(args.k_list or ";".join(
         ",".join(str(c) for c in row) for row in _require(cfg, "k_list", "ecf config")
     ), spec.dimension)
@@ -254,9 +257,7 @@ def _cmd_multistate(args) -> int:
     doc = ({k: cfg[k] for k in ("N", "M", "init", "waiting", "jumps") if k in cfg}
            if "M" in cfg else _require(cfg, "model", "multistate config"))
     model = state_model_from_json(doc)
-    t = args.t if args.t is not None else float(cfg.get("t", 1.0))
-    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", 10000))
-    seed = _seed_or_die(args, cfg)
+    t, n_paths, seed = _run_fields(args, cfg, "multistate config", paths=10000, t=1.0)
     rng = np.random.default_rng(seed)
     ok = True
     if args.validate:

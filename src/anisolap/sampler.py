@@ -5,6 +5,9 @@ of the stable law); tempering is exact rejection with acceptance e^{-lam r}.
 All draws go through a numpy Generator, so a fixed seed reproduces every
 trajectory bit for bit; parallel ensembles split the master seed per chunk
 with SeedSequence.spawn, which keeps results independent of the worker count.
+Directions and jumps are filled into one component-major (dim, n) buffer,
+and the (n, dim) arrays returned are its transpose.  An ensemble endpoint is
+the sum of its own path's jumps, with no prefix sum over the whole ensemble.
 """
 
 from __future__ import annotations
@@ -133,60 +136,71 @@ def _component_sampler(measure: DirectionalMeasure):
 
 
 def _directions(measure: DirectionalMeasure, probs, n: int, rng, draw=None) -> np.ndarray:
-    """n unit directions from components drawn with probabilities probs, in the
-    draw order of sample_direction; draw(ci, idx), if given, draws more for
-    component ci at its positions idx right after that component's angles."""
+    """n unit directions as one (dim, n) array, from components drawn with
+    probabilities probs, in the draw order of sample_direction; draw(ci, idx),
+    if given, draws more for component ci at its positions idx right after
+    that component's angles.  The azimuth goes into row 1, whose cos fills
+    row 0 and whose sin overwrites it; cos theta of a 3D band into row 2."""
     comp = rng.choice(len(probs), size=n, p=probs)
     dim = measure.dimension
-    out = np.empty((n, dim))
-    ang = np.empty((dim - 1, n))
+    out = np.empty((dim, n))
     n_atoms = len(measure.atoms)
     for ci in range(len(probs)):
         idx = np.flatnonzero(comp == ci)
         if len(idx) == 0:
             continue
         if ci < n_atoms:
-            out[idx] = measure.atoms[ci][0]
+            out[:, idx] = measure.atoms[ci][0][:, None]
         elif dim == 2:
             t0, t1 = measure.bands[ci - n_atoms].bounds
-            ang[0, idx] = rng.uniform(t0, t1, size=len(idx))
+            out[1, idx] = rng.uniform(t0, t1, size=len(idx))
         else:
             t0, t1, p0, p1 = measure.bands[ci - n_atoms].bounds
-            ang[0, idx] = rng.uniform(math.cos(t1), math.cos(t0), size=len(idx))
-            ang[1, idx] = rng.uniform(p0, p1, size=len(idx))
+            out[2, idx] = rng.uniform(math.cos(t1), math.cos(t0), size=len(idx))
+            out[1, idx] = rng.uniform(p0, p1, size=len(idx))
         if draw is not None:
             draw(ci, idx)
-    if measure.bands:
-        pos = slice(None) if n_atoms == 0 else np.flatnonzero(comp >= n_atoms)
-        azimuth = ang[-1, pos]
-        out[pos, 0] = np.cos(azimuth)
-        out[pos, 1] = np.sin(azimuth)
-        if dim == 3:
-            ct = ang[0, pos]
-            out[pos, 2] = ct
-            out[pos, :2] *= np.sqrt(1.0 - ct * ct)[:, None]
+    if not measure.bands:
+        return out
+    pos = None if n_atoms == 0 else np.flatnonzero(comp >= n_atoms)
+    del comp, idx
+    rows = out if pos is None else out[:, pos]
+    np.cos(rows[1], out=rows[0])
+    np.sin(rows[1], out=rows[1])
+    if dim == 3:
+        st = np.multiply(rows[2], rows[2])
+        np.subtract(1.0, st, out=st)
+        np.sqrt(st, out=st)
+        rows[:2] *= st
+    if pos is not None:
+        out[:, pos] = rows
     return out
 
 
 def sample_direction(measure: DirectionalMeasure, rng, size: Optional[int] = None):
     """Draw directions from the measure: atoms by weight, bands uniformly
-    within their region (with respect to the sphere surface measure).
+    within their region (with respect to the sphere surface measure).  The
+    (size, dim) result is the transpose of a component-major buffer.
 
     Draw order: one rng.choice over the components, then one rng.uniform per
     band component in component order (two in 3D: cos theta, then phi)."""
     n = 1 if size is None else int(size)
-    out = _directions(measure, _component_sampler(measure), n, rng)
+    out = _directions(measure, _component_sampler(measure), n, rng).T
     return out[0] if size is None else out
 
 
 def _pareto_radii(beta: float, r0: float, rng, n: int) -> np.ndarray:
-    return r0 * rng.uniform(size=n) ** (-1.0 / beta)
+    r = rng.uniform(size=n)
+    r **= -1.0 / beta
+    r *= r0
+    return r
 
 
 def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
                     max_rejections: int) -> np.ndarray:
     out = _pareto_radii(beta, r0, rng, n)
-    todo = np.flatnonzero(rng.uniform(size=n) > np.exp(-lam * out))
+    accept = np.multiply(out, -lam)
+    todo = np.flatnonzero(rng.uniform(size=n) > np.exp(accept, out=accept))
     for _ in range(max_rejections - 1):
         if len(todo) == 0:
             return out
@@ -203,7 +217,8 @@ def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
 
 
 def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
-    """Draw jump vectors from the spec's law."""
+    """Draw jump vectors from the spec's law; with a directional measure, as
+    the transpose of a component-major buffer."""
     n = 1 if size is None else int(size)
     dim = spec.dimension
     if spec.kind == "gaussian_iso":
@@ -223,14 +238,15 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
             r[idx] = sig[ci] * np.sqrt(2.0 * rng.exponential(size=len(idx)))
 
         out = _directions(spec.measure, w / w.sum(), n, rng, radii)
-        out *= r[:, None]
+        out *= r
+        out = out.T
     else:
-        out = sample_direction(spec.measure, rng, size=n)
+        out = _directions(spec.measure, _component_sampler(spec.measure), n, rng)
         if spec.kind == "tempered_stable" and spec.lam > 0:
-            r = _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, spec.max_rejections)
+            out *= _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, spec.max_rejections)
         else:
-            r = _pareto_radii(spec.beta, spec.r0, rng, n)
-        out *= r[:, None]
+            out *= _pareto_radii(spec.beta, spec.r0, rng, n)
+        out = out.T
     return out[0] if size is None else out
 
 
@@ -256,22 +272,28 @@ def simulate_compound_poisson(spec: JumpSpec, zeta: float, T: float, start,
 
 def compound_poisson_endpoints(spec: JumpSpec, zeta: float, t: float,
                                n_paths: int, rng, start=None) -> np.ndarray:
-    """Vectorised endpoint ensemble X(t) for n_paths independent walks."""
+    """Vectorised endpoint ensemble X(t) for n_paths independent walks from
+    start (the origin by default, else reshaped to (dimension,)).
+
+    Draws the Poisson(zeta t) jump counts of every path, then all jumps at
+    once (sample_jump); each endpoint is the start plus the sum of its own
+    path's jumps, so it is exact to the rounding of that one sum."""
     if zeta <= 0 or t < 0:
         raise ValueError("zeta must be positive and t nonnegative")
-    x0 = np.zeros(spec.dimension) if start is None else np.asarray(start, dtype=float)
+    dim = spec.dimension
+    x0 = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
+    if x0.size != dim:
+        raise ValueError(f"start must have {dim} components, got shape {x0.shape}")
     counts = rng.poisson(zeta * t, size=n_paths)
-    total = int(counts.sum())
-    out = np.broadcast_to(x0, (n_paths, spec.dimension)).copy()
-    if total == 0:
+    out = np.broadcast_to(x0.reshape(dim), (n_paths, dim)).copy()
+    # reduceat returns the start element for an empty segment, so paths
+    # without a jump are left out of the sums
+    hit = counts > 0
+    if not hit.any():
         return out
-    jumps = sample_jump(spec, rng, size=total)
-    csum = np.empty((total + 1, spec.dimension))
-    csum[0] = 0.0
-    np.cumsum(jumps, axis=0, out=csum[1:])
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    out += csum[stops] - csum[starts]
+    jumps = sample_jump(spec, rng, size=int(counts.sum()))
+    starts = np.cumsum(counts) - counts
+    out[hit] += np.add.reduceat(jumps, starts[hit], axis=0)
     return out
 
 

@@ -92,6 +92,24 @@ class TestErrors:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["sample", "ecf", "multistate --validate", "multistate"])
+    @pytest.mark.parametrize("paths, where", [(0, "flag"), (-5, "flag"), (0, "config")])
+    def test_paths_below_one_exits_2(self, tmp_path, capsys, verb, paths, where):
+        jump = {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}
+        cfg = {"jump": jump, "t": 1.0, "seed": 3, "k_list": [[0.5, 0.0]],
+               "N": 1, "M": [[1.0]], "init": [1.0],
+               "waiting": [{"kind": "exp", "rate": 1.0}], "jumps": [jump]}
+        if where == "config":
+            cfg["paths"] = paths
+        argv = [*verb.split(), "--config", write_json(tmp_path, "c.json", cfg),
+                "--out", str(tmp_path / "o.csv")]
+        if where == "flag":
+            argv += ["--paths", str(paths)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: paths must be at least 1, got {paths}\n"
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestNumericalFailures:
     """Numerical failures end with one line on stderr and exit code 3."""

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,21 @@ class TestMsd:
         assert np.allclose([b.value, b.stderr], [a.value, a.stderr])
         assert b.heavy_tail_warning == a.heavy_tail_warning
 
+    @pytest.mark.parametrize("start", [5.0, [1.0, 2.0, 3.0], [[0.5]]])
+    def test_start_of_another_shape_is_rejected(self, start):
+        spec = JumpSpec("gaussian_iso", 2, sigma=1.0)
+        with pytest.raises(ValueError, match="start must have 2 components"):
+            compound_poisson_endpoints(spec, 2.0, 1.0, 10, np.random.default_rng(0),
+                                       start=start)
+
+    def test_scalar_start_in_one_dimension(self):
+        spec = JumpSpec("gaussian_iso", 1, sigma=1.0)
+        ends = compound_poisson_endpoints(spec, 2.0, 1.0, 50, np.random.default_rng(4))
+        moved = compound_poisson_endpoints(spec, 2.0, 1.0, 50, np.random.default_rng(4),
+                                           start=-2.5)
+        assert moved.shape == (50, 1)
+        assert np.array_equal(moved, ends + (-2.5))
+
     def test_zero_time(self):
         est = ensemble_msd(np.zeros((100, 2)))
         assert est.value == 0.0
@@ -370,3 +386,24 @@ class TestUntemperedJumpCf:
         for kk in (0.5, 2.0):
             emp = np.mean(np.exp(1j * kk * Y[:, 0]))
             assert abs(jump_cf(spec, [kk]) - emp) <= 5.0 / math.sqrt(n)
+
+
+class TestChunkMemory:
+    def test_traced_peak_of_one_fig1_chunk(self):
+        # one chunk of the fig1 ensemble at the matched rate: 300 paths of
+        # about 1,830 jumps.  The jumps (total x 2 doubles) are the one array
+        # the ensemble must hold; the direction and radius draws add at most
+        # about 1.6 times their bytes, and a prefix sum of the jumps would
+        # add one more jump array.
+        spec = JumpSpec("tempered_stable", 2, measure=fig1_measure(), beta=1.3, lam=0.5,
+                        r0=1e-3)
+        zeta = matched_rate(spec)
+        total = int(np.random.default_rng(20261).poisson(zeta, size=300).sum())
+        assert total >= 500_000
+        tracemalloc.start()
+        try:
+            compound_poisson_endpoints(spec, zeta, 1.0, 300, np.random.default_rng(20261))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * total * 2 * 8

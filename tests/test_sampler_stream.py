@@ -1,10 +1,11 @@
 """The jump sampler against the mask-loop sampler it replaced.
 
-sample_direction, _tempered_radii, sample_jump and compound_poisson_endpoints
-of that sampler are kept here verbatim as the reference.  Every case asserts
-equal arrays, not close ones: the rewrite makes the same draws in the same
-order and the same arithmetic on each element, so a seed keeps reproducing
-every endpoint bit for bit."""
+sample_direction, _tempered_radii and sample_jump of that sampler are kept
+here verbatim as the reference.  Every draw is asserted equal, not close: the
+rewrite makes the same draws in the same order and the same arithmetic on
+each element, and leaves the generator in the same state.  Endpoints are
+sums of those draws; they are compared with the exactly rounded per-path sum
+(math.fsum) of the reference's jumps, to the rounding bound of a sum."""
 
 import math
 from typing import Optional
@@ -120,23 +121,40 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
     return out[0] if size is None else out
 
 
-def compound_poisson_endpoints(spec: JumpSpec, zeta: float, t: float,
-                               n_paths: int, rng, start=None) -> np.ndarray:
-    """Vectorised endpoint ensemble X(t) for n_paths independent walks."""
-    if zeta <= 0 or t < 0:
-        raise ValueError("zeta must be positive and t nonnegative")
-    x0 = np.zeros(spec.dimension) if start is None else np.asarray(start, dtype=float)
+def fsum_endpoints(spec: JumpSpec, zeta: float, t: float, n_paths: int, rng, start=None):
+    """The endpoints from the reference's draws, each the exactly rounded sum
+    of its start and its own jumps, and the bound 64 eps (|start| + sum |jump|)
+    per path and coordinate.  Any summation order of m terms is off by at most
+    gamma_{m-1} = (m - 1) u / (1 - (m - 1) u), u = eps / 2, times the sum of
+    their magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., eq. 4.4), so the bound holds for paths of up to 120 jumps."""
+    dim = spec.dimension
+    x0 = np.zeros(dim) if start is None else np.asarray(start, dtype=float).reshape(dim)
     counts = rng.poisson(zeta * t, size=n_paths)
+    assert counts.max(initial=0) <= 120
     total = int(counts.sum())
-    out = np.broadcast_to(x0, (n_paths, spec.dimension)).copy()
-    if total == 0:
-        return out
-    jumps = sample_jump(spec, rng, size=total)
-    csum = np.concatenate([np.zeros((1, spec.dimension)), np.cumsum(jumps, axis=0)])
+    jumps = sample_jump(spec, rng, size=total) if total else np.empty((0, dim))
     stops = np.cumsum(counts)
-    starts = stops - counts
-    out += csum[stops] - csum[starts]
-    return out
+    ends = np.empty((n_paths, dim))
+    bound = np.empty((n_paths, dim))
+    for i, (a, b) in enumerate(zip(stops - counts, stops)):
+        for d in range(dim):
+            ends[i, d] = math.fsum([x0[d], *jumps[a:b, d]])
+            bound[i, d] = 64.0 * np.finfo(float).eps * (abs(x0[d]) + np.abs(jumps[a:b, d]).sum())
+    return ends, bound
+
+
+def same_endpoints(spec, zeta, t, n_paths, seed, start=None):
+    """The endpoints of compound_poisson_endpoints within the rounding bound of
+    the per-path sums of the reference's draws, and the generator left in the
+    same state."""
+    rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, bound = fsum_endpoints(spec, zeta, t, n_paths, rng_ref, start=start)
+    got = sampler.compound_poisson_endpoints(spec, zeta, t, n_paths, rng_new, start=start)
+    assert got.shape == want.shape == (n_paths, spec.dimension)
+    assert np.all(np.abs(got - want) <= bound)
+    assert rng_ref.bit_generator.state == rng_new.bit_generator.state
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +230,7 @@ class TestSameStream:
     @pytest.mark.parametrize("name", ["tempered-fig1", "tempered_rounds-mixed_2d",
                                       "gaussian_aniso-mixed_2d", "stable-mixed_3d"])
     def test_compound_poisson_endpoints(self, name):
-        same_stream(compound_poisson_endpoints, sampler.compound_poisson_endpoints,
-                    SPECS[name], 40.0, 1.0, 300)
+        same_endpoints(SPECS[name], 40.0, 1.0, 300, seed=11)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_ensemble_endpoints_parallel(self, monkeypatch, threads):
@@ -221,11 +238,46 @@ class TestSameStream:
         spec = SPECS["tempered-fig1"]
         seqs = np.random.SeedSequence(20261).spawn(16)
         sizes = [26 if i < 8 else 25 for i in range(16)]
-        want = np.concatenate([
-            compound_poisson_endpoints(spec, 60.0, 1.0, sz, np.random.default_rng(sq))
-            for sq, sz in zip(seqs, sizes)])
+        parts = [fsum_endpoints(spec, 60.0, 1.0, sz, np.random.default_rng(sq))
+                 for sq, sz in zip(seqs, sizes)]
+        want, bound = (np.concatenate(p) for p in zip(*parts))
         got = sampler.ensemble_endpoints_parallel(spec, 60.0, 1.0, 408, 20261)
-        assert np.array_equal(got, want)
+        assert np.all(np.abs(got - want) <= bound)
+        # the same endpoints, bit for bit, as the chunks drawn one by one
+        chunks = [sampler.compound_poisson_endpoints(spec, 60.0, 1.0, sz,
+                                                     np.random.default_rng(sq))
+                  for sq, sz in zip(seqs, sizes)]
+        assert np.array_equal(got, np.concatenate(chunks))
+
+
+class TestEndpointSegments:
+    """Paths without a jump keep their start wherever they fall in the ensemble."""
+
+    SPEC = SPECS["tempered-mixed_2d"]
+    START = (0.25, -1.5)
+
+    def test_zero_counts_first_middle_and_last(self):
+        # seed 12 at zeta t = 1 draws no jump for paths 0, 2 to 4, 8 and 11 of 12
+        counts = np.random.default_rng(12).poisson(1.0, size=12)
+        assert counts[0] == counts[-1] == 0
+        assert np.any(counts[1:-1] == 0) and np.any(counts > 1)
+        got = same_endpoints(self.SPEC, 2.0, 0.5, 12, seed=12, start=self.START)
+        assert np.all(got[counts == 0] == self.START)
+
+    @pytest.mark.parametrize("zeta, t", [(1e-9, 1.0), (5.0, 0.0)])
+    def test_all_counts_zero(self, zeta, t):
+        got = same_endpoints(self.SPEC, zeta, t, 40, seed=3, start=self.START)
+        assert np.all(got == self.START)
+
+    @pytest.mark.parametrize("seed, count", [(3, 0), (4, 3)])
+    def test_single_path(self, seed, count):
+        assert np.random.default_rng(seed).poisson(1.5, size=1)[0] == count
+        got = same_endpoints(self.SPEC, 1.5, 1.0, 1, seed=seed, start=self.START)
+        assert np.all((got == self.START) == (count == 0))
+
+    def test_no_paths(self):
+        got = same_endpoints(self.SPEC, 3.0, 1.0, 0, seed=3)
+        assert got.shape == (0, 2)
 
 
 class TestRejectionCap:
