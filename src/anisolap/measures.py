@@ -296,15 +296,12 @@ def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8):
         return _angles_to_dirs_2d(theta), w * band.density
     # 3D: tensor rule in (cos(theta), phi); surface measure absorbed by the substitution
     t0, t1, p0, p1 = band.bounds
-    n_t = max(2, refinement // 4)
-    n_p = max(2, refinement // 4)
-    ct, wt = _composite_gl(np.linspace(math.cos(t1), math.cos(t0), n_t + 1), order)
-    ph, wp = _composite_gl(np.linspace(p0, p1, n_p + 1), order)
+    n_edges = max(2, refinement // 4) + 1
+    ct, wt = _composite_gl(np.linspace(math.cos(t1), math.cos(t0), n_edges), order)
+    ph, wp = _composite_gl(np.linspace(p0, p1, n_edges), order)
     CT, PH = np.meshgrid(ct, ph, indexing="ij")
-    W = np.outer(wt, wp) * band.density
     theta = np.arccos(np.clip(CT.ravel(), -1.0, 1.0))
-    dirs = _angles_to_dirs_3d(theta, PH.ravel())
-    return dirs, W.ravel()
+    return _angles_to_dirs_3d(theta, PH.ravel()), (np.outer(wt, wp) * band.density).ravel()
 
 
 def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int = 8):
@@ -327,76 +324,76 @@ def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int 
 
 
 def _panel_sums(box, owner, f):
-    """Fixed-rule integral over each panel of the integrand owner[i], taken
-    _BLOCK_PANELS panels at a time.  box is (P, 1, 2), theta intervals with
-    15-point Gauss-Legendre, in 2D, and (P, 2, 2), (cos theta, phi)
-    rectangles with the 7 x 7 tensor rule, in 3D."""
+    """15-point Gauss-Legendre integral over each theta interval box[i] of the
+    integrand owner[i], taken _BLOCK_PANELS panels at a time."""
     out = np.empty(len(box), dtype=complex)
-    x, w = _gl(15 if box.shape[1] == 1 else 7)
+    x, w = _gl(15)
     for s in range(0, len(box), _BLOCK_PANELS):
         rows = slice(s, s + _BLOCK_PANELS)
-        lo, hi = box[rows, :, :1], box[rows, :, 1:]
-        nodes, wts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
-        if box.shape[1] == 1:
-            dirs, wts = _angles_to_dirs_2d(nodes[:, 0]), wts[:, 0]
-        else:
-            # trig once per distinct theta and phi of the tensor rule
-            theta = np.arccos(np.clip(nodes[:, 0], -1.0, 1.0))[:, :, None]
-            st, phi = np.sin(theta), nodes[:, 1, None, :]
-            dirs = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)),
-                            axis=-1).reshape(len(theta), 49, 3)
-            wts = (wts[:, 0, :, None] * wts[:, 1, None, :]).reshape(len(theta), 49)
-        vals = f(dirs, owner[rows])
+        lo, hi = box[rows, :1], box[rows, 1:]
+        vals = f(_angles_to_dirs_2d(0.5 * (lo + hi) + 0.5 * (hi - lo) * x), owner[rows])
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand value on the sphere")
-        out[rows] = (wts * vals).sum(axis=1)
+        out[rows] = (0.5 * (hi - lo) * w * vals).sum(axis=1)
     return out
 
 
-def _integrate_band_adaptive(band, f, tol, splits):
-    """Adaptive integrals of len(splits) integrands over one band.
+def _integrate_band_adaptive(band, f, tol, kinks):
+    """Adaptive integrals of len(kinks) integrands over one band.
 
     f(dirs, owner) returns, for a (P, M, n) block of directions, the values
-    (P, M) of the integrands owner (P,) that the panels belong to.  A panel
-    is accepted when its 2 halves (2D) or 4 quarters (3D) sum to within
-    max(tol, 1e-16) of it, or at depth 40 (2D) or 14 (3D); in 2D no panel of
-    integrand i straddles the angles splits[i].  Each level evaluates the
-    active panels of all integrands together.  An integrand's accepted sums
-    are added in descending lexicographic order of their child-index paths,
-    the order of a depth-first pass that refines the last child first, so
-    the result does not depend on the batching.
+    (P, M) of the integrands owner (P,).  A 2D arc is cut where kinks[i] . phi
+    = 0 for integrand i, at theta_k +- pi/2 (a zero row: no cut), into 15-point
+    Gauss-Legendre panels.  A panel is accepted when its 2 halves sum to within
+    max(tol, 1e-16) of it, or at depth 40.  Each level evaluates the active
+    panels of all integrands together; an integrand's accepted sums are added
+    in the order of a depth-first pass that refines the upper half first, so
+    the result does not depend on the batching.  A 3D band is this rule in phi
+    over the integrals of this rule in theta along the meridians, to tol / 100
+    and weighted by sin(theta), where k . phi is the 2D product of (k_z, k_x
+    cos(phi) + k_y sin(phi)) and (cos(theta), sin(theta)).
     """
-    if band.dimension == 2:
-        t0, t1 = band.bounds
-        max_depth, axes = 40, 1
-        box, owner, key = [], [], []
-        for i, angles in enumerate(splits):
-            cuts = sorted({t0, t1} | {
-                t0 + ((s - t0) % _TWO_PI)
-                for s in angles
-                if t0 + 1e-13 < t0 + ((s - t0) % _TWO_PI) < t1 - 1e-13
-            })
-            box += zip(cuts[:-1], cuts[1:])
-            owner += [i] * (len(cuts) - 1)
-            key += range(len(cuts) - 1)
-    else:
+    kinks = np.asarray(kinks, dtype=float)
+    if band.dimension == 3:
         t0, t1, p0, p1 = band.bounds
-        max_depth, axes = 14, 2
-        box = [(math.cos(t1), math.cos(t0), p0, p1)] * len(splits)
-        owner, key = range(len(splits)), [0] * len(splits)
-    box = np.array(box, dtype=float).reshape(-1, axes, 2)
+
+        def meridians(u, owner):
+            # the theta integrals on the meridians u = (cos phi, sin phi) of the integrands owner
+            shape = u.shape[:2]
+            u, owner = u.reshape(-1, 2), owner.repeat(shape[1])
+            k = kinks[owner]
+
+            def g(v, j):
+                # v = (cos theta, sin theta) on the meridians j
+                dirs = np.concatenate([v[..., 1:] * u[j, None], v[..., :1]], axis=-1)
+                return f(dirs, owner[j]) * v[..., 1]
+
+            plane = np.stack([k[:, 2], k[:, 0] * u[:, 0] + k[:, 1] * u[:, 1]], axis=-1)
+            return _integrate_band_adaptive(AngularBand((t0, t1), 1.0), g, tol / 100.0,
+                                            plane).reshape(shape)
+
+        return _integrate_band_adaptive(AngularBand((p0, p1), band.density), meridians, tol,
+                                        np.zeros((len(kinks), 2)))
+    t0, t1 = band.bounds
+    max_depth = 40
+    box, owner, key = [], [], []
+    for i, (kx, ky) in enumerate(kinks.tolist()):
+        tk = math.atan2(ky, kx)
+        ends = [t0 + (s - t0) % _TWO_PI for s in (tk - 0.5 * math.pi, tk + 0.5 * math.pi)]
+        cuts = sorted({t0, t1} | {e for e in ends if (kx or ky) and t0 + 1e-13 < e < t1 - 1e-13})
+        box += zip(cuts[:-1], cuts[1:])
+        owner += [i] * (len(cuts) - 1)
+        key += range(len(cuts) - 1)
+    box = np.array(box, dtype=float).reshape(-1, 2)
     owner = np.array(owner, dtype=np.intp)
-    key = np.array(key, dtype=np.int64) << axes * max_depth
+    key = np.array(key, dtype=np.int64) << max_depth
     coarse = _panel_sums(box, owner, f)
-    # child c takes the upper half of axis j when bit j of c is set
-    bit = (np.arange(2 ** axes)[:, None] >> np.arange(axes)) & 1
     accepted = []
     for depth in range(max_depth + 1):
-        edges = np.stack([box[..., 0], 0.5 * (box[..., 0] + box[..., 1]), box[..., 1]], axis=-1)
-        kids = edges[:, np.arange(axes)[:, None], bit[..., None] + [0, 1]]
-        vals = _panel_sums(kids.reshape(-1, axes, 2), owner.repeat(len(bit)),
-                           f).reshape(len(box), len(bit))
-        fine = np.add.accumulate(vals, axis=1)[:, -1]
+        mid = 0.5 * (box[:, 0] + box[:, 1])
+        kids = np.stack([box[:, 0], mid, mid, box[:, 1]], axis=-1).reshape(-1, 2, 2)
+        vals = _panel_sums(kids.reshape(-1, 2), owner.repeat(2), f).reshape(-1, 2)
+        fine = vals[:, 0] + vals[:, 1]
         # np.hypot, not np.abs: the complex abs ufunc rounds differently
         # from the scalar abs of the depth-first pass
         err = np.hypot((fine - coarse).real, (fine - coarse).imag)
@@ -404,27 +401,25 @@ def _integrate_band_adaptive(band, f, tol, splits):
         accepted.append((owner[done], key[done], fine[done]))
         if done.all():
             break
-        box, coarse = kids[~done].reshape(-1, axes, 2), vals[~done].ravel()
-        key = (key[~done, None] | np.arange(len(bit)) << axes * (max_depth - depth - 1)).ravel()
-        owner = owner[~done].repeat(len(bit))
+        box, coarse = kids[~done].reshape(-1, 2), vals[~done].ravel()
+        key = (key[~done, None] | np.arange(2) << max_depth - depth - 1).ravel()
+        owner = owner[~done].repeat(2)
     owner, key, fine = (np.concatenate(a) for a in zip(*accepted))
     rank = np.lexsort((-key, owner))
-    totals = [0.0 + 0.0j] * len(splits)
+    totals = [0.0 + 0.0j] * len(kinks)
     for i, v in zip(owner[rank].tolist(), fine[rank].tolist()):
         totals[i] += v
     return np.array([t * band.density for t in totals], dtype=complex)
 
 
-def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10,
-                     split_angles=()):
+def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10):
     """Integrate a function of the direction against the measure.
 
     integrand is called with an (M, n) array of unit vectors and must return
     an (M,) array (real or complex).  Atoms are summed exactly; bands are
-    integrated adaptively to absolute tolerance tol, in 2D by composite
-    15-point Gauss-Legendre never straddling the listed split angles, in 3D
-    by a 7 x 7 Gauss-Legendre tensor rule in (cos theta, phi) (split_angles
-    do not apply).
+    integrated adaptively to absolute tolerance tol by composite 15-point
+    Gauss-Legendre: over the arc in 2D, and in 3D over the azimuth of the
+    polar-angle integrals along the meridians.
     """
     total = 0.0 + 0.0j
     for d, w in measure.atoms:
@@ -439,7 +434,8 @@ def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10,
         return np.broadcast_to(integrand(flat), flat.shape[:1]).reshape(dirs.shape[:2])
 
     for band in measure.bands:
-        total += _integrate_band_adaptive(band, f, tol / n_bands, [split_angles])[0]
+        total += _integrate_band_adaptive(band, f, tol / n_bands,
+                                          np.zeros((1, measure.dimension)))[0]
     return complex(total)
 
 
@@ -486,9 +482,7 @@ def support_directions(measure: DirectionalMeasure) -> np.ndarray:
             ft = np.array([0.25, 0.5, 0.75, 0.5, 0.5])
             fp = np.array([0.5, 0.5, 0.5, 0.25, 0.75])
             dirs.extend(_angles_to_dirs_3d(t0 + ft * (t1 - t0), p0 + fp * (p1 - p0)))
-    if not dirs:
-        return np.zeros((0, measure.dimension))
-    return np.asarray(dirs)
+    return np.asarray(dirs).reshape(-1, measure.dimension)
 
 
 def is_nondegenerate(measure: DirectionalMeasure):
@@ -552,6 +546,16 @@ def is_symmetric(measure: DirectionalMeasure) -> bool:
 # ---------------------------------------------------------------------------
 # stability profiles
 # ---------------------------------------------------------------------------
+
+def _component_spreads(measure: DirectionalMeasure, sigmas) -> np.ndarray:
+    """One positive spread per component of measure (a number serves all); else ValueError."""
+    sig = np.asarray(sigmas, dtype=float)
+    if sig.shape == ():
+        sig = np.full(measure.n_components, float(sig))
+    if sig.shape != (measure.n_components,) or not np.all(sig > 0):
+        raise ValueError("sigmas must give one positive spread per measure component")
+    return sig
+
 
 def _check_exponent(beta: float, what: str = "beta", hint: str = "") -> None:
     """Raise ValueError unless beta lies in (0,1) or (1,2); exponents within

@@ -177,6 +177,8 @@ def multistate_endpoints(model: StateModel, t: float, n_paths: int, rng,
     included in the functional)."""
     if t <= 0:
         raise ValueError("t must be positive")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     n = model.dimension
     x0 = np.zeros(n) if start is None else np.asarray(start, dtype=float)
     pos = np.broadcast_to(x0, (n_paths, n)).copy()

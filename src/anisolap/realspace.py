@@ -19,8 +19,8 @@ import numpy as np
 import scipy.special as sc
 
 from .measures import (
-    DirectionalMeasure, NumericalError, StabilityProfile, _check_exponent, _composite_gl,
-    _pool_map, _row_blocks, is_symmetric, measure_nodes, moments,
+    DirectionalMeasure, NumericalError, StabilityProfile, _check_exponent, _component_spreads,
+    _composite_gl, _pool_map, _row_blocks, is_symmetric, measure_nodes, moments,
 )
 
 __all__ = [
@@ -403,11 +403,7 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
     elif variant == "aniso":
         if measure is None or measure.dimension != 2:
             raise ValueError("the aniso variant requires a 2D measure")
-        sig = np.asarray(sigmas, dtype=float)
-        if sig.shape == ():
-            sig = np.full(measure.n_components, float(sig))
-        if np.any(sig <= 0):
-            raise ValueError("sigmas must be positive")
+        sig = _component_spreads(measure, sigmas)
         dirs, wdir, comp = measure_nodes(measure, refinement=48)
         s = sig[comp]
         c_m = 1.0 / float(wdir @ s ** 2)

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.special as sc
 
 from .measures import (
-    DirectionalMeasure, NumericalError, _pool_map, from_json, measure_nodes, to_json,
+    DirectionalMeasure, NumericalError, _component_spreads, _pool_map, from_json, measure_nodes,
+    to_json,
 )
 
 __all__ = [
@@ -68,11 +69,8 @@ class JumpSpec:
         if self.kind == "gaussian_aniso":
             if self.measure is None or self.measure.dimension != 2:
                 raise ValueError("gaussian_aniso requires a 2D measure")
-            if self.sigmas is None:
-                raise ValueError("gaussian_aniso requires per-component sigmas")
-            object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-            if any(s <= 0 for s in self.sigmas):
-                raise ValueError("sigmas must be positive")
+            spreads = _component_spreads(self.measure, self.sigmas)
+            object.__setattr__(self, "sigmas", tuple(spreads.tolist()))
         if self.kind in ("stable", "tempered_stable"):
             if self.measure is None:
                 raise ValueError("power-law kinds require a directional measure")
@@ -307,6 +305,8 @@ def ensemble_endpoints_parallel(spec: JumpSpec, zeta: float, t: float,
                                 n_paths: int, seed: int) -> np.ndarray:
     """Chunk-deterministic ensemble of _ENSEMBLE_CHUNKS seeded chunks; results
     do not depend on the worker count (ANISOLAP_THREADS bounds the pool)."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     seqs = np.random.SeedSequence(seed).spawn(_ENSEMBLE_CHUNKS)
     q, r = divmod(n_paths, _ENSEMBLE_CHUNKS)
     sizes = [q + (1 if i < r else 0) for i in range(_ENSEMBLE_CHUNKS)]

@@ -27,6 +27,7 @@ from .measures import (
     NumericalError,
     StabilityProfile,
     _check_exponent,
+    _component_spreads,
     _composite_gl,
     _integrate_band_adaptive,
     _pool_map,
@@ -183,12 +184,7 @@ def _resolve_method(method: str, n_points: int, measure) -> str:
 
 def _adaptive_bands(pts, bands, integrand_of_u, tol):
     """Adaptive band integrals of integrand_of_u(k.phi), one integrand per
-    wavenumber, with 2D panels split at the kinks theta_k +- pi/2."""
-    splits = [()] * pts.shape[0]
-    for p, kvec in enumerate(pts):
-        if pts.shape[1] == 2 and (kvec[0] != 0 or kvec[1] != 0):
-            tk = math.atan2(kvec[1], kvec[0])
-            splits[p] = (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
+    wavenumber, with panels split where k.phi = 0."""
 
     def f(dirs, owner):
         # a stacked matrix product rounds u as dirs @ kvec does per wavenumber
@@ -196,7 +192,7 @@ def _adaptive_bands(pts, bands, integrand_of_u, tol):
 
     out = np.zeros(pts.shape[0], dtype=complex)
     for band in bands:
-        out += _integrate_band_adaptive(band, f, tol, splits)
+        out += _integrate_band_adaptive(band, f, tol, pts)
     return out
 
 
@@ -340,11 +336,7 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
         raise ValueError(f"unknown gaussian variant {variant!r}")
     if measure is None or measure.dimension != 2:
         raise ValueError("the aniso variant requires a 2D directional measure")
-    sig = np.asarray(sigmas, dtype=float)
-    if sig.shape == ():
-        sig = np.full(measure.n_components, float(sig))
-    if sig.shape != (measure.n_components,) or np.any(sig <= 0):
-        raise ValueError("sigmas must give one positive spread per measure component")
+    sig = _component_spreads(measure, sigmas)
     pts, shape = _k_points(k, 2)
     dirs, w, comp = measure_nodes(measure, refinement=refinement)
     s = sig[comp]
@@ -443,6 +435,12 @@ _EVALUATORS = {
         s.beta, s.lam or 0.0, k, s.dimension),
 }
 _KINDS = tuple(_EVALUATORS)
+# kind -> the fields, None by default, that its evaluator reads
+_REQUIRED = {"gaussian_iso": ("sigma",), "gaussian_axes": ("sigma",),
+             "gaussian_aniso": ("measure", "sigmas"), "stable_aniso": ("measure", "beta"),
+             "tempered_aniso": ("measure", "beta", "lam"), "beta1_aniso": ("measure", "lam"),
+             "beta2_quadratic": ("measure",), "general_profile": ("measure", "profile"),
+             "isotropic_reference": ("beta",)}
 
 
 @dataclass(frozen=True)
@@ -473,12 +471,12 @@ class GeneratorSymbol:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.method not in ("auto", "nodes", "adaptive"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.kind in ("gaussian_aniso", "stable_aniso", "tempered_aniso",
-                         "beta1_aniso", "beta2_quadratic", "general_profile"):
-            if self.measure is None:
-                raise ValueError(f"{self.kind} requires a directional measure")
-            if self.measure.dimension != self.dimension:
-                raise ValueError("measure dimension mismatch")
+        for name in _REQUIRED[self.kind]:
+            if getattr(self, name) is None:
+                what = "a directional measure" if name == "measure" else f"field {name!r}"
+                raise ValueError(f"{self.kind} requires {what}")
+        if "measure" in _REQUIRED[self.kind] and self.measure.dimension != self.dimension:
+            raise ValueError("measure dimension mismatch")
         if self.kind == "beta1_aniso" and not is_symmetric(self.measure):
             raise ValueError("exponent-1 symbols require a symmetric measure")
         object.__setattr__(self, "_grid_cache", {})

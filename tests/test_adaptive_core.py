@@ -1,7 +1,11 @@
-"""The level-synchronous adaptive band quadrature against the depth-first
-pass it replaced.  That pass is kept here verbatim as the reference, and every
-case asserts equal values, not close ones: the batched core visits the same
-panels and adds their sums in the same order."""
+"""The level-synchronous adaptive band quadrature.
+
+In 2D against the depth-first pass it replaced.  That pass is kept here
+verbatim as the reference, and every 2D case asserts equal values, not close
+ones: the batched core visits the same panels and adds their sums in the same
+order.  A 3D band runs the same rule twice, over the azimuth of the polar-angle
+integrals along the meridians; the 3D cases assert accuracy against closed
+forms and a tensor Gauss-Legendre rule, and equal values under any batching."""
 
 import math
 from functools import partial
@@ -20,6 +24,7 @@ from anisolap.measures import (
     _gl,
     make_banded_measure,
     make_measure,
+    moments,
     sphere_integrate,
     uniform_measure,
 )
@@ -28,6 +33,7 @@ from anisolap.symbols import (
     _bracket,
     beta1_symbol,
     general_profile_symbol,
+    isotropic_reference_symbol,
     tempered_symbol,
 )
 
@@ -43,68 +49,37 @@ def _segment_nodes(a, b, order):
 
 
 def reference_band(band, f, tol, split_angles, order=15):
-    """Adaptive composite Gauss-Legendre over one band."""
-    if band.dimension == 2:
-        t0, t1 = band.bounds
-        cuts = sorted({t0, t1} | {
-            t0 + ((s - t0) % _TWO_PI)
-            for s in split_angles
-            if t0 + 1e-13 < t0 + ((s - t0) % _TWO_PI) < t1 - 1e-13
-        })
+    """Adaptive composite Gauss-Legendre over one 2D band."""
+    t0, t1 = band.bounds
+    cuts = sorted({t0, t1} | {
+        t0 + ((s - t0) % _TWO_PI)
+        for s in split_angles
+        if t0 + 1e-13 < t0 + ((s - t0) % _TWO_PI) < t1 - 1e-13
+    })
 
-        def eval_seg(a, b):
-            x, w = _segment_nodes(a, b, order)
-            vals = f(_angles_to_dirs_2d(x))
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("non-finite integrand value on the sphere")
-            return np.sum(w * vals)
-
-        total = 0.0 + 0.0j
-        stack = [(a, b, eval_seg(a, b), 0) for a, b in zip(cuts[:-1], cuts[1:])]
-        while stack:
-            a, b, coarse, depth = stack.pop()
-            mid = 0.5 * (a + b)
-            left, right = eval_seg(a, mid), eval_seg(mid, b)
-            if abs(left + right - coarse) < max(tol, 1e-16) or depth >= 40:
-                total += left + right
-            else:
-                stack.append((a, mid, left, depth + 1))
-                stack.append((mid, b, right, depth + 1))
-        return complex(total) * band.density
-
-    t0, t1, p0, p1 = band.bounds
-
-    def eval_rect(c0, c1, q0, q1):
-        xt, wt = _segment_nodes(c0, c1, 7)
-        xp, wp = _segment_nodes(q0, q1, 7)
-        CT, PH = np.meshgrid(xt, xp, indexing="ij")
-        theta = np.arccos(np.clip(CT.ravel(), -1.0, 1.0))
-        vals = f(_angles_to_dirs_3d(theta, PH.ravel()))
+    def eval_seg(a, b):
+        x, w = _segment_nodes(a, b, order)
+        vals = f(_angles_to_dirs_2d(x))
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand value on the sphere")
-        return np.sum(np.outer(wt, wp).ravel() * vals)
+        return np.sum(w * vals)
 
-    c0, c1 = math.cos(t1), math.cos(t0)
     total = 0.0 + 0.0j
-    stack = [(c0, c1, p0, p1, eval_rect(c0, c1, p0, p1), 0)]
+    stack = [(a, b, eval_seg(a, b), 0) for a, b in zip(cuts[:-1], cuts[1:])]
     while stack:
-        a, b, q0, q1, coarse, depth = stack.pop()
-        am, qm = 0.5 * (a + b), 0.5 * (q0 + q1)
-        parts = [
-            (a, am, q0, qm), (am, b, q0, qm), (a, am, qm, q1), (am, b, qm, q1)
-        ]
-        fine_vals = [eval_rect(*p) for p in parts]
-        fine = sum(fine_vals)
-        if abs(fine - coarse) < max(tol, 1e-16) or depth >= 14:
-            total += fine
+        a, b, coarse, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        left, right = eval_seg(a, mid), eval_seg(mid, b)
+        if abs(left + right - coarse) < max(tol, 1e-16) or depth >= 40:
+            total += left + right
         else:
-            for p, v in zip(parts, fine_vals):
-                stack.append((*p, v, depth + 1))
+            stack.append((a, mid, left, depth + 1))
+            stack.append((mid, b, right, depth + 1))
     return complex(total) * band.density
 
 
 def reference_adaptive_bands(pts, bands, integrand_of_u, tol):
-    """Per-point adaptive band integration with kink-aware splitting (2D)."""
+    """Per-point adaptive integration over 2D bands with kink-aware splitting."""
     out = np.zeros(pts.shape[0], dtype=complex)
     for p in range(pts.shape[0]):
         kvec = pts[p]
@@ -119,7 +94,7 @@ def reference_adaptive_bands(pts, bands, integrand_of_u, tol):
     return out
 
 
-def reference_sphere_integrate(measure, integrand, tol=1e-10, split_angles=(), order=15):
+def reference_sphere_integrate(measure, integrand, tol=1e-10, order=15):
     total = 0.0 + 0.0j
     for d, w in measure.atoms:
         val = np.asarray(integrand(d[None, :]))[0]
@@ -128,8 +103,7 @@ def reference_sphere_integrate(measure, integrand, tol=1e-10, split_angles=(), o
         total += w * complex(val)
     n_bands = max(1, len(measure.bands))
     for band in measure.bands:
-        total += reference_band(band, integrand, tol / n_bands,
-                                split_angles, order=order)
+        total += reference_band(band, integrand, tol / n_bands, (), order=order)
     return complex(total)
 
 
@@ -178,6 +152,16 @@ INTEGRANDS_OF_U = {
     "stable": partial(_bracket, beta=0.6, lam=0.0),
     "beta1": lambda u: u * np.arctan(u / 0.5) - 0.25 * np.log1p((u / 0.5) ** 2),
 }
+
+
+def tensor_reference(band, f, order=64):
+    """f integrated over a 3D band by one Gauss-Legendre tensor rule in
+    (theta, phi), exact to rounding for the smooth integrands below."""
+    t0, t1, p0, p1 = band.bounds
+    (t, wt), (p, wp) = _segment_nodes(t0, t1, order), _segment_nodes(p0, p1, order)
+    T, P = np.meshgrid(t, p, indexing="ij")
+    vals = f(_angles_to_dirs_3d(T.ravel(), P.ravel())).reshape(T.shape)
+    return band.density * ((wt * np.sin(t)) @ vals @ wp)
 
 
 def smooth_integrands(n):
@@ -245,12 +229,15 @@ class TestSymbolsAdaptive:
             fig1_measure(), 1.3, 0.7, wavenumbers(), method="adaptive"))
         assert np.array_equal(new, ref)
 
-    def test_tempered_3d(self, monkeypatch):
-        m = make_banded_measure(3, [BANDS_3D["hemisphere"]])
-        k = np.array([[0.0, 0.0, 0.0], [0.3, -1.2, 0.8], [2.0, 0.5, -4.0]])
-        new, ref = self.both(monkeypatch, lambda: tempered_symbol(
-            m, 1.3, 0.7, k, method="adaptive", tol=1e-6))
-        assert np.array_equal(new, ref)
+    def test_tempered_3d(self):
+        # the isotropic symbol at random off-axis wavenumbers, against the
+        # closed form (lam = 0) and the graded rule (lam > 0) of the reference
+        k = np.random.default_rng(31).normal(scale=3.0, size=(3, 3))
+        for beta in (0.6, 1.4):
+            for lam in (0.0, 0.5):
+                got = tempered_symbol(uniform_measure(3), beta, lam, k, method="adaptive")
+                want = -isotropic_reference_symbol(beta, lam, k, 3)
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_beta1(self, monkeypatch):
         new, ref = self.both(monkeypatch, lambda: beta1_symbol(
@@ -265,7 +252,7 @@ class TestSymbolsAdaptive:
 
 
 class TestSphereIntegrate:
-    def test_2d_split_angles(self):
+    def test_2d_atoms_and_bands(self):
         m = make_measure(2, atoms=[((1.0, 0.0), 0.25)], bands=[
             ((0.0, math.pi), 0.5 / math.pi), ((4.0, 4.0 + 0.25 * math.pi), 1.0 / math.pi)])
 
@@ -273,20 +260,63 @@ class TestSphereIntegrate:
             th = np.arctan2(d[:, 1], d[:, 0])
             return np.abs(np.sin(th - 0.7)) * np.exp(d[:, 0])
 
-        for splits in [(), (0.7, 0.7 + math.pi, 4.3)]:
-            assert (sphere_integrate(m, f, split_angles=splits)
-                    == reference_sphere_integrate(m, f, split_angles=splits))
+        assert sphere_integrate(m, f) == reference_sphere_integrate(m, f)
 
     @pytest.mark.parametrize("name", sorted(BANDS_3D))
     def test_3d_symmetry_functions(self, name):
-        m = make_banded_measure(3, [BANDS_3D[name]])
+        band = BANDS_3D[name]
+        m = make_banded_measure(3, [band])
         for f in smooth_integrands(3):
-            assert sphere_integrate(m, f, tol=1e-7) == reference_sphere_integrate(m, f, tol=1e-7)
+            assert sphere_integrate(m, f, tol=1e-12) == pytest.approx(
+                tensor_reference(band, f), rel=1e-14, abs=1e-14)
 
-    def test_3d_block_size_does_not_matter(self, block):
+    def test_3d_block_size_does_not_matter(self, block, monkeypatch):
+        # the kink of |k.phi|^1.3 is not split here, so the panels are many
         m = make_banded_measure(3, [BANDS_3D["hemisphere"]])
-        f = smooth_integrands(3)[-1]
-        assert sphere_integrate(m, f, tol=1e-9) == reference_sphere_integrate(m, f, tol=1e-9)
+
+        def f(d):
+            return np.abs(d @ [0.3, -1.2, 0.8]) ** 1.3
+
+        got = sphere_integrate(m, f, tol=1e-9)
+        monkeypatch.setattr(measures_mod, "_BLOCK_PANELS", 10 ** 6)
+        assert got == sphere_integrate(m, f, tol=1e-9)
+
+    def test_3d_exp_closed_form(self):
+        # the average of exp(a.phi) over the sphere is sinh|a| / |a|
+        for a in np.random.default_rng(37).normal(scale=2.0, size=(3, 3)):
+            r = float(np.linalg.norm(a))
+            got = sphere_integrate(uniform_measure(3), lambda d: np.exp(d @ a), tol=1e-12)
+            assert got == pytest.approx(math.sinh(r) / r, rel=1e-13)
+
+    def test_3d_moments_closed_form(self):
+        # nine (theta, phi) cells of unequal density; each moment is a sum
+        # over the cells of a theta integral times a phi integral
+        tb, pb = (0.0, 0.7, 1.9, math.pi), (0.0, 2.0, 4.1, _TWO_PI)
+        cells = [AngularBand((tb[i], tb[i + 1], pb[j], pb[j + 1]), 1.0 + 3 * i + j)
+                 for i in range(3) for j in range(3)]
+        total = sum(c.mass() for c in cells)
+        m = make_banded_measure(3, [AngularBand(c.bounds, c.density / total) for c in cells])
+        # antiderivatives of sin(t) * (sin^2, sin^3, sin cos, sin^2 cos, cos^2)
+        # / sin(t) in theta, and of 1, cos, sin, cos^2, sin^2, cos sin in phi
+        theta = {"ss": lambda t: t / 2 - math.sin(2 * t) / 4,
+                 "sss": lambda t: math.cos(t) ** 3 / 3 - math.cos(t),
+                 "sc": lambda t: math.sin(t) ** 2 / 2, "ssc": lambda t: math.sin(t) ** 3 / 3,
+                 "scc": lambda t: -math.cos(t) ** 3 / 3}
+        phi = {"1": lambda p: p, "c": math.sin, "s": lambda p: -math.cos(p),
+               "cc": lambda p: p / 2 + math.sin(2 * p) / 4,
+               "ss": lambda p: p / 2 - math.sin(2 * p) / 4, "cs": lambda p: math.sin(p) ** 2 / 2}
+
+        def closed(t, p):
+            return sum(b.density * (theta[t](b.bounds[1]) - theta[t](b.bounds[0]))
+                       * (phi[p](b.bounds[3]) - phi[p](b.bounds[2])) for b in m.bands)
+
+        mom = moments(m)
+        for i, (t, p) in enumerate([("ss", "c"), ("ss", "s"), ("sc", "1")]):
+            assert abs(mom.mean[i] - closed(t, p)) <= 1e-14
+        for (i, j), (t, p) in {(0, 0): ("sss", "cc"), (0, 1): ("sss", "cs"),
+                               (0, 2): ("ssc", "c"), (1, 1): ("sss", "ss"),
+                               (1, 2): ("ssc", "s"), (2, 2): ("scc", "1")}.items():
+            assert abs(mom.covariance[i, j] - closed(t, p)) <= 1e-14
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_3d_nonfinite_integrand_rejected(self):
@@ -295,8 +325,8 @@ class TestSphereIntegrate:
 
 
 class TestDepthCaps:
-    """Integrands no panel rule resolves, so refinement stops at the cap:
-    one coarse call plus one call per level, 41 levels in 2D and 15 in 3D."""
+    """Integrands no panel rule resolves, so refinement stops at depth 40:
+    one coarse call plus one call per level, 41 levels, in each loop."""
 
     def count(self, monkeypatch, measure, f):
         monkeypatch.setattr(measures_mod, "_BLOCK_PANELS", 10 ** 6)
@@ -319,17 +349,27 @@ class TestDepthCaps:
         assert calls == 1 + 41
         assert value == reference_sphere_integrate(m, step, tol=0.0)
 
-    def test_3d_point_discontinuity(self, monkeypatch):
-        # bounded, smooth except at d0, where its limit depends on the
-        # direction; a small band keeps the panels around d0 few
+    def test_3d_steps(self, monkeypatch):
+        # a step across the parallel theta = 1.03, the same on every
+        # meridian, and one across the meridian phi = 0.56, on a small band
         bounds = (1.0, 1.1, 0.5, 0.6)
-        m = make_banded_measure(3, [AngularBand(bounds, 1.0 / AngularBand(bounds, 1.0).mass())])
-        d0 = _angles_to_dirs_3d(np.array(1.03), np.array(0.56))
+        rho = 1.0 / AngularBand(bounds, 1.0).mass()
+        m = make_banded_measure(3, [AngularBand(bounds, rho)])
 
-        def kink(d):
-            diff = d - d0
-            return diff[:, 0] / np.linalg.norm(diff, axis=-1)
+        def polar(d):
+            return np.where(d[:, 2] < math.cos(1.03), 1.0, 0.0)
 
-        value, calls = self.count(monkeypatch, m, kink)
-        assert calls == 1 + 15
-        assert value == reference_sphere_integrate(m, kink, tol=0.0)
+        def both(d):
+            east = d[:, 0] * math.sin(0.56) < d[:, 1] * math.cos(0.56)
+            return polar(d) + np.where(east, 1.0, 0.0)
+
+        # each meridian's loop stops at the cap; the azimuthal loop, whose
+        # integrand is then constant, accepts its first level
+        value, calls = self.count(monkeypatch, m, polar)
+        assert calls == 2 * (1 + 41)
+        assert value == pytest.approx(rho * 0.1 * (math.cos(1.03) - math.cos(1.1)), rel=1e-12)
+        # every meridian's loop stops at the cap, the azimuthal loop at most there
+        value, calls = self.count(monkeypatch, m, both)
+        assert calls % (1 + 41) == 0 and 2 < calls // (1 + 41) <= 1 + 41
+        assert value == pytest.approx(rho * (0.1 * (math.cos(1.03) - math.cos(1.1))
+                                             + 0.04 * (math.cos(1.0) - math.cos(1.1))), rel=1e-12)

@@ -26,6 +26,21 @@ FIG1 = {"dimension": 2, "atoms": [], "bands": [
     {"region": [math.pi, TWO_PI], "density": 1.0 / (3.0 * math.pi)},
 ]}
 
+UNIFORM2 = {"dimension": 2, "atoms": [],
+            "bands": [{"region": [0.0, TWO_PI], "density": 1.0 / TWO_PI}]}
+# the fields without a default of each symbol kind, with valid values
+SYMBOL_FIELDS = {
+    "gaussian_iso": {"sigma": 1.0},
+    "gaussian_axes": {"sigma": 1.0},
+    "gaussian_aniso": {"measure": FIG1, "sigmas": [0.8, 1.2]},
+    "stable_aniso": {"measure": FIG1, "beta": 0.8},
+    "tempered_aniso": {"measure": FIG1, "beta": 1.3, "lam": 0.5},
+    "beta1_aniso": {"measure": UNIFORM2, "lam": 0.5},
+    "beta2_quadratic": {"measure": FIG1},
+    "general_profile": {"measure": FIG1, "profile": {"betas": [1.3, 1.7], "lambdas": [0.0, 0.5]}},
+    "isotropic_reference": {"beta": 0.8},
+}
+
 
 class TestErrors:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
@@ -83,6 +98,20 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "requires a directional measure" in err
+
+    @pytest.mark.parametrize("kind, field", [
+        (kind, field) for kind, fields in SYMBOL_FIELDS.items() for field in fields])
+    def test_symbol_without_required_field_exits_2(self, tmp_path, capsys, kind, field):
+        doc = {"kind": kind, "dimension": 2, **SYMBOL_FIELDS[kind]}
+        argv = ["symbol", "--k-grid", "0:1:3", "--out", str(tmp_path / "o.csv")]
+        assert main([*argv, "--config", write_json(tmp_path, "a.json", {"symbol": doc})]) == 0
+        del doc[field]
+        code = main([*argv, "--config", write_json(tmp_path, "b.json", {"symbol": doc})])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{kind} requires" in err
+        assert (field == "measure" and "directional measure" in err) or f"'{field}'" in err
 
     def test_sampling_requires_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {

@@ -90,15 +90,10 @@ def measures(draw, dimension, symmetric=False):
 @st.composite
 def cases(draw, kind):
     """(symbol, a jump law on the same measure or of the same family)."""
-    # beta2_quadratic takes the moments of 3D bands by adaptive quadrature,
-    # which takes seconds on a few partial bands
-    dims = [2, 1] if kind == "beta2_quadratic" else [2, 3, 1]
-    dim = 2 if kind == "gaussian_aniso" else draw(st.sampled_from(dims))
+    dim = 2 if kind == "gaussian_aniso" else draw(st.sampled_from([2, 3, 1]))
     m = draw(measures(dim, symmetric=kind == "beta1_aniso"))
     beta, lam = draw(exponent), draw(rate)
-    # 3D bands stay on the fixed nodes: the adaptive 3D route takes seconds per k
-    methods = ["nodes"] if dim == 3 and m.bands else ["nodes", "auto", "adaptive"]
-    kw = {"zeta": draw(positive), "method": draw(st.sampled_from(methods))}
+    kw = {"zeta": draw(positive), "method": draw(st.sampled_from(["nodes", "auto", "adaptive"]))}
     spec = JumpSpec("tempered_stable", dim, measure=m, beta=beta, lam=lam,
                     r0=draw(st.floats(1e-3, 1.0)))
     if kind in ("gaussian_iso", "gaussian_axes"):

@@ -199,6 +199,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="exponential"):
             validate_multistate(model, [[1.0]], 1.0, 100, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_needs_a_path(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            validate_multistate(swap_chain(), [[1.0, 0.0]], 1.0, n_paths,
+                                np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            multistate_endpoints(swap_chain(), 1.0, n_paths, np.random.default_rng(0))
+
 
 class TestFunctionals:
     def test_constant_weight_gives_exact_phase(self):

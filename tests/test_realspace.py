@@ -283,6 +283,14 @@ class TestStructure:
         b = apply_caseII(f0, m, 1.5, 0.5, x[None, :])
         assert a[0] == pytest.approx(b[0], rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("sigmas", [(0.8,), (0.8, 1.2, 1.0), (0.8, -1.2)])
+    def test_gaussian_aniso_one_spread_per_component(self, sigmas):
+        m = make_banded_measure(2, [((0.0, math.pi), 0.5 / math.pi),
+                                    ((math.pi, 2.0 * math.pi), 0.5 / math.pi)])
+        with pytest.raises(ValueError, match="one positive spread per measure component"):
+            apply_gaussian_nonlocal(constant_field(2), "aniso", np.array([0.3, 0.1]),
+                                    measure=m, sigmas=sigmas)
+
     def test_validation_errors(self):
         bump = gaussian_bump(1)
         with pytest.raises(ValueError, match="symmetric"):

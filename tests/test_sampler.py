@@ -181,6 +181,12 @@ class TestCompoundPoisson:
         b = ensemble_endpoints_parallel(spec, 1.0, 1.0, 1000, seed=5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_ensemble_needs_a_path(self, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            ensemble_endpoints_parallel(JumpSpec("gaussian_iso", 2, sigma=1.0), 1.0, 1.0,
+                                        n_paths, seed=1)
+
 
 class TestEcf:
     def test_k_zero_is_one(self):
@@ -351,6 +357,13 @@ class TestJson:
             JumpSpec("gaussian_iso", 2, sigma=-1.0)
         with pytest.raises(ValueError):
             JumpSpec("bogus", 2)
+
+    @pytest.mark.parametrize("sigmas", [None, (0.8,), (0.8, 1.2, 1.0), (0.8, 0.0),
+                                        (0.8, float("nan"))])
+    def test_one_spread_per_component(self, sigmas):
+        # fig1 has two components: one sigma is not reused for both
+        with pytest.raises(ValueError, match="one positive spread per measure component"):
+            JumpSpec("gaussian_aniso", 2, measure=fig1_measure(), sigmas=sigmas)
 
 
 class TestAnisoGaussianEcf:
