@@ -266,6 +266,10 @@ def uniform_measure(dimension) -> DirectionalMeasure:
 
 _GL_CACHE: dict = {}
 _BLOCK_PANELS = 1024  # panels per integrand call of the adaptive band quadrature
+# Active panels one integrand may hold at one level of the adaptive band
+# quadrature.  The tests and the benchmark need at most 578; an integrand noisy
+# at rounding level along an arc doubles its panels at every level instead.
+_PANEL_BUDGET = 1 << 15
 
 
 def _gl(order: int):
@@ -345,13 +349,15 @@ def _integrate_band_adaptive(band, f, tol, kinks):
     (P, M) of the integrands owner (P,).  A 2D arc is cut where kinks[i] . phi
     = 0 for integrand i, at theta_k +- pi/2 (a zero row: no cut), into 15-point
     Gauss-Legendre panels.  A panel is accepted when its 2 halves sum to within
-    max(tol, 1e-16) of it, or at depth 40.  Each level evaluates the active
-    panels of all integrands together; an integrand's accepted sums are added
-    in the order of a depth-first pass that refines the upper half first, so
-    the result does not depend on the batching.  A 3D band is this rule in phi
-    over the integrals of this rule in theta along the meridians, to tol / 100
-    and weighted by sin(theta), where k . phi is the 2D product of (k_z, k_x
-    cos(phi) + k_y sin(phi)) and (cos(theta), sin(theta)).
+    max(tol, 1e-16) of it, or at depth 40; an integrand with more than
+    _PANEL_BUDGET active panels at one level raises NumericalError.  Each
+    level evaluates the active panels of all integrands together; an
+    integrand's accepted sums are added in the order of a depth-first pass
+    that refines the upper half first, so the result does not depend on the
+    batching.  A 3D band is this rule in phi over the integrals of this rule
+    in theta along the meridians, to tol / 100 and weighted by sin(theta),
+    where k . phi is the 2D product of (k_z, k_x cos(phi) + k_y sin(phi)) and
+    (cos(theta), sin(theta)).
     """
     kinks = np.asarray(kinks, dtype=float)
     if band.dimension == 3:
@@ -390,6 +396,11 @@ def _integrate_band_adaptive(band, f, tol, kinks):
     coarse = _panel_sums(box, owner, f)
     accepted = []
     for depth in range(max_depth + 1):
+        if len(owner) > _PANEL_BUDGET and np.bincount(owner).max() > _PANEL_BUDGET:
+            raise NumericalError(
+                f"adaptive band quadrature needs more than {_PANEL_BUDGET} panels of one "
+                f"integrand at depth {depth} (tol = {tol:.3g}); the integrand is "
+                "noisy at rounding level along an arc")
         mid = 0.5 * (box[:, 0] + box[:, 1])
         kids = np.stack([box[:, 0], mid, mid, box[:, 1]], axis=-1).reshape(-1, 2, 2)
         vals = _panel_sums(kids.reshape(-1, 2), owner.repeat(2), f).reshape(-1, 2)

@@ -6,8 +6,11 @@ All draws go through a numpy Generator, so a fixed seed reproduces every
 trajectory bit for bit; parallel ensembles split the master seed per chunk
 with SeedSequence.spawn, which keeps results independent of the worker count.
 Directions and jumps are filled into one component-major (dim, n) buffer,
-and the (n, dim) arrays returned are its transpose.  An ensemble endpoint is
-the sum of its own path's jumps, with no prefix sum over the whole ensemble.
+and the (n, dim) arrays returned are its transpose.  Components are the
+uniforms of rng.choice counted against its cumulative masses, with no label
+array, and the angles and the first tempering round are drawn in fixed
+position slices; neither moves a draw.  An ensemble endpoint is the sum of its own path's jumps, with no
+prefix sum over the whole ensemble.
 """
 
 from __future__ import annotations
@@ -133,35 +136,63 @@ def _component_sampler(measure: DirectionalMeasure):
     return masses / masses.sum()
 
 
+# Angles, the draws of a component callback and the first tempering round are
+# drawn _SLICE positions at a time, in position order: the same stream as one
+# draw over all the positions, without an n-sized temporary per draw.
+_SLICE = 1 << 16
+
+
+def _positions(u, cdf, ci):
+    """The positions p with cdf[ci - 1] <= u[p] < cdf[ci], which
+    cdf.searchsorted(u, side="right") labels ci, in position order, one
+    nonempty _SLICE of u at a time."""
+    for s in range(0, len(u), _SLICE):
+        us = u[s:s + _SLICE]
+        sel = us < cdf[ci]
+        if ci:
+            sel &= us >= cdf[ci - 1]
+        idx = np.flatnonzero(sel)
+        if len(idx):
+            idx += s
+            yield idx
+
+
 def _directions(measure: DirectionalMeasure, probs, n: int, rng, draw=None) -> np.ndarray:
     """n unit directions as one (dim, n) array, from components drawn with
     probabilities probs, in the draw order of sample_direction; draw(ci, idx),
     if given, draws more for component ci at its positions idx right after
-    that component's angles.  The azimuth goes into row 1, whose cos fills
-    row 0 and whose sin overwrites it; cos theta of a 3D band into row 2."""
-    comp = rng.choice(len(probs), size=n, p=probs)
+    that component's angles.  The components are the uniforms u that
+    rng.choice(len(probs), n, p=probs) draws, counted against its cumulative
+    masses cdf (_positions), so no label array is built.  The azimuth goes
+    into row 1, whose cos fills row 0 and whose sin overwrites it; cos theta
+    of a 3D band into row 2."""
+    u = rng.random(n)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     dim = measure.dimension
     out = np.empty((dim, n))
     n_atoms = len(measure.atoms)
     for ci in range(len(probs)):
-        idx = np.flatnonzero(comp == ci)
-        if len(idx) == 0:
-            continue
+        angles = []
         if ci < n_atoms:
-            out[:, idx] = measure.atoms[ci][0][:, None]
+            for idx in _positions(u, cdf, ci):
+                out[:, idx] = measure.atoms[ci][0][:, None]
         elif dim == 2:
-            t0, t1 = measure.bands[ci - n_atoms].bounds
-            out[1, idx] = rng.uniform(t0, t1, size=len(idx))
+            angles = [(1, *measure.bands[ci - n_atoms].bounds)]
         else:
             t0, t1, p0, p1 = measure.bands[ci - n_atoms].bounds
-            out[2, idx] = rng.uniform(math.cos(t1), math.cos(t0), size=len(idx))
-            out[1, idx] = rng.uniform(p0, p1, size=len(idx))
+            angles = [(2, math.cos(t1), math.cos(t0)), (1, p0, p1)]
+        for row, lo, hi in angles:
+            for idx in _positions(u, cdf, ci):
+                out[row, idx] = rng.uniform(lo, hi, size=len(idx))
         if draw is not None:
-            draw(ci, idx)
+            for idx in _positions(u, cdf, ci):
+                draw(ci, idx)
     if not measure.bands:
         return out
-    pos = None if n_atoms == 0 else np.flatnonzero(comp >= n_atoms)
-    del comp, idx
+    # the bands' positions: those rng.choice labels n_atoms or more
+    pos = None if n_atoms == 0 else np.flatnonzero(u >= cdf[n_atoms - 1])
+    del u
     rows = out if pos is None else out[:, pos]
     np.cos(rows[1], out=rows[0])
     np.sin(rows[1], out=rows[1])
@@ -180,8 +211,9 @@ def sample_direction(measure: DirectionalMeasure, rng, size: Optional[int] = Non
     within their region (with respect to the sphere surface measure).  The
     (size, dim) result is the transpose of a component-major buffer.
 
-    Draw order: one rng.choice over the components, then one rng.uniform per
-    band component in component order (two in 3D: cos theta, then phi)."""
+    Draw order: the uniforms of one rng.choice over the components, then the
+    angles of each band component in component order (in 3D all cos theta,
+    then all phi)."""
     n = 1 if size is None else int(size)
     out = _directions(measure, _component_sampler(measure), n, rng).T
     return out[0] if size is None else out
@@ -197,8 +229,14 @@ def _pareto_radii(beta: float, r0: float, rng, n: int) -> np.ndarray:
 def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
                     max_rejections: int) -> np.ndarray:
     out = _pareto_radii(beta, r0, rng, n)
-    accept = np.multiply(out, -lam)
-    todo = np.flatnonzero(rng.uniform(size=n) > np.exp(accept, out=accept))
+    # the first round: its acceptance uniforms and exp(-lam r), _SLICE at a time
+    u, accept, todo = np.empty(min(n, _SLICE)), np.empty(min(n, _SLICE)), []
+    for s in range(0, n, _SLICE):
+        m = min(n - s, _SLICE)
+        np.multiply(out[s:s + m], -lam, out=accept[:m])
+        np.exp(accept[:m], out=accept[:m])
+        todo.append(np.flatnonzero(rng.random(out=u[:m]) > accept[:m]) + s)
+    todo = np.concatenate(todo) if todo else np.empty(0, dtype=np.intp)
     for _ in range(max_rejections - 1):
         if len(todo) == 0:
             return out

@@ -8,6 +8,7 @@ integrals along the meridians; the 3D cases assert accuracy against closed
 forms and a tensor Gauss-Legendre rule, and equal values under any batching."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -18,6 +19,7 @@ import anisolap.symbols as symbols_mod
 from anisolap.measures import (
     _TWO_PI,
     AngularBand,
+    NumericalError,
     StabilityProfile,
     _angles_to_dirs_2d,
     _angles_to_dirs_3d,
@@ -373,3 +375,44 @@ class TestDepthCaps:
         assert calls % (1 + 41) == 0 and 2 < calls // (1 + 41) <= 1 + 41
         assert value == pytest.approx(rho * (0.1 * (math.cos(1.03) - math.cos(1.1))
                                              + 0.04 * (math.cos(1.0) - math.cos(1.1))), rel=1e-12)
+
+
+class TestPanelBudget:
+    """Integrands that are noisy at rounding level along a whole arc never
+    pass the halves test, so their active panels double at every level; the
+    budget stops them with NumericalError long before memory runs out."""
+
+    def raises(self, measure, f):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="panels of one integrand"):
+                sphere_integrate(measure, f, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    def test_2d_noisy_arc(self):
+        # |phi|^2 of a computed unit vector is 1 or 1 +- 1 ulp: a step everywhere
+        m = make_banded_measure(2, [AngularBand((0.0, 1.0), 1.0)])
+        self.raises(m, lambda d: np.where(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] > 1.0, 1.0, 0.0))
+
+    def test_3d_azimuth_step_through_arctan2(self):
+        # arctan2(d_y, d_x) is phi only to rounding, so near phi = 0.56 the
+        # step flips along the meridian, and that meridian's loop never ends
+        bounds = (1.0, 1.1, 0.5, 0.6)
+        m = make_banded_measure(3, [AngularBand(bounds, 1.0 / AngularBand(bounds, 1.0).mass())])
+        self.raises(m, lambda d: np.where(np.arctan2(d[:, 1], d[:, 0]) > 0.56, 1.0, 0.0))
+
+    def test_budget_is_per_integrand(self, monkeypatch):
+        # the 44 wavenumbers start with more than 10 panels together, and
+        # none of them holds more than 10 at one level
+        pts = wavenumbers()
+        bands = fig1_measure().bands
+        g = INTEGRANDS_OF_U["tempered"]
+        want = _adaptive_bands(pts, bands, g, 1e-12)
+        monkeypatch.setattr(measures_mod, "_PANEL_BUDGET", 10)
+        assert np.array_equal(_adaptive_bands(pts, bands, g, 1e-12), want)
+        monkeypatch.setattr(measures_mod, "_PANEL_BUDGET", 9)
+        with pytest.raises(NumericalError, match="more than 9 panels of one integrand at depth 3"):
+            _adaptive_bands(pts, bands, g, 1e-12)

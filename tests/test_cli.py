@@ -176,6 +176,15 @@ class TestNumericalFailures:
         code = main(["ecf", "--config", cfg, "--out", str(tmp_path / "ecf.csv")])
         self.expect_3(capsys, code, "continued fraction did not converge")
 
+    def test_panel_budget(self, tmp_path, capsys, monkeypatch):
+        import anisolap.measures as measures
+
+        monkeypatch.setattr(measures, "_PANEL_BUDGET", 1)
+        cfg = write_json(tmp_path, "c.json", {"measure": FIG1, "beta": 1.3, "lam": 0.7,
+                                              "expect": "coercive"})
+        code = main(["analyze", "coercivity", "--config", cfg])
+        self.expect_3(capsys, code, "more than 1 panels of one integrand")
+
     def test_positive_real_part(self, tmp_path, capsys, monkeypatch):
         import anisolap.symbols as symbols
 

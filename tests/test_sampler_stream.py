@@ -250,6 +250,110 @@ class TestSameStream:
         assert np.array_equal(got, np.concatenate(chunks))
 
 
+# sizes that fill one slice exactly and that end 17 draws into a fourth
+SLICED = [sampler._SLICE, 3 * sampler._SLICE + 17]
+
+
+class TestSlices:
+    """Draws made _SLICE positions at a time are the draws of one call."""
+
+    @pytest.mark.parametrize("size", SLICED)
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_sample_direction(self, name, size):
+        same_stream(sample_direction, sampler.sample_direction, MEASURES[name], size=size)
+
+    @pytest.mark.parametrize("size", SLICED)
+    @pytest.mark.parametrize("name", SPECS)
+    def test_sample_jump(self, name, size):
+        same_stream(sample_jump, sampler.sample_jump, SPECS[name], size=size)
+
+    @pytest.mark.parametrize("length", [1, 7, sampler._SLICE, 10 ** 6])
+    @pytest.mark.parametrize("name", [*MEASURES, *SPECS])
+    def test_slice_length_does_not_matter(self, monkeypatch, name, length):
+        monkeypatch.setattr(sampler, "_SLICE", length)
+        if name in MEASURES:
+            same_stream(sample_direction, sampler.sample_direction, MEASURES[name], size=300)
+        else:
+            same_stream(sample_jump, sampler.sample_jump, SPECS[name], size=300)
+
+
+def choice_cdf(probs):
+    """The cumulative masses of rng.choice(len(probs), n, p=probs)."""
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def crafted_uniforms(cdf):
+    """0, every cdf value (the last is 1), the double below each, the largest
+    double below 1 and a few random uniforms, shuffled."""
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, -np.inf),
+                        np.random.default_rng(4).random(40)])
+    return np.random.default_rng(5).permutation(u)
+
+
+ANGLES_24 = np.linspace(0.0, TWO_PI, 24, endpoint=False) + 0.1
+MANY = make_measure(2, atoms=[((math.cos(a), math.sin(a)), 0.01 * (j % 5))
+                              for j, a in enumerate(ANGLES_24)],
+                    bands=[((0.5, 2.0), 0.3 / 1.5), ((3.0, 5.5), 0.24 / 2.5)])
+LABEL_PROBS = {
+    "fig1": _component_sampler(MEASURES["fig1"]),
+    "zero_weights": [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],
+    "single": [1.0],
+    "atoms24_bands2": _component_sampler(MANY),
+}
+
+
+class StubRng:
+    """Returns the given uniforms for rng.random, and each band angle at
+    its lower bound."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+    def uniform(self, lo, hi, size):
+        return np.full(size, float(lo))
+
+
+class TestLabels:
+    """The uniforms of rng.choice counted against its cumulative masses give
+    its labels cdf.searchsorted(u, side="right"), at every boundary."""
+
+    def test_many_has_zero_weight_atoms(self):
+        probs = _component_sampler(MANY)
+        assert len(probs) == 26 and np.count_nonzero(probs == 0.0) == 5
+
+    @pytest.mark.parametrize("length", [1, 3, sampler._SLICE])
+    @pytest.mark.parametrize("name", LABEL_PROBS)
+    def test_positions(self, monkeypatch, name, length):
+        monkeypatch.setattr(sampler, "_SLICE", length)
+        cdf = choice_cdf(LABEL_PROBS[name])
+        u = crafted_uniforms(cdf)
+        labels = cdf.searchsorted(u, side="right")
+        for ci in range(len(cdf)):
+            parts = list(sampler._positions(u, cdf, ci))
+            assert all(len(p) for p in parts)
+            got = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+            assert np.array_equal(got, np.flatnonzero(labels == ci))
+
+    def test_directions(self):
+        probs = _component_sampler(MANY)
+        u = crafted_uniforms(choice_cdf(probs))
+        u = u[u < 1.0]  # rng.random never returns 1
+        labels = choice_cdf(probs).searchsorted(u, side="right")
+        got = sampler._directions(MANY, probs, len(u), StubRng(u)).T
+        for p, ci in enumerate(labels):
+            if ci < 24:
+                assert np.array_equal(got[p], MANY.atoms[ci][0])
+            else:
+                t0 = MANY.bands[ci - 24].bounds[0]
+                assert got[p] == pytest.approx([math.cos(t0), math.sin(t0)], abs=1e-15)
+
+
 class TestEndpointSegments:
     """Paths without a jump keep their start wherever they fall in the ensemble."""
 
