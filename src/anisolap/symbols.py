@@ -1,13 +1,15 @@
 """Generator symbols (Fourier multipliers) of the nonlocal diffusion operators.
 
 Every evaluator returns the symbol psi(k) of a Markov generator, so psi(0) = 0,
-Re psi <= 0, and psi(-k) = conj(psi(k)).  Fractional powers use the principal
-branch through the polar representation
+Re psi <= 0, and psi(-k) = conj(psi(k)), bit for bit.  Fractional powers use
+the principal branch through the polar representation
 
     (lam - i*u)^beta = (lam^2 + u^2)^(beta/2) * exp(-i*beta*eta),
     eta = arctan2(u, lam),
 
-which is exact for lam = 0 as well (eta = +-pi/2).
+which is exact for lam = 0 as well (eta = +-pi/2).  The phase is taken from
+the half-angle tangent tan(beta*eta/2) (measures._half_angle_trig), which
+numpy evaluates vectorised where cos and sin may run as scalar libm.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .measures import (
     _check_exponent,
     _component_spreads,
     _composite_gl,
+    _half_angle_trig,
     _integrate_band_adaptive,
     _pool_map,
     _row_blocks,
@@ -86,13 +89,33 @@ def _restore(vals: np.ndarray, shape):
 def _bracket(u, beta: float, lam: float):
     """(lam - i*u)^beta - lam^beta on the principal branch (vectorised).
 
-    The u = 0 value is pinned to exactly zero (it vanishes identically);
-    array and scalar pow differ in the last ulp otherwise."""
+    The phase exp(-i*beta*eta) comes from t = tan(beta*eta/2) at |u|, finite
+    since beta*eta/2 < pi/2, and t takes the sign of u, so g(-u) == conj g(u)
+    exactly.  The u = 0 value is pinned to exactly zero (it vanishes
+    identically); array and scalar pow differ in the last ulp otherwise.  At
+    lam = 0 the magnitude is |u|^beta, which does not underflow with u^2."""
     u = np.asarray(u, dtype=float)
-    eta = np.arctan2(u, lam)
-    mag = (lam * lam + u * u) ** (0.5 * beta)
-    out = mag * np.exp(-1j * beta * eta) - lam ** beta
-    return np.where(u == 0.0, 0.0 + 0.0j, out)
+    # at least 1D: a ufunc on a 0-d array returns a scalar, not a buffer
+    a = np.abs(np.atleast_1d(u))
+    t = np.arctan2(a, lam)
+    t *= 0.5 * beta
+    np.tan(t, out=t)
+    np.copysign(t, u, out=t)
+    out = np.empty(a.shape, dtype=complex)
+    _half_angle_trig(t, out.real, out.imag)
+    # t becomes the magnitude (lam^2 + u^2)^(beta/2)
+    if lam == 0.0:
+        np.power(a, beta, out=t)
+    else:
+        np.multiply(a, a, out=t)
+        t += lam * lam
+        t **= 0.5 * beta
+    out.real *= t
+    out.real -= lam ** beta
+    np.negative(t, out=t)
+    out.imag *= t
+    np.copyto(out, 0.0, where=a == 0.0)
+    return out.reshape(u.shape)
 
 
 def _ceil_sign(beta: float) -> float:
@@ -203,8 +226,13 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
     closed(pts, band) is the exact band integral, or None.  Atoms are summed
     exactly; each band takes its closed form if it has one, else adaptive
     quadrature or the fixed nodes, as method resolves for len(pts).  The
-    components are added in measure order.
+    components are added in measure order.  Of each pair +-k, the member
+    whose first nonzero coordinate is positive is evaluated, and conjugated
+    for the other, so psi(-k) == conj psi(k) exactly on every route.
     """
+    first = pts[np.arange(pts.shape[0]), np.argmax(pts != 0.0, axis=1)]
+    flip = first < 0.0
+    pts = np.where(flip[:, None], -pts, pts)
     out = np.zeros(pts.shape[0], dtype=complex)
     for (d, w), (sign, g, _) in zip(measure.atoms, comps):
         out += sign * w * g(pts @ d)
@@ -221,6 +249,7 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
             out += sign * _adaptive_bands(pts, [band], g, tol)
         else:
             out += sign * next(sums)
+    np.conjugate(out, out=out, where=flip)
     return out
 
 
@@ -487,8 +516,8 @@ class GeneratorSymbol:
         method = self.method if method is None else method
         base = _EVALUATORS[self.kind](self, k, method)
         arr = np.atleast_1d(np.asarray(base))
-        slack = 1e-10 * max(1.0, float(np.max(np.abs(arr))))
-        if float(np.max(arr.real)) > slack:
+        slack = 1e-10 * max(1.0, float(np.max(np.abs(arr), initial=0.0)))
+        if float(np.max(arr.real, initial=0.0)) > slack:
             raise NumericalError(
                 f"{self.kind} symbol violated Re psi <= 0 (quadrature failure?)")
         return self.zeta * base

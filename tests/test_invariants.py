@@ -4,12 +4,9 @@ GeneratorSymbol.evaluate, psi(-k) == conj psi(k), and a jump law on the same
 measure has jump_cf(spec, 0) == 1.  The exponent-1 kind gets its measures
 symmetrised exactly, which measures.is_symmetric must accept.
 
-psi(-k) == conj psi(k) holds bit for bit where k enters only through k.phi
-on fixed directions: atoms, the Gaussian kinds, the quadratic kind, the
-isotropic reference and the fixed band nodes.  The 2D closed form for
-untempered bands and the adaptive band quadrature work from the angle of k
-and from panels split at its kinks, which differ between k and -k in the
-last bits, so there it holds to 1e-14 relative."""
+psi(-k) == conj psi(k) holds bit for bit on every route: the measure
+integrals evaluate one member of each pair +-k and conjugate for the other,
+and the remaining kinds see k only through even or odd functions of it."""
 
 import math
 
@@ -120,22 +117,6 @@ def cases(draw, kind):
     return GeneratorSymbol(kind, dim, **kw), spec
 
 
-def bit_exact(sym, n_points) -> bool:
-    """Whether psi(-k) == conj psi(k) bit for bit on this route (see the
-    module docstring)."""
-    m = sym.measure
-    if sym.kind in ("gaussian_iso", "gaussian_axes", "gaussian_aniso", "beta2_quadratic",
-                    "isotropic_reference") or not m.bands:
-        return True
-    if symbols_mod._resolve_method(sym.method, n_points, m) == "adaptive":
-        return False
-    if sym.kind == "general_profile":
-        lams = sym.profile.lambdas[len(m.atoms):]
-    else:
-        lams = [0.0 if sym.kind == "stable_aniso" else sym.lam] * len(m.bands)
-    return m.dimension == 3 or all(lam > 0 for lam in lams)
-
-
 @pytest.mark.filterwarnings("ignore::anisolap.symbols.MixedStabilityRangeWarning")
 @pytest.mark.parametrize("kind", symbols_mod._KINDS)
 @FAST
@@ -149,10 +130,7 @@ def test_generator_invariants(kind, data):
     assert plus[0] == 0 and minus[0] == 0
     slack = 1e-10 * max(1.0, float(np.abs(plus).max()))
     assert np.all(plus.real <= slack) and np.all(minus.real <= slack)
-    if bit_exact(sym, len(k)):
-        assert np.array_equal(minus, np.conj(plus))
-    else:
-        assert np.all(np.abs(minus - np.conj(plus)) <= 1e-14 * np.maximum(1.0, np.abs(plus)))
+    assert np.array_equal(minus, np.conj(plus))
     assert jump_cf(spec, np.zeros(n)) == 1
     if kind == "beta1_aniso":
         assert is_symmetric(sym.measure)

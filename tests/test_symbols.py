@@ -372,6 +372,19 @@ class TestGeneratorObjects:
             vals = np.atleast_1d(g(ks))
             assert np.all(np.real(vals) <= 1e-12)
 
+    @pytest.mark.parametrize("method", ["auto", "nodes", "adaptive"])
+    @pytest.mark.parametrize("gen", [
+        lambda: make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=1.3, lam=0.4),
+        lambda: make_generator("tempered_aniso", 3, measure=uniform_measure(3), beta=0.7,
+                               lam=0.2),
+        lambda: make_generator("gaussian_iso", 2, sigma=0.8),
+    ], ids=["tempered_2d", "tempered_3d", "gaussian_iso"])
+    def test_empty_wavenumbers(self, gen, method):
+        sym = gen()
+        for k in (np.empty((0, sym.dimension)), np.empty((2, 0, sym.dimension))):
+            got = sym.evaluate(k, method=method)
+            assert got.shape == k.shape[:-1] and got.dtype == complex
+
     def test_zeta_scaling(self):
         g1 = make_generator("gaussian_iso", 2, sigma=1.0, zeta=1.0)
         g3 = make_generator("gaussian_iso", 2, sigma=1.0, zeta=3.0)
