@@ -12,7 +12,7 @@ import numpy as np
 import scipy.special as sc
 
 from .evolve import DensityField, continuum_dft_abs2, evolve_spectral
-from .measures import DirectionalMeasure, _composite_gl, support_directions
+from .measures import RANK_TOL, DirectionalMeasure, _composite_gl, support_directions
 from .realspace import ScalarField, bilinear_form, _graded_radial_rule
 from .symbols import (
     gaussian_symbol, isotropic_reference_symbol, make_generator, tempered_symbol,
@@ -66,7 +66,7 @@ def _nullspace_directions(measure: DirectionalMeasure) -> np.ndarray:
     if dirs.shape[0] == 0:
         return np.eye(n)
     _, s, vt = np.linalg.svd(dirs, full_matrices=True)
-    null = [vt[i] for i in range(n) if i >= len(s) or s[i] <= 1e-8 * s[0]]
+    null = [vt[i] for i in range(n) if i >= len(s) or s[i] <= RANK_TOL * s[0]]
     return np.asarray(null).reshape(-1, n)
 
 
@@ -93,8 +93,7 @@ def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float, *,
         dirs = np.concatenate([dirs, extra], axis=0)
     K = radii[:, None, None] * dirs[None, :, :]
     pts = K.reshape(-1, n)
-    method = "adaptive" if measure.bands else "nodes"
-    num = coercivity_numerator(measure, beta, lam, pts, method=method)
+    num = coercivity_numerator(measure, beta, lam, pts, method="adaptive")
     den = isotropic_reference_symbol(beta, lam, pts, n)
     ratio = num / den
     imin = int(np.argmin(ratio))
@@ -132,8 +131,7 @@ def symbol_asymptotic_slopes(measure: DirectionalMeasure, beta: float, lam: floa
 
     def fit(radii):
         pts = radii[:, None] * d[None, :]
-        num = coercivity_numerator(measure, beta, lam, pts,
-                                   method="adaptive" if measure.bands else "nodes")
+        num = coercivity_numerator(measure, beta, lam, pts, method="adaptive")
         den = isotropic_reference_symbol(beta, lam, pts, n)
         ln_r = np.log(radii)
         s_num = np.polyfit(ln_r, np.log(num), 1)[0]
@@ -179,8 +177,7 @@ def parseval_bilinear_check(field_q: ScalarField, measure: DirectionalMeasure,
     grid = SpectralGrid(n, half_width, n_points)
     vals = field_q.f(grid.points()).reshape(grid.shape())
     qhat2 = continuum_dft_abs2(vals, grid)
-    psi = make_generator("tempered_aniso", n, measure=measure, beta=beta, lam=lam,
-                         method="nodes").on_grid(grid)
+    psi = make_generator("tempered_aniso", n, measure=measure, beta=beta, lam=lam).on_grid(grid)
     dk = (math.pi / half_width) ** n
     spectral = (
         2.0 * abs(sc.gamma(-beta)) / (2.0 * math.pi) ** n

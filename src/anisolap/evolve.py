@@ -142,9 +142,8 @@ def gaussian_density(grid: SpectralGrid, variance: float, center=None) -> Densit
 
 
 def _symbol_on_grid(symbol, grid: SpectralGrid) -> np.ndarray:
-    """psi on the grid lattice.  A GeneratorSymbol goes through its cached
-    half-spectrum route; a plain callable is evaluated at every wavenumber,
-    since psi(-k) = conj psi(k) is not guaranteed for it."""
+    """psi on the grid lattice: a GeneratorSymbol's cached on_grid, or a
+    plain callable evaluated at every wavenumber."""
     if isinstance(symbol, GeneratorSymbol):
         return symbol.on_grid(grid)
     psi = np.asarray(symbol(grid.k_points()), dtype=complex)
@@ -174,9 +173,10 @@ def evolve_spectral(p0: DensityField, symbol, t: float, *,
                     check_boundary: bool = True) -> DensityField:
     """Exact grid semigroup: multiply the transform by exp(t*psi(k)).
 
-    A GeneratorSymbol is evaluated on half of the lattice (the other half is
-    psi(-k) = conj psi(k)) and cached per grid, so repeated evolutions on one
-    grid evaluate it once; a plain callable is called on every wavenumber.
+    A GeneratorSymbol is evaluated through its on_grid (the quadrature
+    evaluators run once per pair +-k) and cached per grid, so repeated
+    evolutions on one grid evaluate it once; a plain callable is called on
+    every wavenumber.
     With check_boundary, BoundaryMassError is raised when the outermost
     cells hold more than 1e-6 of the mass."""
     if t < 0:

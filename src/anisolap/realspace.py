@@ -267,18 +267,24 @@ def _as_points(x, n):
     raise ValueError(f"points must have shape (n,) or (P, {n})")
 
 
+def _point_map(value, x, n):
+    """value(xi) at each point of x, which has shape (n,) or (P, n).  The
+    points run on up to ANISOLAP_THREADS workers; each value is computed
+    alone, so the worker count does not change it."""
+    pts, single = _as_points(x, n)
+    vals = np.array(_pool_map(value, pts), dtype=float)
+    return vals[0] if single else vals
+
+
 def _apply_blocks(field, measure, x, blocks, tail_tol):
-    """Operator values at the points x: for each point, the sum over kernel
-    blocks (dirs, w, beta, lam, mode, drift) of _apply_pointwise in block
-    order.  The points run on up to ANISOLAP_THREADS workers; each value is
-    computed alone, so the worker count does not change it.  Raises
-    ValueError first if the field lacks a derivative that a block's mode
-    uses."""
+    """Operator values at the points x (_point_map): for each point, the sum
+    over kernel blocks (dirs, w, beta, lam, mode, drift) of _apply_pointwise
+    in block order.  Raises ValueError first if the field lacks a derivative
+    that a block's mode uses."""
     if field.grad is None and any(mode != "symmetric" for _, _, _, _, mode, _ in blocks):
         raise ValueError("this operator form requires an analytic gradient")
     if field.hess is None:
         raise ValueError("the Taylor correction near r = 0 requires an analytic Hessian")
-    pts, single = _as_points(x, measure.dimension)
 
     def value(xi):
         total = 0.0
@@ -287,8 +293,7 @@ def _apply_blocks(field, measure, x, blocks, tail_tol):
                                       _resolve_R(field, xi, lam), drift, tail_tol)
         return total
 
-    vals = np.array(_pool_map(value, pts), dtype=float)
-    return vals[0] if single else vals
+    return _point_map(value, x, measure.dimension)
 
 
 def _drift(beta: float, lam: float, b):
@@ -369,37 +374,31 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
                             sigmas=None, zeta: float = 1.0, order: int = 24):
     """zeta * (smoothing - identity) for the Gaussian jump laws.
 
-    iso:  zeta*(E f(x - sigma Z) - f(x)), Z standard normal, via tensor
-          Gauss-Hermite; axes: the axis mixture of 1D smoothings; aniso: the
-          normalised directional Rayleigh mixture.
+    Each variant is a rule of jumps Y with weights W, applied at every point
+    as zeta * W @ (f(x - Y) - f(x)) through the point map of the stable
+    operators, so constants are annihilated exactly.  iso: the tensor
+    Gauss-Hermite nodes of sigma Z, Z standard normal; axes: the 1D rule on
+    each axis with weight 1/n; aniso: the normalised directional Rayleigh
+    mixture, radii sigma_c t on a t e^(-t^2/2) rule times the measure nodes.
     """
-    pts, single = _as_points(x, field.dimension)
+    n = field.dimension
     t, wt = sc.roots_hermite(order)
     z = math.sqrt(2.0) * t
     wz = wt / math.sqrt(math.pi)
-    out = np.empty(len(pts))
-    if variant == "iso":
+    if variant in ("iso", "axes"):
         if sigma is None or sigma <= 0:
             raise ValueError("sigma must be positive")
-        n = field.dimension
-        grids = np.meshgrid(*([z] * n), indexing="ij")
-        Z = np.stack([g.ravel() for g in grids], axis=-1)
-        W = np.ones(len(Z))
+    if variant == "iso":
+        Y = sigma * np.stack([g.ravel() for g in np.meshgrid(*([z] * n), indexing="ij")],
+                             axis=-1)
+        W = np.ones(len(Y))
         for g in np.meshgrid(*([wz] * n), indexing="ij"):
             W = W * g.ravel()
-        for i, xi in enumerate(pts):
-            out[i] = zeta * (W @ field.f(xi[None, :] - sigma * Z) - field.f(xi))
     elif variant == "axes":
-        if sigma is None or sigma <= 0:
-            raise ValueError("sigma must be positive")
-        n = field.dimension
-        for i, xi in enumerate(pts):
-            acc = 0.0
-            for ax in range(n):
-                shift = np.zeros((order, n))
-                shift[:, ax] = sigma * z
-                acc += wz @ field.f(xi[None, :] - shift)
-            out[i] = zeta * (acc / n - field.f(xi))
+        Y = np.zeros((n * order, n))
+        for ax in range(n):
+            Y[ax * order:(ax + 1) * order, ax] = sigma * z
+        W = np.tile(wz / n, n)
     elif variant == "aniso":
         if measure is None or measure.dimension != 2:
             raise ValueError("the aniso variant requires a 2D measure")
@@ -408,18 +407,13 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
         s = sig[comp]
         c_m = 1.0 / float(wdir @ s ** 2)
         # radial rule on t = r / sigma_dir: int_0^inf g(sigma t) e^{-t^2/2} t dt
-        edges = np.linspace(0.0, 8.5, 18)
-        tt, tw = _composite_gl(edges, 10)
+        tt, tw = _composite_gl(np.linspace(0.0, 8.5, 18), 10)
         tw = tw * tt * np.exp(-0.5 * tt * tt)
-        for i, xi in enumerate(pts):
-            fx = field.f(xi)
-            Y = xi[None, None, :] - (tt[:, None, None] * s[None, :, None]) * dirs[None, :, :]
-            vals = field.f(Y) - fx
-            radial = tw @ vals  # per direction, already times sigma^2 via scaling
-            out[i] = zeta * c_m * float((wdir * s ** 2) @ radial)
+        Y = ((tt[:, None, None] * s[None, :, None]) * dirs[None, :, :]).reshape(-1, 2)
+        W = (c_m * tw[:, None] * (wdir * s ** 2)[None, :]).ravel()
     else:
         raise ValueError(f"unknown gaussian variant {variant!r}")
-    return out[0] if single else out
+    return _point_map(lambda xi: zeta * float(W @ (field.f(xi - Y) - field.f(xi))), x, n)
 
 
 # ---------------------------------------------------------------------------

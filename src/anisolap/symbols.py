@@ -219,6 +219,30 @@ def _adaptive_bands(pts, bands, integrand_of_u, tol):
     return out
 
 
+def _paired(pts, fn):
+    """fn evaluated once per pair +-k of the rows of pts.
+
+    Each row is flipped so that its first nonzero coordinate is positive, and
+    equal rows are grouped by one stable sort.  fn runs on the first occurrence
+    of each group, in order of first occurrence; its values are scattered back
+    and conjugated on the flipped rows, so psi(-k) == conj psi(k) exactly.
+    """
+    n = pts.shape[0]
+    first = pts[np.arange(n), np.argmax(pts != 0.0, axis=1)]
+    flip = first < 0.0
+    pts = np.where(flip[:, None], -pts, pts)
+    order = np.lexsort(pts.T[::-1])
+    srt = pts[order]
+    start = np.ones(n, dtype=bool)
+    start[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    lead = np.empty(n, dtype=np.intp)  # the first occurrence of each row's group
+    lead[order] = order[start][np.cumsum(start) - 1]
+    is_lead = lead == np.arange(n)
+    out = fn(pts[is_lead])[np.cumsum(is_lead)[lead] - 1]
+    np.conjugate(out, out=out, where=flip)
+    return out
+
+
 def _measure_integral(measure, pts, comps, method, refinement, tol):
     """sum over the components c of sign_c * int g_c(k.phi) m_c(dphi).
 
@@ -226,31 +250,29 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
     closed(pts, band) is the exact band integral, or None.  Atoms are summed
     exactly; each band takes its closed form if it has one, else adaptive
     quadrature or the fixed nodes, as method resolves for len(pts).  The
-    components are added in measure order.  Of each pair +-k, the member
-    whose first nonzero coordinate is positive is evaluated, and conjugated
-    for the other, so psi(-k) == conj psi(k) exactly on every route.
+    components are added in measure order, once per pair +-k (_paired).
     """
-    first = pts[np.arange(pts.shape[0]), np.argmax(pts != 0.0, axis=1)]
-    flip = first < 0.0
-    pts = np.where(flip[:, None], -pts, pts)
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for (d, w), (sign, g, _) in zip(measure.atoms, comps):
-        out += sign * w * g(pts @ d)
-    bands = list(zip(measure.bands, comps[len(measure.atoms):]))
     adaptive = _resolve_method(method, pts.shape[0], measure) == "adaptive"
+    bands = list(zip(measure.bands, comps[len(measure.atoms):]))
     on_nodes = [] if adaptive else [
         (g, *band_nodes(band, refinement=refinement))
         for band, (_, g, closed) in bands if closed is None]
-    sums = iter(_band_sum(pts, on_nodes).T if on_nodes else ())
-    for band, (sign, g, closed) in bands:
-        if closed is not None:
-            out += sign * closed(pts, band)
-        elif adaptive:
-            out += sign * _adaptive_bands(pts, [band], g, tol)
-        else:
-            out += sign * next(sums)
-    np.conjugate(out, out=out, where=flip)
-    return out
+
+    def integral(pts):
+        out = np.zeros(pts.shape[0], dtype=complex)
+        for (d, w), (sign, g, _) in zip(measure.atoms, comps):
+            out += sign * w * g(pts @ d)
+        sums = iter(_band_sum(pts, on_nodes).T if on_nodes else ())
+        for band, (sign, g, closed) in bands:
+            if closed is not None:
+                out += sign * closed(pts, band)
+            elif adaptive:
+                out += sign * _adaptive_bands(pts, [band], g, tol)
+            else:
+                out += sign * next(sums)
+        return out
+
+    return _paired(pts, integral)
 
 
 def _stable_symbol(measure, betas, lams, k, method, refinement, tol):
@@ -382,16 +404,18 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
         )
 
     c_m = 1.0 / np.sum(w * s ** 2)
-    return _restore(c_m * _band_sum(pts, [(radial_dev, dirs, w)])[:, 0], shape)
+    vals = _paired(pts, lambda p: _band_sum(p, [(radial_dev, dirs, w)])[:, 0])
+    return _restore(c_m * vals, shape)
 
 
 def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     """Nonnegative reference multiplier of the isotropic operator.
 
     Returns (-1)^ceil(beta) * (1/omega_n) * int (lam^beta -
-    (lam^2 + (k.phi)^2)^(beta/2) cos(beta*eta)) dphi, a real value >= 0 used
-    as the denominator of the coercivity ratio: in closed form for n = 1 or
-    lam = 0, else by 40 graded Gauss-Legendre panels of order 12.
+    (lam^2 + (k.phi)^2)^(beta/2) cos(beta*eta)) dphi, the real part of
+    _bracket, a real value >= 0 used as the denominator of the coercivity
+    ratio: in closed form for n = 1 or lam = 0, else by 40 graded
+    Gauss-Legendre panels of order 12.
     """
     _check_exponent(beta)
     if lam < 0:
@@ -401,11 +425,7 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     sign = _ceil_sign(beta)
 
     def f(u):
-        u = np.asarray(u, dtype=float)
-        eta = np.arctan2(u, lam)
-        val = sign * (lam ** beta
-                      - (lam * lam + u * u) ** (0.5 * beta) * np.cos(beta * eta))
-        return np.where(u == 0.0, 0.0, val)
+        return -sign * _bracket(u, beta, lam).real
 
     if n == 1:
         out = f(kn)
@@ -441,26 +461,27 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
 # generator objects
 # ---------------------------------------------------------------------------
 
-# kind -> psi(sym, k, method); each entry looks up its evaluator at call
-# time, so a rebinding of the module-level name reaches GeneratorSymbol
+# kind -> psi(sym, k); each entry looks up its evaluator at call time, so a
+# rebinding of the module-level name reaches GeneratorSymbol.  Evaluators that
+# integrate over a measure form the pairs +-k themselves (_paired)
 _EVALUATORS = {
-    "gaussian_iso": lambda s, k, method: gaussian_symbol(
+    "gaussian_iso": lambda s, k: gaussian_symbol(
         "iso", k, sigma=s.sigma, dimension=s.dimension),
-    "gaussian_axes": lambda s, k, method: gaussian_symbol(
+    "gaussian_axes": lambda s, k: gaussian_symbol(
         "axes", k, sigma=s.sigma, dimension=s.dimension),
-    "gaussian_aniso": lambda s, k, method: gaussian_symbol(
+    "gaussian_aniso": lambda s, k: gaussian_symbol(
         "aniso", k, measure=s.measure, sigmas=s.sigmas, refinement=s.refinement),
-    "stable_aniso": lambda s, k, method: tempered_symbol(
-        s.measure, s.beta, 0.0, k, method=method, refinement=s.refinement),
-    "tempered_aniso": lambda s, k, method: tempered_symbol(
-        s.measure, s.beta, s.lam, k, method=method, refinement=s.refinement),
-    "beta1_aniso": lambda s, k, method: beta1_symbol(
-        s.measure, s.lam, k, method=method, refinement=s.refinement),
-    "beta2_quadratic": lambda s, k, method: beta2_symbol(s.measure, s.lam or 0.0, k),
-    "general_profile": lambda s, k, method: general_profile_symbol(
-        s.measure, s.profile, k, method=method, refinement=s.refinement),
+    "stable_aniso": lambda s, k: tempered_symbol(
+        s.measure, s.beta, 0.0, k, method=s.method, refinement=s.refinement),
+    "tempered_aniso": lambda s, k: tempered_symbol(
+        s.measure, s.beta, s.lam, k, method=s.method, refinement=s.refinement),
+    "beta1_aniso": lambda s, k: beta1_symbol(
+        s.measure, s.lam, k, method=s.method, refinement=s.refinement),
+    "beta2_quadratic": lambda s, k: beta2_symbol(s.measure, s.lam or 0.0, k),
+    "general_profile": lambda s, k: general_profile_symbol(
+        s.measure, s.profile, k, method=s.method, refinement=s.refinement),
     # as a generator: the negated reference value
-    "isotropic_reference": lambda s, k, method: -1.0 * isotropic_reference_symbol(
+    "isotropic_reference": lambda s, k: -1.0 * isotropic_reference_symbol(
         s.beta, s.lam or 0.0, k, s.dimension),
 }
 _KINDS = tuple(_EVALUATORS)
@@ -479,8 +500,7 @@ class GeneratorSymbol:
     zeta scales the whole symbol (jump rate of the compound-Poisson picture,
     or a plain diffusion-coefficient rescale); evaluation is pure and safe to
     share across threads.  on_grid evaluates psi on a SpectralGrid's lattice
-    from half of its wavenumbers and caches the result per grid on the
-    instance.
+    and caches the result per grid on the instance.
     """
 
     kind: str
@@ -511,10 +531,9 @@ class GeneratorSymbol:
         object.__setattr__(self, "_grid_cache", {})
         object.__setattr__(self, "_grid_lock", threading.Lock())
 
-    def evaluate(self, k, method: Optional[str] = None):
-        """psi(k); method overrides self.method for this call."""
-        method = self.method if method is None else method
-        base = _EVALUATORS[self.kind](self, k, method)
+    def evaluate(self, k):
+        """psi(k) at a wavenumber or an (..., n) array of them."""
+        base = _EVALUATORS[self.kind](self, k)
         arr = np.atleast_1d(np.asarray(base))
         slack = 1e-10 * max(1.0, float(np.max(np.abs(arr), initial=0.0)))
         if float(np.max(arr.real, initial=0.0)) > slack:
@@ -527,34 +546,19 @@ class GeneratorSymbol:
     def on_grid(self, grid) -> np.ndarray:
         """Read-only psi on the fftfreq lattice of grid, shaped grid.shape().
 
-        One wavenumber of each pair (k, -k) is evaluated, plus every point on
-        a Nyquist plane (its mirror lies off the lattice); the rest is filled
-        in by psi(-k) = conj psi(k).  method="auto" resolves on the full
-        number of lattice points.  The last _GRID_CACHE_SIZE grids are cached.
+        The whole lattice goes through evaluate, so method="auto" resolves on
+        its number of points; the quadrature evaluators run once per pair
+        +-k.  The last _GRID_CACHE_SIZE grids are cached.
         """
         with self._grid_lock:
             psi = self._grid_cache.get(grid)
             if psi is None:
-                psi = self._half_spectrum(grid)
+                psi = np.asarray(self.evaluate(grid.k_points()), dtype=complex)
+                psi = psi.reshape(grid.shape())
+                psi.setflags(write=False)
                 self._grid_cache[grid] = psi
                 if len(self._grid_cache) > _GRID_CACHE_SIZE:
                     del self._grid_cache[next(iter(self._grid_cache))]
-        return psi
-
-    def _half_spectrum(self, grid) -> np.ndarray:
-        shape, N = grid.shape(), grid.n_points
-        idx = np.indices(shape).reshape(grid.dimension, -1)
-        flat = np.arange(idx.shape[1])
-        mirror = np.ravel_multi_index((N - idx) % N, shape)
-        own = np.any(idx == N // 2, axis=0) | (flat <= mirror)
-        method = self.method
-        if self.measure is not None:
-            method = _resolve_method(method, flat.size, self.measure)
-        vals = np.empty(flat.size, dtype=complex)
-        vals[own] = self.evaluate(grid.k_points()[own], method=method)
-        vals[~own] = np.conj(vals[mirror[~own]])
-        psi = vals.reshape(shape)
-        psi.setflags(write=False)
         return psi
 
 

@@ -189,7 +189,7 @@ class TestNumericalFailures:
         import anisolap.symbols as symbols
 
         monkeypatch.setitem(symbols._EVALUATORS, "gaussian_iso",
-                            lambda s, k, method: np.full(len(k), 1e-6 + 0j))
+                            lambda s, k: np.full(len(k), 1e-6 + 0j))
         cfg = write_json(tmp_path, "c.json", {
             "symbol": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}})
         code = main(["symbol", "--config", cfg, "--k-grid", "0:1:5",

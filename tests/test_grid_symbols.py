@@ -1,5 +1,5 @@
-"""Grid symbols: the blocked fixed-node quadrature and the cached
-half-spectrum route GeneratorSymbol.on_grid."""
+"""Grid symbols: the blocked fixed-node quadrature and the cached grid
+route GeneratorSymbol.on_grid."""
 
 import math
 import sys
@@ -157,7 +157,7 @@ class TestBlockedCore:
 
 
 # ---------------------------------------------------------------------------
-# the half-spectrum grid route
+# the grid route
 # ---------------------------------------------------------------------------
 
 SYM2 = make_atomic_measure(2, [((1, 0), .25), ((-1, 0), .25), ((0, 1), .25), ((0, -1), .25)])
@@ -165,48 +165,46 @@ SYM1 = make_atomic_measure(1, [((1,), 0.5), ((-1,), 0.5)])
 ONE1 = make_atomic_measure(1, [((1,), 0.7), ((-1,), 0.3)])
 SYM3 = make_atomic_measure(3, [(s * e, 1.0 / 6.0) for e in np.eye(3) for s in (1.0, -1.0)])
 
-# (id, dimension, params, exact): exact on atom, node and Gaussian paths;
-# the closed-form lambda = 0 band paths round differently at k and -k
+# (id, dimension, params)
 CASES = [
-    ("gaussian_iso_1d", 1, dict(kind="gaussian_iso", sigma=0.8), True),
-    ("gaussian_axes_1d", 1, dict(kind="gaussian_axes", sigma=0.8), True),
-    ("stable_1d", 1, dict(kind="stable_aniso", measure=ONE1, beta=0.6), True),
-    ("tempered_1d", 1, dict(kind="tempered_aniso", measure=ONE1, beta=1.3, lam=0.5), True),
-    ("beta1_1d", 1, dict(kind="beta1_aniso", measure=SYM1, lam=0.5), True),
-    ("beta2_1d", 1, dict(kind="beta2_quadratic", measure=ONE1, lam=0.3), True),
+    ("gaussian_iso_1d", 1, dict(kind="gaussian_iso", sigma=0.8)),
+    ("gaussian_axes_1d", 1, dict(kind="gaussian_axes", sigma=0.8)),
+    ("stable_1d", 1, dict(kind="stable_aniso", measure=ONE1, beta=0.6)),
+    ("tempered_1d", 1, dict(kind="tempered_aniso", measure=ONE1, beta=1.3, lam=0.5)),
+    ("beta1_1d", 1, dict(kind="beta1_aniso", measure=SYM1, lam=0.5)),
+    ("beta2_1d", 1, dict(kind="beta2_quadratic", measure=ONE1, lam=0.3)),
     ("profile_1d", 1, dict(kind="general_profile", measure=ONE1,
-                           profile=StabilityProfile((1.3, 1.6), (0.2, 0.0))), True),
-    ("isoref_1d", 1, dict(kind="isotropic_reference", beta=1.3, lam=0.5), True),
-    ("gaussian_iso_2d", 2, dict(kind="gaussian_iso", sigma=0.8), True),
-    ("gaussian_axes_2d", 2, dict(kind="gaussian_axes", sigma=0.8), True),
+                           profile=StabilityProfile((1.3, 1.6), (0.2, 0.0)))),
+    ("isoref_1d", 1, dict(kind="isotropic_reference", beta=1.3, lam=0.5)),
+    ("gaussian_iso_2d", 2, dict(kind="gaussian_iso", sigma=0.8)),
+    ("gaussian_axes_2d", 2, dict(kind="gaussian_axes", sigma=0.8)),
     ("gaussian_aniso_2d", 2, dict(kind="gaussian_aniso", measure=fig1_measure(),
-                                  sigmas=(0.8, 1.2)), True),
-    ("stable_bands_2d", 2, dict(kind="stable_aniso", measure=fig1_measure(), beta=1.3), False),
-    ("stable_atoms_2d", 2, dict(kind="stable_aniso", measure=SYM2, beta=0.7), True),
+                                  sigmas=(0.8, 1.2))),
+    ("stable_bands_2d", 2, dict(kind="stable_aniso", measure=fig1_measure(), beta=1.3)),
+    ("stable_atoms_2d", 2, dict(kind="stable_aniso", measure=SYM2, beta=0.7)),
     ("tempered_2d", 2, dict(kind="tempered_aniso", measure=fig1_measure(),
-                            beta=0.8, lam=0.5), True),
-    ("beta1_closed_2d", 2, dict(kind="beta1_aniso", measure=uniform_measure(2), lam=0.0), False),
-    ("beta1_nodes_2d", 2, dict(kind="beta1_aniso", measure=uniform_measure(2), lam=0.5), True),
-    ("beta2_2d", 2, dict(kind="beta2_quadratic", measure=fig1_measure(), lam=0.3), True),
+                            beta=0.8, lam=0.5)),
+    ("beta1_closed_2d", 2, dict(kind="beta1_aniso", measure=uniform_measure(2), lam=0.0)),
+    ("beta1_nodes_2d", 2, dict(kind="beta1_aniso", measure=uniform_measure(2), lam=0.5)),
+    ("beta2_2d", 2, dict(kind="beta2_quadratic", measure=fig1_measure(), lam=0.3)),
     ("profile_mixed_2d", 2, dict(kind="general_profile", measure=fig1_measure(),
-                                 profile=StabilityProfile((1.3, 1.7), (0.0, 0.4))), False),
+                                 profile=StabilityProfile((1.3, 1.7), (0.0, 0.4)))),
     ("profile_nodes_2d", 2, dict(kind="general_profile", measure=mixed_measure(),
-                                 profile=StabilityProfile((1.2, 1.3, 1.7), (0.3, 0.1, 0.4))),
-     True),
-    ("isoref_2d", 2, dict(kind="isotropic_reference", beta=1.3, lam=0.5), True),
-    ("gaussian_iso_3d", 3, dict(kind="gaussian_iso", sigma=0.8), True),
-    ("gaussian_axes_3d", 3, dict(kind="gaussian_axes", sigma=0.8), True),
+                                 profile=StabilityProfile((1.2, 1.3, 1.7), (0.3, 0.1, 0.4)))),
+    ("isoref_2d", 2, dict(kind="isotropic_reference", beta=1.3, lam=0.5)),
+    ("gaussian_iso_3d", 3, dict(kind="gaussian_iso", sigma=0.8)),
+    ("gaussian_axes_3d", 3, dict(kind="gaussian_axes", sigma=0.8)),
     ("stable_3d", 3, dict(kind="stable_aniso", measure=band3d_measure(), beta=0.7,
-                          refinement=16), True),
+                          refinement=16)),
     ("tempered_3d", 3, dict(kind="tempered_aniso", measure=band3d_measure(), beta=1.3,
-                            lam=0.5, refinement=16), True),
+                            lam=0.5, refinement=16)),
     # atoms: the symmetry check on a 3D band measure takes most of a minute
-    ("beta1_3d", 3, dict(kind="beta1_aniso", measure=SYM3, lam=0.5), True),
-    ("beta2_3d", 3, dict(kind="beta2_quadratic", measure=band3d_measure(), lam=0.3), True),
+    ("beta1_3d", 3, dict(kind="beta1_aniso", measure=SYM3, lam=0.5)),
+    ("beta2_3d", 3, dict(kind="beta2_quadratic", measure=band3d_measure(), lam=0.3)),
     ("profile_3d", 3, dict(kind="general_profile", measure=band3d_measure(),
                            profile=StabilityProfile((1.3, 1.6), (0.2, 0.5)),
-                           refinement=16), True),
-    ("isoref_3d", 3, dict(kind="isotropic_reference", beta=1.3, lam=0.5), True),
+                           refinement=16)),
+    ("isoref_3d", 3, dict(kind="isotropic_reference", beta=1.3, lam=0.5)),
 ]
 GRID_N = {1: 16, 2: 16, 3: 8}
 
@@ -226,44 +224,40 @@ def _mirror(psi):
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_grid_route_matches_direct_evaluation(case):
-    _, n, params, exact = case
+    _, n, params = case
     sym = make_generator(dimension=n, zeta=1.7, **params)
     grid = SpectralGrid(n, 8.0, GRID_N[n])
     got = sym.on_grid(grid)
     want = np.asarray(sym.evaluate(grid.k_points()), dtype=complex).reshape(grid.shape())
-    if exact:
-        assert np.array_equal(got, want)
-    else:
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(got, want)
     off = ~_nyquist(grid)
     assert np.array_equal(_mirror(got)[off], np.conj(got[off]))
 
 
 def test_auto_method_resolves_on_the_full_grid(monkeypatch):
-    # 10^2 = 100 lattice points select the node rule; the ~60 evaluated
-    # points alone would select per-point adaptive quadrature
+    # 10^2 = 100 lattice points select the node rule; the fewer than 64
+    # points evaluated, one per pair +-k, would alone select adaptive quadrature
     calls = []
-    inner = symbols.tempered_symbol
+    inner = symbols._band_sum
 
-    def spy(measure, beta, lam, k, **kw):
-        calls.append((len(np.asarray(k)), kw["method"]))
-        return inner(measure, beta, lam, k, **kw)
+    def spy(pts, node_sets):
+        calls.append(len(pts))
+        return inner(pts, node_sets)
 
-    monkeypatch.setattr(symbols, "tempered_symbol", spy)
+    monkeypatch.setattr(symbols, "_band_sum", spy)
     sym = make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=0.8, lam=0.5)
-    grid = SpectralGrid(2, 8.0, 10)
-    sym.on_grid(grid)
-    (n_eval, method), = calls
-    assert n_eval < 64 and method == "nodes"
+    sym.on_grid(SpectralGrid(2, 8.0, 10))
+    (n_eval,) = calls
+    assert n_eval < 64
 
 
 def test_mass_check_evaluates_once_and_caches_read_only(monkeypatch):
     calls = []
     inner = symbols.GeneratorSymbol.evaluate
 
-    def counting(self, k, method=None):
+    def counting(self, k):
         calls.append(len(np.asarray(k)))
-        return inner(self, k, method)
+        return inner(self, k)
 
     monkeypatch.setattr(symbols.GeneratorSymbol, "evaluate", counting)
     sym = make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=0.8, lam=0.5)

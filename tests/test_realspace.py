@@ -110,15 +110,13 @@ class TestAnnihilationOfConstants:
         assert apply_general(one, m, prof, np.array([0.1, -0.3])) == 0
 
     def test_gaussian_variants(self):
-        one2 = constant_field(2)
-        assert apply_gaussian_nonlocal(one2, "iso", np.array([0.3, 0.1]), sigma=1.0,
-                                       zeta=2.0) == pytest.approx(0.0, abs=1e-14)
-        assert apply_gaussian_nonlocal(one2, "axes", np.array([0.3, 0.1]), sigma=1.0
-                                       ) == pytest.approx(0.0, abs=1e-14)
-        m = uniform_measure(2)
-        assert apply_gaussian_nonlocal(one2, "aniso", np.array([0.3, 0.1]),
-                                       measure=m, sigmas=(0.8,)
-                                       ) == pytest.approx(0.0, abs=1e-13)
+        for n in (1, 2, 3):
+            one = constant_field(n)
+            x = np.array([0.3, 0.1, -0.2][:n])
+            assert apply_gaussian_nonlocal(one, "iso", x, sigma=1.0, zeta=2.0) == 0
+            assert apply_gaussian_nonlocal(one, "axes", x, sigma=1.0) == 0
+        assert apply_gaussian_nonlocal(constant_field(2), "aniso", np.array([0.3, 0.1]),
+                                       measure=uniform_measure(2), sigmas=(0.8,)) == 0
 
 
 class TestSymbolOracles:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -380,9 +381,9 @@ class TestGeneratorObjects:
         lambda: make_generator("gaussian_iso", 2, sigma=0.8),
     ], ids=["tempered_2d", "tempered_3d", "gaussian_iso"])
     def test_empty_wavenumbers(self, gen, method):
-        sym = gen()
+        sym = dataclasses.replace(gen(), method=method)
         for k in (np.empty((0, sym.dimension)), np.empty((2, 0, sym.dimension))):
-            got = sym.evaluate(k, method=method)
+            got = sym.evaluate(k)
             assert got.shape == k.shape[:-1] and got.dtype == complex
 
     def test_zeta_scaling(self):
@@ -401,7 +402,7 @@ class TestGeneratorObjects:
 
     def test_positive_real_part_raises(self, monkeypatch):
         monkeypatch.setitem(symbols_mod._EVALUATORS, "gaussian_iso",
-                            lambda s, k, method: np.full(len(k), 1e-6 + 0j))
+                            lambda s, k: np.full(len(k), 1e-6 + 0j))
         with pytest.raises(RuntimeError, match="violated Re psi <= 0"):
             make_generator("gaussian_iso", 2, sigma=1.0)(np.ones((3, 2)))
 
