@@ -12,7 +12,9 @@ import numpy as np
 import scipy.special as sc
 
 from .evolve import DensityField, continuum_dft_abs2, evolve_spectral
-from .measures import RANK_TOL, DirectionalMeasure, _composite_gl, support_directions
+from .measures import (
+    RANK_TOL, DirectionalMeasure, _composite_gl, _unit_vectors, support_directions,
+)
 from .realspace import ScalarField, bilinear_form, _graded_radial_rule
 from .symbols import (
     gaussian_symbol, isotropic_reference_symbol, make_generator, tempered_symbol,
@@ -49,14 +51,10 @@ def _direction_grid(n: int, count: int) -> np.ndarray:
     if n == 1:
         return np.array([[1.0]])
     if n == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False) + 0.05
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return _unit_vectors(np.linspace(0.0, 2.0 * math.pi, count, endpoint=False) + 0.05)
     # Fibonacci sphere
     i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-    s = np.sqrt(1.0 - z * z)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    return _unit_vectors(math.pi * (1.0 + math.sqrt(5.0)) * i, 1.0 - 2.0 * i / count)
 
 
 def _nullspace_directions(measure: DirectionalMeasure) -> np.ndarray:
@@ -120,12 +118,9 @@ def symbol_asymptotic_slopes(measure: DirectionalMeasure, beta: float, lam: floa
     if lam <= 0:
         raise ValueError("slope asymptotics require lam > 0 (untempered symbols "
                          "are exactly homogeneous of order beta)")
-    from .measures import is_nondegenerate
-
     n = measure.dimension
     if direction is None:
-        nd, span = is_nondegenerate(measure)
-        direction = span[0] if nd else support_directions(measure)[0]
+        direction = support_directions(measure)[0]
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
 

@@ -185,8 +185,9 @@ def evolve_spectral(p0: DensityField, symbol, t: float, *,
     if not np.all(np.isfinite(psi)):
         raise ValueError("symbol evaluation returned non-finite values")
     mult = np.exp(t * psi)
-    out = spectral_apply(p0.values, mult)
-    phat = np.fft.ifftn(p0.values) * (2.0 * p0.grid.half_width) ** p0.grid.dimension
+    base = np.fft.ifftn(p0.values)
+    out = np.real(np.fft.fftn(mult * base))
+    phat = base * (2.0 * p0.grid.half_width) ** p0.grid.dimension
     ringing = _nyquist_shell_mass(mult * phat, p0.grid)
     result = DensityField(p0.grid, out, p0.time + t, ringing)
     if check_boundary:

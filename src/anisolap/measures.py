@@ -6,6 +6,10 @@ latitude-longitude rectangle with density taken with respect to the surface
 measure sin(theta) dtheta dphi.  In 1D the "sphere" is the two-point set
 {-1, +1} and only atoms are allowed.
 
+Band angles become unit vectors in one place, _unit_vectors, for every
+quadrature rule, the analysis probe grids and the jump sampler: cos and sin
+from the half-angle tangent, and in 3D the cos theta node itself as z.
+
 to_json and from_json are the one JSON format of the config dataclasses
 built on measures (symbols, jump laws, state models, profiles, grids).
 """
@@ -161,13 +165,30 @@ def _half_angle_trig(t: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) ->
     sin_out *= 2.0
 
 
-def _angles_to_dirs_2d(theta: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+def _unit_vectors(phi, cos_theta=None, out=None) -> np.ndarray:
+    """The unit vectors (cos phi, sin phi) in 2D, or (sin theta cos phi,
+    sin theta sin phi, cos theta) in 3D with sin theta = sqrt(1 - c c) from
+    c = cos_theta; cos phi and sin phi come from tan(phi / 2)
+    (_half_angle_trig).
 
-
-def _angles_to_dirs_3d(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    Returns a new (..., n) array, or writes the coordinate rows out[0],
+    ..., out[n - 1] in place and returns out; phi may be out[1] and
+    cos_theta out[2].  Every step is elementwise, so the bits do not depend
+    on the layout."""
+    if out is None:
+        vecs = np.empty(np.shape(phi) + (2 if cos_theta is None else 3,))
+        _unit_vectors(phi, cos_theta, np.moveaxis(vecs, -1, 0))
+        return vecs
+    t = np.multiply(phi, 0.5)
+    np.tan(t, out=t)
+    _half_angle_trig(t, out[0], out[1])
+    if cos_theta is not None:
+        np.multiply(cos_theta, cos_theta, out=t)
+        np.subtract(1.0, t, out=t)
+        np.sqrt(t, out=t)
+        out[:2] *= t
+        out[2] = cos_theta
+    return out
 
 
 @dataclass(frozen=True)
@@ -307,20 +328,20 @@ def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8):
     Returns (directions (M, n), weights (M,)); weights include the density.
     In 2D, composite Gauss-Legendre of the given order on max(2, refinement)
     equal panels of the arc; in 3D, a tensor rule on max(2, refinement // 4)
-    panels per axis of (cos theta, phi).
+    panels per axis of (cos theta, phi), whose cos theta nodes are the z
+    coordinates as they stand.  Directions come from _unit_vectors.
     """
     if band.dimension == 2:
         t0, t1 = band.bounds
         theta, w = _composite_gl(np.linspace(t0, t1, max(2, refinement) + 1), order)
-        return _angles_to_dirs_2d(theta), w * band.density
+        return _unit_vectors(theta), w * band.density
     # 3D: tensor rule in (cos(theta), phi); surface measure absorbed by the substitution
     t0, t1, p0, p1 = band.bounds
     n_edges = max(2, refinement // 4) + 1
     ct, wt = _composite_gl(np.linspace(math.cos(t1), math.cos(t0), n_edges), order)
     ph, wp = _composite_gl(np.linspace(p0, p1, n_edges), order)
     CT, PH = np.meshgrid(ct, ph, indexing="ij")
-    theta = np.arccos(np.clip(CT.ravel(), -1.0, 1.0))
-    return _angles_to_dirs_3d(theta, PH.ravel()), (np.outer(wt, wp) * band.density).ravel()
+    return _unit_vectors(PH.ravel(), CT.ravel()), (np.outer(wt, wp) * band.density).ravel()
 
 
 def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int = 8):
@@ -344,13 +365,14 @@ def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int 
 
 def _panel_sums(box, owner, f):
     """15-point Gauss-Legendre integral over each theta interval box[i] of the
-    integrand owner[i], taken _BLOCK_PANELS panels at a time."""
+    integrand owner[i], taken _BLOCK_PANELS panels at a time; the integrand
+    sees the nodes as (cos theta, sin theta) from _unit_vectors."""
     out = np.empty(len(box), dtype=complex)
     x, w = _gl(15)
     for s in range(0, len(box), _BLOCK_PANELS):
         rows = slice(s, s + _BLOCK_PANELS)
         lo, hi = box[rows, :1], box[rows, 1:]
-        vals = f(_angles_to_dirs_2d(0.5 * (lo + hi) + 0.5 * (hi - lo) * x), owner[rows])
+        vals = f(_unit_vectors(0.5 * (lo + hi) + 0.5 * (hi - lo) * x), owner[rows])
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite integrand value on the sphere")
         out[rows] = (0.5 * (hi - lo) * w * vals).sum(axis=1)
@@ -502,12 +524,13 @@ def support_directions(measure: DirectionalMeasure) -> np.ndarray:
         if band.dimension == 2:
             t0, t1 = band.bounds
             frac = np.array([1.0 / 6.0, 0.5, 5.0 / 6.0])
-            dirs.extend(_angles_to_dirs_2d(t0 + frac * (t1 - t0)))
+            dirs.extend(_unit_vectors(t0 + frac * (t1 - t0)))
         else:
             t0, t1, p0, p1 = band.bounds
             ft = np.array([0.25, 0.5, 0.75, 0.5, 0.5])
             fp = np.array([0.5, 0.5, 0.5, 0.25, 0.75])
-            dirs.extend(_angles_to_dirs_3d(t0 + ft * (t1 - t0), p0 + fp * (p1 - p0)))
+            ct = _unit_vectors(t0 + ft * (t1 - t0))[:, 0]
+            dirs.extend(_unit_vectors(p0 + fp * (p1 - p0), ct))
     return np.asarray(dirs).reshape(-1, measure.dimension)
 
 

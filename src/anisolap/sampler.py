@@ -9,9 +9,10 @@ Directions and jumps are filled into one component-major (dim, n) buffer,
 and the (n, dim) arrays returned are its transpose.  Components are the
 uniforms of rng.choice counted against its cumulative masses, with no label
 array, and the angles and the first tempering round are drawn in fixed
-position slices; neither moves a draw.  A band azimuth's cos and sin come
-from its half-angle tangent, in the same slices, within 2^-52 of np.cos and
-np.sin.  An ensemble endpoint is the sum of its own path's jumps, with no
+position slices; neither moves a draw.  The angles become directions through
+measures._unit_vectors, the one map of every quadrature rule: cos and sin of
+the azimuth from its half-angle tangent, within 2^-52 of np.cos and np.sin.
+An ensemble endpoint is the sum of its own path's jumps, with no
 prefix sum over the whole ensemble.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.special as sc
 
 from .measures import (
-    DirectionalMeasure, NumericalError, _component_spreads, _half_angle_trig, _pool_map, from_json,
+    DirectionalMeasure, NumericalError, _component_spreads, _pool_map, _unit_vectors, from_json,
     measure_nodes, to_json,
 )
 
@@ -165,24 +166,21 @@ def _directions(measure: DirectionalMeasure, probs, n: int, rng, draw=None) -> n
     if given, draws more for component ci at its positions idx right after
     that component's angles.  The components are the uniforms u that
     rng.choice(len(probs), n, p=probs) draws, counted against its cumulative
-    masses cdf (_positions), so no label array is built.  The azimuth goes
-    into row 1 and cos theta of a 3D band into row 2; the azimuth's cos and
-    sin, from its half-angle tangent, then fill rows 0 and 1, _SLICE
-    positions at a time."""
+    masses cdf (_positions), so no label array is built.  A band's azimuth
+    goes into row 1 of a zero buffer and, in 3D, its cos theta into row 2;
+    measures._unit_vectors then maps every column in place, _SLICE columns
+    at a time, and the atoms, which draw no angles, are written last."""
     u = rng.random(n)
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     dim = measure.dimension
-    out = np.empty((dim, n))
+    out = np.zeros((dim, n))
     n_atoms = len(measure.atoms)
     for ci in range(len(probs)):
         angles = []
-        if ci < n_atoms:
-            for idx in _positions(u, cdf, ci):
-                out[:, idx] = measure.atoms[ci][0][:, None]
-        elif dim == 2:
+        if ci >= n_atoms and dim == 2:
             angles = [(1, *measure.bands[ci - n_atoms].bounds)]
-        else:
+        elif ci >= n_atoms:
             t0, t1, p0, p1 = measure.bands[ci - n_atoms].bounds
             angles = [(2, math.cos(t1), math.cos(t0)), (1, p0, p1)]
         for row, lo, hi in angles:
@@ -191,30 +189,13 @@ def _directions(measure: DirectionalMeasure, probs, n: int, rng, draw=None) -> n
         if draw is not None:
             for idx in _positions(u, cdf, ci):
                 draw(ci, idx)
-    if not measure.bands:
-        return out
-    # the bands' directions from their azimuths, _SLICE positions at a time;
-    # with atoms, the positions that rng.choice labels n_atoms or more
-    buf = np.empty(min(n, _SLICE))
-    for s in range(0, n, _SLICE):
-        if n_atoms:
-            idx = np.flatnonzero(u[s:s + _SLICE] >= cdf[n_atoms - 1])
-            idx += s
-            rows = out[:, idx]
-        else:
+    if measure.bands:
+        for s in range(0, n, _SLICE):
             rows = out[:, s:s + _SLICE]
-        t = buf[:rows.shape[1]]
-        np.multiply(rows[1], 0.5, out=t)
-        np.tan(t, out=t)
-        _half_angle_trig(t, rows[0], rows[1])
-        if dim == 3:
-            # sin theta = sqrt(1 - cos^2 theta), into t
-            np.multiply(rows[2], rows[2], out=t)
-            np.subtract(1.0, t, out=t)
-            np.sqrt(t, out=t)
-            rows[:2] *= t
-        if n_atoms:
-            out[:, idx] = rows
+            _unit_vectors(rows[1], rows[2] if dim == 3 else None, out=rows)
+    for ci, (d, _) in enumerate(measure.atoms):
+        for idx in _positions(u, cdf, ci):
+            out[:, idx] = d[:, None]
     return out
 
 

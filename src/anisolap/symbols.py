@@ -126,52 +126,39 @@ def _ceil_sign(beta: float) -> float:
 # closed-form |cos|^beta integrals for untempered band contributions
 # ---------------------------------------------------------------------------
 
-def _F_cos_pow(x, beta: float):
-    """int_0^x cos(t)^beta dt for x in [-pi/2, pi/2] (odd in x)."""
-    x = np.asarray(x, dtype=float)
-    s = np.sin(np.clip(x, -0.5 * math.pi, 0.5 * math.pi))
-    total = 0.5 * sc.beta(0.5, 0.5 * (beta + 1.0))
-    return np.sign(x) * total * sc.betainc(0.5, 0.5 * (beta + 1.0), s * s)
+def _cos_pow_band_integrals(pts, band, beta: float):
+    """|k| and (E, O): the integrals of |cos w|^beta and of sign(cos w) |cos w|^beta,
+    w = theta - theta_k, over a 2D band's arc.
 
-
-def _cos_pow_parts(pts, band, beta: float):
-    """|k| and (Cpos, Cneg): the integrals of |cos w|^beta, w = theta - theta_k,
-    over a 2D band's arc restricted to cos w > 0 and cos w < 0."""
+    With w = j pi + y, |y| <= pi/2, F(y) = int_0^y cos^beta and H = F(pi/2),
+    their antiderivatives are 2 j H + F(y) and (-1)^j F(y), differenced at
+    the band ends."""
     kn = np.hypot(pts[:, 0], pts[:, 1])
     theta_k = np.arctan2(pts[:, 1], pts[:, 0])
-    a, b = band.bounds[0] - theta_k, band.bounds[1] - theta_k
-    cpos = np.zeros_like(a)
-    cneg = np.zeros_like(a)
-    j0 = np.floor((a + 0.5 * math.pi) / math.pi)
-    for off in range(4):
-        j = j0 + off
-        lo = np.maximum(a, -0.5 * math.pi + j * math.pi)
-        hi = np.minimum(b, 0.5 * math.pi + j * math.pi)
-        seg = np.clip(hi - lo, 0.0, None)
-        active = seg > 0
-        if not np.any(active):
-            continue
-        val = np.where(
-            active, _F_cos_pow(hi - j * math.pi, beta) - _F_cos_pow(lo - j * math.pi, beta), 0.0
-        )
-        even = (np.mod(j, 2.0) == 0.0)
-        cpos += np.where(active & even, val, 0.0)
-        cneg += np.where(active & ~even, val, 0.0)
-    return kn, cpos, cneg
+    h = 0.5 * sc.beta(0.5, 0.5 * (beta + 1.0))
+
+    def antiderivatives(theta):
+        w = theta - theta_k
+        j = np.rint(w / math.pi)
+        s = np.sin(np.clip(w - j * math.pi, -0.5 * math.pi, 0.5 * math.pi))
+        f = np.sign(s) * h * sc.betainc(0.5, 0.5 * (beta + 1.0), s * s)
+        return 2.0 * j * h + f, (1.0 - 2.0 * (j % 2.0)) * f
+
+    (e0, o0), (e1, o1) = (antiderivatives(t) for t in band.bounds)
+    return kn, e1 - e0, o1 - o0
 
 
 def _stable_band_2d(pts, band, beta: float):
     """Exact band contribution to int (-i k.phi)^beta m(phi) dphi for lam = 0."""
-    kn, cpos, cneg = _cos_pow_parts(pts, band, beta)
-    rot = np.exp(-1j * beta * 0.5 * math.pi)
-    out = band.density * kn ** beta * (cpos * rot + cneg * np.conj(rot))
-    return np.where(kn > 0, out, 0.0 + 0.0j)
+    kn, even, odd = _cos_pow_band_integrals(pts, band, beta)
+    return band.density * kn ** beta * (even * math.cos(0.5 * math.pi * beta)
+                                        - 1j * odd * math.sin(0.5 * math.pi * beta))
 
 
 def _cos_pow_band(pts, band):
     """Exact band contribution to (pi/2) int |k.phi| m(phi) dphi (exponent 1, lam = 0)."""
-    kn, cpos, cneg = _cos_pow_parts(pts, band, 1.0)
-    return 0.5 * math.pi * band.density * kn * (cpos + cneg)
+    kn, even, _ = _cos_pow_band_integrals(pts, band, 1.0)
+    return 0.5 * math.pi * band.density * kn * even
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +182,6 @@ def _band_sum(pts, node_sets):
 
     _pool_map(block, _row_blocks(pts.shape[0], _BLOCK_ROWS))
     return out
-
-
-def _resolve_method(method: str, n_points: int, measure) -> str:
-    if method != "auto":
-        return method
-    if not measure.bands:
-        return "nodes"
-    return "adaptive" if n_points <= 64 else "nodes"
 
 
 def _adaptive_bands(pts, bands, integrand_of_u, tol):
@@ -249,10 +228,11 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
     comps holds one (sign, g, closed) per component of measure, atoms first;
     closed(pts, band) is the exact band integral, or None.  Atoms are summed
     exactly; each band takes its closed form if it has one, else adaptive
-    quadrature or the fixed nodes, as method resolves for len(pts).  The
-    components are added in measure order, once per pair +-k (_paired).
+    quadrature (method "adaptive", or "auto" on at most 64 wavenumbers) or
+    the fixed nodes.  The components are added in measure order, once per
+    pair +-k (_paired).
     """
-    adaptive = _resolve_method(method, pts.shape[0], measure) == "adaptive"
+    adaptive = method == "adaptive" or (method == "auto" and len(pts) <= 64)
     bands = list(zip(measure.bands, comps[len(measure.atoms):]))
     on_nodes = [] if adaptive else [
         (g, *band_nodes(band, refinement=refinement))

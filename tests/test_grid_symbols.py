@@ -198,7 +198,8 @@ CASES = [
                           refinement=16)),
     ("tempered_3d", 3, dict(kind="tempered_aniso", measure=band3d_measure(), beta=1.3,
                             lam=0.5, refinement=16)),
-    # atoms: the symmetry check on a 3D band measure takes most of a minute
+    # atoms: the exponent-1 symbol needs a symmetric measure, and the two
+    # hemispheres of band3d_measure carry unequal mass
     ("beta1_3d", 3, dict(kind="beta1_aniso", measure=SYM3, lam=0.5)),
     ("beta2_3d", 3, dict(kind="beta2_quadratic", measure=band3d_measure(), lam=0.3)),
     ("profile_3d", 3, dict(kind="general_profile", measure=band3d_measure(),

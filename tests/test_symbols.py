@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.special as sc
 
 import anisolap.symbols as symbols_mod
 from anisolap.measures import (
+    AngularBand,
     StabilityProfile,
     make_atomic_measure,
     make_banded_measure,
@@ -128,6 +130,27 @@ class TestTempered:
                     ref += den * (re + 1j * im)
                 ref *= (-1.0) ** math.ceil(beta)
                 assert abs(got - ref) < 2e-8
+
+    @pytest.mark.parametrize("beta", [0.4, 1.3, 1.9])
+    @pytest.mark.parametrize("bounds", [
+        (0.0, math.pi), (math.pi, TWO_PI),
+        (1.5 * math.pi, 2.5 * math.pi),
+        (-3.0, -3.0 + TWO_PI),
+        (1.0, 1.01),
+    ], ids=["fig1_upper", "fig1_lower", "wrapped", "turn_from_minus3", "narrow"])
+    def test_band_closed_form_vs_adaptive(self, bounds, beta):
+        # the lam = 0 antiderivative over arcs outside [0, 2 pi) and over
+        # three half-periods of cos; the absolute term is the adaptive rule's
+        # tolerance, which dominates where |psi| is small
+        band = AngularBand(bounds, 1.0 / (bounds[1] - bounds[0]))
+        rng = np.random.default_rng(29)
+        th = rng.uniform(0.0, TWO_PI, 200)
+        k = 10.0 ** rng.uniform(-4.0, 4.0, 200)[:, None] * np.stack(
+            [np.cos(th), np.sin(th)], axis=-1)
+        got = symbols_mod._stable_band_2d(k, band, beta)
+        want = symbols_mod._adaptive_bands(
+            k, [band], partial(symbols_mod._bracket, beta=beta, lam=0.0), 1e-13)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-11)
 
     def test_nodes_vs_adaptive_tempered_band(self):
         m = fig1_measure()

@@ -1,8 +1,8 @@
-"""The two trigonometric kernels against independent references.
+"""The trigonometric kernels against independent references.
 
-measures._half_angle_trig (cos x and sin x from t = tan(x/2)) against np.cos
-and np.sin, and symbols._bracket ((lam - i u)^beta - lam^beta) against
-40-digit mpmath."""
+measures._half_angle_trig (cos x and sin x from t = tan(x/2)) and the
+direction map built on it, measures._unit_vectors, against np.cos and np.sin,
+and symbols._bracket ((lam - i u)^beta - lam^beta) against 40-digit mpmath."""
 
 import math
 
@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import anisolap.sampler as sampler
-from anisolap.measures import _half_angle_trig, make_banded_measure
+from anisolap.measures import (
+    AngularBand, _composite_gl, _half_angle_trig, _unit_vectors, band_nodes, make_banded_measure,
+)
 from anisolap.symbols import _bracket
 
 ULP1 = 2.0 ** -52  # one ulp of 1
@@ -79,6 +81,57 @@ class TestHalfAngle:
         got = sampler.sample_direction(m, np.random.default_rng(3), size=n)
         assert np.array_equal(got[:, 2], want[:, 2])
         assert np.all(np.abs(got - want) <= 2.0 * ULP1)
+
+
+def wrapped_angles(rng, n):
+    return np.concatenate([rng.uniform(-40.0, 40.0, n),
+                           [0.0, math.pi, -math.pi, TWO_PI, 3.0 * math.pi, -0.5 * math.pi]])
+
+
+class TestUnitVectors:
+    def test_2d_against_libm(self):
+        phi = wrapped_angles(np.random.default_rng(5), 10 ** 5)
+        d = _unit_vectors(phi)
+        assert d.shape == (len(phi), 2)
+        assert np.all(np.abs(d[:, 0] - np.cos(phi)) <= 2.0 * ULP1)
+        assert np.all(np.abs(d[:, 1] - np.sin(phi)) <= 2.0 * ULP1)
+
+    def test_3d_against_libm(self):
+        rng = np.random.default_rng(6)
+        phi = wrapped_angles(rng, 10 ** 5)
+        ct = rng.uniform(-1.0, 1.0, len(phi))
+        ct[:3] = [-1.0, 0.0, 1.0]
+        st = np.sqrt(1.0 - ct * ct)
+        d = _unit_vectors(phi, ct)
+        assert d.shape == (len(phi), 3)
+        assert np.all(np.abs(d[:, 0] - st * np.cos(phi)) <= 2.0 * ULP1)
+        assert np.all(np.abs(d[:, 1] - st * np.sin(phi)) <= 2.0 * ULP1)
+        assert np.array_equal(d[:, 2], ct)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_in_place_rows_match_fresh(self, dim):
+        # the sampler's use: phi in row 1 and cos theta in row 2 of the output
+        rng = np.random.default_rng(7)
+        phi, ct = rng.uniform(-10.0, 10.0, 1001), rng.uniform(-1.0, 1.0, 1001)
+        want = _unit_vectors(phi, ct if dim == 3 else None)
+        rows = np.zeros((dim, len(phi)))
+        rows[1] = phi
+        if dim == 3:
+            rows[2] = ct
+        got = _unit_vectors(rows[1], rows[2] if dim == 3 else None, out=rows)
+        assert got is rows and np.array_equal(rows.T, want)
+        # a panel block (P, M) gives (P, M, n) with the same bits
+        block = _unit_vectors(phi[:1000].reshape(8, 125), ct[:1000].reshape(8, 125)
+                              if dim == 3 else None)
+        assert np.array_equal(block.reshape(-1, dim), want[:1000])
+
+    @pytest.mark.parametrize("bounds", [(0.2, 1.2, 0.5, 4.0), (0.0, math.pi, 0.0, TWO_PI)])
+    def test_3d_band_nodes_z_is_the_rule(self, bounds):
+        # z is the rule's cos theta node itself, not cos(arccos(node))
+        t0, t1 = bounds[:2]
+        dirs, _ = band_nodes(AngularBand(bounds, 1.0), refinement=96)
+        ct, _ = _composite_gl(np.linspace(math.cos(t1), math.cos(t0), 96 // 4 + 1), 8)
+        assert np.array_equal(dirs[:, 2], np.repeat(ct, len(dirs) // len(ct)))
 
 
 BETAS = [0.3, 0.8, 1.3, 1.7, 1.99]
