@@ -94,6 +94,30 @@ def _row_blocks(n: int, size: int) -> list:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
+def _as_rows(x, n: int):
+    """Normalise an (..., n) array of points (wavenumbers or positions) to a
+    (P, n) array plus the shape of one value per point: () for one point."""
+    x = np.asarray(x, dtype=float)
+    if n == 1:
+        if x.ndim == 0:
+            return x.reshape(1, 1), ()
+        if x.shape[-1] == 1:
+            return x.reshape(-1, 1), x.shape[:-1]
+        return x.reshape(-1, 1), x.shape
+    if x.shape == (n,):
+        return x.reshape(1, n), ()
+    if x.ndim >= 1 and x.shape[-1] == n:
+        return x.reshape(-1, n), x.shape[:-1]
+    raise ValueError(f"point array must have last axis of length {n}")
+
+
+def _from_rows(vals: np.ndarray, shape):
+    """One value per row of _as_rows back in its shape; a Python scalar for one point."""
+    if shape == ():
+        return vals[0].item()
+    return vals.reshape(shape)
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)

@@ -19,8 +19,9 @@ import numpy as np
 import scipy.special as sc
 
 from .measures import (
-    DirectionalMeasure, NumericalError, StabilityProfile, _check_exponent, _component_spreads,
-    _composite_gl, _pool_map, _row_blocks, is_symmetric, measure_nodes, moments,
+    DirectionalMeasure, NumericalError, StabilityProfile, _as_rows, _check_exponent,
+    _component_spreads, _composite_gl, _from_rows, _pool_map, _row_blocks, is_symmetric,
+    measure_nodes, moments,
 )
 
 __all__ = [
@@ -46,9 +47,9 @@ class QuadratureTailError(NumericalError):
 class ScalarField:
     """Scalar test function with its analytic derivatives.
 
-    f maps (..., n) arrays to (...) values.  The operators need hess, and
-    grad in every mode but case I's paired second differences; they raise
-    ValueError for a field without them.  support_radius is a radius
+    f maps (..., n) arrays to (...) values.  The stable operators need grad
+    and hess and raise ValueError for a field without them; the Gaussian-jump
+    operators need f alone.  support_radius is a radius
     beyond which |f| <= cutoff; fields that never decay use infinity, in
     which case far-field truncation is estimated by probing instead of the
     closed-form tail.
@@ -179,63 +180,60 @@ def _resolve_R(field: ScalarField, x, lam: float) -> float:
     return 50.0 * (1.0 + float(np.linalg.norm(x)))
 
 
-def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, R, drift_vec, tail_tol):
+# radial x direction values in one chunk of _apply_pointwise: the 768
+# directions of two bands at refinement 48 times the 328 radial nodes of a
+# unit-width 2D bump fit in one chunk, and a 3D point holds about 6 MB of
+# displaced points per worker
+_CHUNK_VALUES = 1 << 18
+
+
+def _apply_pointwise(field, x, dirs, wdir, beta, lam, R, drift_vec, tail_tol):
     """Operator value at one point for one (beta, lam) kernel block.
 
-    mode: 'one_sided' (exponent < 1), 'symmetric' (second differences, any
-    exponent, symmetric weights), 'gradient' (exponent > 1, regularised).
-    The 1/|Gamma(-beta)| factor is included.  Raises QuadratureTailError if
-    the estimated tail remainder exceeds tail_tol.
+    The bracket is one-sided, f(x - r phi) - f(x), below exponent 1 and
+    gradient-regularised, f(x - r phi) - f(x) + r phi . grad f(x), above it;
+    drift_vec . grad f(x) is subtracted.  The 1/|Gamma(-beta)| factor is
+    included.  Raises QuadratureTailError if the estimated tail remainder
+    exceeds tail_tol.
     """
     x = np.asarray(x, dtype=float)
     fx = float(field.f(x))
+    grad = field.gradient(x)
     r, kern = _radial_kernel(beta, lam, R)
     gnorm = abs(sc.gamma(-beta))
-    grad = None if mode == "symmetric" else field.gradient(x)
     finite_support = math.isfinite(field.support_radius)
+    regularised = beta > 1.0
+    # radial moments of the tube [0, _TUBE_RADIUS] and of the far field [R, inf)
+    m2 = radial_moment_lower(2, beta, lam, _TUBE_RADIUS)
+    e0 = radial_moment_upper(0, beta, lam, R)
+    if regularised:
+        e1 = radial_moment_upper(1, beta, lam, R)
+    else:
+        m1 = radial_moment_lower(1, beta, lam, _TUBE_RADIUS)
 
     total = 0.0
     tail_probe = 0.0
-    chunk = max(1, int(2e6 // len(r)))
+    chunk = max(1, _CHUNK_VALUES // len(r))
     for a0 in range(0, len(wdir), chunk):
         d = dirs[a0:a0 + chunk]
         w = wdir[a0:a0 + chunk]
-        # the displaced points x -+ r phi reuse the buffer of r phi
+        slope = d @ grad
+        # the displaced points x - r phi reuse the buffer of r phi
         disp = r[:, None, None] * d[None, :, :]
-        if mode == "symmetric":
-            fm = field.f(x - disp)
-            bracket = fm + field.f(np.add(x, disp, out=disp)) - 2.0 * fx
-        else:
-            fm = field.f(np.subtract(x, disp, out=disp))
-            bracket = fm - fx
-            if mode == "gradient":
-                bracket += r[:, None] * (d @ grad)[None, :]
-        radial = kern @ bracket
-        total += float(w @ radial)
+        bracket = field.f(np.subtract(x, disp, out=disp)) - fx
+        if regularised:
+            bracket += r[:, None] * slope[None, :]
+        total += float(w @ (kern @ bracket))
 
-        # inner Taylor correction on [0, _TUBE_RADIUS]; the paired second difference
-        # carries twice the quadratic term of the one-sided bracket
-        quad = field.hess_quadform(x, d)
-        m2 = radial_moment_lower(2, beta, lam, _TUBE_RADIUS)
-        if mode == "symmetric":
-            inner = quad * m2
-        else:
-            inner = 0.5 * quad * m2
-            if mode == "one_sided":
-                m1 = radial_moment_lower(1, beta, lam, _TUBE_RADIUS)
-                inner = inner - (d @ grad) * m1
+        # inner Taylor correction on [0, _TUBE_RADIUS]
+        inner = 0.5 * field.hess_quadform(x, d) * m2
+        if not regularised:
+            inner = inner - slope * m1
         total += float(w @ inner)
 
         # analytic far field for decayed fields
-        e0 = radial_moment_upper(0, beta, lam, R)
         if finite_support:
-            if mode == "gradient":
-                e1 = radial_moment_upper(1, beta, lam, R)
-                far = -fx * e0 + (d @ grad) * e1
-            elif mode == "symmetric":
-                far = np.full(len(w), -2.0 * fx * e0)
-            else:
-                far = np.full(len(w), -fx * e0)
+            far = -fx * e0 + slope * e1 if regularised else np.full(len(w), -fx * e0)
             total += float(w @ far)
             tail_probe = max(tail_probe, field.cutoff * e0)
         else:
@@ -243,11 +241,7 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, R, drift_vec, tail_t
             pf = field.f(x[None, None, :] - probe_r[:, None, None] * d[None, :, :])
             tail_probe = max(tail_probe, float(np.max(np.abs(pf - fx))) * e0)
 
-    if mode == "symmetric":
-        total *= 0.5
-    value = total / gnorm
-    if drift_vec is not None:
-        value -= float(drift_vec @ grad)
+    value = total / gnorm - float(drift_vec @ grad)
     tail_est = tail_probe / gnorm
     if tail_tol is not None and tail_est > tail_tol:
         raise QuadratureTailError(
@@ -256,71 +250,70 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, R, drift_vec, tail_t
     return value
 
 
-def _as_points(x, n):
-    x = np.asarray(x, dtype=float)
-    if x.shape == (n,) or (n == 1 and x.ndim == 0):
-        return x.reshape(1, n), True
-    if x.ndim == 2 and x.shape[1] == n:
-        return x, False
-    if n == 1 and x.ndim == 1:
-        return x.reshape(-1, 1), False
-    raise ValueError(f"points must have shape (n,) or (P, {n})")
-
-
 def _point_map(value, x, n):
-    """value(xi) at each point of x, which has shape (n,) or (P, n).  The
-    points run on up to ANISOLAP_THREADS workers; each value is computed
-    alone, so the worker count does not change it."""
-    pts, single = _as_points(x, n)
-    vals = np.array(_pool_map(value, pts), dtype=float)
-    return vals[0] if single else vals
+    """value(xi) at each point of x, an (..., n) array, in the shape of x
+    without its last axis (a scalar for one point).  The points run on up to
+    ANISOLAP_THREADS workers; each value is computed alone, so the worker
+    count does not change it."""
+    pts, shape = _as_rows(x, n)
+    return _from_rows(np.array(_pool_map(value, pts), dtype=float), shape)
 
 
-def _apply_blocks(field, measure, x, blocks, tail_tol):
-    """Operator values at the points x (_point_map): for each point, the sum
-    over kernel blocks (dirs, w, beta, lam, mode, drift) of _apply_pointwise
-    in block order.  Raises ValueError first if the field lacks a derivative
-    that a block's mode uses."""
-    if field.grad is None and any(mode != "symmetric" for _, _, _, _, mode, _ in blocks):
-        raise ValueError("this operator form requires an analytic gradient")
+def _drift(beta: float, lam: float, b):
+    """Finite-part drift Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)| * b above
+    exponent 1; zero at lam = 0 and below exponent 1."""
+    if beta > 1.0 and lam > 0:
+        return (sc.gamma(1.0 - beta) * lam ** (beta - 1.0) / abs(sc.gamma(-beta))) * b
+    return np.zeros_like(b)
+
+
+def _apply_profile(field, measure, betas, lams, x, refinement, tail_tol):
+    """Operator values at the points x (_point_map) with exponent betas[c] and
+    tempering lams[c] on component c of the measure.
+
+    The components that share a (beta, lam) form one kernel block over their
+    measure_nodes, in order of first occurrence, with the drift of the
+    block's own nodes; each point sums _apply_pointwise over the blocks in
+    block order.  Raises ValueError first for a field without an analytic
+    gradient or Hessian."""
+    if field.grad is None:
+        raise ValueError("the real-space operators require an analytic gradient")
     if field.hess is None:
         raise ValueError("the Taylor correction near r = 0 requires an analytic Hessian")
+    dirs, wdir, comp = measure_nodes(measure, refinement=refinement)
+    keys = list(zip(betas, lams))
+    blocks = []
+    for beta, lam in dict.fromkeys(keys):
+        own = np.isin(comp, [c for c, key in enumerate(keys) if key == (beta, lam)])
+        d, w = dirs[own], wdir[own]
+        blocks.append((d, w, beta, lam, _drift(beta, lam, (w[:, None] * d).sum(axis=0))))
 
     def value(xi):
         total = 0.0
-        for dirs, w, beta, lam, mode, drift in blocks:
-            total += _apply_pointwise(field, xi, dirs, w, beta, lam, mode,
+        for d, w, beta, lam, drift in blocks:
+            total += _apply_pointwise(field, xi, d, w, beta, lam,
                                       _resolve_R(field, xi, lam), drift, tail_tol)
         return total
 
     return _point_map(value, x, measure.dimension)
 
 
-def _drift(beta: float, lam: float, b):
-    """Finite-part drift Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)| * b; zero at lam = 0."""
-    if lam > 0:
-        return (sc.gamma(1.0 - beta) * lam ** (beta - 1.0) / abs(sc.gamma(-beta))) * b
-    return np.zeros_like(b)
-
-
 def apply_caseI(field: ScalarField, measure: DirectionalMeasure, beta: float,
                 lam: float, x, *, refinement: int = 32, tail_tol: float | None = None):
     """Difference-kernel form, valid for beta < 1 or symmetric measures.
 
-    For beta in (1,2) the measure must be symmetric and paired second
-    differences are used, which keeps every intermediate finite.
+    For beta in (1,2) the measure must be symmetric; its mean vanishes, so
+    the operator is case II's gradient-regularised form and equals
+    apply_caseII.
     """
     _check_exponent(beta)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    mode = "one_sided"
-    if beta > 1.0:
-        if not is_symmetric(measure):
-            raise ValueError("beta in (1,2) requires a symmetric measure here; "
-                             "use apply_caseII for asymmetric measures")
-        mode = "symmetric"
-    dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
-    return _apply_blocks(field, measure, x, [(dirs, wdir, beta, lam, mode, None)], tail_tol)
+    if beta > 1.0 and not is_symmetric(measure):
+        raise ValueError("beta in (1,2) requires a symmetric measure here; "
+                         "use apply_caseII for asymmetric measures")
+    m = measure.n_components
+    return _apply_profile(field, measure, (beta,) * m, (lam,) * m, x, refinement, tail_tol)
 
 
 def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
@@ -328,17 +321,15 @@ def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
     """Gradient-regularised (finite-part) form for beta in (1,2).
 
     Adds the drift correction -Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)|
-    (b . grad f) with b the measure mean; at lam = 0 the drift constant
-    vanishes by continuity.
+    (b . grad f) with b = int phi dm summed on the quadrature nodes; at
+    lam = 0 the drift constant vanishes by continuity.
     """
     if not (1.0 < beta < 2.0):
         raise ValueError("beta must lie in (1,2)")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    drift = _drift(beta, lam, moments(measure).mean)
-    dirs, wdir, _ = measure_nodes(measure, refinement=refinement)
-    return _apply_blocks(field, measure, x, [(dirs, wdir, beta, lam, "gradient", drift)],
-                         tail_tol)
+    m = measure.n_components
+    return _apply_profile(field, measure, (beta,) * m, (lam,) * m, x, refinement, tail_tol)
 
 
 def apply_general(field: ScalarField, measure: DirectionalMeasure,
@@ -347,21 +338,14 @@ def apply_general(field: ScalarField, measure: DirectionalMeasure,
 
     Applies the one-sided logic per component with exponent < 1 and the
     gradient-regularised logic per component with exponent > 1, including the
-    per-component drift b_c = Gamma(1-beta_c) lam_c^(beta_c-1) / |Gamma(-beta_c)|
-    int_c phi dm.
+    drift b_c = Gamma(1-beta_c) lam_c^(beta_c-1) / |Gamma(-beta_c)| int phi dm
+    over the components that share (beta_c, lam_c).  A constant profile is
+    apply_caseI or apply_caseII at refinement 32, value for value.
     """
     profile = profile.for_measure(measure)
     for b in profile.betas:
         _check_exponent(b, "profile exponents")
-    dirs, wdir, comp = measure_nodes(measure, refinement=32)
-    blocks = []
-    for ci, (bi, li) in enumerate(zip(profile.betas, profile.lambdas)):
-        d, w = dirs[comp == ci], wdir[comp == ci]
-        if bi < 1.0:
-            blocks.append((d, w, bi, li, "one_sided", None))
-        else:
-            blocks.append((d, w, bi, li, "gradient", _drift(bi, li, (w[:, None] * d).sum(axis=0))))
-    return _apply_blocks(field, measure, x, blocks, tail_tol)
+    return _apply_profile(field, measure, profile.betas, profile.lambdas, x, 32, tail_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,11 @@ from .measures import (
     DirectionalMeasure,
     NumericalError,
     StabilityProfile,
+    _as_rows,
     _check_exponent,
     _component_spreads,
     _composite_gl,
+    _from_rows,
     _half_angle_trig,
     _integrate_band_adaptive,
     _pool_map,
@@ -62,28 +64,6 @@ _GRID_CACHE_SIZE = 4  # grids whose symbol values a GeneratorSymbol keeps
 class MixedStabilityRangeWarning(UserWarning):
     """A direction-dependent exponent profile mixes (0,1) and (1,2); the
     sign prefactor is applied per component."""
-
-
-def _k_points(k, n: int):
-    """Normalise wavenumber input to an (P, n) array plus the output shape."""
-    k = np.asarray(k, dtype=float)
-    if n == 1:
-        if k.ndim == 0:
-            return k.reshape(1, 1), ()
-        if k.shape[-1] == 1:
-            return k.reshape(-1, 1), k.shape[:-1]
-        return k.reshape(-1, 1), k.shape
-    if k.shape == (n,):
-        return k.reshape(1, n), ()
-    if k.ndim >= 1 and k.shape[-1] == n:
-        return k.reshape(-1, n), k.shape[:-1]
-    raise ValueError(f"wavenumber array must have last axis of length {n}")
-
-
-def _restore(vals: np.ndarray, shape):
-    if shape == ():
-        return complex(vals[0])
-    return vals.reshape(shape)
 
 
 def _bracket(u, beta: float, lam: float):
@@ -132,20 +112,31 @@ def _cos_pow_band_integrals(pts, band, beta: float):
 
     With w = j pi + y, |y| <= pi/2, F(y) = int_0^y cos^beta and H = F(pi/2),
     their antiderivatives are 2 j H + F(y) and (-1)^j F(y), differenced at
-    the band ends."""
+    the band ends.  Each is carried as an integer multiple of H plus a
+    remainder, and the two parts are differenced apart: for |y| > pi/4 the
+    remainder of F is -sign(y) H I(sin^2 z; (beta+1)/2, 1/2), z = pi/2 - |y|,
+    which stays small near a kink, so a narrow band does not lose the
+    difference of two values near H."""
     kn = np.hypot(pts[:, 0], pts[:, 1])
     theta_k = np.arctan2(pts[:, 1], pts[:, 0])
-    h = 0.5 * sc.beta(0.5, 0.5 * (beta + 1.0))
+    a = 0.5 * (beta + 1.0)
+    h = 0.5 * sc.beta(0.5, a)
 
     def antiderivatives(theta):
         w = theta - theta_k
         j = np.rint(w / math.pi)
-        s = np.sin(np.clip(w - j * math.pi, -0.5 * math.pi, 0.5 * math.pi))
-        f = np.sign(s) * h * sc.betainc(0.5, 0.5 * (beta + 1.0), s * s)
-        return 2.0 * j * h + f, (1.0 - 2.0 * (j % 2.0)) * f
+        y = np.clip(w - j * math.pi, -0.5 * math.pi, 0.5 * math.pi)
+        sign = np.sign(y)
+        near = np.abs(y) > 0.25 * math.pi
+        s = np.sin(np.where(near, 0.5 * math.pi - np.abs(y), y))
+        f = np.where(near, -sign, sign) * h * sc.betainc(np.where(near, a, 0.5),
+                                                         np.where(near, 0.5, a), s * s)
+        n = np.where(near, sign, 0.0)
+        parity = 1.0 - 2.0 * (j % 2.0)
+        return 2.0 * j + n, f, parity * n, parity * f
 
-    (e0, o0), (e1, o1) = (antiderivatives(t) for t in band.bounds)
-    return kn, e1 - e0, o1 - o0
+    (e0, f0, o0, g0), (e1, f1, o1, g1) = (antiderivatives(t) for t in band.bounds)
+    return kn, (e1 - e0) * h + (f1 - f0), (o1 - o0) * h + (g1 - g0)
 
 
 def _stable_band_2d(pts, band, beta: float):
@@ -258,11 +249,11 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
 def _stable_symbol(measure, betas, lams, k, method, refinement, tol):
     """The (tempered) stable symbol with exponent betas[c] and rate lams[c] on
     component c; untempered 2D bands take the closed form."""
-    pts, shape = _k_points(k, measure.dimension)
+    pts, shape = _as_rows(k, measure.dimension)
     comps = [(_ceil_sign(b), partial(_bracket, beta=b, lam=l),
               partial(_stable_band_2d, beta=b) if l == 0.0 and measure.dimension == 2 else None)
              for b, l in zip(betas, lams)]
-    return _restore(_measure_integral(measure, pts, comps, method, refinement, tol), shape)
+    return _from_rows(_measure_integral(measure, pts, comps, method, refinement, tol), shape)
 
 
 def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
@@ -294,7 +285,7 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
         raise ValueError("lambda must be nonnegative")
     if not is_symmetric(measure):
         raise ValueError("the exponent-1 symbol is defined here only for symmetric measures")
-    pts, shape = _k_points(k, measure.dimension)
+    pts, shape = _as_rows(k, measure.dimension)
 
     if lam == 0.0:
         def g(u):
@@ -306,18 +297,18 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
 
     closed = _cos_pow_band if lam == 0.0 and measure.dimension == 2 else None
     comps = [(-1.0, g, closed)] * measure.n_components
-    return _restore(_measure_integral(measure, pts, comps, method, refinement, 1e-12), shape)
+    return _from_rows(_measure_integral(measure, pts, comps, method, refinement, 1e-12), shape)
 
 
 def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
     """Quadratic reduction at exponent 2: (ik)^T A (ik) - 2*lam*(ik)^T b."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    pts, shape = _k_points(k, measure.dimension)
+    pts, shape = _as_rows(k, measure.dimension)
     mom = moments(measure)
     quad = np.einsum("pi,ij,pj->p", pts, mom.covariance, pts)
     drift = pts @ mom.mean
-    return _restore(-quad - 2j * lam * drift, shape)
+    return _from_rows(-quad - 2j * lam * drift, shape)
 
 
 def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfile, k, *,
@@ -357,18 +348,18 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     if variant in ("iso", "axes"):
         if sigma is None or sigma <= 0:
             raise ValueError("sigma must be positive")
-        pts, shape = _k_points(k, dimension)
+        pts, shape = _as_rows(k, dimension)
         if variant == "iso":
             vals = np.exp(-0.5 * sigma ** 2 * np.sum(pts ** 2, axis=-1)) - 1.0
         else:
             vals = np.mean(np.exp(-0.5 * sigma ** 2 * pts ** 2), axis=-1) - 1.0
-        return _restore(vals.astype(complex), shape)
+        return _from_rows(vals.astype(complex), shape)
     if variant != "aniso":
         raise ValueError(f"unknown gaussian variant {variant!r}")
     if measure is None or measure.dimension != 2:
         raise ValueError("the aniso variant requires a 2D directional measure")
     sig = _component_spreads(measure, sigmas)
-    pts, shape = _k_points(k, 2)
+    pts, shape = _as_rows(k, 2)
     dirs, w, comp = measure_nodes(measure, refinement=refinement)
     s = sig[comp]
 
@@ -385,7 +376,7 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
 
     c_m = 1.0 / np.sum(w * s ** 2)
     vals = _paired(pts, lambda p: _band_sum(p, [(radial_dev, dirs, w)])[:, 0])
-    return _restore(c_m * vals, shape)
+    return _from_rows(c_m * vals, shape)
 
 
 def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
@@ -400,7 +391,7 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     _check_exponent(beta)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    pts, shape = _k_points(k, n)
+    pts, shape = _as_rows(k, n)
     kn = np.linalg.norm(pts, axis=-1)
     sign = _ceil_sign(beta)
 
@@ -431,10 +422,7 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
         t, tw = _composite_gl(t_edges, 12)
         vals = f(kn[:, None] * t[None, :])
         out = (vals * tw[None, :]).sum(axis=1)
-    out = np.maximum(out, 0.0)
-    if shape == ():
-        return float(out[0])
-    return out.reshape(shape)
+    return _from_rows(np.maximum(out, 0.0), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class TestSpectralEquivalence:
         pts = np.array([[0.0], [0.7], [-1.3]])
         a = apply_caseI(bump, sym1d(), 1.5, 0.8, pts)
         b = apply_caseII(bump, sym1d(), 1.5, 0.8, pts)
-        assert np.allclose(a, b, atol=1e-9)
+        assert np.array_equal(a, b)
 
     def test_caseII_asymmetric_spectral(self):
         bump = gaussian_bump(1)
@@ -200,12 +200,12 @@ class TestSpectralEquivalence:
         prof = StabilityProfile.constant(m, 1.5, 0.5)
         a = apply_general(bump, m, prof, pts)
         b = apply_caseII(bump, m, 1.5, 0.5, pts)
-        assert np.allclose(a, b, atol=1e-10)
+        assert np.array_equal(a, b)
         m2 = sym1d()
         prof2 = StabilityProfile.constant(m2, 0.5, 0.0)
         c = apply_general(bump, m2, prof2, pts)
         d = apply_caseI(bump, m2, 0.5, 0.0, pts)
-        assert np.allclose(c, d, atol=1e-10)
+        assert np.array_equal(c, d)
 
     def test_general_profile_spectral_2d(self):
         # mixed exponents per half-plane on an isotropic background
@@ -307,12 +307,27 @@ class TestStructure:
             apply_caseI(no_grad, onesided1d(), 0.5, 0.5, x)
         with pytest.raises(ValueError, match="gradient"):
             apply_general(no_grad, sym1d(), StabilityProfile((0.5, 0.5), (0.0, 0.0)), x)
-        # case I's paired second differences never use the gradient
-        assert apply_caseI(no_grad, sym1d(), 1.5, 0.5, x) == apply_caseI(bump, sym1d(), 1.5, 0.5, x)
+        with pytest.raises(ValueError, match="gradient"):
+            apply_caseI(no_grad, sym1d(), 1.5, 0.5, x)
         with pytest.raises(ValueError, match="Hessian"):
             apply_caseI(no_hess, sym1d(), 1.5, 0.5, x)
         with pytest.raises(ValueError, match="Hessian"):
             apply_caseII(no_hess, onesided1d(), 1.5, 0.5, x)
+
+    def test_point_shapes(self):
+        # (..., n) points as for the symbols: one value per point in the
+        # leading shape, and a float for one point
+        bump, m = gaussian_bump(2), uniform_measure(2)
+        pts = np.random.default_rng(8).uniform(-1.0, 1.0, (2, 3, 2))
+        flat = apply_caseI(bump, m, 0.7, 0.3, pts.reshape(-1, 2))
+        assert flat.shape == (6,)
+        assert np.array_equal(apply_caseI(bump, m, 0.7, 0.3, pts), flat.reshape(2, 3))
+        one = apply_caseI(bump, m, 0.7, 0.3, pts[0, 0])
+        assert isinstance(one, float) and one == flat[0]
+        one_1d = apply_caseI(gaussian_bump(1), sym1d(), 0.7, 0.3, 0.4)
+        assert one_1d == apply_caseI(gaussian_bump(1), sym1d(), 0.7, 0.3, np.array([[0.4]]))[0]
+        with pytest.raises(ValueError, match="last axis of length 2"):
+            apply_caseI(bump, m, 0.7, 0.3, np.zeros((4, 3)))
 
     def test_tail_tolerance(self):
         # a plane wave never decays, so the far field is estimated by probing

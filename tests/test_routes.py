@@ -1,7 +1,8 @@
 """The constant-profile operators are the profile operators with one (beta,
 lam) on every component, and both go through one measure-quadrature core
-(symbols) and one loop over kernel blocks and points (real space).  So the
-two routes must give equal values, not close ones."""
+(symbols) and one builder of kernel blocks (real space).  So the two routes
+must give equal values, not close ones; and so must real-space case I and
+case II above exponent 1 on a symmetric measure, which share that block."""
 
 import math
 
@@ -55,12 +56,34 @@ ONE_COMPONENT = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ONE_COMPONENT))
-@pytest.mark.parametrize("case, beta, lam", [("I", 0.6, 0.4), ("II", 1.5, 0.0)])
+REAL_SPACE = {**ONE_COMPONENT, **MEASURES}
+POINTS = np.array([[0.0, 0.0, 0.1], [0.3, -0.2, 0.0], [-0.5, 0.4, -0.3]])
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SPACE))
+@pytest.mark.parametrize("case, beta, lam", [("I", 0.6, 0.4), ("II", 1.5, 0.0), ("II", 1.3, 0.7)])
 def test_general_is_one_component_case(name, case, beta, lam):
-    m = ONE_COMPONENT[name]()
-    field = gaussian_bump(2, width=0.8)
-    pts = np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.4]])
+    m = REAL_SPACE[name]()
+    field = gaussian_bump(m.dimension, width=0.8)
+    pts = POINTS[:, :m.dimension]
     fn = apply_caseI if case == "I" else apply_caseII
     got = apply_general(field, m, StabilityProfile.constant(m, beta, lam), pts)
     assert np.array_equal(got, fn(field, m, beta, lam, pts))
+
+
+SYMMETRIC = {
+    "uniform": lambda: uniform_measure(2),
+    "halves": lambda: make_banded_measure(2, [((0.0, math.pi), 0.5 / math.pi),
+                                              ((math.pi, TWO_PI), 0.5 / math.pi)]),
+    "cross": lambda: make_atomic_measure(2, [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+@pytest.mark.parametrize("beta, lam", [(1.5, 0.0), (1.3, 0.7)])
+def test_caseI_is_caseII_above_one(name, beta, lam):
+    m = SYMMETRIC[name]()
+    field = gaussian_bump(2, width=0.8)
+    pts = POINTS[:, :2]
+    assert np.array_equal(apply_caseI(field, m, beta, lam, pts),
+                          apply_caseII(field, m, beta, lam, pts))

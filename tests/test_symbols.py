@@ -152,6 +152,31 @@ class TestTempered:
             k, [band], partial(symbols_mod._bracket, beta=beta, lam=0.0), 1e-13)
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-11)
 
+    @pytest.mark.parametrize("beta", [0.4, 1.0, 1.9])
+    def test_narrow_band_antiderivatives_vs_mpmath(self, beta):
+        # band (1, 1.01) at |k| = 3: nine kinks theta_k + pi/2 within 0.004 of
+        # its centre, where both ends' antiderivatives lie near a multiple of
+        # H, and eight random ones; against 40-digit quadrature cut at the kinks
+        mp = pytest.importorskip("mpmath")
+        band = AngularBand((1.0, 1.01), 1.0 / 0.01)
+        rng = np.random.default_rng(17)
+        th = np.concatenate([1.005 + np.linspace(-0.004, 0.004, 9) - 0.5 * math.pi,
+                             rng.uniform(0.0, TWO_PI, 8)])
+        k = 3.0 * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        kn, even, odd = symbols_mod._cos_pow_band_integrals(k, band, beta)
+        with mp.workdps(40):
+            for i, tk in enumerate(np.arctan2(k[:, 1], k[:, 0]).tolist()):
+                tk = mp.mpf(tk)
+                cuts = sorted({mp.mpf(1.0), mp.mpf(1.01)} | {
+                    c for c in (tk + s * mp.pi / 2 for s in (-3, -1, 1, 3)) if 1.0 < c < 1.01})
+                e = mp.quad(lambda t: abs(mp.cos(t - tk)) ** beta, cuts)
+                o = mp.quad(lambda t: mp.sign(mp.cos(t - tk)) * abs(mp.cos(t - tk)) ** beta, cuts)
+                assert abs(even[i] - e) <= 2e-13 * e
+                assert abs(odd[i] - o) <= 2e-13 * e
+                if beta == 1.0:
+                    got = symbols_mod._cos_pow_band(k[i:i + 1], band)[0]
+                    assert abs(got - 0.5 * mp.pi * band.density * 3 * e) <= 2e-13 * got
+
     def test_nodes_vs_adaptive_tempered_band(self):
         m = fig1_measure()
         ks = np.array([[0.4, 0.1], [2.0, -1.0], [8.0, 3.0]])
