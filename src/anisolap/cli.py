@@ -194,16 +194,16 @@ def _cmd_symbol(args) -> int:
     return 0
 
 
-def _real_space_operator(op: dict, cases=("I", "II", "general")):
+def _real_space_operator(op: dict, where: str, cases=("I", "II", "general")):
     """fn(field, measure, pts) for the real-space case op names; an unknown
-    case is a config error."""
+    case or a missing field of the config part where is a config error."""
     case = op.get("case", "I")
     if case not in cases:
         raise ConfigError(f"unknown operator case {case!r}; expected one of {', '.join(cases)}")
     if case == "general":
-        prof = from_json(StabilityProfile, _require(op, "profile", "operator"))
+        prof = from_json(StabilityProfile, _require(op, "profile", where))
         return lambda field, measure, pts: apply_general(field, measure, prof, pts)
-    beta, lam = float(op["beta"]), float(op.get("lam", 0.0))
+    beta, lam = float(_require(op, "beta", where)), float(op.get("lam", 0.0))
     fn = apply_caseII if case == "II" else apply_caseI
     return lambda field, measure, pts: fn(field, measure, beta, lam, pts)
 
@@ -217,7 +217,7 @@ def _cmd_apply(args) -> int:
         field_cfg = dict(field_cfg, kind=args.field)
     field = _field_from_config(field_cfg, measure.dimension)
     pts = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
-    vals = _real_space_operator(op)(field, measure, pts)
+    vals = _real_space_operator(op, "operator")(field, measure, pts)
     header = ",".join(f"x{i+1}" for i in range(measure.dimension)) + ",value"
     np.savetxt(args.out, np.column_stack([pts, vals]), delimiter=",",
                header=header, fmt="%.17g")
@@ -291,7 +291,8 @@ def _cmd_analyze(args) -> int:
     ok = True
     if verb == "coercivity":
         measure = measure_from_json(_require(cfg, "measure", "coercivity config"))
-        rep = analysis.coercivity_ratio(measure, float(cfg["beta"]), float(cfg.get("lam", 0.0)))
+        beta = float(_require(cfg, "beta", "coercivity config"))
+        rep = analysis.coercivity_ratio(measure, beta, float(cfg.get("lam", 0.0)))
         expect = cfg.get("expect", "coercive")
         if expect == "coercive":
             floor = float(cfg.get("floor", 0.0))
@@ -305,8 +306,9 @@ def _cmd_analyze(args) -> int:
         measure = measure_from_json(_require(cfg, "measure", "parseval config"))
         field = _field_from_config(cfg.get("field", {}), measure.dimension)
         budget = float(cfg.get("budget", 1e-2))
+        beta = float(_require(cfg, "beta", "parseval config"))
         rep = analysis.parseval_bilinear_check(
-            field, measure, float(cfg["beta"]), float(cfg.get("lam", 0.0)),
+            field, measure, beta, float(cfg.get("lam", 0.0)),
             half_width=float(cfg.get("half_width", 12.0)),
             n_points=int(cfg.get("n_points", 256)), budget=budget)
         ok &= _check_line("parseval_relative_deviation", rep.relative_deviation,
@@ -338,11 +340,11 @@ def _cmd_analyze(args) -> int:
         results = []
         for case in cases:
             # the spectral reference is the constant-profile symbol
-            apply_case = _real_space_operator(case, cases=("I", "II"))
-            measure = measure_from_json(case["measure"])
+            apply_case = _real_space_operator(case, "equivalence case", cases=("I", "II"))
+            measure = measure_from_json(_require(case, "measure", "equivalence case"))
             beta, lam = float(case["beta"]), float(case.get("lam", 0.0))
             field = _field_from_config(case.get("field", {}), measure.dimension)
-            grid = from_json(SpectralGrid, case["grid"])
+            grid = from_json(SpectralGrid, _require(case, "grid", "equivalence case"))
             tol = float(case.get("tol", 1e-3))
             vals = field.f(grid.points()).reshape(grid.shape())
             psi = make_generator("tempered_aniso", measure.dimension, measure=measure,
@@ -430,10 +432,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

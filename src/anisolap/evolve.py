@@ -156,8 +156,9 @@ def spectral_apply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
 
 
 def _nyquist_shell_mass(transform: np.ndarray, grid: SpectralGrid) -> float:
-    """Sum of |transform| over the extreme-frequency shell, scaled to density
-    units: an upper estimate for truncation ringing."""
+    """Sum of |transform| over the extreme-frequency shell: an upper estimate
+    for truncation ringing.  The ifftn of density values is already in
+    density units, since (2L)^n (dk / 2 pi)^n = 1 for dk = pi / L."""
     n = grid.dimension
     N = grid.n_points
     shell = np.zeros(grid.shape(), dtype=bool)
@@ -165,8 +166,7 @@ def _nyquist_shell_mass(transform: np.ndarray, grid: SpectralGrid) -> float:
         sl = [slice(None)] * n
         sl[ax] = N // 2  # the unpaired most-negative frequency plane
         shell[tuple(sl)] = True
-    dk = math.pi / grid.half_width
-    return float(np.abs(transform[shell]).sum() * (dk / (2.0 * math.pi)) ** n)
+    return float(np.abs(transform[shell]).sum())
 
 
 def evolve_spectral(p0: DensityField, symbol, t: float, *,
@@ -184,12 +184,9 @@ def evolve_spectral(p0: DensityField, symbol, t: float, *,
     psi = _symbol_on_grid(symbol, p0.grid)
     if not np.all(np.isfinite(psi)):
         raise ValueError("symbol evaluation returned non-finite values")
-    mult = np.exp(t * psi)
-    base = np.fft.ifftn(p0.values)
-    out = np.real(np.fft.fftn(mult * base))
-    phat = base * (2.0 * p0.grid.half_width) ** p0.grid.dimension
-    ringing = _nyquist_shell_mass(mult * phat, p0.grid)
-    result = DensityField(p0.grid, out, p0.time + t, ringing)
+    phat = np.exp(t * psi) * np.fft.ifftn(p0.values)
+    out = np.real(np.fft.fftn(phat))
+    result = DensityField(p0.grid, out, p0.time + t, _nyquist_shell_mass(phat, p0.grid))
     if check_boundary:
         frac = result.boundary_mass_fraction()
         if frac > 1e-6:

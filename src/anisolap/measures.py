@@ -412,13 +412,12 @@ def _integrate_band_adaptive(band, f, tol, kinks):
     Gauss-Legendre panels.  A panel is accepted when its 2 halves sum to within
     max(tol, 1e-16) of it, or at depth 40; an integrand with more than
     _PANEL_BUDGET active panels at one level raises NumericalError.  Each
-    level evaluates the active panels of all integrands together; an
-    integrand's accepted sums are added in the order of a depth-first pass
-    that refines the upper half first, so the result does not depend on the
-    batching.  A 3D band is this rule in phi over the integrals of this rule
-    in theta along the meridians, to tol / 100 and weighted by sin(theta),
-    where k . phi is the 2D product of (k_z, k_x cos(phi) + k_y sin(phi)) and
-    (cos(theta), sin(theta)).
+    level evaluates the active panels of all integrands together and adds
+    the accepted sums of each integrand in the order of its own panels, so
+    the result does not depend on the batching.  A 3D band is this rule in
+    phi over the integrals of this rule in theta along the meridians, to
+    tol / 100 and weighted by sin(theta), where k . phi is the 2D product of
+    (k_z, k_x cos(phi) + k_y sin(phi)) and (cos(theta), sin(theta)).
     """
     kinks = np.asarray(kinks, dtype=float)
     if band.dimension == 3:
@@ -443,19 +442,17 @@ def _integrate_band_adaptive(band, f, tol, kinks):
                                         np.zeros((len(kinks), 2)))
     t0, t1 = band.bounds
     max_depth = 40
-    box, owner, key = [], [], []
+    box, owner = [], []
     for i, (kx, ky) in enumerate(kinks.tolist()):
         tk = math.atan2(ky, kx)
         ends = [t0 + (s - t0) % _TWO_PI for s in (tk - 0.5 * math.pi, tk + 0.5 * math.pi)]
         cuts = sorted({t0, t1} | {e for e in ends if (kx or ky) and t0 + 1e-13 < e < t1 - 1e-13})
         box += zip(cuts[:-1], cuts[1:])
         owner += [i] * (len(cuts) - 1)
-        key += range(len(cuts) - 1)
     box = np.array(box, dtype=float).reshape(-1, 2)
     owner = np.array(owner, dtype=np.intp)
-    key = np.array(key, dtype=np.int64) << max_depth
     coarse = _panel_sums(box, owner, f)
-    accepted = []
+    totals = np.zeros(len(kinks), dtype=complex)
     for depth in range(max_depth + 1):
         if len(owner) > _PANEL_BUDGET and np.bincount(owner).max() > _PANEL_BUDGET:
             raise NumericalError(
@@ -467,21 +464,16 @@ def _integrate_band_adaptive(band, f, tol, kinks):
         vals = _panel_sums(kids.reshape(-1, 2), owner.repeat(2), f).reshape(-1, 2)
         fine = vals[:, 0] + vals[:, 1]
         # np.hypot, not np.abs: the complex abs ufunc rounds differently
-        # from the scalar abs of the depth-first pass
+        # from the scalar abs of the per-panel reference
         err = np.hypot((fine - coarse).real, (fine - coarse).imag)
         done = (err < max(tol, 1e-16)) | (depth == max_depth)
-        accepted.append((owner[done], key[done], fine[done]))
+        # unbuffered and in array order: each integrand's sums in its panels' order
+        np.add.at(totals, owner[done], fine[done])
         if done.all():
             break
         box, coarse = kids[~done].reshape(-1, 2), vals[~done].ravel()
-        key = (key[~done, None] | np.arange(2) << max_depth - depth - 1).ravel()
         owner = owner[~done].repeat(2)
-    owner, key, fine = (np.concatenate(a) for a in zip(*accepted))
-    rank = np.lexsort((-key, owner))
-    totals = [0.0 + 0.0j] * len(kinks)
-    for i, v in zip(owner[rank].tolist(), fine[rank].tolist()):
-        totals[i] += v
-    return np.array([t * band.density for t in totals], dtype=complex)
+    return totals * band.density
 
 
 def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10):

@@ -385,8 +385,10 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     Returns (-1)^ceil(beta) * (1/omega_n) * int (lam^beta -
     (lam^2 + (k.phi)^2)^(beta/2) cos(beta*eta)) dphi, the real part of
     _bracket, a real value >= 0 used as the denominator of the coercivity
-    ratio: in closed form for n = 1 or lam = 0, else by 40 graded
-    Gauss-Legendre panels of order 12.
+    ratio: in closed form for n = 1 or lam = 0, else as the mean of
+    f(|k| sin s) over s in (0, pi/2) in 2D and of f(|k| s) over s in (0, 1)
+    in 3D, s measured from the kink of f at k.phi = 0, by 40 panels of order
+    12 graded toward it.
     """
     _check_exponent(beta)
     if lam < 0:
@@ -407,21 +409,11 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
         else:
             mean_cos = 1.0 / (beta + 1.0)
         out = cbeta * kn ** beta * mean_cos
-    elif n == 2:
-        # (2/pi) * int_0^{pi/2} f(|k| cos(theta)) dtheta with panels graded
-        # toward theta = pi/2, where f has its (smoothed) |u|^beta kink
-        theta_edges = 0.5 * math.pi - np.concatenate(
-            [0.5 * math.pi * np.geomspace(1e-10, 1.0, 40)[::-1], [0.0]]
-        )
-        t, tw = _composite_gl(theta_edges, 12)
-        vals = f(kn[:, None] * np.cos(t)[None, :])
-        out = (2.0 / math.pi) * (vals * tw[None, :]).sum(axis=1)
     else:
-        # int_0^1 f(|k| t) dt, graded toward the kink at t = 0
-        t_edges = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 40)])
-        t, tw = _composite_gl(t_edges, 12)
-        vals = f(kn[:, None] * t[None, :])
-        out = (vals * tw[None, :]).sum(axis=1)
+        top = 0.5 * math.pi if n == 2 else 1.0
+        s, sw = _composite_gl(top * np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 40)]), 12)
+        vals = f(kn[:, None] * (np.sin(s) if n == 2 else s))
+        out = (vals * (sw / top)).sum(axis=1)
     return _from_rows(np.maximum(out, 0.0), shape)
 
 

@@ -113,6 +113,26 @@ class TestErrors:
         assert f"{kind} requires" in err
         assert (field == "measure" and "directional measure" in err) or f"'{field}'" in err
 
+    @pytest.mark.parametrize("verb, field, where", [
+        ("coercivity", "beta", "coercivity config"), ("parseval", "beta", "parseval config"),
+        ("apply", "beta", "operator"), ("equivalence", "measure", "equivalence case"),
+        ("equivalence", "beta", "equivalence case"), ("equivalence", "grid", "equivalence case")])
+    def test_missing_operator_field_is_named(self, tmp_path, capsys, verb, field, where):
+        case = {"measure": M1_SYM, "beta": 0.5, "lam": 1.0}
+        if verb == "equivalence":
+            case["grid"] = {"dimension": 1, "half_width": 8.0, "n_points": 64}
+        del case[field]
+        if verb == "apply":
+            pts = tmp_path / "pts.csv"
+            np.savetxt(pts, np.zeros((1, 1)), delimiter=",", header="x1")
+            argv = ["apply", "--points", str(pts), "--out", str(tmp_path / "vals.csv")]
+            doc = {"operator": case}
+        else:
+            argv = ["analyze", verb]
+            doc = {"cases": [case]} if verb == "equivalence" else case
+        assert main([*argv, "--config", write_json(tmp_path, "c.json", doc)]) == 2
+        assert capsys.readouterr().err == f"config error: missing field '{field}' in {where}\n"
+
     def test_sampling_requires_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {
             "jump": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},
