@@ -11,9 +11,9 @@ from typing import Optional
 import numpy as np
 import scipy.special as sc
 
-from .evolve import DensityField, continuum_dft_abs2, evolve_spectral
+from .evolve import DensityField, SpectralGrid, continuum_dft_abs2, evolve_spectral
 from .measures import (
-    RANK_TOL, DirectionalMeasure, _composite_gl, _unit_vectors, support_directions,
+    DirectionalMeasure, _composite_gl, _null_directions, _unit_vectors, support_directions,
 )
 from .realspace import ScalarField, bilinear_form, _graded_radial_rule
 from .symbols import (
@@ -57,21 +57,12 @@ def _direction_grid(n: int, count: int) -> np.ndarray:
     return _unit_vectors(math.pi * (1.0 + math.sqrt(5.0)) * i, 1.0 - 2.0 * i / count)
 
 
-def _nullspace_directions(measure: DirectionalMeasure) -> np.ndarray:
-    """Unit vectors orthogonal to the support span (empty when nondegenerate)."""
-    dirs = support_directions(measure)
-    n = measure.dimension
-    if dirs.shape[0] == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(dirs, full_matrices=True)
-    null = [vt[i] for i in range(n) if i >= len(s) or s[i] <= RANK_TOL * s[0]]
-    return np.asarray(null).reshape(-1, n)
-
-
-def coercivity_numerator(measure, beta, lam, k, **kw):
-    """Re of the negated anisotropic symbol, the coercivity-ratio numerator."""
-    val = tempered_symbol(measure, beta, lam, k, **kw)
-    return np.maximum(-np.real(val), 0.0)
+def _ratio_terms(measure: DirectionalMeasure, beta: float, lam: float, pts):
+    """Numerator and denominator of the coercivity ratio at the rows pts:
+    Re[-psi_m(k)] by the adaptive route, clipped at 0, and the isotropic
+    reference."""
+    num = np.maximum(-np.real(tempered_symbol(measure, beta, lam, pts, method="adaptive")), 0.0)
+    return num, isotropic_reference_symbol(beta, lam, pts, measure.dimension)
 
 
 def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float, *,
@@ -85,14 +76,11 @@ def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float, *,
     measures always expose a witness."""
     n = measure.dimension
     radii = np.geomspace(1e-3, 1e3, n_radii)
-    dirs = _direction_grid(n, n_directions)
-    extra = _nullspace_directions(measure)
-    if extra.size:
-        dirs = np.concatenate([dirs, extra], axis=0)
+    extra = _null_directions(support_directions(measure))
+    dirs = np.concatenate([_direction_grid(n, n_directions), extra])
     K = radii[:, None, None] * dirs[None, :, :]
     pts = K.reshape(-1, n)
-    num = coercivity_numerator(measure, beta, lam, pts, method="adaptive")
-    den = isotropic_reference_symbol(beta, lam, pts, n)
+    num, den = _ratio_terms(measure, beta, lam, pts)
     ratio = num / den
     imin = int(np.argmin(ratio))
     inf_ratio = float(ratio[imin])
@@ -118,7 +106,6 @@ def symbol_asymptotic_slopes(measure: DirectionalMeasure, beta: float, lam: floa
     if lam <= 0:
         raise ValueError("slope asymptotics require lam > 0 (untempered symbols "
                          "are exactly homogeneous of order beta)")
-    n = measure.dimension
     if direction is None:
         direction = support_directions(measure)[0]
     d = np.asarray(direction, dtype=float)
@@ -126,8 +113,7 @@ def symbol_asymptotic_slopes(measure: DirectionalMeasure, beta: float, lam: floa
 
     def fit(radii):
         pts = radii[:, None] * d[None, :]
-        num = coercivity_numerator(measure, beta, lam, pts, method="adaptive")
-        den = isotropic_reference_symbol(beta, lam, pts, n)
+        num, den = _ratio_terms(measure, beta, lam, pts)
         ln_r = np.log(radii)
         s_num = np.polyfit(ln_r, np.log(num), 1)[0]
         s_den = np.polyfit(ln_r, np.log(den), 1)[0]
@@ -163,8 +149,6 @@ def parseval_bilinear_check(field_q: ScalarField, measure: DirectionalMeasure,
         2|Gamma(-beta)| (2 pi)^(-n) int (-Re psi(k)) |q_hat(k)|^2 dk;
 
     passed says whether their relative deviation is within budget."""
-    from .evolve import SpectralGrid
-
     n = measure.dimension
     direct, rep = bilinear_form(field_q, field_q, measure, beta, lam,
                                 half_width=half_width, n_points=n_points,

@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, analysis
 from .evolve import (
     DensityField, SpectralGrid, compare_densities, delta_density,
-    evolve_spectral, gaussian_density,
+    evolve_spectral, gaussian_density, spectral_apply,
 )
 from .measures import (
     NumericalError, StabilityProfile, from_json, measure_from_json, to_json,
@@ -29,7 +29,7 @@ from .sampler import (
     empirical_cf, ensemble_endpoints_parallel, jump_cf, jump_from_json,
     simulate_compound_poisson,
 )
-from .symbols import symbol_from_json
+from .symbols import make_generator, symbol_from_json
 from .multistate import (
     montroll_transform, multistate_endpoints, state_model_from_json,
     validate_multistate,
@@ -62,14 +62,15 @@ def _check_line(name: str, value: float, tol: float, passed: bool) -> bool:
     return passed
 
 
-def _parse_k_list(text: str, dim: int) -> np.ndarray:
-    vecs = []
-    for part in text.split(";"):
-        comps = [float(c) for c in part.split(",") if c.strip() != ""]
-        if len(comps) != dim:
-            raise ConfigError(f"k vector {part!r} does not have {dim} components")
-        vecs.append(comps)
-    return np.asarray(vecs)
+def _k_vectors(rows, dim: int) -> np.ndarray:
+    """The wavenumbers of an ecf run from its k_list rows; a row without dim
+    components is a config error that names it."""
+    if not rows:
+        raise ConfigError("k_list names no wavenumber")
+    for row in rows:
+        if np.shape(row) != (dim,):
+            raise ConfigError(f"k vector {row!r} does not have {dim} components")
+    return np.asarray(rows, dtype=float)
 
 
 def _field_from_config(cfg: dict, dim: int):
@@ -154,9 +155,13 @@ def _cmd_ecf(args) -> int:
     spec = jump_from_json(_require(cfg, "jump", "ecf config"))
     zeta = float(cfg.get("zeta", 1.0))
     t, n_paths, seed = _run_fields(args, cfg, "ecf config", paths=10000)
-    ks = _parse_k_list(args.k_list or ";".join(
-        ",".join(str(c) for c in row) for row in _require(cfg, "k_list", "ecf config")
-    ), spec.dimension)
+    if args.k_list:
+        # the flag text "k1,k2;k3,k4" as rows
+        rows = [[float(c) for c in part.split(",") if c.strip() != ""]
+                for part in args.k_list.split(";")]
+    else:
+        rows = _require(cfg, "k_list", "ecf config")
+    ks = _k_vectors(rows, spec.dimension)
     ends = ensemble_endpoints_parallel(spec, zeta, t, n_paths, seed)
     tol = 5.0 / math.sqrt(n_paths)
     ok = True
@@ -284,8 +289,6 @@ def _cmd_multistate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from . import analysis
-
     cfg = _load_config(args.config)
     verb = args.verb
     ok = True
@@ -333,9 +336,6 @@ def _cmd_analyze(args) -> int:
         worst = float(np.max(np.abs(rep.rung_ratios_iso / (rep.sigmas[:-1] / rep.sigmas[1:]) ** 2 - 1.0)))
         ok &= _check_line("scaling_rung_ratio_error", worst, 0.2, rep.passed)
     elif verb == "equivalence":
-        from .evolve import spectral_apply
-        from .symbols import make_generator
-
         cases = _require(cfg, "cases", "equivalence config")
         results = []
         for case in cases:
@@ -354,13 +354,9 @@ def _cmd_analyze(args) -> int:
             xmax = float(case.get("xmax", 2.0))
             stride = int(case.get("stride", max(1, grid.n_points // 32)))
             ii = np.flatnonzero(np.abs(ax) <= xmax)[::stride]
-            if measure.dimension == 1:
-                pts = ax[ii][:, None]
-                ref = spectral[ii]
-            else:
-                mesh = np.meshgrid(*([ax[ii]] * measure.dimension), indexing="ij")
-                pts = np.stack([g.ravel() for g in mesh], axis=-1)
-                ref = spectral[np.ix_(*([ii] * measure.dimension))].ravel()
+            mesh = np.meshgrid(*([ax[ii]] * measure.dimension), indexing="ij")
+            pts = np.stack([g.ravel() for g in mesh], axis=-1)
+            ref = spectral[np.ix_(*([ii] * measure.dimension))].ravel()
             direct = apply_case(field, measure, pts)
             rel = float(np.linalg.norm(direct - ref) / np.linalg.norm(ref))
             name = case.get("name", f"case_{len(results)}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import NumericalError
+from .sampler import sample_inverse_subordinator
 from .symbols import GeneratorSymbol
 
 __all__ = [
@@ -207,8 +208,6 @@ def evolve_time_fractional(p0: DensityField, symbol, alpha: float, t: float,
                            n_subordination_samples: int, rng) -> TimeFractionalResult:
     """Subordinated evolution: average the semigroup over inverse-subordinator
     times E(t); the Monte Carlo standard-error field is reported."""
-    from .sampler import sample_inverse_subordinator
-
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
     taus = sample_inverse_subordinator(alpha, t, rng, size=n_subordination_samples)

@@ -550,21 +550,27 @@ def support_directions(measure: DirectionalMeasure) -> np.ndarray:
     return np.asarray(dirs).reshape(-1, measure.dimension)
 
 
+def _null_directions(dirs: np.ndarray) -> np.ndarray:
+    """Unit vectors orthogonal to the span of the rows dirs (as from
+    support_directions), as rows, none when they span R^n: the right singular
+    vectors whose singular value is at most RANK_TOL times the largest."""
+    n = dirs.shape[1]
+    _, s, vt = np.linalg.svd(dirs)
+    return vt[np.concatenate([s, np.zeros(n - len(s))]) <= RANK_TOL * s[0]]
+
+
 def is_nondegenerate(measure: DirectionalMeasure):
     """Whether the support spans R^n; returns (flag, spanning directions or None).
 
-    Rank is decided from the singular values of the stacked support
-    directions with relative threshold RANK_TOL.
+    The support spans R^n when _null_directions finds no direction orthogonal
+    to it (singular values of the stacked support directions, relative
+    threshold RANK_TOL); the spanning directions are then the first n
+    independent support directions, chosen greedily.
     """
     dirs = support_directions(measure)
+    if len(_null_directions(dirs)):
+        return False, None
     n = measure.dimension
-    if dirs.shape[0] == 0:
-        return False, None
-    s = np.linalg.svd(dirs, compute_uv=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    if rank < n:
-        return False, None
-    # greedy selection of n independent rows
     chosen = []
     for d in dirs:
         trial = np.asarray(chosen + [d])
@@ -634,9 +640,10 @@ class StabilityProfile:
     """Per-component jump exponent and tempering rate, aligned with the
     measure's components (atoms first, then bands).
 
-    betas in (0,1) u (1,2]; beta == 2 is admitted only through the quadratic
-    reduction and beta == 1 only through the dedicated symbol path, so the
-    generic evaluators reject those values themselves.
+    Every beta lies in (0,1) or (1,2) and is at least 1e-6 away from 1
+    (_check_exponent), so the profile symbol and the real-space operator take
+    any profile as given; exponents 1 and 2 have their own symbols
+    (beta1_symbol, beta2_symbol) and no profile form.
     """
 
     betas: tuple[float, ...]
@@ -648,8 +655,7 @@ class StabilityProfile:
         if len(betas) != len(lams):
             raise ValueError("betas and lambdas must have equal length")
         for b in betas:
-            if not (0.0 < b <= 2.0):
-                raise ValueError(f"beta {b} outside (0, 2]")
+            _check_exponent(b, f"profile exponent {b}")
         for l in lams:
             if l < 0:
                 raise ValueError("lambda must be nonnegative")

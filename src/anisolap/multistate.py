@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .measures import from_json, to_json
-from .sampler import JumpSpec, Trajectory, jump_cf, sample_jump
+from .sampler import EcfEstimate, JumpSpec, Trajectory, jump_cf, sample_jump
 
 __all__ = [
     "WaitingLaw",
@@ -277,8 +277,6 @@ def validate_multistate(model: StateModel, k_probes, t: float, n_paths: int,
 
 def empirical_functional_cf(functional_values: np.ndarray, rho: float):
     """(1/N) sum exp(i rho A_j) with its 1/sqrt(N) standard error."""
-    from .sampler import EcfEstimate
-
     A = np.asarray(functional_values, dtype=float)
     if A.size == 0:
         raise ValueError("empty functional ensemble")

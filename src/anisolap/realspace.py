@@ -21,7 +21,7 @@ import scipy.special as sc
 from .measures import (
     DirectionalMeasure, NumericalError, StabilityProfile, _as_rows, _check_exponent,
     _component_spreads, _composite_gl, _from_rows, _pool_map, _row_blocks, is_symmetric,
-    measure_nodes, moments,
+    measure_nodes,
 )
 
 __all__ = [
@@ -343,8 +343,6 @@ def apply_general(field: ScalarField, measure: DirectionalMeasure,
     apply_caseI or apply_caseII at refinement 32, value for value.
     """
     profile = profile.for_measure(measure)
-    for b in profile.betas:
-        _check_exponent(b, "profile exponents")
     return _apply_profile(field, measure, profile.betas, profile.lambdas, x, 32, tail_tol)
 
 
@@ -416,10 +414,12 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
         a(p,q) = int int (p(x)-p(y)) (q(x)-q(y)) m((x-y)/|x-y|)
                  e^(-lam|x-y|) |x-y|^(-n-beta) dx dy.
 
-    Computed with y in polar coordinates around each lattice point x: the
-    diagonal tube r < _TUBE_RADIUS is replaced by its Taylor-corrected moment
-    and the far field r > R = 2 half_width by the decayed-field closed form;
-    both corrections and the lattice truncation are reported.
+    Computed with y in polar coordinates around each lattice point x, on the
+    measure_nodes of the measure at refinement 32: the diagonal tube
+    r < _TUBE_RADIUS is replaced by its Taylor-corrected moment, with the
+    second moment matrix sum w phi phi^T of the same nodes, and the far field
+    r > R = 2 half_width by the decayed-field closed form; both corrections
+    and the lattice truncation are reported.
     """
     if not is_symmetric(measure):
         raise ValueError("the symmetric-kernel bilinear form requires a symmetric measure")
@@ -445,6 +445,7 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     R = 2.0 * L
     r, kern = _radial_kernel(beta, lam, R)
     dirs, wdir, _ = measure_nodes(measure, refinement=32)
+    A = (wdir[:, None] * dirs).T @ dirs  # second moment matrix on the same nodes
 
     def radial(d, rows):
         # the radial integrals at the lattice rows in direction d
@@ -463,7 +464,6 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
 
     # diagonal tube: integrand ~ (grad p . z)(grad q . z) |z|^(-n-beta) e^(-lam|z|)
     m2 = radial_moment_lower(2, beta, lam, _TUBE_RADIUS)
-    A = moments(measure).covariance
     tube = float(np.einsum("pi,ij,pj->", GP, A, GQ)) * cell * m2
 
     # far field: once both fields have decayed at distance R the pair

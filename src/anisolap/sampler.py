@@ -29,6 +29,8 @@ from .measures import (
     DirectionalMeasure, NumericalError, _component_spreads, _pool_map, _unit_vectors, from_json,
     measure_nodes, to_json,
 )
+from .realspace import radial_moment_upper
+from .symbols import gaussian_symbol
 
 __all__ = [
     "JumpSpec",
@@ -86,6 +88,9 @@ class JumpSpec:
                 raise ValueError("r0 must be positive")
             if self.lam < 0:
                 raise ValueError("lambda must be nonnegative")
+            if self.kind == "stable" and self.lam != 0.0:
+                raise ValueError("stable jumps take no lam; use kind 'tempered_stable' "
+                                 "for a tempering rate")
             if self.max_rejections < 1:
                 raise ValueError("max_rejections must be at least 1")
         if self.measure is not None and self.measure.dimension != self.dimension:
@@ -435,8 +440,6 @@ def matched_rate(spec: JumpSpec) -> float:
         raise ValueError("matched_rate applies to power-law jump kinds")
     if spec.beta == 1.0:
         raise ValueError("the matched rate is undefined at beta = 1 (Gamma(-beta) has a pole)")
-    from .realspace import radial_moment_upper
-
     mass = radial_moment_upper(0, spec.beta, spec.lam, spec.r0)
     return mass / abs(sc.gamma(-spec.beta))
 
@@ -461,8 +464,6 @@ def jump_cf(spec: JumpSpec, k) -> complex:
     if spec.kind == "gaussian_axes":
         return complex(np.mean(np.exp(-0.5 * spec.sigma ** 2 * k ** 2)))
     if spec.kind == "gaussian_aniso":
-        from .symbols import gaussian_symbol
-
         return 1.0 + complex(gaussian_symbol("aniso", k, measure=spec.measure,
                                              sigmas=spec.sigmas))
     dirs, w, _ = measure_nodes(spec.measure, refinement=64)

@@ -315,14 +315,13 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
                            method: str = "auto", refinement: int = 96, tol: float = 1e-12):
     """Symbol with direction-dependent beta(phi), lambda(phi).
 
-    Each atom/band carries its own (beta, lambda) and the sign prefactor
-    (-1)^ceil(beta) is applied inside the integral per component.  Profiles
+    Each atom/band carries its own (beta, lambda), as checked by
+    StabilityProfile, and the sign prefactor (-1)^ceil(beta) is applied
+    inside the integral per component.  Profiles
     mixing the ranges (0,1) and (1,2) are admitted but flagged with
     MixedStabilityRangeWarning since the global sign convention is ambiguous.
     """
     profile = profile.for_measure(measure)
-    for b in profile.betas:
-        _check_exponent(b, "profile exponents")
     lo = any(b < 1.0 for b in profile.betas)
     hi = any(b > 1.0 for b in profile.betas)
     if lo and hi:
@@ -385,10 +384,13 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     Returns (-1)^ceil(beta) * (1/omega_n) * int (lam^beta -
     (lam^2 + (k.phi)^2)^(beta/2) cos(beta*eta)) dphi, the real part of
     _bracket, a real value >= 0 used as the denominator of the coercivity
-    ratio: in closed form for n = 1 or lam = 0, else as the mean of
-    f(|k| sin s) over s in (0, pi/2) in 2D and of f(|k| s) over s in (0, 1)
-    in 3D, s measured from the kink of f at k.phi = 0, by 40 panels of order
-    12 graded toward it.
+    ratio.  For n = 1 it is f(|k|).  For n = 2 and 3 at lam = 0 it is the
+    closed form |cos(beta pi/2)| |k|^beta times the sphere mean of
+    |cos|^beta, one evaluation per point, since the isotropic_reference
+    generator evaluates whole lattices through it.  At lam > 0 it is the
+    mean of f(|k| sin s) over s in (0, pi/2) in 2D and of f(|k| s) over s
+    in (0, 1) in 3D, s measured from the kink of f at k.phi = 0, by 40
+    panels of order 12 graded toward it.
     """
     _check_exponent(beta)
     if lam < 0:
@@ -486,6 +488,9 @@ class GeneratorSymbol:
                 raise ValueError(f"{self.kind} requires {what}")
         if "measure" in _REQUIRED[self.kind] and self.measure.dimension != self.dimension:
             raise ValueError("measure dimension mismatch")
+        if self.kind == "stable_aniso" and self.lam:
+            raise ValueError("stable_aniso takes no lam; use kind 'tempered_aniso' "
+                             "for a tempering rate")
         if self.kind == "beta1_aniso" and not is_symmetric(self.measure):
             raise ValueError("exponent-1 symbols require a symmetric measure")
         object.__setattr__(self, "_grid_cache", {})

@@ -159,6 +159,23 @@ class TestErrors:
         assert err == f"config error: paths must be at least 1, got {paths}\n"
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("change, flags, message", [
+        ({"k_list": [[0.5, 0.0], [1.0, 0.0, 2.0]]}, [], "k vector [1.0, 0.0, 2.0]"),
+        ({}, ["--k-list", "0.5,0;1"], "k vector [1.0]"),
+        ({"k_list": []}, [], "k_list names no wavenumber"),
+        ({"jump": {"kind": "stable", "dimension": 2, "beta": 1.3, "lam": 0.5, "r0": 0.01,
+                   "measure": FIG1}}, [], "use kind 'tempered_stable'"),
+    ], ids=["k_list_row", "k_list_flag", "k_list_empty", "stable_with_lam"])
+    def test_ecf_config_error_exits_2(self, tmp_path, capsys, change, flags, message):
+        cfg = {"jump": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},
+               "t": 1.0, "paths": 10, "seed": 3, "k_list": [[0.5, 0.0]], **change}
+        argv = ["ecf", "--config", write_json(tmp_path, "c.json", cfg),
+                "--out", str(tmp_path / "o.csv"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestNumericalFailures:
     """Numerical failures end with one line on stderr and exit code 3."""

@@ -55,7 +55,8 @@ def measures(draw, dimension, symmetric=False):
 @st.composite
 def profiles(draw, size=None):
     size = draw(st.integers(1, 4)) if size is None else size
-    betas = draw(st.lists(st.floats(0.05, 2.0), min_size=size, max_size=size))
+    betas = draw(st.lists(exponent.filter(lambda b: abs(b - 1.0) >= 1e-6),
+                          min_size=size, max_size=size))
     lambdas = draw(st.lists(st.floats(0.0, 3.0), min_size=size, max_size=size))
     return StabilityProfile(tuple(betas), tuple(lambdas))
 
@@ -93,8 +94,9 @@ def jumps(draw, kind, dimension=None):
     if kind == "gaussian_aniso":
         return JumpSpec(kind, dim, measure=m,
                         sigmas=tuple(draw(positive) for _ in range(m.n_components)))
+    lams = [0.0, 0.5] if kind == "tempered_stable" else [0.0]
     return JumpSpec(kind, dim, measure=m, beta=draw(exponent),
-                    lam=draw(st.sampled_from([0.0, 0.5])), r0=draw(st.floats(1e-4, 1.0)),
+                    lam=draw(st.sampled_from(lams)), r0=draw(st.floats(1e-4, 1.0)),
                     max_rejections=draw(st.sampled_from([10_000, 7])))
 
 

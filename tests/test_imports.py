@@ -1,6 +1,7 @@
 """Every top-level import of the package and of the tests is used, every
-top-level definition of the package is referenced, and no function of the
-package has a parameter whose name starts with an underscore.
+top-level definition of the package is referenced, no function of the
+package imports from the package, and no function of the package has a
+parameter whose name starts with an underscore.
 
 A stand-in for a lint step: each module is parsed with ast, and a name bound
 by a module-level import must appear as a name somewhere in that module (or
@@ -102,6 +103,39 @@ def test_checker_flags_an_unreferenced_definition():
            "def orphan(n):\n    return orphan(n - 1)\n")
     assert unreferenced_definitions({"m": mod}, ["from m import used\nused(2)\n"]) == [
         ("m", "orphan")]
+
+
+def package_imports_in_functions(source: str) -> list:
+    """(line, function) of each import from the package inside a function
+    body, with the outermost function: the package has no import cycle to
+    break, so its modules state their dependencies at the top.  Imports of
+    other packages may stay lazy (scipy.linalg.expm, for its import time)."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom):
+                    ours = sub.level > 0 or (sub.module or "").split(".")[0] == "anisolap"
+                elif isinstance(sub, ast.Import):
+                    ours = any(a.name.split(".")[0] == "anisolap" for a in sub.names)
+                else:
+                    ours = False
+                if ours:
+                    found.setdefault(sub.lineno, node.name)
+    return sorted(found.items())
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_package_imports_in_functions(path):
+    assert package_imports_in_functions(path.read_text()) == []
+
+
+def test_checker_flags_a_package_import_in_a_function():
+    src = ("from . import measures\nimport anisolap.symbols\n"
+           "def f():\n    from .sampler import jump_cf\n    from scipy.linalg import expm\n"
+           "    def g():\n        import anisolap.evolve\n    return jump_cf, expm, g\n"
+           "class C:\n    def m(self):\n        from anisolap import cli\n        return cli\n")
+    assert package_imports_in_functions(src) == [(4, "f"), (7, "f"), (11, "m")]
 
 
 def private_parameters(source: str) -> list:

@@ -344,6 +344,12 @@ class TestStabilityProfile:
         with pytest.raises(ValueError):
             StabilityProfile((1.5, 0.5), (0.0,))
 
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 1.0 + 1e-7])
+    def test_exponents_one_and_two_refused(self, beta):
+        # exponents 1 and 2 have their own symbols; no consumer of a profile takes them
+        with pytest.raises(ValueError, match="profile exponent"):
+            StabilityProfile((0.5, beta), (0.0, 0.0))
+
     def test_constant_matches_measure(self):
         m = fig1_measure()
         prof = StabilityProfile.constant(m, 1.3, 0.5)

@@ -85,6 +85,14 @@ class TestJumps:
         b = sample_jump(s2, np.random.default_rng(7), size=500)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("lam", [0.5, 1e-9])
+    def test_stable_refuses_a_tempering_rate(self, lam):
+        # its draws would ignore lam while jump_cf and matched_rate used it
+        with pytest.raises(ValueError, match="'tempered_stable'"):
+            JumpSpec("stable", 2, measure=uniform_measure(2), beta=1.3, lam=lam, r0=0.01)
+        assert JumpSpec("stable", 2, measure=uniform_measure(2), beta=1.3, lam=0.0,
+                        r0=0.01).lam == 0.0
+
     def test_gaussian_iso_second_moment(self):
         rng = np.random.default_rng(5)
         n, sigma = 50_000, 0.8

@@ -385,6 +385,17 @@ class TestIsotropicReference:
         val = isotropic_reference_symbol(beta, 0.0, k, n)
         want = -np.real(tempered_symbol(uniform_measure(n), beta, 0.0, k, method="adaptive"))
         assert np.allclose(val, want, rtol=rel, atol=0.0)
+        # the graded rule of lam > 0 at lam = 1e-300, where lam^2 underflows
+        # and the phase is pi/2, so its integrand is the lam = 0 one, against
+        # the closed formula |cos(beta pi/2)| |k|^beta times the sphere mean
+        # of |cos|^beta: B(1/2, (beta+1)/2)/pi in 2D, 1/(beta+1) in 3D
+        kn = np.geomspace(1e-3, 1e3, 61)
+        d = np.random.default_rng(29).normal(size=(61, n))
+        k = kn[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True)
+        mean = sc.beta(0.5, 0.5 * (beta + 1.0)) / math.pi if n == 2 else 1.0 / (beta + 1.0)
+        exact = abs(math.cos(0.5 * math.pi * beta)) * kn ** beta * mean
+        assert np.allclose(isotropic_reference_symbol(beta, 1e-300, k, n), exact,
+                           rtol=1e-14, atol=0.0)
 
     def test_monotone_in_radius(self):
         radii = np.linspace(0.0, 6.0, 25)
@@ -447,6 +458,14 @@ class TestGeneratorObjects:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_generator("bogus", 2)
+
+    def test_stable_refuses_a_tempering_rate(self):
+        # it would be evaluated at lam = 0 whatever lam says
+        with pytest.raises(ValueError, match="'tempered_aniso'"):
+            make_generator("stable_aniso", 2, measure=fig1_measure(), beta=1.3, lam=0.5)
+        for lam in (None, 0.0):
+            assert make_generator("stable_aniso", 2, measure=fig1_measure(), beta=1.3,
+                                  lam=lam).lam == lam
 
     def test_positive_real_part_raises(self, monkeypatch):
         monkeypatch.setitem(symbols_mod._EVALUATORS, "gaussian_iso",
