@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.special as sc
 
 from .evolve import DensityField, SpectralGrid, continuum_dft_abs2, evolve_spectral
 from .measures import (
@@ -159,7 +158,7 @@ def parseval_bilinear_check(field_q: ScalarField, measure: DirectionalMeasure,
     psi = make_generator("tempered_aniso", n, measure=measure, beta=beta, lam=lam).on_grid(grid)
     dk = (math.pi / half_width) ** n
     spectral = (
-        2.0 * abs(sc.gamma(-beta)) / (2.0 * math.pi) ** n
+        2.0 * abs(math.gamma(-beta)) / (2.0 * math.pi) ** n
         * float(np.sum(-psi.real * qhat2)) * dk
     )
     rel = abs(direct - spectral) / max(abs(spectral), 1e-300)
@@ -210,7 +209,7 @@ def counterexample_1d(beta: float = 0.5, lam: float = 1.0,
         r2, w2 = _composite_gl(np.linspace(T, 2.0 * T, 33), 10)
         hi = float(np.sum(w2 * (2.0 * T - r2) * kern(r2)))
         values[i] = 2.0 * (lo + hi)
-    limit = 2.0 * sc.gamma(1.0 - beta) * lam ** (beta - 1.0) if lam > 0 else None
+    limit = 2.0 * math.gamma(1.0 - beta) * lam ** (beta - 1.0) if lam > 0 else None
     return CounterexampleReport(
         truncations=Ts,
         values=values,

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._special import expm
 from .measures import from_json, to_json
 from .sampler import EcfEstimate, JumpSpec, Trajectory, jump_cf, sample_jump
 
@@ -247,8 +248,6 @@ class ValidationReport:
 def _fourier_ode_oracle(model: StateModel, k, t: float) -> np.ndarray:
     """Exact state-resolved characteristic vector for exponential waiting:
     solves d g/dt = (M^T Lambda(k) - I) Z g, g(0) = init."""
-    from scipy.linalg import expm
-
     Z = np.diag([w.rate for w in model.waiting])
     lam = np.diag([jump_cf(j, k) for j in model.jumps])
     gen = (model.M.T @ lam - np.eye(model.n_states)) @ Z

@@ -16,8 +16,8 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.special as sc
 
+from ._special import lower_gamma, upper_gamma
 from .measures import (
     DirectionalMeasure, NumericalError, StabilityProfile, _as_rows, _check_exponent,
     _component_spreads, _composite_gl, _from_rows, _pool_map, _row_blocks, is_symmetric,
@@ -113,21 +113,6 @@ def gaussian_bump(dimension: int, center=None, width: float = 1.0,
 # kernel radial moments
 # ---------------------------------------------------------------------------
 
-def upper_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(a, x) for x > 0 and any non-pole real a."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if a > 0:
-        return sc.gammaincc(a, x) * sc.gamma(a)
-    # downward in a: Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a
-    shift = math.ceil(-a) + 1
-    val = sc.gammaincc(a + shift, x) * sc.gamma(a + shift)
-    for m in range(shift - 1, -1, -1):
-        am = a + m
-        val = (val - x ** am * math.exp(-x)) / am
-    return val
-
-
 def radial_moment_lower(j: int, beta: float, lam: float, delta: float) -> float:
     """int_0^delta r^(j-1-beta) e^(-lam r) dr; requires j > beta."""
     a = j - beta
@@ -135,7 +120,7 @@ def radial_moment_lower(j: int, beta: float, lam: float, delta: float) -> float:
         raise ValueError("moment diverges at the origin")
     if lam == 0.0:
         return delta ** a / a
-    return lam ** (-a) * sc.gammainc(a, lam * delta) * sc.gamma(a)
+    return lam ** (-a) * lower_gamma(a, lam * delta)
 
 
 def radial_moment_upper(j: int, beta: float, lam: float, R: float) -> float:
@@ -200,7 +185,7 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, R, drift_vec, tail_tol):
     fx = float(field.f(x))
     grad = field.gradient(x)
     r, kern = _radial_kernel(beta, lam, R)
-    gnorm = abs(sc.gamma(-beta))
+    gnorm = abs(math.gamma(-beta))
     finite_support = math.isfinite(field.support_radius)
     regularised = beta > 1.0
     # radial moments of the tube [0, _TUBE_RADIUS] and of the far field [R, inf)
@@ -263,7 +248,7 @@ def _drift(beta: float, lam: float, b):
     """Finite-part drift Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)| * b above
     exponent 1; zero at lam = 0 and below exponent 1."""
     if beta > 1.0 and lam > 0:
-        return (sc.gamma(1.0 - beta) * lam ** (beta - 1.0) / abs(sc.gamma(-beta))) * b
+        return (math.gamma(1.0 - beta) * lam ** (beta - 1.0) / abs(math.gamma(-beta))) * b
     return np.zeros_like(b)
 
 
@@ -364,7 +349,7 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
     mixture, radii sigma_c t on a t e^(-t^2/2) rule times the measure nodes.
     """
     n = field.dimension
-    t, wt = sc.roots_hermite(order)
+    t, wt = np.polynomial.hermite.hermgauss(order)
     z = math.sqrt(2.0) * t
     wz = wt / math.sqrt(math.pi)
     if variant in ("iso", "axes"):

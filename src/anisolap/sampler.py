@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.special as sc
 
+from ._special import CF_MAX_ITER, NotConverged, legendre_cf, zetac_table
 from .measures import (
     DirectionalMeasure, NumericalError, _component_spreads, _pool_map, _unit_vectors, from_json,
     measure_nodes, to_json,
@@ -441,7 +441,7 @@ def matched_rate(spec: JumpSpec) -> float:
     if spec.beta == 1.0:
         raise ValueError("the matched rate is undefined at beta = 1 (Gamma(-beta) has a pole)")
     mass = radial_moment_upper(0, spec.beta, spec.lam, spec.r0)
-    return mass / abs(sc.gamma(-spec.beta))
+    return mass / abs(math.gamma(-spec.beta))
 
 
 def jump_cf(spec: JumpSpec, k) -> complex:
@@ -474,8 +474,7 @@ def jump_cf(spec: JumpSpec, k) -> complex:
 
 # |x| <= 1: the n-th series term is at most 2n / (n! (n - beta)), below 1e-21 at n = 24
 _SERIES_TERMS = 24
-_CF_MAX_ITER = 500
-_CF_TOL = 4.0 * np.finfo(float).eps
+_FACTORIALS = np.array([float(math.factorial(n)) for n in range(2, _SERIES_TERMS + 1)])
 
 
 def _truncated_power_cf_minus_one(beta: float, lam: float, r0: float, u) -> np.ndarray:
@@ -493,9 +492,9 @@ def _truncated_power_cf_minus_one(beta: float, lam: float, r0: float, u) -> np.n
         near = np.abs(x) <= 1.0
         out[near] = _series_difference(beta, x[near], y) / norm
         out[~near] = _scaled_upper_gamma(beta, x[~near]) / norm - 1.0
-    except _NotConverged as exc:
+    except NotConverged as exc:
         raise NumericalError(
-            f"incomplete-gamma continued fraction did not converge in {_CF_MAX_ITER} "
+            f"incomplete-gamma continued fraction did not converge in {CF_MAX_ITER} "
             f"iterations (beta = {beta}, lambda = {lam}, r0 = {r0}, |x| = {exc.args[0]:.6g})"
         ) from None
     # at u = 0 the quotient g(x) / g(lam r0) divides two separately vectorised
@@ -508,7 +507,7 @@ def _scaled_upper_gamma(beta: float, x: np.ndarray) -> np.ndarray:
     for |x| > 1 and the series for |x| <= 1."""
     out = np.empty_like(x)
     far = np.abs(x) > 1.0
-    out[far] = np.exp(-x[far]) * _legendre_cf(beta, x[far])
+    out[far] = np.exp(-x[far]) * legendre_cf(-beta, x[far])
     out[~far] = 1.0 / beta + _series_difference(beta, x[~far], 0.0)
     return out
 
@@ -516,14 +515,14 @@ def _scaled_upper_gamma(beta: float, x: np.ndarray) -> np.ndarray:
 def _pole_parts(beta: float):
     """Gamma(2 - beta) / beta and (Gamma(2 - beta) - beta) / (beta (beta - 1))
     as regular functions of e = beta - 1, from log Gamma(1 - e) = -log1p(-e)
-    - (1 - gamma) e + sum_{n >= 2} zetac(n) e^n / n, whose terms are below
+    - (1 - gamma) e + sum_{n >= 2} (zeta(n) - 1) e^n / n, whose terms are below
     2^-n / n for |e| < 1, so 1e-19 after n = 60."""
     e = beta - 1.0
     if e == 0.0:
         return 1.0, np.euler_gamma - 1.0
     n = np.arange(2, 60)
     gm1 = math.expm1(-math.log1p(-e) - (1.0 - np.euler_gamma) * e
-                     + float(np.sum(sc.zetac(n) * e ** n / n)))
+                     + float(np.sum(zetac_table() * e ** n / n)))
     return (1.0 + gm1) / beta, (gm1 / e - 1.0) / beta
 
 
@@ -556,40 +555,11 @@ def _series_difference(beta: float, x: np.ndarray, y: float) -> np.ndarray:
     total = 0.0
     ypow = 1.0
     n = np.arange(2, _SERIES_TERMS + 1)
-    for c in 1.0 / (sc.factorial(n) * (n - beta)):
+    for c in 1.0 / (_FACTORIALS * (n - beta)):
         ypow *= -y
         d = -x * d + step * ypow
         total = total + c * d
     return pole - total
-
-
-def _legendre_cf(beta: float, x: np.ndarray) -> np.ndarray:
-    """F(x) with Gamma(-beta, x) = e^{-x} x^{-beta} F(x), by Legendre's
-    continued fraction in the modified Lentz form.  An element stops updating
-    once converged, so each value is independent of the others in x."""
-    a = -beta
-    b = x + 1.0 - a
-    c = np.full_like(x, 1e300)
-    d = 1.0 / b
-    h = d.copy()
-    live = np.arange(x.size)
-    for i in range(1, _CF_MAX_ITER + 1):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h[live] *= delta
-        going = np.abs(delta - 1.0) > _CF_TOL
-        if not going.any():
-            return h
-        live, b, c, d = live[going], b[going], c[going], d[going]
-    raise _NotConverged(float(np.abs(x[live]).max()))
-
-
-class _NotConverged(Exception):
-    """The continued fraction ran out of iterations; args[0] is the largest
-    |x| left unconverged."""
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-import scipy.special as sc
 
+from ._special import dawsn, incbeta
 from .measures import (
     DirectionalMeasure,
     NumericalError,
@@ -120,7 +120,7 @@ def _cos_pow_band_integrals(pts, band, beta: float):
     kn = np.hypot(pts[:, 0], pts[:, 1])
     theta_k = np.arctan2(pts[:, 1], pts[:, 0])
     a = 0.5 * (beta + 1.0)
-    h = 0.5 * sc.beta(0.5, a)
+    h = 0.5 * math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)  # B(1/2, a) / 2
 
     def antiderivatives(theta):
         w = theta - theta_k
@@ -129,8 +129,8 @@ def _cos_pow_band_integrals(pts, band, beta: float):
         sign = np.sign(y)
         near = np.abs(y) > 0.25 * math.pi
         s = np.sin(np.where(near, 0.5 * math.pi - np.abs(y), y))
-        f = np.where(near, -sign, sign) * h * sc.betainc(np.where(near, a, 0.5),
-                                                         np.where(near, 0.5, a), s * s)
+        f = np.where(near, -sign, sign) * 0.5 * incbeta(np.where(near, a, 0.5),
+                                                        np.where(near, 0.5, a), s * s)
         n = np.where(near, sign, 0.0)
         parity = 1.0 - 2.0 * (j % 2.0)
         return 2.0 * j + n, f, parity * n, parity * f
@@ -363,13 +363,13 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     s = sig[comp]
 
     def radial_dev(u):
-        # radial - s^2, where radial = s^2 - u s^3 sqrt(2) dawsn(x)
-        # + i u s^3 sqrt(pi/2) exp(-(u s)^2 / 2) is s^2 times the Rayleigh
-        # characteristic function at u = k.phi; every term carries a factor u,
-        # so the sum vanishes exactly at k = 0
+        # radial - s^2, where radial = s^2 - u s^3 sqrt(2) D(x)
+        # + i u s^3 sqrt(pi/2) exp(-(u s)^2 / 2), D Dawson's integral, is s^2
+        # times the Rayleigh characteristic function at u = k.phi; every term
+        # carries a factor u, so the sum vanishes exactly at k = 0
         x = u * s / math.sqrt(2.0)
         return (
-            - u * s ** 3 * math.sqrt(2.0) * sc.dawsn(x)
+            - u * s ** 3 * math.sqrt(2.0) * dawsn(x)
             + 1j * u * s ** 3 * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (u * s) ** 2)
         )
 
@@ -407,7 +407,7 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     elif lam == 0.0:
         cbeta = abs(math.cos(0.5 * math.pi * beta))
         if n == 2:
-            mean_cos = sc.beta(0.5, 0.5 * (beta + 1.0)) / math.pi
+            mean_cos = math.gamma(beta / 2 + 0.5) / math.gamma(beta / 2 + 1.0) / math.sqrt(math.pi)
         else:
             mean_cos = 1.0 / (beta + 1.0)
         out = cbeta * kn ** beta * mean_cos

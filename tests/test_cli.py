@@ -203,9 +203,9 @@ class TestNumericalFailures:
         self.expect_3(capsys, code, "tempered radius rejection exceeded 1 rounds")
 
     def test_unconverged_continued_fraction(self, tmp_path, capsys, monkeypatch):
-        import anisolap.sampler as sampler
+        import anisolap._special as special
 
-        monkeypatch.setattr(sampler, "_CF_MAX_ITER", 2)
+        monkeypatch.setattr(special, "CF_MAX_ITER", 2)
         cfg = write_json(tmp_path, "c.json", {
             "jump": {"kind": "tempered_stable", "dimension": 1, "measure": M1_SYM,
                      "beta": 1.3, "lam": 0.5, "r0": 1.0},

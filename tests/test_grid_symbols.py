@@ -7,9 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.special as sc
 
 import anisolap.symbols as symbols
+from anisolap._special import dawsn
 from anisolap.analysis import mass_conservation_check
 from anisolap.evolve import SpectralGrid, gaussian_density
 from anisolap.measures import (
@@ -107,7 +107,7 @@ class TestBlockedCore:
         dirs, w, comp = measure_nodes(m, refinement=96, order=8)
         s = sig[comp]
         u = self.pts @ dirs.T
-        dev = (- u * s ** 3 * math.sqrt(2.0) * sc.dawsn(u * s / math.sqrt(2.0))
+        dev = (- u * s ** 3 * math.sqrt(2.0) * dawsn(u * s / math.sqrt(2.0))
                + 1j * u * s ** 3 * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (u * s) ** 2))
         want = (1.0 / np.sum(w * s ** 2)) * (dev * w).sum(axis=1)
         assert np.array_equal(got, want)

@@ -1,7 +1,8 @@
 """Every top-level import of the package and of the tests is used, every
 top-level definition of the package is referenced, no function of the
-package imports from the package, and no function of the package has a
-parameter whose name starts with an underscore.
+package imports from the package, no function of the package has a
+parameter whose name starts with an underscore, and the package neither
+imports scipy nor loads it at start-up.
 
 A stand-in for a lint step: each module is parsed with ast, and a name bound
 by a module-level import must appear as a name somewhere in that module (or
@@ -11,6 +12,9 @@ the top of a package module must appear as a name or an attribute somewhere
 in the package or the tests, outside its own definition and __all__."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -109,7 +113,7 @@ def package_imports_in_functions(source: str) -> list:
     """(line, function) of each import from the package inside a function
     body, with the outermost function: the package has no import cycle to
     break, so its modules state their dependencies at the top.  Imports of
-    other packages may stay lazy (scipy.linalg.expm, for its import time)."""
+    other packages may stay lazy."""
     found = {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -163,3 +167,47 @@ def test_checker_flags_a_private_parameter():
            "def h(self, __p, *_rest, **kw):\n    return kw\n")
     assert private_parameters(src) == [(1, "f", "_fast"), (3, "<lambda>", "_y"),
                                        (4, "h", "__p"), (4, "h", "_rest")]
+
+
+def scipy_imports(source: str) -> list:
+    """(line, module) of each import of scipy anywhere in the source: the
+    package computes its special functions in anisolap._special, so that
+    neither importing it nor a short CLI verb pays for scipy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] == "scipy"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_checker_flags_a_scipy_import():
+    src = ("import numpy as np\nimport scipy.special as sc\nfrom scipy import linalg\n"
+           "from . import scipy_like\nimport scipyx\n"
+           "def f():\n    from scipy.linalg import expm\n    return expm\n")
+    assert scipy_imports(src) == [(2, "scipy.special"), (3, "scipy"), (7, "scipy.linalg")]
+
+
+CLI_VERSION = ("import runpy\nsys.argv = ['anisolap', '--version']\ntry:\n"
+               "    runpy.run_module('anisolap.cli', run_name='__main__')\n"
+               "except SystemExit:\n    pass\n")
+
+
+@pytest.mark.parametrize("run", ["import anisolap\n", CLI_VERSION], ids=["import", "cli_version"])
+def test_start_up_loads_no_scipy(run):
+    code = ("import sys\n" + run
+            + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from anisolap import sampler
+from anisolap import _special, sampler
 from anisolap.measures import make_atomic_measure, make_banded_measure, uniform_measure
 from anisolap.sampler import JumpSpec, jump_cf
 
@@ -90,7 +90,7 @@ def test_exact_at_zero_and_hermitian(which, beta, lam, r0):
 
 
 def test_unconverged_continued_fraction_raises(monkeypatch):
-    monkeypatch.setattr(sampler, "_CF_MAX_ITER", 2)
+    monkeypatch.setattr(_special, "CF_MAX_ITER", 2)
     with pytest.raises(RuntimeError, match=r"beta = 1.3, lambda = 0.5, r0 = 1.0, \|x\| = "):
         sampler._truncated_power_cf_minus_one(1.3, 0.5, 1.0, np.array([0.0, 5.0]))
 
