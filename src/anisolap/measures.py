@@ -346,29 +346,29 @@ def _composite_gl(edges, order):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def band_nodes(band: AngularBand, refinement: int = 64, order: int = 8):
+def band_nodes(band: AngularBand, refinement: int = 64):
     """Fixed quadrature nodes/weights (w.r.t. the sphere surface measure).
 
     Returns (directions (M, n), weights (M,)); weights include the density.
-    In 2D, composite Gauss-Legendre of the given order on max(2, refinement)
+    In 2D, composite Gauss-Legendre of order 8 on max(2, refinement)
     equal panels of the arc; in 3D, a tensor rule on max(2, refinement // 4)
     panels per axis of (cos theta, phi), whose cos theta nodes are the z
     coordinates as they stand.  Directions come from _unit_vectors.
     """
     if band.dimension == 2:
         t0, t1 = band.bounds
-        theta, w = _composite_gl(np.linspace(t0, t1, max(2, refinement) + 1), order)
+        theta, w = _composite_gl(np.linspace(t0, t1, max(2, refinement) + 1), 8)
         return _unit_vectors(theta), w * band.density
     # 3D: tensor rule in (cos(theta), phi); surface measure absorbed by the substitution
     t0, t1, p0, p1 = band.bounds
     n_edges = max(2, refinement // 4) + 1
-    ct, wt = _composite_gl(np.linspace(math.cos(t1), math.cos(t0), n_edges), order)
-    ph, wp = _composite_gl(np.linspace(p0, p1, n_edges), order)
+    ct, wt = _composite_gl(np.linspace(math.cos(t1), math.cos(t0), n_edges), 8)
+    ph, wp = _composite_gl(np.linspace(p0, p1, n_edges), 8)
     CT, PH = np.meshgrid(ct, ph, indexing="ij")
     return _unit_vectors(PH.ravel(), CT.ravel()), (np.outer(wt, wp) * band.density).ravel()
 
 
-def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int = 8):
+def measure_nodes(measure: DirectionalMeasure, refinement: int = 64):
     """All quadrature nodes of a measure: exact atoms plus band rules.
 
     Returns (directions (M, n), weights (M,), component_index (M,)) where
@@ -380,7 +380,7 @@ def measure_nodes(measure: DirectionalMeasure, refinement: int = 64, order: int 
         weights.append(np.array([w]))
         comp.append(np.array([i]))
     for j, band in enumerate(measure.bands):
-        d, w = band_nodes(band, refinement=refinement, order=order)
+        d, w = band_nodes(band, refinement=refinement)
         dirs.append(d)
         weights.append(w)
         comp.append(np.full(len(w), len(measure.atoms) + j, dtype=int))
@@ -717,6 +717,29 @@ def _check_keys(doc, allowed: set, required: set, what: str) -> None:
             raise ValueError(f"{kind} field {listed} in {what}")
 
 
+def _check_kind(obj, table: dict, shared: tuple) -> None:
+    """ValueError unless config dataclass obj sets what its kind reads, with
+    table[obj.kind] = (required, optional) and shared read by every kind: each
+    required field not None, any other None, its default or 0, and a measure
+    of obj's dimension."""
+    if obj.kind not in table:
+        raise ValueError(f"unknown {type(obj).__name__} kind {obj.kind!r}")
+    required, optional = table[obj.kind]
+    reads = {"kind", *shared, *required, *optional}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.name in required and v is None:
+            what = "a directional measure" if f.name == "measure" else f"field {f.name!r}"
+            raise ValueError(f"{obj.kind} requires {what}")
+        if f.name in reads or v is None or (isinstance(v, (int, float)) and v in (0, f.default)):
+            continue
+        alt = [k for k, (r, o) in table.items() if {*required, *optional, f.name} <= {*r, *o}]
+        raise ValueError(f"{obj.kind} does not read field {f.name!r}"
+                         + (f"; use kind {alt[0]!r}" if alt else ""))
+    if getattr(obj, "measure", None) is not None and obj.measure.dimension != obj.dimension:
+        raise ValueError("measure dimension mismatch")
+
+
 def to_json(obj):
     """JSON document of a config dataclass, read back by from_json: fields
     that are None or at their default are left out, a measure is written by
@@ -740,9 +763,10 @@ def from_json(cls, doc):
     """The config dataclass cls from its JSON document.
 
     Each value is converted to its field's annotated type (int, float, str,
-    tuple[X, ...], Optional[X], a measure or a nested dataclass).  An unknown
-    field, a missing required field or a value that does not convert raises
-    ValueError naming the class and the field.
+    tuple[X, ...], Optional[X], a measure or a nested dataclass); null is
+    read only into an Optional field.  An unknown field, a missing required
+    field or a value that does not convert raises ValueError naming the class
+    and the field.
     """
     _check_keys(doc, {f.name for f in fields(cls)},
                 {f.name for f in fields(cls) if f.default is MISSING}, cls.__name__)
@@ -757,10 +781,8 @@ def from_json(cls, doc):
 
 
 def _decode(tp, value):
-    if value is None:
-        return None
-    if get_origin(tp) is Union:  # Optional[X]
-        return _decode(get_args(tp)[0], value)
+    if get_origin(tp) is Union:  # Optional[X], the only fields that may be null
+        return None if value is None else _decode(get_args(tp)[0], value)
     if get_origin(tp) is tuple:
         return tuple(_decode(get_args(tp)[0], v) for v in value)
     if tp is DirectionalMeasure:

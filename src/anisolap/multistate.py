@@ -3,8 +3,8 @@ Fourier-Laplace space, and path-functional statistics.
 
 Exponential waiting admits an exact Fourier-space ODE oracle (the chain is
 Markov), so validation is offered only there; power-law waiting enters the
-Laplace-domain formulas through the asymptotic transform 1 - s^alpha and is
-flagged as such rather than validated against ensembles.
+Laplace-domain formulas through its small-s transform (WaitingLaw.laplace) and
+is flagged as such rather than validated against ensembles.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._special import expm
-from .measures import from_json, to_json
+from .measures import _check_kind, from_json, to_json
 from .sampler import EcfEstimate, JumpSpec, Trajectory, jump_cf, sample_jump
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
+_WAITING_FIELDS = {"exp": (("rate",), ()), "power_law": (("alpha",), ("scale",))}
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,13 @@ class WaitingLaw:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind == "exp":
-            if self.rate is None or self.rate <= 0:
-                raise ValueError("exponential waiting requires a positive rate")
-        elif self.kind == "power_law":
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ValueError("power-law waiting requires alpha in (0,1)")
-            if self.scale <= 0:
-                raise ValueError("power-law scale must be positive")
-        else:
-            raise ValueError(f"unknown waiting law {self.kind!r}")
+        _check_kind(self, _WAITING_FIELDS, ())
+        if self.rate is not None and not self.rate > 0:
+            raise ValueError("rate must be positive")
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0,1)")
+        if not self.scale > 0:
+            raise ValueError("scale must be positive")
 
     @property
     def asymptotic(self) -> bool:
@@ -63,10 +61,10 @@ class WaitingLaw:
 
     def laplace(self, s: complex) -> complex:
         """Laplace transform of the waiting density; the power-law branch is
-        the small-s asymptotic form 1 - s^alpha."""
+        the small-s form 1 - Gamma(1 - alpha) (scale s)^alpha of sample's law."""
         if self.kind == "exp":
             return self.rate / (s + self.rate)
-        return 1.0 - complex(s) ** self.alpha
+        return 1.0 - math.gamma(1.0 - self.alpha) * (self.scale * complex(s)) ** self.alpha
 
     def sample(self, rng, size: int) -> np.ndarray:
         if self.kind == "exp":

@@ -26,8 +26,8 @@ import numpy as np
 
 from ._special import CF_MAX_ITER, NotConverged, legendre_cf, zetac_table
 from .measures import (
-    DirectionalMeasure, NumericalError, _component_spreads, _pool_map, _unit_vectors, from_json,
-    measure_nodes, to_json,
+    DirectionalMeasure, NumericalError, _check_kind, _component_spreads, _pool_map, _unit_vectors,
+    from_json, measure_nodes,
 )
 from .realspace import radial_moment_upper
 from .symbols import gaussian_symbol
@@ -49,7 +49,12 @@ __all__ = [
     "jump_cf",
 ]
 
-_JUMP_KINDS = ("gaussian_iso", "gaussian_axes", "gaussian_aniso", "stable", "tempered_stable")
+# kind -> the (required, optional) fields its sampler reads, besides dimension
+_JUMP_FIELDS = {"gaussian_iso": (("sigma",), ()), "gaussian_axes": (("sigma",), ()),
+                "gaussian_aniso": (("measure",), ("sigmas",)),
+                "stable": (("measure", "beta"), ("r0", "max_rejections")),
+                "tempered_stable": (("measure", "beta"), ("lam", "r0", "max_rejections"))}
+_JUMP_KINDS = tuple(_JUMP_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -69,32 +74,22 @@ class JumpSpec:
     max_rejections: int = 10_000
 
     def __post_init__(self):
-        if self.kind not in _JUMP_KINDS:
-            raise ValueError(f"unknown jump kind {self.kind!r}")
-        if self.kind in ("gaussian_iso", "gaussian_axes"):
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("sigma must be positive")
+        _check_kind(self, _JUMP_FIELDS, ("dimension",))
+        if self.sigma is not None and not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+        if self.beta is not None and not 0.0 < self.beta < 2.0:
+            raise ValueError("beta must lie in (0,2)")
+        if not self.r0 > 0:
+            raise ValueError("r0 must be positive")
+        if not self.lam >= 0:
+            raise ValueError("lambda must be nonnegative")
+        if self.max_rejections < 1:
+            raise ValueError("max_rejections must be at least 1")
         if self.kind == "gaussian_aniso":
-            if self.measure is None or self.measure.dimension != 2:
+            if self.measure.dimension != 2:
                 raise ValueError("gaussian_aniso requires a 2D measure")
             spreads = _component_spreads(self.measure, self.sigmas)
             object.__setattr__(self, "sigmas", tuple(spreads.tolist()))
-        if self.kind in ("stable", "tempered_stable"):
-            if self.measure is None:
-                raise ValueError("power-law kinds require a directional measure")
-            if self.beta is None or not (0.0 < self.beta < 2.0):
-                raise ValueError("beta must lie in (0,2)")
-            if self.r0 <= 0:
-                raise ValueError("r0 must be positive")
-            if self.lam < 0:
-                raise ValueError("lambda must be nonnegative")
-            if self.kind == "stable" and self.lam != 0.0:
-                raise ValueError("stable jumps take no lam; use kind 'tempered_stable' "
-                                 "for a tempering rate")
-            if self.max_rejections < 1:
-                raise ValueError("max_rejections must be at least 1")
-        if self.measure is not None and self.measure.dimension != self.dimension:
-            raise ValueError("measure dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -276,7 +271,7 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
         out = out.T
     else:
         out = _directions(spec.measure, _component_sampler(spec.measure), n, rng)
-        if spec.kind == "tempered_stable" and spec.lam > 0:
+        if spec.lam > 0:
             out *= _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, spec.max_rejections)
         else:
             out *= _pareto_radii(spec.beta, spec.r0, rng, n)
@@ -565,10 +560,6 @@ def _series_difference(beta: float, x: np.ndarray, y: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------------
-
-def jump_to_json(spec: JumpSpec) -> dict:
-    return to_json(spec)
-
 
 def jump_from_json(doc: dict) -> JumpSpec:
     return from_json(JumpSpec, doc)

@@ -30,6 +30,7 @@ from .measures import (
     StabilityProfile,
     _as_rows,
     _check_exponent,
+    _check_kind,
     _component_spreads,
     _composite_gl,
     _from_rows,
@@ -42,7 +43,6 @@ from .measures import (
     is_symmetric,
     measure_nodes,
     moments,
-    to_json,
 )
 
 __all__ = [
@@ -447,12 +447,13 @@ _EVALUATORS = {
         s.beta, s.lam or 0.0, k, s.dimension),
 }
 _KINDS = tuple(_EVALUATORS)
-# kind -> the fields, None by default, that its evaluator reads
-_REQUIRED = {"gaussian_iso": ("sigma",), "gaussian_axes": ("sigma",),
-             "gaussian_aniso": ("measure", "sigmas"), "stable_aniso": ("measure", "beta"),
-             "tempered_aniso": ("measure", "beta", "lam"), "beta1_aniso": ("measure", "lam"),
-             "beta2_quadratic": ("measure",), "general_profile": ("measure", "profile"),
-             "isotropic_reference": ("beta",)}
+# kind -> the (required, optional) fields its evaluator reads; __post_init__ names the shared ones
+_FIELDS = {"gaussian_iso": (("sigma",), ()), "gaussian_axes": (("sigma",), ()),
+           "gaussian_aniso": (("measure", "sigmas"), ()), "stable_aniso": (("measure", "beta"), ()),
+           "tempered_aniso": (("measure", "beta", "lam"), ()),
+           "beta1_aniso": (("measure", "lam"), ()), "beta2_quadratic": (("measure",), ("lam",)),
+           "general_profile": (("measure", "profile"), ()),
+           "isotropic_reference": (("beta",), ("lam",))}
 
 
 @dataclass(frozen=True)
@@ -478,19 +479,11 @@ class GeneratorSymbol:
     refinement: int = 96
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
+        _check_kind(self, _FIELDS, ("dimension", "zeta", "method", "refinement"))
         if self.method not in ("auto", "nodes", "adaptive"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
-        for name in _REQUIRED[self.kind]:
-            if getattr(self, name) is None:
-                what = "a directional measure" if name == "measure" else f"field {name!r}"
-                raise ValueError(f"{self.kind} requires {what}")
-        if "measure" in _REQUIRED[self.kind] and self.measure.dimension != self.dimension:
-            raise ValueError("measure dimension mismatch")
-        if self.kind == "stable_aniso" and self.lam:
-            raise ValueError("stable_aniso takes no lam; use kind 'tempered_aniso' "
-                             "for a tempering rate")
+        if not 0.0 < self.zeta < math.inf:
+            raise ValueError("zeta must be finite and positive")
         if self.kind == "beta1_aniso" and not is_symmetric(self.measure):
             raise ValueError("exponent-1 symbols require a symmetric measure")
         object.__setattr__(self, "_grid_cache", {})
@@ -529,10 +522,6 @@ class GeneratorSymbol:
 
 def make_generator(kind: str, dimension: int, **params) -> GeneratorSymbol:
     return GeneratorSymbol(kind=kind, dimension=dimension, **params)
-
-
-def symbol_to_json(sym: GeneratorSymbol) -> dict:
-    return to_json(sym)
 
 
 def symbol_from_json(doc: dict) -> GeneratorSymbol:

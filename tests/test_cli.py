@@ -177,6 +177,38 @@ class TestErrors:
         assert not (tmp_path / "o.csv").exists()
 
 
+class TestFieldsTheKindReads:
+    """A field the kind would ignore, a rate that is not positive or a null
+    for a field that cannot be None is a config error: exit 2 with one line."""
+
+    GAUSS_LAM = {"kind": "gaussian_iso", "dimension": 2, "sigma": 1, "lam": 0.5}
+
+    @pytest.mark.parametrize("verb, cfg, flags, message", [
+        ("symbol", {"symbol": GAUSS_LAM}, ["--k-grid", "0:1:3"],
+         "gaussian_iso does not read field 'lam'"),
+        ("ecf", {"jump": GAUSS_LAM, "t": 1.0, "paths": 10, "seed": 3, "k_list": [[0.5, 0.0]]},
+         [], "gaussian_iso does not read field 'lam'"),
+        ("multistate", {"M": [[1.0]], "init": [1.0], "seed": 3, "paths": 10,
+                        "waiting": [{"kind": "exp", "rate": 1.0, "alpha": 0.5}],
+                        "jumps": [{"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}]},
+         [], "exp does not read field 'alpha'"),
+        ("evolve", {"symbol": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0, "zeta": -1},
+                    "grid": {"dimension": 2, "half_width": 8.0, "n_points": 32},
+                    "initial": {"kind": "gaussian", "variance": 0.5}},
+         ["--t", "1.0"], "zeta must be finite and positive"),
+        ("ecf", {"jump": dict(GAUSS_LAM, lam=None), "t": 1.0, "paths": 10, "seed": 3,
+                 "k_list": [[0.5, 0.0]]}, [], "field 'lam' of JumpSpec"),
+    ], ids=["symbol_lam", "ecf_lam", "multistate_alpha", "evolve_negative_zeta", "ecf_null_lam"])
+    def test_refused_config_exits_2(self, tmp_path, capsys, verb, cfg, flags, message):
+        out = tmp_path / "o.csv"
+        argv = [verb, "--config", write_json(tmp_path, "c.json", cfg), "--out", str(out)]
+        assert main([*argv, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+
 class TestNumericalFailures:
     """Numerical failures end with one line on stderr and exit code 3."""
 
@@ -488,11 +520,12 @@ class TestAnalyzeVerbs:
 
 class TestBundledConfigs:
     def test_fig1_round_trips_unchanged(self):
-        from anisolap.sampler import jump_from_json, jump_to_json
+        from anisolap.measures import to_json
+        from anisolap.sampler import jump_from_json
 
         cfg = json.loads(open(bundled("fig1_levy.json")).read())
         doc = cfg["jump"]
-        again = jump_to_json(jump_from_json(doc))
+        again = to_json(jump_from_json(doc))
         assert again["kind"] == doc["kind"]
         assert again["beta"] == doc["beta"]
         assert again["lam"] == doc["lam"]

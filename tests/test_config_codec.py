@@ -1,7 +1,9 @@
 """The one JSON codec of the config dataclasses (measures.to_json/from_json):
 every kind round-trips without loss, and documents with unknown or missing
-fields are rejected."""
+fields are rejected.  Each class's kind table (measures._check_kind) names
+only its own fields, and a field the kind does not read is refused."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anisolap.multistate as multistate_mod
+import anisolap.sampler as sampler_mod
 import anisolap.symbols as symbols_mod
 from anisolap.evolve import SpectralGrid
 from anisolap.measures import (
@@ -202,6 +206,13 @@ class TestStrict:
         with pytest.raises(ValueError, match="missing field 'dimension' in JumpSpec"):
             from_json(StateModel, doc)
 
+    def test_null_only_for_optional_fields(self):
+        # a null lam would pass as unset and then fail its range check with TypeError
+        doc = {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0, "lam": None}
+        with pytest.raises(ValueError, match="field 'lam' of JumpSpec: "):
+            from_json(JumpSpec, doc)
+        assert from_json(GeneratorSymbol, dict(doc, beta=None)).lam is None
+
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="StabilityProfile must be a JSON object"):
             from_json(StabilityProfile, [[1.5], [0.0]])
@@ -213,3 +224,73 @@ class TestStrict:
         doc = dict({"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}, **{field: value})
         with pytest.raises(ValueError, match=f"field '{field}' of GeneratorSymbol: "):
             from_json(GeneratorSymbol, doc)
+
+
+@st.composite
+def waiting_laws(draw, kind):
+    if kind == "exp":
+        return WaitingLaw(kind, rate=draw(positive))
+    return WaitingLaw(kind, alpha=draw(st.floats(0.05, 0.95)), scale=draw(positive))
+
+
+# each config class: its kind table, the fields every kind accepts, valid objects by kind
+KIND_TABLES = [
+    (GeneratorSymbol, symbols_mod._FIELDS, ("dimension", "zeta", "method", "refinement"),
+     symbols),
+    (JumpSpec, sampler_mod._JUMP_FIELDS, ("dimension",), jumps),
+    (WaitingLaw, multistate_mod._WAITING_FIELDS, (), waiting_laws),
+]
+
+
+@st.composite
+def set_values(draw, field, dimension):
+    """A value of field that counts as set: not None, not its default, not 0."""
+    if field == "measure":
+        return draw(measures(dimension))
+    if field == "profile":
+        return draw(profiles())
+    if field == "sigmas":  # an array too: the unset test must not take its truth value
+        return draw(st.one_of(st.tuples(positive, positive),
+                              st.lists(positive, min_size=2, max_size=3).map(np.array)))
+    if field == "max_rejections":
+        return draw(st.integers(1, 10**6).filter(lambda v: v != 10_000))
+    return draw(positive.filter(lambda v: v != 1.0))
+
+
+class TestKindFields:
+    @pytest.mark.parametrize("cls, kind, field", [
+        pytest.param(cls, kind, f.name, id=f"{cls.__name__}-{kind}-{f.name}")
+        for cls, table, shared, _ in KIND_TABLES for kind, (req, opt) in table.items()
+        for f in dataclasses.fields(cls) if f.name not in {"kind", *shared, *req, *opt}])
+    @FAST
+    @given(data=st.data())
+    def test_field_the_kind_does_not_read_is_refused(self, cls, kind, field, data):
+        strategy = next(s for c, _, _, s in KIND_TABLES if c is cls)
+        obj = data.draw(strategy(kind))
+        value = data.draw(set_values(field, getattr(obj, "dimension", 1)))
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(obj, **{field: value})
+        assert f"{kind} does not read field {field!r}" in str(err.value)
+
+    def test_tables_list_every_kind_and_only_fields(self):
+        assert set(symbols_mod._FIELDS) == set(symbols_mod._KINDS)
+        assert set(sampler_mod._JUMP_FIELDS) == set(_JUMP_KINDS)
+        for cls, table, shared, _ in KIND_TABLES:
+            names = {f.name for f in dataclasses.fields(cls)}
+            for required, optional in table.values():
+                assert {*shared, *required, *optional} <= names
+                assert not set(required) & set(optional)
+
+    @pytest.mark.parametrize("make", [
+        lambda m: GeneratorSymbol("stable_aniso", 3, measure=m, beta=1.3),
+        lambda m: JumpSpec("stable", 3, measure=m, beta=1.3),
+    ], ids=["symbol", "jump"])
+    def test_measure_of_another_dimension_is_refused(self, make):
+        with pytest.raises(ValueError, match="measure dimension mismatch"):
+            make(make_banded_measure(2, [((0.0, TWO_PI), 1.0 / TWO_PI)]))
+
+    @pytest.mark.parametrize("cls, args", [
+        (GeneratorSymbol, (2,)), (JumpSpec, (2,)), (WaitingLaw, ())])
+    def test_unknown_kind_is_refused(self, cls, args):
+        with pytest.raises(ValueError, match=f"unknown {cls.__name__} kind 'bogus'"):
+            cls("bogus", *args)

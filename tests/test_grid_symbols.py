@@ -74,7 +74,7 @@ class TestBlockedCore:
         m = fig1_measure()
         got = tempered_symbol(m, 0.8, 0.5, self.pts, method="nodes")
         g = lambda u: _bracket(u, 0.8, 0.5)
-        sets = [(g, *band_nodes(b, refinement=96, order=8)) for b in m.bands]
+        sets = [(g, *band_nodes(b, refinement=96)) for b in m.bands]
         want = -_reference(self.pts, sets, np.zeros(len(self.pts), dtype=complex))
         assert np.array_equal(got, want)
 
@@ -83,7 +83,7 @@ class TestBlockedCore:
         lam = 0.5
         got = beta1_symbol(m, lam, self.pts, method="nodes")
         g = lambda u: u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
-        sets = [(g, *band_nodes(b, refinement=96, order=8)) for b in m.bands]
+        sets = [(g, *band_nodes(b, refinement=96)) for b in m.bands]
         want = -_reference(self.pts, sets, np.zeros(len(self.pts), dtype=complex))
         assert np.array_equal(got, want)
 
@@ -96,7 +96,7 @@ class TestBlockedCore:
         want = -w * _bracket(self.pts @ d, 0.6, 0.4)
         for band, beta, lam in zip(m.bands, (1.3, 1.7), (0.1, 0.2)):
             g = lambda u, b=beta, l=lam: _bracket(u, b, l)
-            want = want + _reference(self.pts, [(g, *band_nodes(band, refinement=96, order=8))],
+            want = want + _reference(self.pts, [(g, *band_nodes(band, refinement=96))],
                                      np.zeros(len(self.pts), dtype=complex))
         assert np.array_equal(got, want)
 
@@ -104,7 +104,7 @@ class TestBlockedCore:
         m = fig1_measure()
         sig = np.array([0.8, 1.2])
         got = gaussian_symbol("aniso", self.pts, measure=m, sigmas=sig)
-        dirs, w, comp = measure_nodes(m, refinement=96, order=8)
+        dirs, w, comp = measure_nodes(m, refinement=96)
         s = sig[comp]
         u = self.pts @ dirs.T
         dev = (- u * s ** 3 * math.sqrt(2.0) * dawsn(u * s / math.sqrt(2.0))
@@ -118,7 +118,7 @@ class TestBlockedCore:
         m = fig1_measure()
         pts = self.pts[:P]
         g = lambda u: _bracket(u, 1.3, 0.2)
-        sets = [(g, *band_nodes(b, refinement=96, order=8)) for b in m.bands]
+        sets = [(g, *band_nodes(b, refinement=96)) for b in m.bands]
         want = _reference(pts, sets, np.zeros(P, dtype=complex))  # sign +1 for beta > 1
         assert np.array_equal(tempered_symbol(m, 1.3, 0.2, pts, method="nodes"), want)
 

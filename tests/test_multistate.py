@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anisolap._special import upper_gamma
 from anisolap.measures import uniform_measure
 from anisolap.multistate import (
     FunctionalSpec,
@@ -54,6 +55,16 @@ class TestModelValidation:
             WaitingLaw("power_law", alpha=1.5)
         assert WaitingLaw("power_law", alpha=0.7).asymptotic
         assert not WaitingLaw("exp", rate=1.0).asymptotic
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_power_law_laplace_is_the_small_s_form_of_the_sampled_law(self, alpha, scale):
+        # sample draws Pareto(alpha, scale), whose exact transform is
+        # alpha (c s)^alpha Gamma(-alpha, c s) with c = scale
+        s = 1e-8
+        law = WaitingLaw("power_law", alpha=alpha, scale=scale)
+        exact = alpha * (scale * s) ** alpha * upper_gamma(-alpha, scale * s)
+        assert abs(1.0 - law.laplace(s)) == pytest.approx(1.0 - exact, rel=0.01)
 
 
 class TestSimulation:

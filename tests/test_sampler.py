@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from anisolap.measures import make_atomic_measure, make_banded_measure, uniform_measure
+from anisolap.measures import make_atomic_measure, make_banded_measure, to_json, uniform_measure
 from anisolap.sampler import (
     JumpSpec,
     Trajectory,
@@ -16,7 +16,6 @@ from anisolap.sampler import (
     ensemble_msd,
     jump_cf,
     jump_from_json,
-    jump_to_json,
     matched_rate,
     sample_direction,
     sample_inverse_subordinator,
@@ -336,7 +335,7 @@ class TestJson:
     def test_roundtrip(self):
         spec = JumpSpec("tempered_stable", 2, measure=fig1_measure(), beta=1.3,
                         lam=0.01, r0=0.01)
-        spec2 = jump_from_json(jump_to_json(spec))
+        spec2 = jump_from_json(to_json(spec))
         assert spec2.kind == spec.kind and spec2.beta == spec.beta
         assert spec2.measure.bands[0].density == pytest.approx(
             spec.measure.bands[0].density)
@@ -344,7 +343,7 @@ class TestJson:
     def test_max_rejections_roundtrip(self):
         spec = JumpSpec("tempered_stable", 2, measure=fig1_measure(), beta=1.3,
                         lam=0.5, r0=0.01, max_rejections=7)
-        doc = json.loads(json.dumps(jump_to_json(spec)))
+        doc = json.loads(json.dumps(to_json(spec)))
         assert doc["max_rejections"] == 7
         assert jump_from_json(doc).max_rejections == 7
         del doc["max_rejections"]
@@ -352,7 +351,7 @@ class TestJson:
 
     def test_gaussian_aniso_roundtrip(self):
         spec = JumpSpec("gaussian_aniso", 2, sigmas=(0.8, 1.2), measure=fig1_measure())
-        doc = json.loads(json.dumps(jump_to_json(spec)))
+        doc = json.loads(json.dumps(to_json(spec)))
         assert doc["sigmas"] == [0.8, 1.2] and "max_rejections" not in doc
         spec2 = jump_from_json(doc)
         assert (spec2.kind, spec2.sigmas) == ("gaussian_aniso", (0.8, 1.2))

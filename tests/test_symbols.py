@@ -16,6 +16,7 @@ from anisolap.measures import (
     make_atomic_measure,
     make_banded_measure,
     measure_to_json,
+    to_json,
     uniform_measure,
 )
 from anisolap.symbols import (
@@ -27,7 +28,6 @@ from anisolap.symbols import (
     isotropic_reference_symbol,
     make_generator,
     symbol_from_json,
-    symbol_to_json,
     tempered_symbol,
 )
 
@@ -451,6 +451,13 @@ class TestGeneratorObjects:
         k = np.array([0.7, 0.1])
         assert g3(k) == pytest.approx(3.0 * g1(k))
 
+    @pytest.mark.parametrize("zeta", [-2.0, 0.0, math.inf, math.nan])
+    def test_zeta_must_be_finite_and_positive(self, zeta):
+        # psi is checked before zeta scales it, so a negative rate would pass
+        # that check with Re(zeta psi) > 0: diffusion run backwards
+        with pytest.raises(ValueError, match="zeta must be finite and positive"):
+            make_generator("gaussian_iso", 2, sigma=1.0, zeta=zeta)
+
     def test_beta1_requires_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             make_generator("beta1_aniso", 2, measure=fig1_measure(), lam=0.1)
@@ -504,9 +511,9 @@ class TestJson:
         gens = self.generators()
         assert {g.kind for g in gens} == set(symbols_mod._KINDS)
         for g in gens:
-            doc = symbol_to_json(g)
+            doc = to_json(g)
             back = symbol_from_json(json.loads(json.dumps(doc)))
-            assert symbol_to_json(back) == doc
+            assert to_json(back) == doc
             assert (back.method, back.refinement) == (g.method, g.refinement)
 
     def test_config_fields_are_read(self):
