@@ -197,6 +197,8 @@ def counterexample_1d(beta: float = 0.5, lam: float = 1.0,
     2 Gamma(1-beta) lam^(beta-1)."""
     if not (0.0 < beta < 1.0):
         raise ValueError("the truncated double integral needs beta in (0,1)")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
     Ts = np.asarray(sorted(truncations), dtype=float)
     values = np.empty(len(Ts))
     for i, T in enumerate(Ts):
@@ -260,21 +262,23 @@ def scaling_limit_check(sigmas, K1: float, k_probes) -> ScalingReport:
     """Deviation of zeta*(Phi_0 - 1) from its diffusion limit along a sigma
     ladder with zeta*sigma^2/2 = K1 held fixed.
 
-    The isotropic variant tends to -K1 |k|^2; the axis variant carries half
-    the radial second moment per jump, so its limit is -(K1/2)|k|^2.  Both
-    deviations are O(sigma^2): halving sigma divides them by about four, and
-    the check passes when every rung ratio is within 20% of that."""
+    The isotropic variant tends to -K1 |k|^2; in n dimensions the axis
+    variant jumps along one of the n axes, carrying 1/n of the radial second
+    moment per jump, so its limit is -(K1/n)|k|^2.  Both deviations are
+    O(sigma^2): halving sigma divides them by about four, and the check
+    passes when every rung ratio is within 20% of that."""
     sig = np.asarray(sorted(sigmas, reverse=True), dtype=float)
     K = np.atleast_2d(np.asarray(k_probes, dtype=float))
     k2 = np.sum(K ** 2, axis=-1)
+    n = K.shape[1]
     dev_iso = np.empty(len(sig))
     dev_axes = np.empty(len(sig))
     for i, s in enumerate(sig):
         zeta = 2.0 * K1 / s ** 2
-        phi_iso = np.asarray(gaussian_symbol("iso", K, sigma=s, dimension=K.shape[1]))
-        phi_axes = np.asarray(gaussian_symbol("axes", K, sigma=s, dimension=K.shape[1]))
+        phi_iso = np.asarray(gaussian_symbol("iso", K, sigma=s, dimension=n))
+        phi_axes = np.asarray(gaussian_symbol("axes", K, sigma=s, dimension=n))
         dev_iso[i] = float(np.max(np.abs(zeta * phi_iso + K1 * k2)))
-        dev_axes[i] = float(np.max(np.abs(zeta * phi_axes + 0.5 * K1 * k2)))
+        dev_axes[i] = float(np.max(np.abs(zeta * phi_axes + K1 / n * k2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         r_iso = dev_iso[:-1] / dev_iso[1:]
         r_axes = dev_axes[:-1] / dev_axes[1:]

@@ -22,38 +22,41 @@ from .evolve import (
     evolve_spectral, gaussian_density, spectral_apply,
 )
 from .measures import (
-    NumericalError, StabilityProfile, from_json, measure_from_json, to_json,
+    DirectionalMeasure, NumericalError, StabilityProfile, _read_fields, to_json,
 )
 from .realspace import apply_caseI, apply_caseII, apply_general, gaussian_bump
 from .sampler import (
-    empirical_cf, ensemble_endpoints_parallel, jump_cf, jump_from_json,
-    simulate_compound_poisson,
+    JumpSpec, empirical_cf, ensemble_endpoints_parallel, jump_cf, simulate_compound_poisson,
 )
-from .symbols import make_generator, symbol_from_json
+from .symbols import GeneratorSymbol, make_generator
 from .multistate import (
-    montroll_transform, multistate_endpoints, state_model_from_json,
-    validate_multistate,
+    montroll_transform, multistate_endpoints, state_model_from_json, validate_multistate,
 )
 
 
-class ConfigError(Exception):
-    pass
+def _load_config(path: str):
+    """The JSON document of the config file at path, less its free-text
+    "note", which any top-level config may hold."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    if isinstance(doc, dict) and not isinstance(doc.pop("note", ""), str):
+        raise ValueError("the note of a config must be a string")
+    return doc
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-
-
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing field {key!r} in {where}")
-    return cfg[key]
+def _read_case(doc, what: str, key: str, cases: dict, common: dict, noun: str = "") -> list:
+    """_read_fields of a config part whose field key picks one of cases (the
+    first when left out), each mapped to the fields it reads after common;
+    an unknown case is named as the noun's (by default what's) key."""
+    default = next(iter(cases))
+    case = doc.get(key, default) if isinstance(doc, dict) else default
+    if case not in list(cases):
+        raise ValueError(f"unknown {noun or what} {key} {case!r}; expected one of "
+                         + ", ".join(cases))
+    return _read_fields(doc, what, {key: (str, default), **common, **cases[case]})
 
 
 def _check_line(name: str, value: float, tol: float, passed: bool) -> bool:
@@ -66,30 +69,29 @@ def _k_vectors(rows, dim: int) -> np.ndarray:
     """The wavenumbers of an ecf run from its k_list rows; a row without dim
     components is a config error that names it."""
     if not rows:
-        raise ConfigError("k_list names no wavenumber")
+        raise ValueError("k_list names no wavenumber")
     for row in rows:
         if np.shape(row) != (dim,):
-            raise ConfigError(f"k vector {row!r} does not have {dim} components")
+            raise ValueError(f"k vector {list(row)!r} does not have {dim} components")
     return np.asarray(rows, dtype=float)
 
 
-def _field_from_config(cfg: dict, dim: int):
-    kind = cfg.get("kind", "gaussian")
-    if kind != "gaussian":
-        raise ConfigError(f"unknown field kind {kind!r}")
-    return gaussian_bump(dim, center=cfg.get("center"),
-                         width=float(cfg.get("width", 1.0)),
-                         amplitude=float(cfg.get("amplitude", 1.0)))
+_VECTOR = tuple[float, ...]
+_VECTORS = tuple[_VECTOR, ...]
 
 
-def _initial_from_config(cfg: dict, grid: SpectralGrid) -> DensityField:
-    kind = cfg.get("kind", "delta")
-    if kind == "delta":
-        return delta_density(grid, center=cfg.get("center"))
-    if kind == "gaussian":
-        return gaussian_density(grid, float(cfg.get("variance", 1.0)),
-                                center=cfg.get("center"))
-    raise ConfigError(f"unknown initial density kind {kind!r}")
+def _field(doc, dim: int):
+    """The gaussian_bump of a field config part."""
+    _, center, width, amplitude = _read_case(doc, "field", "kind", {"gaussian": {
+        "center": (_VECTOR, None), "width": (float, 1.0), "amplitude": (float, 1.0)}}, {})
+    return gaussian_bump(dim, center, width, amplitude)
+
+
+def _initial(doc, grid: SpectralGrid) -> DensityField:
+    """The initial density of an initial config part: a delta or a gaussian."""
+    _, center, *variance = _read_case(doc, "initial density", "kind", {
+        "delta": {}, "gaussian": {"variance": (float, 1.0)}}, {"center": (_VECTOR, None)})
+    return (gaussian_density if variance else delta_density)(grid, *variance, center=center)
 
 
 def _write_density_csv(path: str, rho: DensityField):
@@ -114,18 +116,22 @@ def _read_density_csv(path: str) -> DensityField:
                         float(fields["time"]))
 
 
-def _run_fields(args, cfg: dict, where: str, paths: int, t=None):
+_RUN = {"t": (float, None), "paths": (int, 1), "seed": (int, None)}  # of a sampling verb
+
+
+def _run_fields(args, what: str, t, paths, seed):
     """(t, paths, seed) of a sampling verb: each flag overrides its config
-    field; t is required when no default is given, and so is the seed."""
-    t = args.t if args.t is not None else float(
-        _require(cfg, "t", where) if t is None else cfg.get("t", t))
-    n_paths = args.paths if args.paths is not None else int(cfg.get("paths", paths))
-    if n_paths < 1:
-        raise ConfigError(f"paths must be at least 1, got {n_paths}")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    value; t and the seed must come from one or the other."""
+    t = args.t if args.t is not None else t
+    paths = args.paths if args.paths is not None else paths
+    seed = args.seed if args.seed is not None else seed
+    if t is None:
+        raise ValueError(f"missing field 't' in {what}")
+    if paths < 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
     if seed is None:
-        raise ConfigError("sampling requires a seed (flag --seed or config field)")
-    return t, n_paths, int(seed)
+        raise ValueError("sampling requires a seed (flag --seed or config field)")
+    return t, paths, seed
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +139,10 @@ def _run_fields(args, cfg: dict, where: str, paths: int, t=None):
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    spec = jump_from_json(_require(cfg, "jump", "sample config"))
-    zeta = float(cfg.get("zeta", 1.0))
-    T, n_paths, seed = _run_fields(args, cfg, "sample config", paths=1)
-    start = np.asarray(cfg.get("start", [0.0] * spec.dimension), dtype=float)
+    spec, zeta, start, *run = _read_fields(_load_config(args.config), "sample config", {
+        "jump": JumpSpec, "zeta": (float, 1.0), "start": (_VECTOR, None), **_RUN})
+    T, n_paths, seed = _run_fields(args, "sample config", *run)
+    start = np.zeros(spec.dimension) if start is None else np.asarray(start)
     rngs = np.random.SeedSequence(seed).spawn(n_paths)
     rows = []
     for pid, sq in enumerate(rngs):
@@ -151,16 +156,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_ecf(args) -> int:
-    cfg = _load_config(args.config)
-    spec = jump_from_json(_require(cfg, "jump", "ecf config"))
-    zeta = float(cfg.get("zeta", 1.0))
-    t, n_paths, seed = _run_fields(args, cfg, "ecf config", paths=10000)
+    spec, zeta, rows, *run = _read_fields(_load_config(args.config), "ecf config", {
+        "jump": JumpSpec, "zeta": (float, 1.0), "k_list": (_VECTORS, None),
+        **_RUN, "paths": (int, 10000)})
+    t, n_paths, seed = _run_fields(args, "ecf config", *run)
     if args.k_list:
         # the flag text "k1,k2;k3,k4" as rows
         rows = [[float(c) for c in part.split(",") if c.strip() != ""]
                 for part in args.k_list.split(";")]
-    else:
-        rows = _require(cfg, "k_list", "ecf config")
     ks = _k_vectors(rows, spec.dimension)
     ends = ensemble_endpoints_parallel(spec, zeta, t, n_paths, seed)
     tol = 5.0 / math.sqrt(n_paths)
@@ -180,17 +183,14 @@ def _cmd_ecf(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    cfg = _load_config(args.config)
-    sym = symbol_from_json(_require(cfg, "symbol", "symbol config"))
+    (sym,) = _read_fields(_load_config(args.config), "symbol config", {"symbol": GeneratorSymbol})
     dim = sym.dimension
     lo, hi, count = args.k_grid.split(":")
     radii = np.linspace(float(lo), float(hi), int(count))
-    if dim == 1:
-        K = radii[:, None]
-    else:
-        d = np.asarray([float(c) for c in (args.k_dir or "1," + ",".join(["0"] * (dim - 1))).split(",")])
-        d = d / np.linalg.norm(d)
-        K = radii[:, None] * d[None, :]
+    d = np.asarray([float(c) for c in (args.k_dir or "1" + ",0" * (dim - 1)).split(",")])
+    if not np.linalg.norm(d) > 0:
+        raise ValueError(f"--k-dir {args.k_dir} is not a direction")
+    K = radii[:, None] * (d / np.linalg.norm(d))[None, :]
     vals = np.asarray(sym(K), dtype=complex)
     data = np.column_stack([K, vals.real, vals.imag])
     header = ",".join(f"k{i+1}" for i in range(dim)) + ",re_psi,im_psi"
@@ -199,30 +199,18 @@ def _cmd_symbol(args) -> int:
     return 0
 
 
-def _real_space_operator(op: dict, where: str, cases=("I", "II", "general")):
-    """fn(field, measure, pts) for the real-space case op names; an unknown
-    case or a missing field of the config part where is a config error."""
-    case = op.get("case", "I")
-    if case not in cases:
-        raise ConfigError(f"unknown operator case {case!r}; expected one of {', '.join(cases)}")
-    if case == "general":
-        prof = from_json(StabilityProfile, _require(op, "profile", where))
-        return lambda field, measure, pts: apply_general(field, measure, prof, pts)
-    beta, lam = float(_require(op, "beta", where)), float(op.get("lam", 0.0))
-    fn = apply_caseII if case == "II" else apply_caseI
-    return lambda field, measure, pts: fn(field, measure, beta, lam, pts)
+_BETA_LAM = {"beta": float, "lam": (float, 0.0)}
 
 
 def _cmd_apply(args) -> int:
-    cfg = _load_config(args.config)
-    op = _require(cfg, "operator", "apply config")
-    measure = measure_from_json(_require(op, "measure", "operator"))
-    field_cfg = cfg.get("field", {})
-    if args.field:
-        field_cfg = dict(field_cfg, kind=args.field)
-    field = _field_from_config(field_cfg, measure.dimension)
+    op, field = _read_fields(_load_config(args.config), "apply config", {
+        "operator": dict, "field": (dict, {})})
+    case, measure, *params = _read_case(op, "operator", "case", {
+        "I": _BETA_LAM, "II": _BETA_LAM, "general": {"profile": StabilityProfile}},
+        {"measure": DirectionalMeasure})
+    apply = {"I": apply_caseI, "II": apply_caseII, "general": apply_general}[case]
     pts = np.loadtxt(args.points, delimiter=",", skiprows=1, ndmin=2)
-    vals = _real_space_operator(op, "operator")(field, measure, pts)
+    vals = apply(_field(field, measure.dimension), measure, *params, pts)
     header = ",".join(f"x{i+1}" for i in range(measure.dimension)) + ",value"
     np.savetxt(args.out, np.column_stack([pts, vals]), delimiter=",",
                header=header, fmt="%.17g")
@@ -231,10 +219,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    cfg = _load_config(args.config)
-    sym = symbol_from_json(_require(cfg, "symbol", "evolve config"))
-    grid = from_json(SpectralGrid, _require(cfg, "grid", "evolve config"))
-    p0 = _initial_from_config(cfg.get("initial", {}), grid)
+    sym, grid, initial = _read_fields(_load_config(args.config), "evolve config", {
+        "symbol": GeneratorSymbol, "grid": SpectralGrid, "initial": (dict, {})})
+    p0 = _initial(initial, grid)
     rho = evolve_spectral(p0, sym, float(args.t))
     _write_density_csv(args.out, rho)
     drift = abs(rho.total_mass() - p0.total_mass())
@@ -256,17 +243,22 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+_MULTISTATE_RUN = {"k_probes": (_VECTORS, None), **_RUN, "t": (float, 1.0), "paths": (int, 10000)}
+
+
 def _cmd_multistate(args) -> int:
     cfg = _load_config(args.config)
-    # an inline model shares its top level with the run fields t, paths, seed, k_probes
-    doc = ({k: cfg[k] for k in ("N", "M", "init", "waiting", "jumps") if k in cfg}
-           if "M" in cfg else _require(cfg, "model", "multistate config"))
+    if isinstance(cfg, dict) and "M" in cfg:
+        # an inline model shares its top level with the run fields
+        cfg = {"model": {k: v for k, v in cfg.items() if k not in _MULTISTATE_RUN},
+               **{k: v for k, v in cfg.items() if k in _MULTISTATE_RUN}}
+    doc, probes, *run = _read_fields(cfg, "multistate config", {
+        "model": dict, **_MULTISTATE_RUN})
     model = state_model_from_json(doc)
-    t, n_paths, seed = _run_fields(args, cfg, "multistate config", paths=10000, t=1.0)
+    t, n_paths, seed = _run_fields(args, "multistate config", *run)
     rng = np.random.default_rng(seed)
     ok = True
     if args.validate:
-        probes = cfg.get("k_probes")
         if probes is None:
             probes = [[1.0] + [0.0] * (model.dimension - 1),
                       [0.0] * (model.dimension - 1) + [0.5]]
@@ -291,80 +283,78 @@ def _cmd_multistate(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
     verb = args.verb
+    what = f"{verb} config"
     ok = True
     if verb == "coercivity":
-        measure = measure_from_json(_require(cfg, "measure", "coercivity config"))
-        beta = float(_require(cfg, "beta", "coercivity config"))
-        rep = analysis.coercivity_ratio(measure, beta, float(cfg.get("lam", 0.0)))
-        expect = cfg.get("expect", "coercive")
+        expect, measure, beta, lam, *floor = _read_case(cfg, what, "expect", {
+            "coercive": {"floor": (float, 0.0)}, "degenerate": {}},
+            {"measure": DirectionalMeasure, **_BETA_LAM})
+        rep = analysis.coercivity_ratio(measure, beta, lam)
         if expect == "coercive":
-            floor = float(cfg.get("floor", 0.0))
-            ok &= _check_line("coercivity_infimum", rep.ratio_infimum, floor,
-                              rep.verdict == "coercive" and rep.ratio_infimum >= floor)
+            ok &= _check_line("coercivity_infimum", rep.ratio_infimum, floor[0],
+                              rep.verdict == "coercive" and rep.ratio_infimum >= floor[0])
         else:
             ok &= _check_line("degenerate_witness_numerator", rep.witness_numerator,
                               1e-10, rep.verdict == "degenerate-direction-found"
                               and rep.witness_numerator <= 1e-10)
     elif verb == "parseval":
-        measure = measure_from_json(_require(cfg, "measure", "parseval config"))
-        field = _field_from_config(cfg.get("field", {}), measure.dimension)
-        budget = float(cfg.get("budget", 1e-2))
-        beta = float(_require(cfg, "beta", "parseval config"))
+        measure, beta, lam, field, half_width, n_points, budget = _read_fields(cfg, what, {
+            "measure": DirectionalMeasure, **_BETA_LAM, "field": (dict, {}),
+            "half_width": (float, 12.0), "n_points": (int, 256), "budget": (float, 1e-2)})
         rep = analysis.parseval_bilinear_check(
-            field, measure, beta, float(cfg.get("lam", 0.0)),
-            half_width=float(cfg.get("half_width", 12.0)),
-            n_points=int(cfg.get("n_points", 256)), budget=budget)
+            _field(field, measure.dimension), measure, beta, lam,
+            half_width=half_width, n_points=n_points, budget=budget)
         ok &= _check_line("parseval_relative_deviation", rep.relative_deviation,
                           budget, rep.passed)
     elif verb == "counterexample":
-        rep = analysis.counterexample_1d(
-            beta=float(cfg.get("beta", 0.5)), lam=float(cfg.get("lam", 1.0)),
-            truncations=cfg.get("truncations", (1.0, 2.0, 5.0, 10.0, 20.0)))
+        rep = analysis.counterexample_1d(*_read_fields(cfg, what, {
+            "beta": (float, 0.5), "lam": (float, 1.0),
+            "truncations": (tuple[float, ...], (1.0, 2.0, 5.0, 10.0, 20.0))}))
         ok &= _check_line("counterexample_positive_and_monotone",
                           float(rep.values[-1]), 0.0,
                           rep.all_positive and rep.monotone)
     elif verb == "mass":
-        sym = symbol_from_json(_require(cfg, "symbol", "mass config"))
-        grid = from_json(SpectralGrid, _require(cfg, "grid", "mass config"))
-        p0 = _initial_from_config(cfg.get("initial", {}), grid)
-        rep = analysis.mass_conservation_check(sym, p0, cfg.get("times", (0.5, 1.0, 2.0)))
+        sym, grid, initial, times = _read_fields(cfg, what, {
+            "symbol": GeneratorSymbol, "grid": SpectralGrid, "initial": (dict, {}),
+            "times": (tuple[float, ...], (0.5, 1.0, 2.0))})
+        rep = analysis.mass_conservation_check(sym, _initial(initial, grid), times)
         ok &= _check_line("mass_drift", rep.max_drift, rep.tolerance, rep.passed)
     elif verb == "scaling":
-        rep = analysis.scaling_limit_check(
-            cfg.get("sigmas", (0.4, 0.2, 0.1, 0.05)), float(cfg.get("K1", 1.0)),
-            cfg.get("k_probes", ((1.0, 0.0), (0.5, 0.5), (0.2, -0.7))))
-        worst = float(np.max(np.abs(rep.rung_ratios_iso / (rep.sigmas[:-1] / rep.sigmas[1:]) ** 2 - 1.0)))
+        rep = analysis.scaling_limit_check(*_read_fields(cfg, what, {
+            "sigmas": (tuple[float, ...], (0.4, 0.2, 0.1, 0.05)), "K1": (float, 1.0),
+            "k_probes": (_VECTORS, ((1.0, 0.0), (0.5, 0.5), (0.2, -0.7)))}))
+        # the worse of the isotropic and the axis rung ratio errors
+        ratios = np.stack([rep.rung_ratios_iso, rep.rung_ratios_axes])
+        worst = float(np.max(np.abs(ratios / (rep.sigmas[:-1] / rep.sigmas[1:]) ** 2 - 1.0)))
         ok &= _check_line("scaling_rung_ratio_error", worst, 0.2, rep.passed)
-    elif verb == "equivalence":
-        cases = _require(cfg, "cases", "equivalence config")
+    else:  # equivalence
+        (cases,) = _read_fields(cfg, what, {"cases": tuple[dict, ...]})
         results = []
-        for case in cases:
+        for doc in cases:
             # the spectral reference is the constant-profile symbol
-            apply_case = _real_space_operator(case, "equivalence case", cases=("I", "II"))
-            measure = measure_from_json(_require(case, "measure", "equivalence case"))
-            beta, lam = float(case["beta"]), float(case.get("lam", 0.0))
-            field = _field_from_config(case.get("field", {}), measure.dimension)
-            grid = from_json(SpectralGrid, _require(case, "grid", "equivalence case"))
-            tol = float(case.get("tol", 1e-3))
+            case, measure, beta, lam, field, grid, name, tol, xmax, stride = _read_case(
+                doc, "equivalence case", "case", {"I": {}, "II": {}}, {
+                    "measure": DirectionalMeasure, **_BETA_LAM, "field": (dict, {}),
+                    "grid": SpectralGrid, "name": (str, f"case_{len(results)}"),
+                    "tol": (float, 1e-3), "xmax": (float, 2.0),
+                    "stride": (int, None)}, noun="operator")
+            field = _field(field, measure.dimension)
             vals = field.f(grid.points()).reshape(grid.shape())
             psi = make_generator("tempered_aniso", measure.dimension, measure=measure,
                                  beta=beta, lam=lam).on_grid(grid)
             spectral = spectral_apply(vals, psi)
             ax = grid.axis()
-            xmax = float(case.get("xmax", 2.0))
-            stride = int(case.get("stride", max(1, grid.n_points // 32)))
+            stride = stride or max(1, grid.n_points // 32)
             ii = np.flatnonzero(np.abs(ax) <= xmax)[::stride]
             mesh = np.meshgrid(*([ax[ii]] * measure.dimension), indexing="ij")
             pts = np.stack([g.ravel() for g in mesh], axis=-1)
             ref = spectral[np.ix_(*([ii] * measure.dimension))].ravel()
-            direct = apply_case(field, measure, pts)
+            apply = apply_caseII if case == "II" else apply_caseI
+            direct = apply(field, measure, beta, lam, pts)
             rel = float(np.linalg.norm(direct - ref) / np.linalg.norm(ref))
-            name = case.get("name", f"case_{len(results)}")
             ok &= _check_line(f"equivalence_{name}", rel, tol, rel <= tol)
             results.append({"name": name, "relative_l2": rel, "tol": tol})
         rep = {"cases": results}
-    else:
-        raise ConfigError(f"unknown analyze verb {verb!r}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"verb": verb, **to_json(rep)}, fh, indent=2)
@@ -400,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-dir")
     sp = add("apply", _cmd_apply, out_required=True)
     sp.add_argument("--points", required=True)
-    sp.add_argument("--field")
     sp = add("evolve", _cmd_evolve, out_required=True)
     sp.add_argument("--t", type=float, required=True)
     cp = sub.add_parser("compare")
@@ -428,8 +417,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ built on measures (symbols, jump laws, state models, profiles, grids).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -628,11 +627,11 @@ def _component_spreads(measure: DirectionalMeasure, sigmas) -> np.ndarray:
     return sig
 
 
-def _check_exponent(beta: float, what: str = "beta", hint: str = "") -> None:
+def _check_exponent(beta: float, what: str = "beta") -> None:
     """Raise ValueError unless beta lies in (0,1) or (1,2); exponents within
     1e-6 of 1 belong to the exponent-1 formulas."""
     if not (0.0 < beta < 2.0) or abs(beta - 1.0) < 1e-6:
-        raise ValueError(f"{what} must lie in (0,1) or (1,2){hint}")
+        raise ValueError(f"{what} must lie in (0,1) or (1,2)")
 
 
 @dataclass(frozen=True)
@@ -691,8 +690,6 @@ def measure_from_json(doc) -> DirectionalMeasure:
     """The measure of measure_to_json's document; an unknown or missing key,
     at the measure or at a band, or a value of the wrong JSON type raises
     ValueError."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     _check_keys(doc, {"dimension", "atoms", "bands"}, {"dimension"}, "measure")
     for b in doc.get("bands", []):
         _check_keys(b, {"region", "density"}, {"region", "density"}, "measure band")
@@ -731,7 +728,7 @@ def _check_kind(obj, table: dict, shared: tuple) -> None:
         if f.name in required and v is None:
             what = "a directional measure" if f.name == "measure" else f"field {f.name!r}"
             raise ValueError(f"{obj.kind} requires {what}")
-        if f.name in reads or v is None or (isinstance(v, (int, float)) and v in (0, f.default)):
+        if f.name in reads or v is None or (np.isscalar(v) and v in (0, f.default)):
             continue
         alt = [k for k, (r, o) in table.items() if {*required, *optional, f.name} <= {*r, *o}]
         raise ValueError(f"{obj.kind} does not read field {f.name!r}"
@@ -759,28 +756,38 @@ def to_json(obj):
     return obj
 
 
-def from_json(cls, doc):
-    """The config dataclass cls from its JSON document.
-
-    Each value is converted to its field's annotated type (int, float, str,
-    tuple[X, ...], Optional[X], a measure or a nested dataclass); null is
-    read only into an Optional field.  An unknown field, a missing required
-    field or a value that does not convert raises ValueError naming the class
-    and the field.
-    """
-    _check_keys(doc, {f.name for f in fields(cls)},
-                {f.name for f in fields(cls) if f.default is MISSING}, cls.__name__)
-    hints = get_type_hints(cls)
-    values = {}
-    for name, v in doc.items():
+def _read_fields(doc, what: str, spec: dict) -> list:
+    """The values of the fields of the JSON object doc, in the order of spec.
+    spec maps each field to its type, or to (type, default) for an optional
+    one; each value is converted to its type by _decode.  An unknown field, a
+    missing required field or a value that does not convert raises
+    ValueError naming what and the field."""
+    _check_keys(doc, set(spec), {k for k, t in spec.items() if not isinstance(t, tuple)}, what)
+    values = []
+    for name, tp in spec.items():
+        if name not in doc:
+            values.append(tp[1])
+            continue
         try:
-            values[name] = _decode(hints[name], v)
+            values.append(_decode(tp[0] if isinstance(tp, tuple) else tp, doc[name]))
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"field {name!r} of {cls.__name__}: {exc}") from None
-    return cls(**values)
+            raise ValueError(f"field {name!r} of {what}: {exc}") from None
+    return values
+
+
+def from_json(cls, doc):
+    """The config dataclass cls from its JSON document: _read_fields with
+    the annotated type of each field, and its default if it has one."""
+    hints = get_type_hints(cls)
+    spec = {f.name: hints[f.name] if f.default is MISSING else (hints[f.name], f.default)
+            for f in fields(cls)}
+    return cls(**dict(zip(spec, _read_fields(doc, cls.__name__, spec))))
 
 
 def _decode(tp, value):
+    """value as type tp: int, float, str, tuple[X, ...], Optional[X] (the only
+    type that reads null), a measure or a config dataclass; any other type
+    takes the value as it is."""
     if get_origin(tp) is Union:  # Optional[X], the only fields that may be null
         return None if value is None else _decode(get_args(tp)[0], value)
     if get_origin(tp) is tuple:
@@ -789,6 +796,8 @@ def _decode(tp, value):
         return measure_from_json(value)
     if is_dataclass(tp):
         return from_json(tp, value)
+    if tp in (str, dict) and not isinstance(value, tp):
+        raise TypeError(f"{value!r} is not a {'string' if tp is str else 'JSON object'}")
     if tp in (int, float, str):
         return tp(value)
     return value

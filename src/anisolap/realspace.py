@@ -19,9 +19,8 @@ import numpy as np
 
 from ._special import lower_gamma, upper_gamma
 from .measures import (
-    DirectionalMeasure, NumericalError, StabilityProfile, _as_rows, _check_exponent,
-    _component_spreads, _composite_gl, _from_rows, _pool_map, _row_blocks, is_symmetric,
-    measure_nodes,
+    DirectionalMeasure, NumericalError, StabilityProfile, _as_rows, _component_spreads,
+    _composite_gl, _from_rows, _pool_map, _row_blocks, is_symmetric, measure_nodes,
 )
 
 __all__ = [
@@ -252,9 +251,10 @@ def _drift(beta: float, lam: float, b):
     return np.zeros_like(b)
 
 
-def _apply_profile(field, measure, betas, lams, x, refinement, tail_tol):
-    """Operator values at the points x (_point_map) with exponent betas[c] and
-    tempering lams[c] on component c of the measure.
+def _apply_profile(field, measure, profile, x, refinement, tail_tol):
+    """Operator values at the points x (_point_map) with exponent
+    profile.betas[c] and tempering profile.lambdas[c] on component c of the
+    measure.
 
     The components that share a (beta, lam) form one kernel block over their
     measure_nodes, in order of first occurrence, with the drift of the
@@ -266,7 +266,7 @@ def _apply_profile(field, measure, betas, lams, x, refinement, tail_tol):
     if field.hess is None:
         raise ValueError("the Taylor correction near r = 0 requires an analytic Hessian")
     dirs, wdir, comp = measure_nodes(measure, refinement=refinement)
-    keys = list(zip(betas, lams))
+    keys = list(zip(profile.betas, profile.lambdas))
     blocks = []
     for beta, lam in dict.fromkeys(keys):
         own = np.isin(comp, [c for c, key in enumerate(keys) if key == (beta, lam)])
@@ -291,14 +291,11 @@ def apply_caseI(field: ScalarField, measure: DirectionalMeasure, beta: float,
     the operator is case II's gradient-regularised form and equals
     apply_caseII.
     """
-    _check_exponent(beta)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    profile = StabilityProfile.constant(measure, beta, lam)
     if beta > 1.0 and not is_symmetric(measure):
         raise ValueError("beta in (1,2) requires a symmetric measure here; "
                          "use apply_caseII for asymmetric measures")
-    m = measure.n_components
-    return _apply_profile(field, measure, (beta,) * m, (lam,) * m, x, refinement, tail_tol)
+    return _apply_profile(field, measure, profile, x, refinement, tail_tol)
 
 
 def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
@@ -311,10 +308,8 @@ def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
     """
     if not (1.0 < beta < 2.0):
         raise ValueError("beta must lie in (1,2)")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    m = measure.n_components
-    return _apply_profile(field, measure, (beta,) * m, (lam,) * m, x, refinement, tail_tol)
+    return _apply_profile(field, measure, StabilityProfile.constant(measure, beta, lam), x,
+                          refinement, tail_tol)
 
 
 def apply_general(field: ScalarField, measure: DirectionalMeasure,
@@ -327,8 +322,7 @@ def apply_general(field: ScalarField, measure: DirectionalMeasure,
     over the components that share (beta_c, lam_c).  A constant profile is
     apply_caseI or apply_caseII at refinement 32, value for value.
     """
-    profile = profile.for_measure(measure)
-    return _apply_profile(field, measure, profile.betas, profile.lambdas, x, 32, tail_tol)
+    return _apply_profile(field, measure, profile.for_measure(measure), x, 32, tail_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ __all__ = [
 # kind -> the (required, optional) fields its sampler reads, besides dimension
 _JUMP_FIELDS = {"gaussian_iso": (("sigma",), ()), "gaussian_axes": (("sigma",), ()),
                 "gaussian_aniso": (("measure",), ("sigmas",)),
-                "stable": (("measure", "beta"), ("r0", "max_rejections")),
+                "stable": (("measure", "beta"), ("r0",)),
                 "tempered_stable": (("measure", "beta"), ("lam", "r0", "max_rejections"))}
 _JUMP_KINDS = tuple(_JUMP_FIELDS)
 

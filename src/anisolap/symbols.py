@@ -246,13 +246,13 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
     return _paired(pts, integral)
 
 
-def _stable_symbol(measure, betas, lams, k, method, refinement, tol):
-    """The (tempered) stable symbol with exponent betas[c] and rate lams[c] on
-    component c; untempered 2D bands take the closed form."""
+def _stable_symbol(measure, profile, k, method, refinement, tol):
+    """The (tempered) stable symbol with the exponent and rate of profile on
+    each measure component; untempered 2D bands take the closed form."""
     pts, shape = _as_rows(k, measure.dimension)
     comps = [(_ceil_sign(b), partial(_bracket, beta=b, lam=l),
               partial(_stable_band_2d, beta=b) if l == 0.0 and measure.dimension == 2 else None)
-             for b, l in zip(betas, lams)]
+             for b, l in zip(profile.betas, profile.lambdas)]
     return _from_rows(_measure_integral(measure, pts, comps, method, refinement, tol), shape)
 
 
@@ -262,14 +262,11 @@ def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
 
     Returns (-1)^ceil(beta) * int ((lam - i k.phi)^beta - lam^beta) m(phi) dphi,
     the constant-profile case of general_profile_symbol.  beta must lie in
-    (0,1) or (1,2); beta near 1 is rejected (use beta1_symbol) and beta = 2
-    has its own quadratic reduction (beta2_symbol).
+    (0,1) or (1,2) (StabilityProfile); beta near 1 has its own symbol
+    (beta1_symbol) and beta = 2 its own quadratic reduction (beta2_symbol).
     """
-    _check_exponent(beta, hint="; use beta1_symbol/beta2_symbol otherwise")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    m = measure.n_components
-    return _stable_symbol(measure, (beta,) * m, (lam,) * m, k, method, refinement, tol)
+    profile = StabilityProfile.constant(measure, beta, lam)
+    return _stable_symbol(measure, profile, k, method, refinement, tol)
 
 
 def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
@@ -329,7 +326,7 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
             "profile mixes exponents below and above 1; per-component sign applied",
             MixedStabilityRangeWarning,
         )
-    return _stable_symbol(measure, profile.betas, profile.lambdas, k, method, refinement, tol)
+    return _stable_symbol(measure, profile, k, method, refinement, tol)
 
 
 def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
@@ -448,11 +445,13 @@ _EVALUATORS = {
 }
 _KINDS = tuple(_EVALUATORS)
 # kind -> the (required, optional) fields its evaluator reads; __post_init__ names the shared ones
+_BANDS = ("method", "refinement")  # the band quadrature
 _FIELDS = {"gaussian_iso": (("sigma",), ()), "gaussian_axes": (("sigma",), ()),
-           "gaussian_aniso": (("measure", "sigmas"), ()), "stable_aniso": (("measure", "beta"), ()),
-           "tempered_aniso": (("measure", "beta", "lam"), ()),
-           "beta1_aniso": (("measure", "lam"), ()), "beta2_quadratic": (("measure",), ("lam",)),
-           "general_profile": (("measure", "profile"), ()),
+           "gaussian_aniso": (("measure", "sigmas"), ("refinement",)),
+           "stable_aniso": (("measure", "beta"), _BANDS),
+           "tempered_aniso": (("measure", "beta", "lam"), _BANDS),
+           "beta1_aniso": (("measure", "lam"), _BANDS), "beta2_quadratic": (("measure",), ("lam",)),
+           "general_profile": (("measure", "profile"), _BANDS),
            "isotropic_reference": (("beta",), ("lam",))}
 
 
@@ -479,7 +478,7 @@ class GeneratorSymbol:
     refinement: int = 96
 
     def __post_init__(self):
-        _check_kind(self, _FIELDS, ("dimension", "zeta", "method", "refinement"))
+        _check_kind(self, _FIELDS, ("dimension", "zeta"))
         if self.method not in ("auto", "nodes", "adaptive"):
             raise ValueError(f"unknown quadrature method {self.method!r}")
         if not 0.0 < self.zeta < math.inf:

@@ -138,6 +138,13 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             counterexample_1d(beta=1.5)
 
+    def test_growing_kernel_is_refused(self):
+        # e^(+r) makes the value trivially positive and monotone
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            counterexample_1d(beta=0.5, lam=-1.0)
+        rep = counterexample_1d(beta=0.5, lam=0.0, truncations=(1.0, 2.0))
+        assert rep.all_positive and rep.monotone and rep.limit_value is None
+
 
 class TestMassConservation:
     def test_valid_symbol_passes(self):
@@ -177,6 +184,16 @@ class TestScalingLimit:
         assert np.allclose(rep.rung_ratios_axes, 4.0, rtol=0.2)
         assert np.all(np.diff(rep.deviations_iso) < 0)
         assert np.all(np.diff(rep.deviations_axes) < 0)
+
+    @pytest.mark.parametrize("probes", [
+        ((0.5,), (1.2,)), ((0.5, 0.0), (1.0, 0.7)), ((1.0, 0.0, 0.0), (0.3, -0.4, 0.6))],
+        ids=["1d", "2d", "3d"])
+    def test_axis_limit_in_every_dimension(self, probes):
+        # in n dimensions the axis variant tends to -(K1/n)|k|^2
+        rep = scaling_limit_check((0.4, 0.2, 0.1, 0.05), 1.0, probes)
+        assert rep.passed
+        assert np.allclose(rep.rung_ratios_iso, 4.0, rtol=0.05)
+        assert np.allclose(rep.rung_ratios_axes, 4.0, rtol=0.05)
 
     def test_zero_probe_exact(self):
         rep = scaling_limit_check((0.4, 0.2), 1.0, ((0.0, 0.0),))

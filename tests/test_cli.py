@@ -145,9 +145,11 @@ class TestErrors:
     @pytest.mark.parametrize("paths, where", [(0, "flag"), (-5, "flag"), (0, "config")])
     def test_paths_below_one_exits_2(self, tmp_path, capsys, verb, paths, where):
         jump = {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}
-        cfg = {"jump": jump, "t": 1.0, "seed": 3, "k_list": [[0.5, 0.0]],
-               "N": 1, "M": [[1.0]], "init": [1.0],
-               "waiting": [{"kind": "exp", "rate": 1.0}], "jumps": [jump]}
+        # each verb's own fields beside the run fields t and seed
+        own = {"sample": {"jump": jump}, "ecf": {"jump": jump, "k_list": [[0.5, 0.0]]}}
+        cfg = {"t": 1.0, "seed": 3, **own.get(verb, {
+            "N": 1, "M": [[1.0]], "init": [1.0],
+            "waiting": [{"kind": "exp", "rate": 1.0}], "jumps": [jump]})}
         if where == "config":
             cfg["paths"] = paths
         argv = [*verb.split(), "--config", write_json(tmp_path, "c.json", cfg),
@@ -206,6 +208,103 @@ class TestFieldsTheKindReads:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+
+class TestEveryFieldIsRead:
+    """Every config part goes through one reader: a misspelled key, a wrong
+    JSON type, a null or a field that nothing reads is a config error, exit
+    2, with one line that names the field."""
+
+    JUMP = {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}
+    MASS = {"symbol": JUMP, "grid": {"dimension": 2, "half_width": 8.0, "n_points": 32}}
+    STABLE = {"kind": "stable", "dimension": 2, "beta": 1.3, "measure": FIG1}
+
+    @pytest.mark.parametrize("verb, cfg, message", [
+        ("analyze coercivity", {"measure": FIG1, "beta": 1.3, "lamda": 0.7},
+         "unknown field 'lamda' in coercivity config"),
+        ("apply", {"operator": {"measure": M1_SYM, "beta": 0.5}, "field": {"widht": 2.0}},
+         "unknown field 'widht' in field"),
+        ("apply", {"operator": {"measure": M1_SYM, "beta": 0.5, "lamda": 1.0}},
+         "unknown field 'lamda' in operator"),
+        ("analyze mass", dict(MASS, initial={"kind": "gaussian", "varience": 0.5}),
+         "unknown field 'varience' in initial density"),
+        ("analyze mass", dict(MASS, initial={"kind": "delta", "variance": 0.5}),
+         "unknown field 'variance' in initial density"),
+        ("analyze mass", dict(MASS, tims=[1.0]), "unknown field 'tims' in mass config"),
+        ("ecf", {"jump": JUMP, "t": 1.0, "paths": 10, "sed": 3, "k_list": [[0.5, 0.0]]},
+         "unknown field 'sed' in ecf config"),
+        ("multistate --validate", {"M": [[1.0]], "init": [1.0], "seed": 3, "paths": 10,
+                                   "waiting": [{"kind": "exp", "rate": 1.0}], "jumps": [JUMP],
+                                   "k_probe": [[1.0, 0.0]]},
+         "unknown field 'k_probe'"),
+        ("analyze coercivity", {"measure": FIG1, "beta": 1.3, "lam": None},
+         "field 'lam' of coercivity config"),
+        ("analyze coercivity", {"measure": FIG1, "beta": [1.3]},
+         "field 'beta' of coercivity config"),
+        ("analyze coercivity", {"measure": FIG1, "beta": 1.3, "expect": "coercve"},
+         "unknown coercivity config expect 'coercve'"),
+        ("analyze coercivity", {"measure": FIG1, "beta": 1.3, "expect": "degenerate",
+                                "floor": 0.5}, "unknown field 'floor' in coercivity config"),
+        ("analyze counterexample", {"truncations": 5},
+         "field 'truncations' of counterexample config"),
+        ("analyze counterexample", {"beta": 0.5, "lam": -1}, "lambda must be nonnegative"),
+        ("symbol", {"symbol": dict(JUMP, method="nodes")},
+         "gaussian_iso does not read field 'method'"),
+        ("symbol", {"symbol": dict(JUMP, note="a note")}, "unknown field 'note' in GeneratorSymbol"),
+        ("symbol", {"symbol": JUMP, "note": 3}, "the note of a config must be a string"),
+        ("sample", {"jump": dict(STABLE, max_rejections=7), "t": 1.0, "seed": 3},
+         "stable does not read field 'max_rejections'; use kind 'tempered_stable'"),
+    ])
+    def test_refused_config_exits_2(self, tmp_path, capsys, verb, cfg, message):
+        pts = tmp_path / "pts.csv"
+        np.savetxt(pts, np.zeros((1, 1)), delimiter=",", header="x1")
+        out = tmp_path / "o.csv"
+        flags = {"apply": ["--points", str(pts)], "symbol": ["--k-grid", "0:1:3"]}
+        argv = [*verb.split(), "--config", write_json(tmp_path, "c.json", cfg),
+                *flags.get(verb, []), *(["--out", str(out)] if verb in ("apply", "symbol",
+                                                                       "sample", "ecf") else [])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
+    def test_top_level_note_is_free_text(self, tmp_path):
+        cfg = write_json(tmp_path, "c.json", {"note": "any text", "symbol": self.JUMP})
+        assert main(["symbol", "--config", cfg, "--k-grid", "0:1:3",
+                     "--out", str(tmp_path / "o.csv")]) == 0
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is one line on stderr, exit 2."""
+
+    def expect_2(self, capsys, argv, name):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and name in err and err.count("\n") == 1
+
+    def test_compare_missing_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        self.expect_2(capsys, ["compare", "--a", missing, "--b", missing], "missing.csv")
+
+    def test_apply_missing_points(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"operator": {"measure": M1_SYM, "beta": 0.5}})
+        self.expect_2(capsys, ["apply", "--config", cfg, "--points", str(tmp_path / "missing.csv"),
+                               "--out", str(tmp_path / "o.csv")], "missing.csv")
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"symbol": TestEveryFieldIsRead.JUMP})
+        self.expect_2(capsys, ["symbol", "--config", cfg, "--k-grid", "0:1:3",
+                               "--out", str(tmp_path / "nodir" / "o.csv")], "nodir")
+
+    def test_zero_k_direction_is_refused(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"symbol": TestEveryFieldIsRead.JUMP})
+        out = tmp_path / "o.csv"
+        assert main(["symbol", "--config", cfg, "--k-grid", "0:1:3", "--k-dir", "0,0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --k-dir 0,0 is not a direction\n"
         assert not out.exists()
 
 
@@ -509,6 +608,18 @@ class TestAnalyzeVerbs:
     def test_scaling(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"sigmas": [0.4, 0.2, 0.1], "K1": 1.0})
         assert main(["analyze", "scaling", "--config", cfg]) == 0
+
+    def test_scaling_prints_the_worse_rung_ratio(self, tmp_path, capsys):
+        from anisolap.analysis import scaling_limit_check
+
+        probes = [[1.0, 0.0, 0.0], [0.3, -0.4, 0.6]]
+        cfg = write_json(tmp_path, "c.json", {"sigmas": [0.4, 0.2, 0.1], "k_probes": probes})
+        assert main(["analyze", "scaling", "--config", cfg]) == 0
+        rep = scaling_limit_check([0.4, 0.2, 0.1], 1.0, probes)
+        worst = max(float(np.max(np.abs(r / 4.0 - 1.0)))
+                    for r in (rep.rung_ratios_iso, rep.rung_ratios_axes))
+        assert capsys.readouterr().out == (
+            f"CHECK scaling_rung_ratio_error value={worst:.6e} tol=2.000000e-01 status=PASS\n")
 
     def test_mass(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", {

@@ -18,6 +18,7 @@ import anisolap.symbols as symbols_mod
 from anisolap.evolve import SpectralGrid
 from anisolap.measures import (
     StabilityProfile,
+    _read_fields,
     from_json,
     make_atomic_measure,
     make_banded_measure,
@@ -68,9 +69,12 @@ def profiles(draw, size=None):
 @st.composite
 def symbols(draw, kind):
     dim = 2 if kind == "gaussian_aniso" else draw(st.integers(1, 3))
+    # the quadrature fields only where the kind reads them
+    quadrature = symbols_mod._FIELDS[kind][1]
     kw = draw(st.fixed_dictionaries({}, optional={
         "zeta": positive, "method": st.sampled_from(["auto", "nodes", "adaptive"]),
-        "refinement": st.integers(1, 256)}))
+        "refinement": st.integers(1, 256)}).map(
+        lambda d: {k: v for k, v in d.items() if k == "zeta" or k in quadrature}))
     if kind in ("gaussian_iso", "gaussian_axes"):
         kw["sigma"] = draw(positive)
     elif kind == "isotropic_reference":
@@ -99,9 +103,10 @@ def jumps(draw, kind, dimension=None):
         return JumpSpec(kind, dim, measure=m,
                         sigmas=tuple(draw(positive) for _ in range(m.n_components)))
     lams = [0.0, 0.5] if kind == "tempered_stable" else [0.0]
+    rejections = [10_000, 7] if kind == "tempered_stable" else [10_000]  # stable never rejects
     return JumpSpec(kind, dim, measure=m, beta=draw(exponent),
                     lam=draw(st.sampled_from(lams)), r0=draw(st.floats(1e-4, 1.0)),
-                    max_rejections=draw(st.sampled_from([10_000, 7])))
+                    max_rejections=draw(st.sampled_from(rejections)))
 
 
 @st.composite
@@ -213,6 +218,17 @@ class TestStrict:
             from_json(JumpSpec, doc)
         assert from_json(GeneratorSymbol, dict(doc, beta=None)).lam is None
 
+    def test_read_fields_in_spec_order(self):
+        # the one reader of from_json and of every CLI config part
+        spec = {"b": float, "a": (int, 7), "name": (str, None), "part": (dict, {})}
+        assert _read_fields({"b": 1}, "doc", spec) == [1.0, 7, None, {}]
+        for doc, message in [({"b": 1, "name": 5}, "field 'name' of doc: 5 is not a string"),
+                             ({"b": 1, "part": [1]}, "field 'part' of doc: .* not a JSON object"),
+                             ({"b": 1, "c": 2}, "unknown field 'c' in doc"),
+                             ({"a": 1}, "missing field 'b' in doc")]:
+            with pytest.raises(ValueError, match=message):
+                _read_fields(doc, "doc", spec)
+
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="StabilityProfile must be a JSON object"):
             from_json(StabilityProfile, [[1.5], [0.0]])
@@ -235,8 +251,7 @@ def waiting_laws(draw, kind):
 
 # each config class: its kind table, the fields every kind accepts, valid objects by kind
 KIND_TABLES = [
-    (GeneratorSymbol, symbols_mod._FIELDS, ("dimension", "zeta", "method", "refinement"),
-     symbols),
+    (GeneratorSymbol, symbols_mod._FIELDS, ("dimension", "zeta"), symbols),
     (JumpSpec, sampler_mod._JUMP_FIELDS, ("dimension",), jumps),
     (WaitingLaw, multistate_mod._WAITING_FIELDS, (), waiting_laws),
 ]

@@ -67,6 +67,33 @@ class TestModelValidation:
         assert abs(1.0 - law.laplace(s)) == pytest.approx(1.0 - exact, rel=0.01)
 
 
+class TestPowerLawWaiting:
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_sampled_tail(self, alpha, scale):
+        # Pareto(alpha, scale): P(W > w) = (scale / w)^alpha for w >= scale
+        n = 20000
+        w = WaitingLaw("power_law", alpha=alpha, scale=scale).sample(
+            np.random.default_rng(31), n)
+        assert w.min() >= scale
+        for q in (1.5, 4.0, 30.0):
+            p = q ** -alpha
+            assert abs(np.mean(w > q * scale) - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_endpoints_with_one_power_law_state(self):
+        # a path that has not jumped by t stays at the origin, with
+        # probability P(W > t) = (scale / t)^alpha
+        alpha, scale, t, n = 0.6, 0.5, 4.0, 20000
+        model = StateModel(M=[[1.0]], init=[1.0],
+                           waiting=(WaitingLaw("power_law", alpha=alpha, scale=scale),),
+                           jumps=(JumpSpec("gaussian_iso", 2, sigma=1.0),))
+        ens = multistate_endpoints(model, t, n, np.random.default_rng(32))
+        assert ens.positions.shape == (n, 2) and np.all(ens.states == 0)
+        p = (scale / t) ** alpha
+        still = np.mean(np.all(ens.positions == 0.0, axis=1))
+        assert abs(still - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
 class TestSimulation:
     def test_identity_chain_never_switches(self):
         model = StateModel(M=np.eye(2), init=[0.0, 1.0],
