@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _DEGENERATE_RATIO = 1e-8
+_N_RADII, _N_DIRECTIONS = 25, 48  # the coercivity probe grid
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,7 @@ def _ratio_terms(measure: DirectionalMeasure, beta: float, lam: float, pts):
     return num, isotropic_reference_symbol(beta, lam, pts, measure.dimension)
 
 
-def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float, *,
-                     n_radii: int = 25, n_directions: int = 48) -> CoercivityReport:
+def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float) -> CoercivityReport:
     """Infimum over a log-radial (|k| from 1e-3 to 1e3) x angular probe grid of
 
         Re[-psi_m(k)] / reference_iso(k),
@@ -74,9 +74,9 @@ def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float, *,
     measure's support span are appended to the angular grid, so degenerate
     measures always expose a witness."""
     n = measure.dimension
-    radii = np.geomspace(1e-3, 1e3, n_radii)
+    radii = np.geomspace(1e-3, 1e3, _N_RADII)
     extra = _null_directions(support_directions(measure))
-    dirs = np.concatenate([_direction_grid(n, n_directions), extra])
+    dirs = np.concatenate([_direction_grid(n, _N_DIRECTIONS), extra])
     K = radii[:, None, None] * dirs[None, :, :]
     pts = K.reshape(-1, n)
     num, den = _ratio_terms(measure, beta, lam, pts)
@@ -84,7 +84,7 @@ def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float, *,
     imin = int(np.argmin(ratio))
     inf_ratio = float(ratio[imin])
     verdict = "degenerate-direction-found" if inf_ratio <= _DEGENERATE_RATIO else "coercive"
-    desc = (f"|k| log-spaced 0.001..1000 x {n_radii}, "
+    desc = (f"|k| log-spaced 0.001..1000 x {_N_RADII}, "
             f"{dirs.shape[0]} directions ({len(extra)} support-nullspace augmented)")
     return CoercivityReport(
         ratio_infimum=inf_ratio,
@@ -96,18 +96,16 @@ def coercivity_ratio(measure: DirectionalMeasure, beta: float, lam: float, *,
     )
 
 
-def symbol_asymptotic_slopes(measure: DirectionalMeasure, beta: float, lam: float,
-                             direction=None) -> dict:
-    """Log-log slopes of numerator and reference at small and large |k|.
+def symbol_asymptotic_slopes(measure: DirectionalMeasure, beta: float, lam: float) -> dict:
+    """Log-log slopes of numerator and reference at small and large |k| along
+    the first support direction of the measure.
 
     With tempering the symbols behave like |k|^2 as |k| -> 0 and |k|^beta as
     |k| -> infinity."""
     if lam <= 0:
         raise ValueError("slope asymptotics require lam > 0 (untempered symbols "
                          "are exactly homogeneous of order beta)")
-    if direction is None:
-        direction = support_directions(measure)[0]
-    d = np.asarray(direction, dtype=float)
+    d = support_directions(measure)[0]
     d = d / np.linalg.norm(d)
 
     def fit(radii):
@@ -150,8 +148,7 @@ def parseval_bilinear_check(field_q: ScalarField, measure: DirectionalMeasure,
     passed says whether their relative deviation is within budget."""
     n = measure.dimension
     direct, rep = bilinear_form(field_q, field_q, measure, beta, lam,
-                                half_width=half_width, n_points=n_points,
-                                return_report=True)
+                                half_width=half_width, n_points=n_points)
     grid = SpectralGrid(n, half_width, n_points)
     vals = field_q.f(grid.points()).reshape(grid.shape())
     qhat2 = continuum_dft_abs2(vals, grid)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import NumericalError
+from .measures import NumericalError, _center
 from .sampler import sample_inverse_subordinator
 from .symbols import GeneratorSymbol
 
@@ -125,7 +125,7 @@ class DensityField:
 
 def delta_density(grid: SpectralGrid, center=None) -> DensityField:
     """Unit mass concentrated in the cell nearest to center."""
-    c = np.zeros(grid.dimension) if center is None else np.asarray(center, dtype=float)
+    c = _center(center, grid.dimension)
     idx = tuple(
         int(round((ci + grid.half_width) / grid.spacing)) % grid.n_points for ci in c
     )
@@ -135,7 +135,7 @@ def delta_density(grid: SpectralGrid, center=None) -> DensityField:
 
 
 def gaussian_density(grid: SpectralGrid, variance: float, center=None) -> DensityField:
-    c = np.zeros(grid.dimension) if center is None else np.asarray(center, dtype=float)
+    c = _center(center, grid.dimension)
     pts = grid.points()
     d2 = np.sum((pts - c) ** 2, axis=-1)
     vals = np.exp(-0.5 * d2 / variance) / (2.0 * math.pi * variance) ** (grid.dimension / 2.0)

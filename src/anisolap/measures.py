@@ -117,6 +117,15 @@ def _from_rows(vals: np.ndarray, shape):
     return vals.reshape(shape)
 
 
+def _center(center, n: int) -> np.ndarray:
+    """The center of an n-dimensional field or density, the origin for None;
+    ValueError unless it has n components."""
+    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (n,):
+        raise ValueError(f"center {c.tolist()!r} does not have {n} components")
+    return c
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = np.linalg.norm(v)
@@ -785,9 +794,9 @@ def from_json(cls, doc):
 
 
 def _decode(tp, value):
-    """value as type tp: int, float, str, tuple[X, ...], Optional[X] (the only
-    type that reads null), a measure or a config dataclass; any other type
-    takes the value as it is."""
+    """value as type tp: int (not a bool or a fractional number), float, str,
+    tuple[X, ...], Optional[X] (the only type that reads null), a measure or a
+    config dataclass; any other type takes the value as it is."""
     if get_origin(tp) is Union:  # Optional[X], the only fields that may be null
         return None if value is None else _decode(get_args(tp)[0], value)
     if get_origin(tp) is tuple:
@@ -798,6 +807,9 @@ def _decode(tp, value):
         return from_json(tp, value)
     if tp in (str, dict) and not isinstance(value, tp):
         raise TypeError(f"{value!r} is not a {'string' if tp is str else 'JSON object'}")
+    if tp is int and (isinstance(value, bool)
+                      or isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"{value!r} is not an integer")
     if tp in (int, float, str):
         return tp(value)
     return value

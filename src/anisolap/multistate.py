@@ -17,7 +17,7 @@ import numpy as np
 
 from ._special import expm
 from .measures import _check_kind, from_json, to_json
-from .sampler import EcfEstimate, JumpSpec, Trajectory, jump_cf, sample_jump
+from .sampler import JumpSpec, Trajectory, empirical_cf, jump_cf, sample_jump
 
 __all__ = [
     "WaitingLaw",
@@ -273,11 +273,9 @@ def validate_multistate(model: StateModel, k_probes, t: float, n_paths: int,
 
 
 def empirical_functional_cf(functional_values: np.ndarray, rho: float):
-    """(1/N) sum exp(i rho A_j) with its 1/sqrt(N) standard error."""
-    A = np.asarray(functional_values, dtype=float)
-    if A.size == 0:
-        raise ValueError("empty functional ensemble")
-    return EcfEstimate(complex(np.mean(np.exp(1j * rho * A))), 1.0 / math.sqrt(len(A)))
+    """(1/N) sum exp(i rho A_j) with its 1/sqrt(N) standard error: the
+    empirical_cf of the one-column ensemble A at wavenumber rho."""
+    return empirical_cf(np.asarray(functional_values, dtype=float), [rho])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._special import lower_gamma, upper_gamma
 from .measures import (
-    DirectionalMeasure, NumericalError, StabilityProfile, _as_rows, _component_spreads,
+    DirectionalMeasure, NumericalError, StabilityProfile, _as_rows, _center, _component_spreads,
     _composite_gl, _from_rows, _pool_map, _row_blocks, is_symmetric, measure_nodes,
 )
 
@@ -73,7 +73,7 @@ class ScalarField:
 def gaussian_bump(dimension: int, center=None, width: float = 1.0,
                   amplitude: float = 1.0) -> ScalarField:
     """Smooth rapidly decaying test field A*exp(-|x-c|^2 / (2 w^2))."""
-    c = np.zeros(dimension) if center is None else np.asarray(center, dtype=float)
+    c = _center(center, dimension)
     w2 = width * width
 
     def f(x):
@@ -332,18 +332,18 @@ def apply_general(field: ScalarField, measure: DirectionalMeasure,
 def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
                             sigma: float | None = None,
                             measure: DirectionalMeasure | None = None,
-                            sigmas=None, zeta: float = 1.0, order: int = 24):
-    """zeta * (smoothing - identity) for the Gaussian jump laws.
+                            sigmas=None):
+    """(smoothing - identity) for the Gaussian jump laws at jump rate 1.
 
     Each variant is a rule of jumps Y with weights W, applied at every point
-    as zeta * W @ (f(x - Y) - f(x)) through the point map of the stable
-    operators, so constants are annihilated exactly.  iso: the tensor
-    Gauss-Hermite nodes of sigma Z, Z standard normal; axes: the 1D rule on
+    as W @ (f(x - Y) - f(x)) through the point map of the stable operators,
+    so constants are annihilated exactly.  iso: the tensor Gauss-Hermite
+    nodes (order 24) of sigma Z, Z standard normal; axes: the 1D rule on
     each axis with weight 1/n; aniso: the normalised directional Rayleigh
     mixture, radii sigma_c t on a t e^(-t^2/2) rule times the measure nodes.
     """
     n = field.dimension
-    t, wt = np.polynomial.hermite.hermgauss(order)
+    t, wt = np.polynomial.hermite.hermgauss(24)
     z = math.sqrt(2.0) * t
     wz = wt / math.sqrt(math.pi)
     if variant in ("iso", "axes"):
@@ -356,9 +356,9 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
         for g in np.meshgrid(*([wz] * n), indexing="ij"):
             W = W * g.ravel()
     elif variant == "axes":
-        Y = np.zeros((n * order, n))
+        Y = np.zeros((n * len(z), n))
         for ax in range(n):
-            Y[ax * order:(ax + 1) * order, ax] = sigma * z
+            Y[ax * len(z):(ax + 1) * len(z), ax] = sigma * z
         W = np.tile(wz / n, n)
     elif variant == "aniso":
         if measure is None or measure.dimension != 2:
@@ -374,7 +374,7 @@ def apply_gaussian_nonlocal(field: ScalarField, variant: str, x, *,
         W = (c_m * tw[:, None] * (wdir * s ** 2)[None, :]).ravel()
     else:
         raise ValueError(f"unknown gaussian variant {variant!r}")
-    return _point_map(lambda xi: zeta * float(W @ (field.f(xi - Y) - field.f(xi))), x, n)
+    return _point_map(lambda xi: float(W @ (field.f(xi - Y) - field.f(xi))), x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,7 @@ _LATTICE_ROWS = 512  # lattice points per block of the bilinear form
 
 def bilinear_form(field_p: ScalarField, field_q: ScalarField,
                   measure: DirectionalMeasure, beta: float, lam: float, *,
-                  half_width: float = 10.0, n_points: int = 256,
-                  return_report: bool = False):
+                  half_width: float = 10.0, n_points: int = 256):
     """Symmetric-kernel double form (no 1/|Gamma(-beta)| factor):
 
         a(p,q) = int int (p(x)-p(y)) (q(x)-q(y)) m((x-y)/|x-y|)
@@ -397,8 +396,8 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     measure_nodes of the measure at refinement 32: the diagonal tube
     r < _TUBE_RADIUS is replaced by its Taylor-corrected moment, with the
     second moment matrix sum w phi phi^T of the same nodes, and the far field
-    r > R = 2 half_width by the decayed-field closed form; both corrections
-    and the lattice truncation are reported.
+    r > R = 2 half_width by the decayed-field closed form.  Returns the value
+    and a report of both corrections and of the lattice truncation.
     """
     if not is_symmetric(measure):
         raise ValueError("the symmetric-kernel bilinear form requires a symmetric measure")
@@ -454,17 +453,7 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
     else:
         far = 0.0
 
-    value = total + tube + far
-    if return_report:
-        boundary = max(
-            float(np.max(np.abs(P.reshape([M] * n)[0]))),
-            float(np.max(np.abs(Q.reshape([M] * n)[0]))),
-        )
-        report = {
-            "tube_correction": tube,
-            "far_field_correction": far,
-            "boundary_value": boundary,
-            "truncation_radius": R,
-        }
-        return value, report
-    return value
+    boundary = max(float(np.max(np.abs(P.reshape([M] * n)[0]))),
+                   float(np.max(np.abs(Q.reshape([M] * n)[0]))))
+    return total + tube + far, {"tube_correction": tube, "far_field_correction": far,
+                                "boundary_value": boundary, "truncation_radius": R}

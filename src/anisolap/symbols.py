@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 64  # wavenumbers per block of the fixed-node quadrature
+_ADAPTIVE_TOL = 1e-12  # absolute panel tolerance of the adaptive band rule
 _GRID_CACHE_SIZE = 4  # grids whose symbol values a GeneratorSymbol keeps
 
 
@@ -213,7 +214,7 @@ def _paired(pts, fn):
     return out
 
 
-def _measure_integral(measure, pts, comps, method, refinement, tol):
+def _measure_integral(measure, pts, comps, method, refinement):
     """sum over the components c of sign_c * int g_c(k.phi) m_c(dphi).
 
     comps holds one (sign, g, closed) per component of measure, atoms first;
@@ -238,7 +239,7 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
             if closed is not None:
                 out += sign * closed(pts, band)
             elif adaptive:
-                out += sign * _adaptive_bands(pts, [band], g, tol)
+                out += sign * _adaptive_bands(pts, [band], g, _ADAPTIVE_TOL)
             else:
                 out += sign * next(sums)
         return out
@@ -246,18 +247,18 @@ def _measure_integral(measure, pts, comps, method, refinement, tol):
     return _paired(pts, integral)
 
 
-def _stable_symbol(measure, profile, k, method, refinement, tol):
+def _stable_symbol(measure, profile, k, method, refinement):
     """The (tempered) stable symbol with the exponent and rate of profile on
     each measure component; untempered 2D bands take the closed form."""
     pts, shape = _as_rows(k, measure.dimension)
     comps = [(_ceil_sign(b), partial(_bracket, beta=b, lam=l),
               partial(_stable_band_2d, beta=b) if l == 0.0 and measure.dimension == 2 else None)
              for b, l in zip(profile.betas, profile.lambdas)]
-    return _from_rows(_measure_integral(measure, pts, comps, method, refinement, tol), shape)
+    return _from_rows(_measure_integral(measure, pts, comps, method, refinement), shape)
 
 
 def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
-                    method: str = "auto", refinement: int = 96, tol: float = 1e-12):
+                    method: str = "auto", refinement: int = 96):
     """Symbol of the anisotropic (tempered) stable generator.
 
     Returns (-1)^ceil(beta) * int ((lam - i k.phi)^beta - lam^beta) m(phi) dphi,
@@ -266,7 +267,7 @@ def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
     (beta1_symbol) and beta = 2 its own quadratic reduction (beta2_symbol).
     """
     profile = StabilityProfile.constant(measure, beta, lam)
-    return _stable_symbol(measure, profile, k, method, refinement, tol)
+    return _stable_symbol(measure, profile, k, method, refinement)
 
 
 def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
@@ -294,7 +295,7 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
 
     closed = _cos_pow_band if lam == 0.0 and measure.dimension == 2 else None
     comps = [(-1.0, g, closed)] * measure.n_components
-    return _from_rows(_measure_integral(measure, pts, comps, method, refinement, 1e-12), shape)
+    return _from_rows(_measure_integral(measure, pts, comps, method, refinement), shape)
 
 
 def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
@@ -309,7 +310,7 @@ def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
 
 
 def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfile, k, *,
-                           method: str = "auto", refinement: int = 96, tol: float = 1e-12):
+                           method: str = "auto", refinement: int = 96):
     """Symbol with direction-dependent beta(phi), lambda(phi).
 
     Each atom/band carries its own (beta, lambda), as checked by
@@ -326,7 +327,7 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
             "profile mixes exponents below and above 1; per-component sign applied",
             MixedStabilityRangeWarning,
         )
-    return _stable_symbol(measure, profile, k, method, refinement, tol)
+    return _stable_symbol(measure, profile, k, method, refinement)
 
 
 def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
@@ -387,7 +388,7 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     generator evaluates whole lattices through it.  At lam > 0 it is the
     mean of f(|k| sin s) over s in (0, pi/2) in 2D and of f(|k| s) over s
     in (0, 1) in 3D, s measured from the kink of f at k.phi = 0, by 40
-    panels of order 12 graded toward it.
+    panels of order 12 graded toward it, in the row blocks of _band_sum.
     """
     _check_exponent(beta)
     if lam < 0:
@@ -411,8 +412,8 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     else:
         top = 0.5 * math.pi if n == 2 else 1.0
         s, sw = _composite_gl(top * np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 40)]), 12)
-        vals = f(kn[:, None] * (np.sin(s) if n == 2 else s))
-        out = (vals * (sw / top)).sum(axis=1)
+        nodes = (np.sin(s) if n == 2 else s)[:, None]  # u = |k| s: one product, no sum
+        out = _band_sum(kn[:, None], [(f, nodes, sw / top)])[:, 0].real
     return _from_rows(np.maximum(out, 0.0), shape)
 
 
@@ -492,6 +493,8 @@ class GeneratorSymbol:
         """psi(k) at a wavenumber or an (..., n) array of them."""
         base = _EVALUATORS[self.kind](self, k)
         arr = np.atleast_1d(np.asarray(base))
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"{self.kind} symbol is not finite (quadrature overflow?)")
         slack = 1e-10 * max(1.0, float(np.max(np.abs(arr), initial=0.0)))
         if float(np.max(arr.real, initial=0.0)) > slack:
             raise NumericalError(

@@ -63,6 +63,7 @@ from anisolap.symbols import (
     make_generator,
     tempered_symbol,
 )
+from shared_measures import fig1_measure, onesided1d, sym1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,21 +73,6 @@ def accept(name, value, tol, passed=None):
     print(f"ACCEPT {name} value={value:.6e} tol={tol:.6e} "
           f"status={'PASS' if ok else 'FAIL'}")
     assert ok, f"{name}: {value} vs tolerance {tol}"
-
-
-def sym1d():
-    return make_atomic_measure(1, [((1,), 0.5), ((-1,), 0.5)])
-
-
-def onesided1d():
-    return make_atomic_measure(1, [((1,), 1.0)])
-
-
-def fig1_measure():
-    return make_banded_measure(2, [
-        ((0.0, math.pi), 2.0 / (3.0 * math.pi)),
-        ((math.pi, TWO_PI), 1.0 / (3.0 * math.pi)),
-    ])
 
 
 def axes2d():

@@ -40,6 +40,7 @@ from anisolap.symbols import (
     isotropic_reference_symbol,
     tempered_symbol,
 )
+from shared_measures import fig1_measure
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +116,6 @@ def reference_sphere_integrate(measure, integrand, tol=1e-10, order=15):
 # ---------------------------------------------------------------------------
 # cases
 # ---------------------------------------------------------------------------
-
-def fig1_measure():
-    return make_banded_measure(2, [((0.0, math.pi), 2.0 / (3.0 * math.pi)),
-                                   ((math.pi, _TWO_PI), 1.0 / (3.0 * math.pi))])
-
 
 def halves_measure():
     return make_banded_measure(2, [((0.0, math.pi), 0.5 / math.pi),

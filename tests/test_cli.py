@@ -42,6 +42,16 @@ SYMBOL_FIELDS = {
 }
 
 
+class TestUsage:
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: anisolap")
+
+    def test_missing_subcommand_exits_2(self, capsys):
+        assert main([]) == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -132,6 +142,32 @@ class TestErrors:
             doc = {"cases": [case]} if verb == "equivalence" else case
         assert main([*argv, "--config", write_json(tmp_path, "c.json", doc)]) == 2
         assert capsys.readouterr().err == f"config error: missing field '{field}' in {where}\n"
+
+    @pytest.mark.parametrize("verb, own", [("sample", {}), ("ecf", {"k_list": [[0.5, 0.0]]})])
+    def test_sampling_requires_time(self, tmp_path, capsys, verb, own):
+        cfg = write_json(tmp_path, "c.json", {
+            "jump": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}, "seed": 3, **own})
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: missing field 't' in {verb} config\n"
+
+    @pytest.mark.parametrize("verb", ["evolve", "mass", "apply"])
+    def test_center_of_another_dimension_exits_2(self, tmp_path, capsys, verb):
+        grid = {"dimension": 2, "half_width": 8.0, "n_points": 32}
+        sym = {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}
+        argv = {"evolve": ["evolve", "--t", "0.5", "--out", str(tmp_path / "o.csv")],
+                "mass": ["analyze", "mass"],
+                "apply": ["apply", "--points", str(tmp_path / "p.csv"),
+                          "--out", str(tmp_path / "o.csv")]}[verb]
+        if verb == "apply":
+            (tmp_path / "p.csv").write_text("x1,x2\n0.0,0.0\n")
+            doc = {"operator": {"case": "I", "measure": FIG1, "beta": 0.8, "lam": 0.5},
+                   "field": {"center": [0.5]}}
+        else:
+            doc = {"symbol": sym, "grid": grid, "initial": {"kind": "delta", "center": [0.5]}}
+        assert main([*argv, "--config", write_json(tmp_path, "c.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: center [0.5] does not have 2 components\n")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_sampling_requires_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {
@@ -353,6 +389,15 @@ class TestNumericalFailures:
         code = main(["analyze", "coercivity", "--config", cfg])
         self.expect_3(capsys, code, "more than 1 panels of one integrand")
 
+    def test_non_finite_symbol(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"symbol": {
+            "kind": "tempered_aniso", "dimension": 2, "measure": FIG1, "beta": 1.3,
+            "lam": 0.5, "method": "nodes"}})
+        out = tmp_path / "o.csv"
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
+        self.expect_3(capsys, code, "tempered_aniso symbol is not finite")
+        assert not out.exists()
+
     def test_positive_real_part(self, tmp_path, capsys, monkeypatch):
         import anisolap.symbols as symbols
 
@@ -495,6 +540,21 @@ class TestEvolveCompare:
         assert "unknown field 'refinment' in GeneratorSymbol" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_writes_json(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {
+            "symbol": {"kind": "gaussian_iso", "dimension": 1, "sigma": 1.0},
+            "grid": {"dimension": 1, "half_width": 16.0, "n_points": 128},
+            "initial": {"kind": "gaussian", "variance": 1.0}})
+        a, b, rep = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "rep.json"
+        main(["evolve", "--config", cfg, "--t", "0.5", "--out", str(a)])
+        main(["evolve", "--config", cfg, "--t", "1.5", "--out", str(b)])
+        capsys.readouterr()
+        assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        assert sorted(doc) == ["l1", "l2", "max"] and doc["l1"] > 0
+        assert capsys.readouterr().out == (
+            f"COMPARE l1={doc['l1']:.6e} l2={doc['l2']:.6e} max={doc['max']:.6e}\n")
+
     def test_compare_l1_tolerance_flag(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", {
             "symbol": {"kind": "gaussian_iso", "dimension": 1, "sigma": 1.0},
@@ -544,6 +604,21 @@ class TestEcfAndMultistate:
         assert code == 0
         out = capsys.readouterr().out
         assert "multistate_ecf_deviation" in out and "FAIL" not in out
+
+    def test_multistate_validate_default_probes(self, tmp_path, capsys):
+        # without k_probes the check runs at (1, 0) and (0, 0.5)
+        model = {
+            "M": [[0.0, 1.0], [1.0, 0.0]], "init": [1.0, 0.0],
+            "waiting": [{"kind": "exp", "rate": 1.0}, {"kind": "exp", "rate": 2.0}],
+            "jumps": [{"kind": "gaussian_iso", "dimension": 2, "sigma": 0.7},
+                      {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.3}],
+            "seed": 5, "paths": 2000, "t": 1.0}
+        outs = []
+        for doc in (model, dict(model, k_probes=[[1.0, 0.0], [0.0, 0.5]])):
+            cfg = write_json(tmp_path, "model.json", doc)
+            assert main(["multistate", "--config", cfg, "--validate"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "CHECK multistate_ecf_deviation" in outs[0] and outs[0] == outs[1]
 
     def test_multistate_endpoints_csv(self, tmp_path):
         model = {

@@ -229,6 +229,18 @@ class TestStrict:
             with pytest.raises(ValueError, match=message):
                 _read_fields(doc, "doc", spec)
 
+    @pytest.mark.parametrize("value", [2.7, 64.5, True, False, math.inf])
+    def test_int_field_refuses_a_fraction_and_a_bool(self, value):
+        # int(value) would truncate 2.7 to 2 and read true as 1
+        with pytest.raises(ValueError, match=f"field 'paths' of doc: {value!r} is not an integer"):
+            _read_fields({"paths": value}, "doc", {"paths": int})
+
+    def test_grid_refuses_fractional_sizes(self):
+        with pytest.raises(ValueError, match="field 'dimension' of SpectralGrid: 2.9 is not"):
+            from_json(SpectralGrid, {"dimension": 2.9, "half_width": 8, "n_points": 64})
+        with pytest.raises(ValueError, match="field 'n_points' of SpectralGrid: 64.5 is not"):
+            from_json(SpectralGrid, {"dimension": 2, "half_width": 8, "n_points": 64.5})
+
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="StabilityProfile must be a JSON object"):
             from_json(StabilityProfile, [[1.5], [0.0]])

@@ -41,6 +41,19 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpectralGrid(2, -1.0, 64)
 
+    @pytest.mark.parametrize("center", [[0.5], [0.5, 0.0, 9.0]])
+    def test_delta_center_needs_one_component_per_axis(self, center):
+        # one component on a 2D grid would fill a whole row: mass 32, not 1
+        with pytest.raises(ValueError, match="does not have 2 components"):
+            delta_density(SpectralGrid(2, 8.0, 32), center=center)
+        assert delta_density(SpectralGrid(2, 8.0, 32), center=[0.5, 0.0]).total_mass() == 1.0
+
+    @pytest.mark.parametrize("center", [[0.5], [0.5, 0.0, 9.0]])
+    def test_gaussian_center_needs_one_component_per_axis(self, center):
+        # one component would broadcast to (0.5, 0.5)
+        with pytest.raises(ValueError, match="does not have 2 components"):
+            gaussian_density(SpectralGrid(2, 8.0, 32), 1.0, center=center)
+
 
 class TestEvolveSpectral:
     def test_zero_symbol_is_identity(self):

@@ -3,6 +3,7 @@ route GeneratorSymbol.on_grid."""
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -29,15 +30,9 @@ from anisolap.symbols import (
     make_generator,
     tempered_symbol,
 )
+from shared_measures import fig1_measure
 
 TWO_PI = 2.0 * math.pi
-
-
-def fig1_measure():
-    return make_banded_measure(2, [
-        ((0.0, math.pi), 2.0 / (3.0 * math.pi)),
-        ((math.pi, TWO_PI), 1.0 / (3.0 * math.pi)),
-    ])
 
 
 def mixed_measure():
@@ -233,6 +228,26 @@ def test_grid_route_matches_direct_evaluation(case):
     assert np.array_equal(got, want)
     off = ~_nyquist(grid)
     assert np.array_equal(_mirror(got)[off], np.conj(got[off]))
+
+
+CASES_2D = [c for c in CASES if c[1] == 2]
+
+
+@pytest.mark.parametrize("case", CASES_2D, ids=[c[0] for c in CASES_2D])
+def test_evaluate_memory_is_bounded_on_a_large_lattice(case):
+    # every quadrature route sums fixed blocks of wavenumbers: one
+    # (points x nodes) array of the isotropic reference at lam > 0 would
+    # take about 300 MiB on a 128^2 lattice
+    _, n, params = case
+    sym = make_generator(dimension=n, **params)
+    k = grid_k(n, 128)
+    tracemalloc.start()
+    try:
+        sym.evaluate(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_auto_method_resolves_on_the_full_grid(monkeypatch):

@@ -1,8 +1,6 @@
 """The double-precision transform behind jump_cf for power-law jumps, against
 a 40-digit mpmath oracle, and the exact values it must keep."""
 
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -10,21 +8,13 @@ import pytest
 from anisolap import _special, sampler
 from anisolap.measures import make_atomic_measure, make_banded_measure, uniform_measure
 from anisolap.sampler import JumpSpec, jump_cf
-
-TWO_PI = 2.0 * math.pi
+from shared_measures import fig1_measure
 
 LAMS = (0.0, 0.5, 5.0, 500.0)
 R0S = (1e-3, 1e-2, 0.1, 1.0)
 # |x| = r0 |lam - iu| crosses 1 in both directions across these (r0 = 1 at
 # |u| = 1, r0 = 0.1 near |u| = 10)
 US = np.concatenate([np.linspace(-20.0, 20.0, 17), [-0.5, 0.5, 1e-7, -1e-4]])
-
-
-def fig1_measure():
-    return make_banded_measure(2, [
-        ((0.0, math.pi), 2.0 / (3.0 * math.pi)),
-        ((math.pi, TWO_PI), 1.0 / (3.0 * math.pi)),
-    ])
 
 
 def expint(s, x):

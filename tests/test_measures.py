@@ -21,15 +21,9 @@ from anisolap.measures import (
 )
 from anisolap.realspace import apply_caseI, bilinear_form, gaussian_bump
 from anisolap.symbols import beta1_symbol, make_generator
+from shared_measures import fig1_measure
 
 TWO_PI = 2.0 * math.pi
-
-
-def fig1_measure():
-    return make_banded_measure(2, [
-        ((0.0, math.pi), 2.0 / (3.0 * math.pi)),
-        ((math.pi, TWO_PI), 1.0 / (3.0 * math.pi)),
-    ])
 
 
 class TestConstructors:

@@ -25,16 +25,9 @@ from anisolap.realspace import (
     upper_gamma,
 )
 from anisolap.symbols import gaussian_symbol, general_profile_symbol, tempered_symbol
+from shared_measures import onesided1d, sym1d
 
 TWO_PI = 2.0 * math.pi
-
-
-def sym1d():
-    return make_atomic_measure(1, [((1,), 0.5), ((-1,), 0.5)])
-
-
-def onesided1d():
-    return make_atomic_measure(1, [((1,), 1.0)])
 
 
 def constant_field(dim, value=1.0):
@@ -113,7 +106,7 @@ class TestAnnihilationOfConstants:
         for n in (1, 2, 3):
             one = constant_field(n)
             x = np.array([0.3, 0.1, -0.2][:n])
-            assert apply_gaussian_nonlocal(one, "iso", x, sigma=1.0, zeta=2.0) == 0
+            assert 2.0 * apply_gaussian_nonlocal(one, "iso", x, sigma=1.0) == 0
             assert apply_gaussian_nonlocal(one, "axes", x, sigma=1.0) == 0
         assert apply_gaussian_nonlocal(constant_field(2), "aniso", np.array([0.3, 0.1]),
                                        measure=uniform_measure(2), sigmas=(0.8,)) == 0
@@ -137,7 +130,7 @@ class TestSymbolOracles:
         zeta = 1.7
         phi = complex(gaussian_symbol("iso", kvec, sigma=1.1))
         want = zeta * phi.real * math.cos(kvec @ x0)
-        got = apply_gaussian_nonlocal(fld, "iso", x0, sigma=1.1, zeta=zeta, order=48)
+        got = zeta * apply_gaussian_nonlocal(fld, "iso", x0, sigma=1.1)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_cosine_gaussian_axes(self):
@@ -145,7 +138,7 @@ class TestSymbolOracles:
         x0 = np.array([-0.2, 0.5])
         fld = cosine_field(kvec)
         phi = complex(gaussian_symbol("axes", kvec, sigma=0.9))
-        got = apply_gaussian_nonlocal(fld, "axes", x0, sigma=0.9, order=48)
+        got = apply_gaussian_nonlocal(fld, "axes", x0, sigma=0.9)
         assert got == pytest.approx(phi.real * math.cos(kvec @ x0), abs=1e-12)
 
     def test_cosine_gaussian_aniso(self):
@@ -242,8 +235,7 @@ class TestSpectralEquivalence:
                                                               dimension=1)), grid, None)
         xs = grid.axis()
         sel = np.abs(xs) <= 3.0
-        rs = apply_gaussian_nonlocal(bump, "iso", xs[sel][:, None], sigma=0.8,
-                                     zeta=zeta, order=48)
+        rs = zeta * apply_gaussian_nonlocal(bump, "iso", xs[sel][:, None], sigma=0.8)
         assert np.linalg.norm(rs - sp[sel]) / np.linalg.norm(sp[sel]) < 1e-6
 
 
@@ -345,13 +337,13 @@ class TestBilinearForm:
         m = sym1d()
         for _ in range(3):
             q = gaussian_bump(1, center=[rng.uniform(-1, 1)], width=rng.uniform(0.5, 1.5))
-            val = bilinear_form(q, q, m, 0.5, 1.0, half_width=10.0, n_points=200)
+            val, _ = bilinear_form(q, q, m, 0.5, 1.0, half_width=10.0, n_points=200)
             assert val >= 0
 
     def test_constant_annihilated(self):
         one = constant_field(1)
         q = gaussian_bump(1)
-        val = bilinear_form(one, q, sym1d(), 0.5, 1.0, half_width=10.0, n_points=200)
+        val, _ = bilinear_form(one, q, sym1d(), 0.5, 1.0, half_width=10.0, n_points=200)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_parseval_1d(self):
@@ -362,7 +354,7 @@ class TestBilinearForm:
         q = gaussian_bump(1)
         m = sym1d()
         beta, lam = 0.5, 1.0
-        direct = bilinear_form(q, q, m, beta, lam, half_width=12.0, n_points=384)
+        direct, _ = bilinear_form(q, q, m, beta, lam, half_width=12.0, n_points=384)
         grid = SpectralGrid(1, 12.0, 384)
         qhat2 = continuum_dft_abs2(q.f(grid.points()).reshape(grid.shape()), grid)
         psi = np.asarray(tempered_symbol(m, beta, lam, grid.k_points()))
@@ -377,6 +369,12 @@ class TestBilinearForm:
 
 
 class TestFieldInvariants:
+    @pytest.mark.parametrize("center", [[0.5], [0.5, 0.0, 9.0]])
+    def test_bump_center_needs_one_component_per_axis(self, center):
+        # a short center would end in an IndexError, a long one would widen the support
+        with pytest.raises(ValueError, match="does not have 2 components"):
+            gaussian_bump(2, center=center)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         for dim in (1, 2):

@@ -414,9 +414,8 @@ def test_bilinear_form_matches_serial_loop(monkeypatch, n_points):
     want_pq = reference_bilinear_form(rp, rq, CROSS, 1.3, 0.5, **kw)
     got = {}
     for threads in ("1", "2"):
-        same, report = run(monkeypatch, threads, bilinear_form, p, p, CROSS, 1.3, 0.5,
-                           return_report=True, **kw)
-        pq = run(monkeypatch, threads, bilinear_form, p, q, CROSS, 1.3, 0.5, **kw)
+        same, report = run(monkeypatch, threads, bilinear_form, p, p, CROSS, 1.3, 0.5, **kw)
+        pq, _ = run(monkeypatch, threads, bilinear_form, p, q, CROSS, 1.3, 0.5, **kw)
         got[threads] = (same, pq)
         assert report == want_report
         assert same == pytest.approx(want_same, rel=1e-14, abs=0.0)
@@ -432,8 +431,8 @@ def test_bilinear_form_1d_single_block(monkeypatch):
                                    reference_bump(1, center=[0.3], width=0.8),
                                    sym1d, 0.5, 1.0, half_width=10.0, n_points=200)
     for threads in ("1", "2"):
-        got = run(monkeypatch, threads, bilinear_form, q, q, sym1d, 0.5, 1.0,
-                  half_width=10.0, n_points=200)
+        got, _ = run(monkeypatch, threads, bilinear_form, q, q, sym1d, 0.5, 1.0,
+                     half_width=10.0, n_points=200)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 

@@ -43,7 +43,7 @@ def wavenumbers(n):
 def test_tempered_is_constant_profile(name, method, beta, lam):
     m = MEASURES[name]()
     k = wavenumbers(m.dimension)
-    kw = dict(method=method, refinement=32, tol=1e-6 if m.dimension == 3 else 1e-12)
+    kw = dict(method=method, refinement=32)
     prof = StabilityProfile.constant(m, beta, lam)
     assert np.array_equal(tempered_symbol(m, beta, lam, k, **kw),
                           general_profile_symbol(m, prof, k, **kw))

@@ -24,15 +24,9 @@ from anisolap.sampler import (
     simulate_compound_poisson,
 )
 from anisolap.symbols import tempered_symbol
+from shared_measures import fig1_measure
 
 TWO_PI = 2.0 * math.pi
-
-
-def fig1_measure():
-    return make_banded_measure(2, [
-        ((0.0, math.pi), 2.0 / (3.0 * math.pi)),
-        ((math.pi, TWO_PI), 1.0 / (3.0 * math.pi)),
-    ])
 
 
 class TestDirections:
