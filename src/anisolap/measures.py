@@ -405,8 +405,6 @@ def _panel_sums(box, owner, f):
         rows = slice(s, s + _BLOCK_PANELS)
         lo, hi = box[rows, :1], box[rows, 1:]
         vals = f(_unit_vectors(0.5 * (lo + hi) + 0.5 * (hi - lo) * x), owner[rows])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite integrand value on the sphere")
         out[rows] = (0.5 * (hi - lo) * w * vals).sum(axis=1)
     return out
 
@@ -415,7 +413,8 @@ def _integrate_band_adaptive(band, f, tol, kinks):
     """Adaptive integrals of len(kinks) integrands over one band.
 
     f(dirs, owner) returns, for a (P, M, n) block of directions, the values
-    (P, M) of the integrands owner (P,).  A 2D arc is cut where kinks[i] . phi
+    (P, M) of the integrands owner (P,), and raises its caller's error on a
+    value that is not finite.  A 2D arc is cut where kinks[i] . phi
     = 0 for integrand i, at theta_k +- pi/2 (a zero row: no cut), into 15-point
     Gauss-Legendre panels.  A panel is accepted when its 2 halves sum to within
     max(tol, 1e-16) of it, or at depth 40; an integrand with more than
@@ -503,7 +502,10 @@ def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10)
 
     def f(dirs, owner):
         flat = dirs.reshape(-1, dirs.shape[-1])
-        return np.broadcast_to(integrand(flat), flat.shape[:1]).reshape(dirs.shape[:2])
+        vals = np.broadcast_to(integrand(flat), flat.shape[:1]).reshape(dirs.shape[:2])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite integrand value on the sphere")
+        return vals
 
     for band in measure.bands:
         total += _integrate_band_adaptive(band, f, tol / n_bands,
@@ -703,10 +705,12 @@ def measure_from_json(doc) -> DirectionalMeasure:
     for b in doc.get("bands", []):
         _check_keys(b, {"region", "density"}, {"region", "density"}, "measure band")
     try:
-        atoms = tuple((np.asarray(c, dtype=float), float(w)) for c, w in doc.get("atoms", []))
-        bands = tuple(AngularBand(tuple(b["region"]), float(b["density"]))
+        atoms = tuple((np.array(_decode(tuple[float, ...], c)), _decode(float, w))
+                      for c, w in doc.get("atoms", []))
+        bands = tuple(AngularBand(_decode(tuple[float, ...], b["region"]),
+                                  _decode(float, b["density"]))
                       for b in doc.get("bands", []))
-        dimension = int(doc["dimension"])
+        dimension = _decode(int, doc["dimension"])
     except TypeError as exc:
         raise ValueError(f"measure: {exc}") from None
     return DirectionalMeasure(dimension, atoms, bands)
@@ -794,7 +798,8 @@ def from_json(cls, doc):
 
 
 def _decode(tp, value):
-    """value as type tp: int (not a bool or a fractional number), float, str,
+    """value as type tp: int (a number, not a bool, a string or a fractional
+    number), float (a number, not a bool or a string), str,
     tuple[X, ...], Optional[X] (the only type that reads null), a measure or a
     config dataclass; any other type takes the value as it is."""
     if get_origin(tp) is Union:  # Optional[X], the only fields that may be null
@@ -807,9 +812,10 @@ def _decode(tp, value):
         return from_json(tp, value)
     if tp in (str, dict) and not isinstance(value, tp):
         raise TypeError(f"{value!r} is not a {'string' if tp is str else 'JSON object'}")
-    if tp is int and (isinstance(value, bool)
-                      or isinstance(value, float) and not value.is_integer()):
-        raise TypeError(f"{value!r} is not an integer")
+    if tp in (int, float) and (isinstance(value, (bool, str))
+                               or tp is int and isinstance(value, float)
+                               and not value.is_integer()):
+        raise TypeError(f"{value!r} is not {'an integer' if tp is int else 'a number'}")
     if tp in (int, float, str):
         return tp(value)
     return value

@@ -5,14 +5,15 @@ measure times a graded radial rule for the kernel r^(-1-beta) e^(-lam r).
 The radial integral is split as [0, delta] (second-order Taylor correction),
 [delta, R] (log-spaced Gauss-Legendre panels) and [R, inf) (closed-form
 moments assuming the field has decayed, with the neglected remainder
-reported).  This is a reference-accuracy oracle, not a fast solver.
+reported).  The directions are the measure_nodes of the rule of the
+dimension, _REFINEMENT; the same sum on the half rule estimates their error.
+This is a reference-accuracy oracle, not a fast solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .measures import (
 __all__ = [
     "ScalarField",
     "gaussian_bump",
-    "QuadratureTailError",
+    "QuadratureError",
     "apply_gaussian_nonlocal",
     "apply_caseI",
     "apply_caseII",
@@ -38,8 +39,9 @@ __all__ = [
 ]
 
 
-class QuadratureTailError(NumericalError):
-    """The estimated truncation remainder exceeds the requested tolerance."""
+class QuadratureError(NumericalError):
+    """The estimated tail remainder plus direction error exceeds the requested
+    tolerance."""
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,24 @@ def _resolve_R(field: ScalarField, x, lam: float) -> float:
 # displaced points per worker
 _CHUNK_VALUES = 1 << 18
 
+# the band_nodes refinement of the direction rule in each dimension (1D
+# measures are atoms only).  A smooth field has no kink in direction, so 8
+# panels of order 8 per 2D band reach the rounding floor of refinement 64.
+# 3D keeps 32: band_nodes takes refinement // 4 panels per axis, so 3D
+# refinement 8 is within 4.5e-8 only, and its half rule is the same rule.
+_REFINEMENT = {1: 8, 2: 8, 3: 32}
 
-def _apply_pointwise(field, x, dirs, wdir, beta, lam, R, drift_vec, tail_tol):
-    """Operator value at one point for one (beta, lam) kernel block.
+
+def _apply_pointwise(field, x, dirs, wdir, coarse, beta, lam, R, drift_vec):
+    """Operator value at one point for one (beta, lam) kernel block, with
+    the estimates of its tail remainder and of its direction error.
 
     The bracket is one-sided, f(x - r phi) - f(x), below exponent 1 and
     gradient-regularised, f(x - r phi) - f(x) + r phi . grad f(x), above it;
     drift_vec . grad f(x) is subtracted.  The 1/|Gamma(-beta)| factor is
-    included.  Raises QuadratureTailError if the estimated tail remainder
-    exceeds tail_tol.
+    included.  coarse is the block's (dirs, wdir) on the half rule, or None;
+    the direction estimate is |sum on dirs, wdir - sum on coarse| over
+    |Gamma(-beta)|, and 0 without coarse.
     """
     x = np.asarray(x, dtype=float)
     fx = float(field.f(x))
@@ -195,43 +206,43 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, R, drift_vec, tail_tol):
     else:
         m1 = radial_moment_lower(1, beta, lam, _TUBE_RADIUS)
 
-    total = 0.0
-    tail_probe = 0.0
-    chunk = max(1, _CHUNK_VALUES // len(r))
-    for a0 in range(0, len(wdir), chunk):
-        d = dirs[a0:a0 + chunk]
-        w = wdir[a0:a0 + chunk]
-        slope = d @ grad
-        # the displaced points x - r phi reuse the buffer of r phi
-        disp = r[:, None, None] * d[None, :, :]
-        bracket = field.f(np.subtract(x, disp, out=disp)) - fx
-        if regularised:
-            bracket += r[:, None] * slope[None, :]
-        total += float(w @ (kern @ bracket))
+    def direction_sum(dirs, wdir):
+        # the weighted sum over the directions, and the largest tail probe
+        total = 0.0
+        tail_probe = 0.0
+        chunk = max(1, _CHUNK_VALUES // len(r))
+        for a0 in range(0, len(wdir), chunk):
+            d = dirs[a0:a0 + chunk]
+            w = wdir[a0:a0 + chunk]
+            slope = d @ grad
+            # the displaced points x - r phi reuse the buffer of r phi
+            disp = r[:, None, None] * d[None, :, :]
+            bracket = field.f(np.subtract(x, disp, out=disp)) - fx
+            if regularised:
+                bracket += r[:, None] * slope[None, :]
+            total += float(w @ (kern @ bracket))
 
-        # inner Taylor correction on [0, _TUBE_RADIUS]
-        inner = 0.5 * field.hess_quadform(x, d) * m2
-        if not regularised:
-            inner = inner - slope * m1
-        total += float(w @ inner)
+            # inner Taylor correction on [0, _TUBE_RADIUS]
+            inner = 0.5 * field.hess_quadform(x, d) * m2
+            if not regularised:
+                inner = inner - slope * m1
+            total += float(w @ inner)
 
-        # analytic far field for decayed fields
-        if finite_support:
-            far = -fx * e0 + slope * e1 if regularised else np.full(len(w), -fx * e0)
-            total += float(w @ far)
-            tail_probe = max(tail_probe, field.cutoff * e0)
-        else:
-            probe_r = np.array([R, 1.5 * R, 3.0 * R])
-            pf = field.f(x[None, None, :] - probe_r[:, None, None] * d[None, :, :])
-            tail_probe = max(tail_probe, float(np.max(np.abs(pf - fx))) * e0)
+            # analytic far field for decayed fields
+            if finite_support:
+                far = -fx * e0 + slope * e1 if regularised else np.full(len(w), -fx * e0)
+                total += float(w @ far)
+                tail_probe = max(tail_probe, field.cutoff * e0)
+            else:
+                probe_r = np.array([R, 1.5 * R, 3.0 * R])
+                pf = field.f(x[None, None, :] - probe_r[:, None, None] * d[None, :, :])
+                tail_probe = max(tail_probe, float(np.max(np.abs(pf - fx))) * e0)
+        return total, tail_probe
 
+    total, tail_probe = direction_sum(dirs, wdir)
+    direction = 0.0 if coarse is None else abs(total - direction_sum(*coarse)[0])
     value = total / gnorm - float(drift_vec @ grad)
-    tail_est = tail_probe / gnorm
-    if tail_tol is not None and tail_est > tail_tol:
-        raise QuadratureTailError(
-            f"estimated tail remainder {tail_est:.3e} exceeds {tail_tol:.3e}"
-        )
-    return value
+    return value, tail_probe / gnorm, direction / gnorm
 
 
 def _point_map(value, x, n):
@@ -251,78 +262,104 @@ def _drift(beta: float, lam: float, b):
     return np.zeros_like(b)
 
 
-def _apply_profile(field, measure, profile, x, refinement, tail_tol):
+def _apply_profile(field, measure, profile, x, refinement, tol):
     """Operator values at the points x (_point_map) with exponent
     profile.betas[c] and tempering profile.lambdas[c] on component c of the
-    measure.
+    measure, on its measure_nodes at refinement (None: _REFINEMENT).
 
     The components that share a (beta, lam) form one kernel block over their
-    measure_nodes, in order of first occurrence, with the drift of the
-    block's own nodes; each point sums _apply_pointwise over the blocks in
-    block order.  Raises ValueError first for a field without an analytic
-    gradient or Hessian."""
+    nodes, in order of first occurrence, with the drift of the block's own
+    nodes; each point sums _apply_pointwise over the blocks in block order.
+    With tol, a block with bands also sums its nodes on the half rule,
+    refinement // 2, and a point whose tail plus direction estimates, summed
+    over the blocks, exceed tol raises QuadratureError.  Raises ValueError
+    first for a field without an analytic gradient or Hessian, and for a
+    measure with bands whose half rule is its rule."""
     if field.grad is None:
         raise ValueError("the real-space operators require an analytic gradient")
     if field.hess is None:
         raise ValueError("the Taylor correction near r = 0 requires an analytic Hessian")
+    if refinement is None:
+        refinement = _REFINEMENT[measure.dimension]
     dirs, wdir, comp = measure_nodes(measure, refinement=refinement)
+    half_dirs, half_w, half_comp = measure_nodes(measure, refinement=refinement // 2)
+    if measure.bands and len(half_w) == len(wdir):
+        raise ValueError(f"refinement {refinement} has no coarser half rule in "
+                         f"{measure.dimension}D to estimate its direction error")
     keys = list(zip(profile.betas, profile.lambdas))
     blocks = []
     for beta, lam in dict.fromkeys(keys):
-        own = np.isin(comp, [c for c, key in enumerate(keys) if key == (beta, lam)])
+        comps = [c for c, key in enumerate(keys) if key == (beta, lam)]
+        own = np.isin(comp, comps)
         d, w = dirs[own], wdir[own]
-        blocks.append((d, w, beta, lam, _drift(beta, lam, (w[:, None] * d).sum(axis=0))))
+        coarse = None
+        if tol is not None and comps[-1] >= len(measure.atoms):  # the block has a band
+            half = np.isin(half_comp, comps)
+            coarse = (half_dirs[half], half_w[half])
+        blocks.append((d, w, coarse, beta, lam, _drift(beta, lam, (w[:, None] * d).sum(axis=0))))
 
     def value(xi):
-        total = 0.0
-        for d, w, beta, lam, drift in blocks:
-            total += _apply_pointwise(field, xi, d, w, beta, lam,
-                                      _resolve_R(field, xi, lam), drift, tail_tol)
+        total = tail = direction = 0.0
+        for d, w, coarse, beta, lam, drift in blocks:
+            v, t, e = _apply_pointwise(field, xi, d, w, coarse, beta, lam,
+                                       _resolve_R(field, xi, lam), drift)
+            total += v
+            tail += t
+            direction += e
+        if tol is not None and tail + direction > tol:
+            raise QuadratureError(
+                f"estimated quadrature error {tail + direction:.3e} exceeds tol {tol:.3e} "
+                f"(tail remainder {tail:.3e}, direction rule {direction:.3e})")
         return total
 
     return _point_map(value, x, measure.dimension)
 
 
 def apply_caseI(field: ScalarField, measure: DirectionalMeasure, beta: float,
-                lam: float, x, *, refinement: int = 32, tail_tol: float | None = None):
+                lam: float, x, *, refinement: int | None = None, tol: float | None = None):
     """Difference-kernel form, valid for beta < 1 or symmetric measures.
 
     For beta in (1,2) the measure must be symmetric; its mean vanishes, so
     the operator is case II's gradient-regularised form and equals
-    apply_caseII.
+    apply_caseII.  refinement is the band_nodes refinement of the
+    directions (None: 8 in 2D, 32 in 3D); with tol, a point whose estimated
+    tail remainder plus direction error (against the half rule) exceeds tol
+    raises QuadratureError.
     """
     profile = StabilityProfile.constant(measure, beta, lam)
     if beta > 1.0 and not is_symmetric(measure):
         raise ValueError("beta in (1,2) requires a symmetric measure here; "
                          "use apply_caseII for asymmetric measures")
-    return _apply_profile(field, measure, profile, x, refinement, tail_tol)
+    return _apply_profile(field, measure, profile, x, refinement, tol)
 
 
 def apply_caseII(field: ScalarField, measure: DirectionalMeasure, beta: float,
-                 lam: float, x, *, refinement: int = 32, tail_tol: float | None = None):
+                 lam: float, x, *, refinement: int | None = None, tol: float | None = None):
     """Gradient-regularised (finite-part) form for beta in (1,2).
 
     Adds the drift correction -Gamma(1-beta) lam^(beta-1) / |Gamma(-beta)|
     (b . grad f) with b = int phi dm summed on the quadrature nodes; at
-    lam = 0 the drift constant vanishes by continuity.
+    lam = 0 the drift constant vanishes by continuity.  refinement and tol
+    as for apply_caseI.
     """
     if not (1.0 < beta < 2.0):
         raise ValueError("beta must lie in (1,2)")
     return _apply_profile(field, measure, StabilityProfile.constant(measure, beta, lam), x,
-                          refinement, tail_tol)
+                          refinement, tol)
 
 
 def apply_general(field: ScalarField, measure: DirectionalMeasure,
-                  profile: StabilityProfile, x, *, tail_tol: float | None = None):
+                  profile: StabilityProfile, x, *, tol: float | None = None):
     """Direction-dependent (beta(phi), lambda(phi)) operator.
 
     Applies the one-sided logic per component with exponent < 1 and the
     gradient-regularised logic per component with exponent > 1, including the
     drift b_c = Gamma(1-beta_c) lam_c^(beta_c-1) / |Gamma(-beta_c)| int phi dm
     over the components that share (beta_c, lam_c).  A constant profile is
-    apply_caseI or apply_caseII at refinement 32, value for value.
+    apply_caseI or apply_caseII at their default refinement, value for value;
+    tol as for apply_caseI.
     """
-    return _apply_profile(field, measure, profile.for_measure(measure), x, 32, tail_tol)
+    return _apply_profile(field, measure, profile.for_measure(measure), x, None, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +430,8 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
                  e^(-lam|x-y|) |x-y|^(-n-beta) dx dy.
 
     Computed with y in polar coordinates around each lattice point x, on the
-    measure_nodes of the measure at refinement 32: the diagonal tube
+    measure_nodes of the measure at the rule of its dimension (_REFINEMENT),
+    every direction of one block of lattice rows in one task: the diagonal tube
     r < _TUBE_RADIUS is replaced by its Taylor-corrected moment, with the
     second moment matrix sum w phi phi^T of the same nodes, and the far field
     r > R = 2 half_width by the decayed-field closed form.  Returns the value
@@ -422,23 +460,32 @@ def bilinear_form(field_p: ScalarField, field_q: ScalarField,
 
     R = 2.0 * L
     r, kern = _radial_kernel(beta, lam, R)
-    dirs, wdir, _ = measure_nodes(measure, refinement=32)
+    dirs, wdir, _ = measure_nodes(measure, refinement=_REFINEMENT[n])
     A = (wdir[:, None] * dirs).T @ dirs  # second moment matrix on the same nodes
 
-    def radial(d, rows):
-        # the radial integrals at the lattice rows in direction d
-        Y = X[rows, None, :] + r[None, :, None] * d[None, None, :]
+    def radial(Y, rows):
+        # the radial integrals at the lattice rows of their displaced points Y
         dp = P[rows, None] - field_p.f(Y)
         dq = dp if same else Q[rows, None] - field_q.f(Y)
         return (dp * dq) @ kern
 
-    # lattice rows in fixed blocks on up to ANISOLAP_THREADS workers, one
-    # direction at a time: memory is O(workers x block x radial nodes)
-    rows = _row_blocks(len(X), _LATTICE_ROWS)
+    def block_sum(rows):
+        # the weighted radial integrals of every direction at the lattice
+        # rows; the displaced points of each direction reuse one buffer,
+        # which spares the page faults of a fresh mapping per direction
+        Y = np.empty((rows.stop - rows.start, len(r), n))
+        total = 0.0
+        for d, w in zip(dirs, wdir):
+            np.multiply(r[:, None], d, out=Y)
+            Y += X[rows, None, :]
+            total += w * float(radial(Y, rows).sum())
+        return total
+
+    # lattice rows in fixed blocks on up to ANISOLAP_THREADS workers, added
+    # in block order: memory is O(workers x block x radial nodes)
     total = 0.0
-    for a in range(len(wdir)):
-        rad = np.concatenate(_pool_map(partial(radial, dirs[a]), rows))
-        total += wdir[a] * float(rad.sum()) * cell
+    for block in _pool_map(block_sum, _row_blocks(len(X), _LATTICE_ROWS)):
+        total += block * cell
 
     # diagonal tube: integrand ~ (grad p . z)(grad q . z) |z|^(-n-beta) e^(-lam|z|)
     m2 = radial_moment_lower(2, beta, lam, _TUBE_RADIUS)

@@ -178,11 +178,16 @@ def _band_sum(pts, node_sets):
 
 def _adaptive_bands(pts, bands, integrand_of_u, tol):
     """Adaptive band integrals of integrand_of_u(k.phi), one integrand per
-    wavenumber, with panels split where k.phi = 0."""
+    wavenumber, with panels split where k.phi = 0.  A value that is not
+    finite raises NumericalError, as on the fixed nodes."""
 
     def f(dirs, owner):
         # a stacked matrix product rounds u as dirs @ kvec does per wavenumber
-        return integrand_of_u((dirs @ pts[owner][:, :, None])[..., 0])
+        vals = integrand_of_u((dirs @ pts[owner][:, :, None])[..., 0])
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("adaptive band quadrature: the symbol integrand is not "
+                                 "finite (|k.phi| overflow?)")
+        return vals
 
     out = np.zeros(pts.shape[0], dtype=complex)
     for band in bands:

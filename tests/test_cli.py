@@ -76,6 +76,18 @@ class TestErrors:
         assert code == 2
         assert "field 'dimension' of GeneratorSymbol" in capsys.readouterr().err
 
+    # int() and float() would read "7", "1.3" and true as numbers
+    @pytest.mark.parametrize("field, value", [("paths", "7"), ("zeta", "1.3"), ("t", True)])
+    def test_string_or_bool_number_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path, "c.json", dict({
+            "jump": {"kind": "gaussian_iso", "dimension": 1, "sigma": 1.0},
+            "zeta": 1.0, "t": 1.0, "paths": 7, "seed": 11, "k_list": [[0.5]]}, **{field: value}))
+        out = tmp_path / "ecf.csv"
+        code = main(["ecf", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert f"field '{field}' of ecf config: {value!r} is not" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_measure_key_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {
             "operator": {"case": "I", "beta": 0.8, "lam": 0.5,
@@ -396,6 +408,15 @@ class TestNumericalFailures:
         out = tmp_path / "o.csv"
         code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
         self.expect_3(capsys, code, "tempered_aniso symbol is not finite")
+        assert not out.exists()
+
+    def test_non_finite_adaptive_symbol(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"symbol": {
+            "kind": "tempered_aniso", "dimension": 2, "measure": FIG1, "beta": 1.3,
+            "lam": 0.5, "method": "adaptive"}})
+        out = tmp_path / "o.csv"
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
+        self.expect_3(capsys, code, "symbol integrand is not finite")
         assert not out.exists()
 
     def test_positive_real_part(self, tmp_path, capsys, monkeypatch):

@@ -229,11 +229,17 @@ class TestStrict:
             with pytest.raises(ValueError, match=message):
                 _read_fields(doc, "doc", spec)
 
-    @pytest.mark.parametrize("value", [2.7, 64.5, True, False, math.inf])
+    @pytest.mark.parametrize("value", [2.7, 64.5, True, False, math.inf, "7"])
     def test_int_field_refuses_a_fraction_and_a_bool(self, value):
-        # int(value) would truncate 2.7 to 2 and read true as 1
+        # int(value) would truncate 2.7 to 2 and read true as 1 and "7" as 7
         with pytest.raises(ValueError, match=f"field 'paths' of doc: {value!r} is not an integer"):
             _read_fields({"paths": value}, "doc", {"paths": int})
+
+    @pytest.mark.parametrize("value", ["1.3", True, False])
+    def test_float_field_refuses_a_string_and_a_bool(self, value):
+        # float(value) would read "1.3" as 1.3 and true as 1.0
+        with pytest.raises(ValueError, match=f"field 'beta' of doc: {value!r} is not a number"):
+            _read_fields({"beta": value}, "doc", {"beta": float})
 
     def test_grid_refuses_fractional_sizes(self):
         with pytest.raises(ValueError, match="field 'dimension' of SpectralGrid: 2.9 is not"):

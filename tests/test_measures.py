@@ -324,7 +324,11 @@ class TestJson:
     def test_wrong_json_types(self):
         for doc in ({"dimension": [2], "atoms": [[[1, 0], 1.0]]},
                     {"dimension": 2, "atoms": [[[1, 0], [1.0]]]},
-                    {"dimension": 2, "bands": [{"region": 6.0, "density": 1.0}]}):
+                    {"dimension": 2, "bands": [{"region": 6.0, "density": 1.0}]},
+                    {"dimension": "2", "atoms": [[[1, 0], 1.0]]},
+                    {"dimension": 2, "atoms": [[[1, 0], True]]},
+                    {"dimension": 2, "atoms": [[["1", 0], 1.0]]},
+                    {"dimension": 2, "bands": [{"region": [0.0, 6.0], "density": "0.2"}]}):
             with pytest.raises(ValueError, match="^measure: "):
                 measure_from_json(doc)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 
 from anisolap.evolve import SpectralGrid, spectral_apply
 from anisolap.measures import (
+    NumericalError,
     StabilityProfile,
     make_atomic_measure,
     make_banded_measure,
+    make_measure,
     uniform_measure,
 )
 from anisolap.realspace import (
-    QuadratureTailError,
+    QuadratureError,
     ScalarField,
     apply_caseI,
     apply_caseII,
@@ -25,7 +28,7 @@ from anisolap.realspace import (
     upper_gamma,
 )
 from anisolap.symbols import gaussian_symbol, general_profile_symbol, tempered_symbol
-from shared_measures import onesided1d, sym1d
+from shared_measures import fig1_measure, onesided1d, sym1d
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,10 +328,100 @@ class TestStructure:
         # a plane wave never decays, so the far field is estimated by probing
         fld = cosine_field([1.0])
         x = np.array([0.3])
-        with pytest.raises(QuadratureTailError, match="tail remainder"):
-            apply_caseI(fld, sym1d(), 0.6, 0.0, x, tail_tol=1e-12)
-        assert apply_caseI(fld, sym1d(), 0.6, 0.0, x, tail_tol=1.0) == apply_caseI(
+        with pytest.raises(QuadratureError, match="tail remainder"):
+            apply_caseI(fld, sym1d(), 0.6, 0.0, x, tol=1e-12)
+        assert apply_caseI(fld, sym1d(), 0.6, 0.0, x, tol=1.0) == apply_caseI(
             fld, sym1d(), 0.6, 0.0, x)
+
+
+def halves_measure():
+    return make_banded_measure(2, [((0.0, math.pi), 0.5 / math.pi),
+                                   ((math.pi, TWO_PI), 0.5 / math.pi)])
+
+
+def mixed_measure():
+    """Atoms on the first axis and a pair of opposite bands."""
+    return make_measure(2, atoms=[(np.array([1.0, 0.0]), 0.3), (np.array([-1.0, 0.0]), 0.3)],
+                        bands=[((0.5, 2.0), 0.4 / 3.0), ((0.5 + math.pi, 2.0 + math.pi), 0.4 / 3.0)])
+
+
+def direction_estimate(op, *args, **kw):
+    """The direction part of the QuadratureError that tol = 0 raises."""
+    with pytest.raises(QuadratureError) as info:
+        op(*args, tol=0.0, **kw)
+    return float(re.search(r"direction rule (\S+)\)", str(info.value)).group(1))
+
+
+class TestDirectionRule:
+    """The operators on the direction rule of their dimension (8 panels per
+    band in 2D, 32 in 3D), and its error estimate from the half rule."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("beta", [0.3, 0.8, 1.3, 1.9])
+    @pytest.mark.parametrize("measure", [fig1_measure, halves_measure, mixed_measure])
+    def test_2d_rule_matches_refinement_64(self, measure, beta, lam):
+        # at beta 1.9 both rules sit on the rounding floor of the
+        # gradient-regularised bracket, which does not fall geometrically with
+        # the panels: refinement 32 is itself up to 7.5e-12 off 64 there
+        m, bump = measure(), gaussian_bump(2)
+        op = apply_caseI if beta < 1.0 else apply_caseII
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, (16, 2))
+        got = op(bump, m, beta, lam, x)
+        want = op(bump, m, beta, lam, x, refinement=64)
+        bound = 1e-11 if beta < 1.9 else 3e-11
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    def test_3d_keeps_refinement_32(self):
+        m, bump = uniform_measure(3), gaussian_bump(3, center=[0.1, -0.2, 0.05])
+        x = np.array([[0.3, -0.1, 0.2], [-0.5, 0.4, 0.0]])
+        assert np.array_equal(apply_caseI(bump, m, 0.7, 0.4, x),
+                              apply_caseI(bump, m, 0.7, 0.4, x, refinement=32))
+        assert np.array_equal(apply_caseII(bump, m, 1.4, 0.4, x, tol=1.0),
+                              apply_caseII(bump, m, 1.4, 0.4, x, refinement=32))
+
+    @pytest.mark.parametrize("width", [0.3, 0.1])
+    def test_estimate_bounds_the_direction_error(self, width):
+        # narrow bumps 2 units from the points; refinement 8 is off 64 by up
+        # to 4e-13 at width 0.3 and 8e-8 at width 0.1
+        bump = gaussian_bump(2, width=width)
+        ang = np.linspace(0.0, TWO_PI, 6, endpoint=False)
+        x = 2.0 * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        for op, m, beta, lam in ((apply_caseI, fig1_measure(), 0.8, 0.5),
+                                 (apply_caseII, halves_measure(), 1.3, 0.0)):
+            error = np.abs(op(bump, m, beta, lam, x) - op(bump, m, beta, lam, x, refinement=64))
+            for xi, err in zip(x, error):
+                assert direction_estimate(op, bump, m, beta, lam, xi) >= err
+
+    def test_tol_bounds_tail_plus_direction(self):
+        assert issubclass(QuadratureError, NumericalError)
+        with pytest.raises(QuadratureError, match=r"tail remainder .*, direction rule [1-9]"):
+            apply_caseI(gaussian_bump(2, width=0.1), fig1_measure(), 0.8, 0.5,
+                        np.array([2.0, 0.0]), tol=1e-9)
+        # the half-rule pass leaves the values alone
+        bump, m = gaussian_bump(2), mixed_measure()
+        prof = StabilityProfile((0.6, 0.6, 1.4, 1.4), (0.5, 0.5, 0.0, 0.0))
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 2))
+        assert np.array_equal(apply_caseI(bump, m, 0.8, 0.5, x, tol=1.0),
+                              apply_caseI(bump, m, 0.8, 0.5, x))
+        assert np.array_equal(apply_general(bump, m, prof, x, tol=1.0),
+                              apply_general(bump, m, prof, x))
+
+    def test_atoms_only_estimate_is_zero(self):
+        # no band, no half-rule pass; with no tail either, tol = 0 passes
+        bump = replace(gaussian_bump(2), cutoff=0.0)
+        m = make_atomic_measure(2, [((1, 0), 2), ((0.3, 1), 1)])
+        x = np.random.default_rng(6).uniform(-2.0, 2.0, (5, 2))
+        want = apply_caseII(bump, m, 1.4, 0.6, x, refinement=32)
+        assert np.array_equal(apply_caseII(bump, m, 1.4, 0.6, x, tol=0.0), want)
+        assert np.array_equal(apply_caseII(bump, m, 1.4, 0.6, x, refinement=2, tol=0.0), want)
+
+    @pytest.mark.parametrize("dimension, coarsest", [(2, 3), (3, 12)])
+    def test_refinement_without_a_coarser_rule(self, dimension, coarsest):
+        # 2D takes max(2, refinement) panels, 3D max(2, refinement // 4) per axis
+        m, bump, x = uniform_measure(dimension), gaussian_bump(dimension), np.zeros(dimension)
+        with pytest.raises(ValueError, match=f"refinement {coarsest - 1} has no coarser"):
+            apply_caseI(bump, m, 0.7, 0.4, x, refinement=coarsest - 1)
+        assert math.isfinite(apply_caseI(bump, m, 0.7, 0.4, x, refinement=coarsest, tol=1.0))
 
 
 class TestBilinearForm:

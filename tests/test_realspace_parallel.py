@@ -35,8 +35,9 @@ from anisolap.measures import (
     uniform_measure,
 )
 from anisolap.realspace import (
-    QuadratureTailError,
+    QuadratureError,
     ScalarField,
+    _REFINEMENT,
     _TUBE_RADIUS,
     _radial_kernel,
     _resolve_R,
@@ -89,7 +90,7 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, R, drift_vec, tail_t
 
     mode: 'one_sided' (exponent < 1), 'symmetric' (second differences, any
     exponent, symmetric weights), 'gradient' (exponent > 1, regularised).
-    The 1/|Gamma(-beta)| factor is included.  Raises QuadratureTailError if
+    The 1/|Gamma(-beta)| factor is included.  Raises QuadratureError if
     the estimated tail remainder exceeds tail_tol.
     """
     x = np.asarray(x, dtype=float)
@@ -154,7 +155,7 @@ def _apply_pointwise(field, x, dirs, wdir, beta, lam, mode, R, drift_vec, tail_t
         value -= float(drift_vec @ grad)
     tail_est = tail_probe / gnorm
     if tail_tol is not None and tail_est > tail_tol:
-        raise QuadratureTailError(
+        raise QuadratureError(
             f"estimated tail remainder {tail_est:.3e} exceeds {tail_tol:.3e}"
         )
     return value
@@ -187,20 +188,20 @@ def reference_drift(beta, lam, b):
 
 def caseI_blocks(measure, beta, lam):
     """One-sided below exponent 1, paired second differences above it."""
-    dirs, wdir, _ = measure_nodes(measure, refinement=32)
+    dirs, wdir, _ = measure_nodes(measure, refinement=_REFINEMENT[measure.dimension])
     return [(dirs, wdir, beta, lam, "one_sided" if beta < 1.0 else "symmetric", None)]
 
 
 def caseII_blocks(measure, beta, lam):
     """The gradient form with the drift of the adaptive measure mean."""
-    dirs, wdir, _ = measure_nodes(measure, refinement=32)
+    dirs, wdir, _ = measure_nodes(measure, refinement=_REFINEMENT[measure.dimension])
     return [(dirs, wdir, beta, lam, "gradient",
              reference_drift(beta, lam, moments(measure).mean))]
 
 
 def general_blocks(measure, profile):
     """One block per component, with the drift of its own nodes above exponent 1."""
-    dirs, wdir, comp = measure_nodes(measure, refinement=32)
+    dirs, wdir, comp = measure_nodes(measure, refinement=_REFINEMENT[measure.dimension])
     blocks = []
     for ci, (bi, li) in enumerate(zip(profile.betas, profile.lambdas)):
         d, w = dirs[comp == ci], wdir[comp == ci]
@@ -382,8 +383,8 @@ def test_tail_error_surfaces_from_the_pool(monkeypatch):
     x = np.linspace(-1.0, 1.0, 6)[:, None]
     for threads in ("1", "2"):
         monkeypatch.setenv("ANISOLAP_THREADS", threads)
-        with pytest.raises(QuadratureTailError, match="tail remainder"):
-            apply_caseI(fld, sym1d, 0.6, 0.0, x, tail_tol=1e-12)
+        with pytest.raises(QuadratureError, match="tail remainder"):
+            apply_caseI(fld, sym1d, 0.6, 0.0, x, tol=1e-12)
 
 
 def test_3d_point_memory_is_bounded(monkeypatch):
