@@ -59,8 +59,8 @@ def _direction_grid(n: int, count: int) -> np.ndarray:
 
 def _ratio_terms(measure: DirectionalMeasure, beta: float, lam: float, pts):
     """Numerator and denominator of the coercivity ratio at the rows pts:
-    Re[-psi_m(k)] by the adaptive route, clipped at 0, and the isotropic
-    reference."""
+    Re[-psi_m(k)], clipped at 0, with 3D bands on the adaptive route, and the
+    isotropic reference."""
     num = np.maximum(-np.real(tempered_symbol(measure, beta, lam, pts, method="adaptive")), 0.0)
     return num, isotropic_reference_symbol(beta, lam, pts, measure.dimension)
 

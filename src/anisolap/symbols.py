@@ -10,10 +10,19 @@ the principal branch through the polar representation
 which is exact for lam = 0 as well (eta = +-pi/2).  The phase is taken from
 the half-angle tangent tan(beta*eta/2) (measures._half_angle_trig), which
 numpy evaluates vectorised where cos and sin may run as scalar libm.
+
+The measure integrals sum atoms exactly.  A 2D band's integral of g(|k|
+cos w), w = theta - theta_k, is one periodic antiderivative differenced at
+its ends, an integer multiple of H = int_0^(pi/2) plus remainders
+(_assemble): in closed form for the untempered brackets, and otherwise from
+per-radius tables of Gauss-Legendre panels graded toward the kink k.phi = 0
+(_table_bands), whose coarser half estimates their error.  3D bands take
+adaptive quadrature or fixed nodes, as method and refinement choose.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import threading
 import warnings
@@ -34,14 +43,15 @@ from .measures import (
     _component_spreads,
     _composite_gl,
     _from_rows,
+    _gl,
     _half_angle_trig,
     _integrate_band_adaptive,
     _pool_map,
     _row_blocks,
+    _unit_vectors,
     band_nodes,
     from_json,
     is_symmetric,
-    measure_nodes,
     moments,
 )
 
@@ -74,7 +84,11 @@ def _bracket(u, beta: float, lam: float):
     since beta*eta/2 < pi/2, and t takes the sign of u, so g(-u) == conj g(u)
     exactly.  The u = 0 value is pinned to exactly zero (it vanishes
     identically); array and scalar pow differ in the last ulp otherwise.  At
-    lam = 0 the magnitude is |u|^beta, which does not underflow with u^2."""
+    lam = 0 the magnitude is |u|^beta, which does not underflow with u^2.
+    Where |u| < lam / 8 the real part is taken as lam^beta ((M - 1) c -
+    2 t^2 / (1 + t^2)), M - 1 = expm1((beta/2) log1p(u^2/lam^2)) and
+    c = cos(beta*eta), rather than as M lam^beta c - lam^beta, which cancels
+    as u -> 0."""
     u = np.asarray(u, dtype=float)
     # at least 1D: a ufunc on a 0-d array returns a scalar, not a buffer
     a = np.abs(np.atleast_1d(u))
@@ -84,6 +98,11 @@ def _bracket(u, beta: float, lam: float):
     np.copysign(t, u, out=t)
     out = np.empty(a.shape, dtype=complex)
     _half_angle_trig(t, out.real, out.imag)
+    near = a < 0.125 * lam
+    if near.any():
+        q = np.square(t[near])
+        m1 = np.expm1(0.5 * beta * np.log1p(np.square(a[near] / lam)))
+        near_re = lam ** beta * (m1 * out.real[near] - 2.0 * q / (1.0 + q))
     # t becomes the magnitude (lam^2 + u^2)^(beta/2)
     if lam == 0.0:
         np.power(a, beta, out=t)
@@ -93,6 +112,8 @@ def _bracket(u, beta: float, lam: float):
         t **= 0.5 * beta
     out.real *= t
     out.real -= lam ** beta
+    if near.any():
+        out.real[near] = near_re
     np.negative(t, out=t)
     out.imag *= t
     np.copyto(out, 0.0, where=a == 0.0)
@@ -104,40 +125,62 @@ def _ceil_sign(beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form |cos|^beta integrals for untempered band contributions
+# 2D band integrals: an integer multiple of H = F(pi/2) plus remainders
 # ---------------------------------------------------------------------------
+
+def _band_ends(theta_k, bounds):
+    """The two ends of a 2D band, bounds = (theta0, theta1), as w = theta -
+    theta_k = j pi + y, |y| <= pi/2, each with whether it lies nearer the
+    kink k.phi = 0 than the crest y = 0: one (j, y, near) per end."""
+    ends = []
+    for theta in bounds:
+        w = theta - theta_k
+        j = np.rint(w / math.pi)
+        y = np.clip(w - j * math.pi, -0.5 * math.pi, 0.5 * math.pi)
+        ends.append((j, y, np.abs(y) > 0.25 * math.pi))
+    return ends
+
+
+def _assemble(ends, rem_even, rem_odd, h_even, h_odd):
+    """The integrals over a 2D band's arc of the even and odd parts e, o of
+    an integrand g(|k| cos w), w = theta - theta_k, from its ends (_band_ends).
+
+    With F(y) = int_0^y on |y| <= pi/2 and H = F(pi/2), the antiderivatives
+    are 2 j H + F(y) for e and (-1)^j F(y) for o, differenced at the band
+    ends.  F(y) is carried as n H + f: near the kink n = sign(y) and
+    f = -sign(y) rem, rem = int_|y|^(pi/2); elsewhere n = 0 and
+    f = sign(y) rem, rem = int_0^|y|.  The integer and the remainder parts
+    are differenced apart, so a narrow band does not lose the difference of
+    two values near H.  rem_* holds each end's rem and h_* the H of e and o.
+    """
+    parts = []
+    for (j, y, near), re, ro in zip(ends, rem_even, rem_odd):
+        sign = np.sign(y)
+        n = np.where(near, sign, 0.0)
+        flip = np.where(near, -sign, sign)
+        parity = 1.0 - 2.0 * (j % 2.0)
+        parts.append((2.0 * j + n, flip * re, parity * n, parity * (flip * ro)))
+    (e0, f0, o0, g0), (e1, f1, o1, g1) = parts
+    return (e1 - e0) * h_even + (f1 - f0), (o1 - o0) * h_odd + (g1 - g0)
+
 
 def _cos_pow_band_integrals(pts, band, beta: float):
     """|k| and (E, O): the integrals of |cos w|^beta and of sign(cos w) |cos w|^beta,
-    w = theta - theta_k, over a 2D band's arc.
+    w = theta - theta_k, over a 2D band's arc (_assemble).
 
-    With w = j pi + y, |y| <= pi/2, F(y) = int_0^y cos^beta and H = F(pi/2),
-    their antiderivatives are 2 j H + F(y) and (-1)^j F(y), differenced at
-    the band ends.  Each is carried as an integer multiple of H plus a
-    remainder, and the two parts are differenced apart: for |y| > pi/4 the
-    remainder of F is -sign(y) H I(sin^2 z; (beta+1)/2, 1/2), z = pi/2 - |y|,
-    which stays small near a kink, so a narrow band does not lose the
-    difference of two values near H."""
+    Here H = B(1/2, (beta+1)/2) / 2 and rem is an incomplete beta function
+    of sin^2 of |y| or of pi/2 - |y|, whichever is below pi/4, so the
+    remainder stays small near a kink."""
     kn = np.hypot(pts[:, 0], pts[:, 1])
     theta_k = np.arctan2(pts[:, 1], pts[:, 0])
     a = 0.5 * (beta + 1.0)
     h = 0.5 * math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)  # B(1/2, a) / 2
-
-    def antiderivatives(theta):
-        w = theta - theta_k
-        j = np.rint(w / math.pi)
-        y = np.clip(w - j * math.pi, -0.5 * math.pi, 0.5 * math.pi)
-        sign = np.sign(y)
-        near = np.abs(y) > 0.25 * math.pi
+    ends = _band_ends(theta_k, band.bounds)
+    rems = []
+    for _, y, near in ends:
         s = np.sin(np.where(near, 0.5 * math.pi - np.abs(y), y))
-        f = np.where(near, -sign, sign) * 0.5 * incbeta(np.where(near, a, 0.5),
-                                                        np.where(near, 0.5, a), s * s)
-        n = np.where(near, sign, 0.0)
-        parity = 1.0 - 2.0 * (j % 2.0)
-        return 2.0 * j + n, f, parity * n, parity * f
-
-    (e0, f0, o0, g0), (e1, f1, o1, g1) = (antiderivatives(t) for t in band.bounds)
-    return kn, (e1 - e0) * h + (f1 - f0), (o1 - o0) * h + (g1 - g0)
+        rems.append(0.5 * incbeta(np.where(near, a, 0.5), np.where(near, 0.5, a), s * s))
+    return (kn, *_assemble(ends, rems, rems, h, h))
 
 
 def _stable_band_2d(pts, band, beta: float):
@@ -151,6 +194,217 @@ def _cos_pow_band(pts, band):
     """Exact band contribution to (pi/2) int |k.phi| m(phi) dphi (exponent 1, lam = 0)."""
     kn, even, _ = _cos_pow_band_integrals(pts, band, 1.0)
     return 0.5 * math.pi * band.density * kn * even
+
+
+# The per-radius tables of F.  In s = pi/2 - |y|, the distance from the
+# kink, [0, pi/2] holds _TABLE_UNIFORM equal panels, and the first of them is
+# cut toward s = 0 by ratio 1/_TABLE_GRADING, level times, down to half the
+# integrand's feature scale; every panel takes Gauss-Legendre of order
+# _TABLE_ORDER.  Ratio 1/4 left 3e-13 of gaussian_aniso's H at |k| sigma = 50,
+# where exp(-(u s)^2 / 2) falls across a panel; 1/3 keeps every kind within
+# 1e-15 of a 3,000-panel rule for |k| scale from 1 to 1e4
+_TABLE_ORDER = 16
+_TABLE_UNIFORM = 4
+_TABLE_GRADING = 3.0
+_TABLE_WIDTH = 0.5 * math.pi / _TABLE_UNIFORM
+_TABLE_MAX_LEVEL = 40  # 3^-40 of a panel: below rounding of any |y| <= pi/2
+_TABLE_VALUES = 1 << 16  # integrand values per block of the tables and of the band ends
+# the largest relative difference between a table's H and H on the coarser
+# half of its rule, order _TABLE_ORDER / 2 on the same panels, that the route
+# accepts: every kind stays below 1e-8 for |k| scale from 1e-3 to 1e4, and the
+# difference bounds the error of H by a factor 5 to 100 (ratios measured on
+# tables cut short of their level)
+_TABLE_TOL = 1e-6
+
+
+def _table_edges(level: int) -> np.ndarray:
+    graded = _TABLE_WIDTH / _TABLE_GRADING ** np.arange(level, 0, -1)
+    return np.concatenate([[0.0], graded, _TABLE_WIDTH * np.arange(1, _TABLE_UNIFORM + 1)])
+
+
+def _finite(vals):
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("2D band quadrature: the symbol integrand is not finite "
+                             "(|k.phi| overflow?)")
+    return vals
+
+
+def _radial_tables(g, scale: float, radii):
+    """The per-radius tables of int g(r sin t) dt over the panels in s, one
+    fixed block of the sorted radii at a time.
+
+    Radius r takes level L(r), the least L with _TABLE_WIDTH / _TABLE_GRADING^L
+    <= scale / (2 r), so its table depends on r alone; L grows with r, so a
+    level's radii are one run of the sorted radii.  Yields (start, stop,
+    edges, head, tail) per block: row m of head and tail belongs to
+    radii[start + m], head[:, i] is the sum of the panels below edge i and
+    tail[:, i] of those above it; H is tail[:, 0].  Raises NumericalError on
+    a value of g that is not finite, and where |H - H_half| > _TABLE_TOL |H|,
+    H_half being H on the coarser half of the rule.  The blocks run in turn:
+    on two worker threads the 128^2 fig1 symbol took no less time.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = 2.0 * _TABLE_WIDTH * radii / scale
+        levels = np.where(ratio > 1.0, np.ceil(np.log(ratio) / math.log(_TABLE_GRADING)), 0.0)
+    levels = np.minimum(levels, _TABLE_MAX_LEVEL).astype(int)
+    runs = np.flatnonzero(np.diff(levels, prepend=-1, append=-1))
+    for first, end in zip(runs[:-1].tolist(), runs[1:].tolist()):
+        edges = _table_edges(int(levels[first]))
+        t, w = _composite_gl(edges, _TABLE_ORDER)
+        t_half, w_half = _composite_gl(edges, _TABLE_ORDER // 2)
+        sin_t, sin_half = np.sin(t), np.sin(t_half)
+        for b in _row_blocks(end - first, max(4, _TABLE_VALUES // len(t))):
+            start, stop = first + b.start, first + b.stop
+            r = radii[start:stop, None]
+            panels = (_finite(g(r * sin_t)) * w).reshape(len(r), -1, _TABLE_ORDER).sum(axis=2)
+            head = np.zeros((len(r), len(edges)), dtype=complex)
+            tail = np.zeros_like(head)
+            head[:, 1:] = np.cumsum(panels, axis=1)
+            tail[:, :-1] = np.cumsum(panels[:, ::-1], axis=1)[:, ::-1]
+            full = tail[:, 0]
+            half = (_finite(g(r * sin_half)) * w_half).sum(axis=1)
+            size = np.abs(full)
+            worst = np.max(np.abs(full - half) / np.where(size > 0.0, size, 1.0))
+            if worst > _TABLE_TOL:
+                raise NumericalError(
+                    f"2D band quadrature: H differs from its coarser half rule by {worst:.3e} "
+                    f"relative, above {_TABLE_TOL:.0e}; the integrand is not resolved")
+            yield start, stop, edges, head, tail
+
+
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459"
+
+
+def _cos_sin_pairs(theta: float) -> tuple:
+    """(cos_hi, cos_lo, sin_hi, sin_lo): cos and sin of theta, each as a sum
+    of two doubles, from a Taylor series in 60-digit decimal arithmetic
+    after theta is reduced by 2 pi."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        two_pi = 2 * decimal.Decimal(_PI_DIGITS)
+        x = decimal.Decimal(theta)
+        x -= two_pi * (x / two_pi).to_integral_value()
+        powers = [decimal.Decimal(0)] * 4  # the series terms by power mod 4
+        term = decimal.Decimal(1)
+        for n in range(1, 80):
+            powers[(n - 1) % 4] += term
+            term = term * x / n
+        out = []
+        for v in (powers[0] - powers[2], powers[1] - powers[3]):
+            hi = float(v)
+            out += [hi, float(v - decimal.Decimal(hi))]
+    return tuple(out)
+
+
+def _split(a):
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _dot_pairs(a, b, c, d):
+    """a c + b d rounded once, to within about 2^-52 of its size: a, b are
+    double arrays and c, d (hi, lo) pairs; the products and their sum are
+    taken error-free (Dekker's product, Knuth's sum)."""
+    terms = []
+    for x, (hi, lo) in ((a, c), (b, d)):
+        p = x * hi
+        (xh, xl), (yh, yl) = _split(x), _split(hi)
+        terms.append((p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl + x * lo))
+    (p, e), (q, f) = terms
+    total = p + q
+    z = total - p
+    return total + ((p - (total - z)) + (q - z) + (e + f))
+
+
+def _table_block(g, pts, r, theta_k, arcs, edges, head, tail):
+    """_table_bands on one block of wavenumbers pts of one level, with |k| r,
+    angle theta_k and the rows head, tail of their tables; arcs holds the
+    bands' bounds (2, B) and the (cos, sin) pairs of each bound (4, 2, B).
+
+    An end's distance s from the kink is atan2(|u|, |v|), u = k.phi and
+    v = k x phi at the end taken by _dot_pairs, so it is within 2^-52 of
+    itself near the kink, where the band value hangs on it."""
+    bounds, (ch, cl, sh, sl) = arcs
+    x, w = _gl(_TABLE_ORDER)
+    n = len(edges) - 1
+    ends = _band_ends(theta_k[:, None], bounds)
+    # (u, v) at (end 0, end 1), shaped (2, 2, P, B)
+    uv = _dot_pairs(pts[:, 0, None], np.stack([pts[:, 1], -pts[:, 1]])[:, None, :, None],
+                    (np.stack([ch, sh])[:, :, None], np.stack([cl, sl])[:, :, None]),
+                    (np.stack([sh, ch])[:, :, None], np.stack([sl, cl])[:, :, None]))
+    s = np.arctan2(np.abs(uv[0]), np.abs(uv[1]))
+    i = [np.clip(np.searchsorted(edges, si, side="right") - 1, 0, n - 1) for si in s]
+    # each end's partial panel runs toward the nearer end of [0, pi/2]
+    lo = np.stack([np.where(near, edges[ii], si) for si, ii, (_, _, near) in zip(s, i, ends)])
+    hi = np.stack([np.where(near, si, edges[ii + 1]) for si, ii, (_, _, near) in zip(s, i, ends)])
+    half = 0.5 * (hi - lo)
+    # sin t = 2 tau / (1 + tau^2), tau = tan(t / 2): np.sin runs as scalar libm
+    tau = np.tan((0.25 * (lo + hi))[..., None] + (0.5 * half)[..., None] * x)
+    u = (2.0 * r)[:, None, None] * tau / (1.0 + tau * tau)
+    part = (_finite(g(u)) * w).sum(axis=-1) * half
+
+    def at(tab, i):
+        return np.take_along_axis(tab, i, axis=1)
+
+    rems = [np.where(near, at(head, ii), at(tail, ii + 1)) + pe
+            for (_, _, near), ii, pe in zip(ends, i, part)]
+    h = tail[:, :1]
+    even, odd = _assemble(ends, [v.real for v in rems], [v.imag for v in rems], h.real, h.imag)
+    out = even + 1j * odd
+    # A band with its ends in one panel or in two adjacent ones of one
+    # quarter period, or in the two panels that meet at a kink or at a crest,
+    # is integrated on its own arc, split at the panel edge between its ends:
+    # the remainders of its ends would cancel, and s0 and s1 each carry their
+    # own rounding, which would not keep its width.  Across a whole panel the
+    # remainders lose at most a few ulps of the band.
+    inner = 2.0 * ends[0][0] + (ends[0][1] > 0.0) == 2.0 * ends[1][0] + (ends[1][1] > 0.0)
+    ia, ib = np.minimum(*i), np.maximum(*i)
+    width = bounds[1] - bounds[0]
+    narrow = (width < 0.5 * math.pi) & np.where(
+        inner, ib - ia <= 1, (ia == ib) & ((ia == 0) | (ia == n - 1)))
+    row, col = np.nonzero(narrow)
+    if len(row):
+        u0, v0, wd = uv[0, 0, row, col], uv[1, 0, row, col], width[col]
+        cut = np.where(i[0][row, col] == i[1][row, col], 0.5 * wd,
+                       np.clip(np.abs(edges[ib[row, col]] - s[0][row, col]), 0.0, wd))
+        a, b = np.stack([np.zeros_like(wd), cut]), np.stack([cut, wd])
+        t = (0.5 * (a + b))[..., None] + (0.5 * (b - a))[..., None] * x
+        # u(theta0 + t) = u0 cos t - v0 sin t, exact in u0 and v0
+        rot = _unit_vectors(t)
+        vals = _finite(g(u0[:, None] * rot[..., 0] - v0[:, None] * rot[..., 1]))
+        out[row, col] = ((vals * w).sum(axis=-1) * (0.5 * (b - a))).sum(axis=0)
+    return out
+
+
+def _table_bands(g, scale: float, pts, bands):
+    """int g(|k| cos(theta - theta_k)) dtheta over the arc of each 2D band,
+    density excluded: a (P, len(bands)) array for the P wavenumbers pts.
+    g must satisfy g(-u) = conj g(u).
+
+    F and H come from the per-radius tables (_radial_tables), built once per
+    distinct |k|, and each band end adds one partial panel of order
+    _TABLE_ORDER, toward the nearer end of [0, pi/2] (_assemble); a band
+    too narrow for that is integrated on its own arc (_table_block).  Each
+    value depends on its own wavenumber only, whatever the blocks.
+    """
+    kn, theta_k = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+    radii, inv = np.unique(kn, return_inverse=True)
+    # the wavenumbers of radius i are by_radius[offsets[i]:offsets[i + 1]]
+    by_radius = np.argsort(inv, kind="stable")
+    offsets = np.searchsorted(inv[by_radius], np.arange(len(radii) + 1))
+    arcs = (np.array([band.bounds for band in bands]).T,
+            np.array([[_cos_sin_pairs(t) for t in band.bounds] for band in bands]).transpose(2, 1, 0))
+    out = np.empty((len(kn), len(bands)), dtype=complex)
+    per_block = max(4, _TABLE_VALUES // (2 * _TABLE_ORDER * len(bands)))  # wavenumbers
+    for start, stop, edges, head, tail in _radial_tables(g, scale, radii):
+        wavenumbers = by_radius[offsets[start]:offsets[stop]]
+        for b in _row_blocks(len(wavenumbers), per_block):
+            p = wavenumbers[b]
+            rows = inv[p] - start
+            out[p] = _table_block(g, pts[p], kn[p], theta_k[p], arcs, edges,
+                                  head[rows], tail[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +476,38 @@ def _paired(pts, fn):
 def _measure_integral(measure, pts, comps, method, refinement):
     """sum over the components c of sign_c * int g_c(k.phi) m_c(dphi).
 
-    comps holds one (sign, g, closed) per component of measure, atoms first;
-    closed(pts, band) is the exact band integral, or None.  Atoms are summed
-    exactly; each band takes its closed form if it has one, else adaptive
-    quadrature (method "adaptive", or "auto" on at most 64 wavenumbers) or
-    the fixed nodes.  The components are added in measure order, once per
-    pair +-k (_paired).
+    comps holds one (sign, g, rule) per component of measure, atoms first.
+    Atoms are summed exactly.  A 2D band takes rule(pts, band), its exact
+    integral, where rule is callable; otherwise rule is the feature scale
+    of g in k.phi, and the band takes the per-radius tables of g
+    (_table_bands), shared by the bands of one (g, rule).  A 3D band takes
+    adaptive quadrature (method "adaptive", or "auto" on at most 64
+    wavenumbers) or the fixed nodes at refinement.  The components are added
+    in measure order, once per pair +-k (_paired).
     """
-    adaptive = method == "adaptive" or (method == "auto" and len(pts) <= 64)
     bands = list(zip(measure.bands, comps[len(measure.atoms):]))
-    on_nodes = [] if adaptive else [
-        (g, *band_nodes(band, refinement=refinement))
-        for band, (_, g, closed) in bands if closed is None]
+    plane = measure.dimension == 2
+    adaptive = method == "adaptive" or (method == "auto" and len(pts) <= 64)
+    on_nodes = [] if plane or adaptive else [
+        (g, *band_nodes(band, refinement=refinement)) for band, (_, g, _) in bands]
+    tables = {}  # (g, feature scale) -> the indices of its bands
+    for i, (_, (_, g, rule)) in enumerate(bands):
+        if plane and not callable(rule):
+            tables.setdefault((g, rule), []).append(i)
 
     def integral(pts):
         out = np.zeros(pts.shape[0], dtype=complex)
         for (d, w), (sign, g, _) in zip(measure.atoms, comps):
             out += sign * w * g(pts @ d)
+        tabled = {}
+        for (g, scale), idx in tables.items():
+            tabled.update(zip(idx, _table_bands(g, scale, pts, [bands[i][0] for i in idx]).T))
         sums = iter(_band_sum(pts, on_nodes).T if on_nodes else ())
-        for band, (sign, g, closed) in bands:
-            if closed is not None:
-                out += sign * closed(pts, band)
+        for i, (band, (sign, g, rule)) in enumerate(bands):
+            if i in tabled:
+                out += sign * band.density * tabled[i]
+            elif plane:
+                out += sign * rule(pts, band)
             elif adaptive:
                 out += sign * _adaptive_bands(pts, [band], g, _ADAPTIVE_TOL)
             else:
@@ -254,11 +519,14 @@ def _measure_integral(measure, pts, comps, method, refinement):
 
 def _stable_symbol(measure, profile, k, method, refinement):
     """The (tempered) stable symbol with the exponent and rate of profile on
-    each measure component; untempered 2D bands take the closed form."""
+    each measure component; untempered 2D bands take the closed form, and
+    the components of one (beta, lam) share one integrand."""
     pts, shape = _as_rows(k, measure.dimension)
-    comps = [(_ceil_sign(b), partial(_bracket, beta=b, lam=l),
-              partial(_stable_band_2d, beta=b) if l == 0.0 and measure.dimension == 2 else None)
-             for b, l in zip(profile.betas, profile.lambdas)]
+    brackets = {}
+    comps = []
+    for b, l in zip(profile.betas, profile.lambdas):
+        g = brackets.setdefault((b, l), partial(_bracket, beta=b, lam=l))
+        comps.append((_ceil_sign(b), g, partial(_stable_band_2d, beta=b) if l == 0.0 else l))
     return _from_rows(_measure_integral(measure, pts, comps, method, refinement), shape)
 
 
@@ -270,6 +538,9 @@ def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
     the constant-profile case of general_profile_symbol.  beta must lie in
     (0,1) or (1,2) (StabilityProfile); beta near 1 has its own symbol
     (beta1_symbol) and beta = 2 its own quadratic reduction (beta2_symbol).
+    2D bands take the closed form at lam = 0 and the band tables otherwise;
+    method ("auto", "nodes" or "adaptive") and refinement choose the rule of
+    3D bands only (_measure_integral).
     """
     profile = StabilityProfile.constant(measure, beta, lam)
     return _stable_symbol(measure, profile, k, method, refinement)
@@ -282,7 +553,9 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
     lam = 0:  -(pi/2) * int |k.phi| m(phi) dphi.
     lam > 0:  -int [ u*arctan(u/lam) - (lam/2)*log1p(u^2/lam^2) ] m(phi) dphi
     with u = k.phi; the lam*log(lam) terms cancel in this arrangement, making
-    psi(0) = 0 exact.
+    psi(0) = 0 exact.  2D bands take the closed form at lam = 0 and the band
+    tables with feature scale lam otherwise; method and refinement choose
+    the rule of 3D bands only.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -298,8 +571,7 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
             u = np.asarray(u, dtype=float)
             return u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
 
-    closed = _cos_pow_band if lam == 0.0 and measure.dimension == 2 else None
-    comps = [(-1.0, g, closed)] * measure.n_components
+    comps = [(-1.0, g, _cos_pow_band if lam == 0.0 else lam)] * measure.n_components
     return _from_rows(_measure_integral(measure, pts, comps, method, refinement), shape)
 
 
@@ -323,6 +595,8 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
     inside the integral per component.  Profiles
     mixing the ranges (0,1) and (1,2) are admitted but flagged with
     MixedStabilityRangeWarning since the global sign convention is ambiguous.
+    The 2D bands of one (beta, lambda) share their band tables; method and
+    refinement choose the rule of 3D bands only.
     """
     profile = profile.for_measure(measure)
     lo = any(b < 1.0 for b in profile.betas)
@@ -345,7 +619,12 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     aniso: normalised radial-Gaussian mixture over a 2D directional measure
            with per-component spread sigmas (Rayleigh radial law per ray),
            summed as c_m sum w (radial - s^2) with c_m = 1 / sum w s^2 rather
-           than c_m sum w radial - 1, so that psi(0) = 0 exactly.
+           than c_m sum w radial - 1, so that psi(0) = 0 exactly.  The
+           bands take the band tables with feature scale 1 / s, one table
+           per distinct spread; the atoms are exact.  refinement chooses
+           the rule of 3D bands, which this 2D-only variant never has: it
+           reaches nothing, and stays until the band-rule fields go from
+           every kind at once.
     """
     if variant in ("iso", "axes"):
         if sigma is None or sigma <= 0:
@@ -362,23 +641,22 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
         raise ValueError("the aniso variant requires a 2D directional measure")
     sig = _component_spreads(measure, sigmas)
     pts, shape = _as_rows(k, 2)
-    dirs, w, comp = measure_nodes(measure, refinement=refinement)
-    s = sig[comp]
+    devs = {s: partial(_rayleigh_dev, s=s) for s in sig.tolist()}
+    comps = [(1.0, devs[s], 1.0 / s) for s in sig.tolist()]
+    c_m = 1.0 / float(np.dot(measure.component_masses(), sig ** 2))
+    return _from_rows(c_m * _measure_integral(measure, pts, comps, "auto", 0), shape)
 
-    def radial_dev(u):
-        # radial - s^2, where radial = s^2 - u s^3 sqrt(2) D(x)
-        # + i u s^3 sqrt(pi/2) exp(-(u s)^2 / 2), D Dawson's integral, is s^2
-        # times the Rayleigh characteristic function at u = k.phi; every term
-        # carries a factor u, so the sum vanishes exactly at k = 0
-        x = u * s / math.sqrt(2.0)
-        return (
-            - u * s ** 3 * math.sqrt(2.0) * dawsn(x)
-            + 1j * u * s ** 3 * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (u * s) ** 2)
-        )
 
-    c_m = 1.0 / np.sum(w * s ** 2)
-    vals = _paired(pts, lambda p: _band_sum(p, [(radial_dev, dirs, w)])[:, 0])
-    return _from_rows(c_m * vals, shape)
+def _rayleigh_dev(u, s: float):
+    """radial - s^2 at u = k.phi for spread s, where radial = s^2 -
+    u s^3 sqrt(2) D(x) + i u s^3 sqrt(pi/2) exp(-(u s)^2 / 2), D Dawson's
+    integral, is s^2 times the Rayleigh characteristic function; every term
+    carries a factor u, so it vanishes exactly at k = 0."""
+    x = u * s / math.sqrt(2.0)
+    return (
+        - u * s ** 3 * math.sqrt(2.0) * dawsn(x)
+        + 1j * u * s ** 3 * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (u * s) ** 2)
+    )
 
 
 def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
@@ -390,10 +668,11 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
     ratio.  For n = 1 it is f(|k|).  For n = 2 and 3 at lam = 0 it is the
     closed form |cos(beta pi/2)| |k|^beta times the sphere mean of
     |cos|^beta, one evaluation per point, since the isotropic_reference
-    generator evaluates whole lattices through it.  At lam > 0 it is the
-    mean of f(|k| sin s) over s in (0, pi/2) in 2D and of f(|k| s) over s
-    in (0, 1) in 3D, s measured from the kink of f at k.phi = 0, by 40
-    panels of order 12 graded toward it, in the row blocks of _band_sum.
+    generator evaluates whole lattices through it.  At lam > 0 it is
+    -(-1)^ceil(beta) (2/pi) Re H in 2D, H from the band tables of _bracket,
+    and in 3D the mean of f(|k| s) over s in (0, 1), s measured from the
+    kink of f at k.phi = 0, by 40 panels of order 12 graded toward it, in
+    the row blocks of _band_sum.
     """
     _check_exponent(beta)
     if lam < 0:
@@ -414,11 +693,16 @@ def isotropic_reference_symbol(beta: float, lam: float, k, n: int):
         else:
             mean_cos = 1.0 / (beta + 1.0)
         out = cbeta * kn ** beta * mean_cos
+    elif n == 2:
+        radii, inv = np.unique(kn, return_inverse=True)
+        h = np.empty(len(radii))
+        for start, stop, _, _, tail in _radial_tables(partial(_bracket, beta=beta, lam=lam),
+                                                      lam, radii):
+            h[start:stop] = tail[:, 0].real
+        out = (-sign * 2.0 / math.pi) * h[inv]
     else:
-        top = 0.5 * math.pi if n == 2 else 1.0
-        s, sw = _composite_gl(top * np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 40)]), 12)
-        nodes = (np.sin(s) if n == 2 else s)[:, None]  # u = |k| s: one product, no sum
-        out = _band_sum(kn[:, None], [(f, nodes, sw / top)])[:, 0].real
+        s, sw = _composite_gl(np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 40)]), 12)
+        out = _band_sum(kn[:, None], [(f, s[:, None], sw)])[:, 0].real
     return _from_rows(np.maximum(out, 0.0), shape)
 
 
@@ -511,9 +795,9 @@ class GeneratorSymbol:
     def on_grid(self, grid) -> np.ndarray:
         """Read-only psi on the fftfreq lattice of grid, shaped grid.shape().
 
-        The whole lattice goes through evaluate, so method="auto" resolves on
-        its number of points; the quadrature evaluators run once per pair
-        +-k.  The last _GRID_CACHE_SIZE grids are cached.
+        The whole lattice goes through evaluate, so method="auto" (3D bands)
+        resolves on its number of points; the quadrature evaluators run once
+        per pair +-k.  The last _GRID_CACHE_SIZE grids are cached.
         """
         with self._grid_lock:
             psi = self._grid_cache.get(grid)

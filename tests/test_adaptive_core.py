@@ -7,7 +7,9 @@ integrand's sums level by level, in the order of its own panels, whatever the
 batching.  A 3D band runs the same rule twice, over the azimuth of the
 polar-angle integrals along the meridians; the 3D cases assert accuracy
 against closed forms and a tensor Gauss-Legendre rule whose directions come
-from np.cos and np.sin, and equal values under any batching."""
+from np.cos and np.sin, and equal values under any batching.  The symbols'
+adaptive route, which only 3D bands take, asserts equal values against the
+breadth-first pass in phi over breadth-first passes along the meridians."""
 
 import math
 import tracemalloc
@@ -84,19 +86,49 @@ def reference_band(band, f, tol, split_angles, order=15):
     return complex(total) * band.density
 
 
+def _kink_splits(k):
+    """The angles theta_k +- pi/2 where the 2-vector k meets phi at a right
+    angle: none for k = 0."""
+    if k[0] == 0 and k[1] == 0:
+        return ()
+    tk = math.atan2(k[1], k[0])
+    return (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
+
+
+def reference_band_3d(band, f, kvec, tol):
+    """One 3D band as the breadth-first rule in phi over the breadth-first
+    rules in theta along the meridians, each weighted by sin(theta) and cut
+    where (k_z, k_x cos(phi) + k_y sin(phi)) . (cos(theta), sin(theta)) = 0."""
+    t0, t1, p0, p1 = band.bounds
+    meridian = AngularBand((t0, t1), 1.0)
+
+    def meridians(u):
+        out = np.empty(len(u), dtype=complex)
+        for j in range(len(u)):
+            def g(v, j=j):
+                return f(np.concatenate([v[:, 1:] * u[j], v[:, :1]], axis=1)) * v[:, 1]
+
+            plane = (kvec[2], kvec[0] * u[j, 0] + kvec[1] * u[j, 1])
+            out[j] = reference_band(meridian, g, tol / 100.0, _kink_splits(plane))
+        return out
+
+    return reference_band(AngularBand((p0, p1), band.density), meridians, tol, ())
+
+
 def reference_adaptive_bands(pts, bands, integrand_of_u, tol):
-    """Per-point adaptive integration over 2D bands with kink-aware splitting."""
+    """Per-point adaptive integration over 2D or 3D bands with kink-aware splitting."""
     out = np.zeros(pts.shape[0], dtype=complex)
     for p in range(pts.shape[0]):
         kvec = pts[p]
-        splits = ()
-        if pts.shape[1] == 2 and (kvec[0] != 0 or kvec[1] != 0):
-            tk = math.atan2(kvec[1], kvec[0])
-            splits = (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
+
+        def f(d):
+            return integrand_of_u(d @ kvec)
+
         for band in bands:
-            out[p] += reference_band(
-                band, lambda d: integrand_of_u(d @ kvec), tol, splits
-            )
+            if band.dimension == 3:
+                out[p] += reference_band_3d(band, f, kvec, tol)
+            else:
+                out[p] += reference_band(band, f, tol, _kink_splits(kvec))
     return out
 
 
@@ -224,7 +256,23 @@ class TestAdaptiveBands:
                             lambda u: 1.0 / (u - u), 1e-12)
 
 
+def wavenumbers_3d():
+    """Random wavenumbers plus k = 0 and two on the axes, whose meridian
+    kinks fall on the hemisphere's rim or on no meridian at all."""
+    rng = np.random.default_rng(43)
+    return np.concatenate([rng.normal(scale=3.0, size=(4, 3)),
+                           [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]])
+
+
+def hemispheres_measure():
+    return make_banded_measure(3, [((0.0, 0.5 * math.pi, 0.0, _TWO_PI), 0.25 / math.pi),
+                                   ((0.5 * math.pi, math.pi, 0.0, _TWO_PI), 0.25 / math.pi)])
+
+
 class TestSymbolsAdaptive:
+    """The symbols' adaptive route, which only 3D bands take, against the
+    breadth-first reference in its place."""
+
     def both(self, monkeypatch, call):
         new = call()
         monkeypatch.setattr(symbols_mod, "_adaptive_bands", reference_adaptive_bands)
@@ -232,7 +280,8 @@ class TestSymbolsAdaptive:
 
     def test_tempered(self, monkeypatch):
         new, ref = self.both(monkeypatch, lambda: tempered_symbol(
-            fig1_measure(), 1.3, 0.7, wavenumbers(), method="adaptive"))
+            make_banded_measure(3, [BANDS_3D["hemisphere"]]), 1.3, 0.7, wavenumbers_3d(),
+            method="adaptive"))
         assert np.array_equal(new, ref)
 
     def test_tempered_3d(self):
@@ -247,13 +296,15 @@ class TestSymbolsAdaptive:
 
     def test_beta1(self, monkeypatch):
         new, ref = self.both(monkeypatch, lambda: beta1_symbol(
-            halves_measure(), 0.5, wavenumbers(), method="adaptive"))
+            hemispheres_measure(), 0.5, wavenumbers_3d(), method="adaptive"))
         assert np.array_equal(new, ref)
 
     def test_general_profile(self, monkeypatch):
-        profile = StabilityProfile((1.3, 1.7), (0.3, 0.0))
+        # lam > 0 on both components: an untempered 3D band takes the
+        # reference tens of seconds
+        profile = StabilityProfile((1.3, 1.7), (0.3, 0.6))
         new, ref = self.both(monkeypatch, lambda: general_profile_symbol(
-            fig1_measure(), profile, wavenumbers(), method="adaptive"))
+            hemispheres_measure(), profile, wavenumbers_3d(), method="adaptive"))
         assert np.array_equal(new, ref)
 
 

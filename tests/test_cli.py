@@ -28,6 +28,9 @@ FIG1 = {"dimension": 2, "atoms": [], "bands": [
 
 UNIFORM2 = {"dimension": 2, "atoms": [],
             "bands": [{"region": [0.0, TWO_PI], "density": 1.0 / TWO_PI}]}
+# 3D bands keep the adaptive and fixed-node routes that 2D bands no longer take
+UNIFORM3 = {"dimension": 3, "atoms": [],
+            "bands": [{"region": [0.0, math.pi, 0.0, TWO_PI], "density": 0.25 / math.pi}]}
 # the fields without a default of each symbol kind, with valid values
 SYMBOL_FIELDS = {
     "gaussian_iso": {"sigma": 1.0},
@@ -396,15 +399,15 @@ class TestNumericalFailures:
         import anisolap.measures as measures
 
         monkeypatch.setattr(measures, "_PANEL_BUDGET", 1)
-        cfg = write_json(tmp_path, "c.json", {"measure": FIG1, "beta": 1.3, "lam": 0.7,
+        cfg = write_json(tmp_path, "c.json", {"measure": UNIFORM3, "beta": 1.3, "lam": 0.7,
                                               "expect": "coercive"})
         code = main(["analyze", "coercivity", "--config", cfg])
         self.expect_3(capsys, code, "more than 1 panels of one integrand")
 
     def test_non_finite_symbol(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"symbol": {
-            "kind": "tempered_aniso", "dimension": 2, "measure": FIG1, "beta": 1.3,
-            "lam": 0.5, "method": "nodes"}})
+            "kind": "tempered_aniso", "dimension": 3, "measure": UNIFORM3, "beta": 1.3,
+            "lam": 0.5, "method": "nodes", "refinement": 16}})
         out = tmp_path / "o.csv"
         code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
         self.expect_3(capsys, code, "tempered_aniso symbol is not finite")
@@ -412,11 +415,20 @@ class TestNumericalFailures:
 
     def test_non_finite_adaptive_symbol(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"symbol": {
-            "kind": "tempered_aniso", "dimension": 2, "measure": FIG1, "beta": 1.3,
+            "kind": "tempered_aniso", "dimension": 3, "measure": UNIFORM3, "beta": 1.3,
             "lam": 0.5, "method": "adaptive"}})
         out = tmp_path / "o.csv"
         code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
         self.expect_3(capsys, code, "symbol integrand is not finite")
+        assert not out.exists()
+
+    def test_non_finite_band_table(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"symbol": {
+            "kind": "tempered_aniso", "dimension": 2, "measure": FIG1, "beta": 1.3,
+            "lam": 0.5}})
+        out = tmp_path / "o.csv"
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
+        self.expect_3(capsys, code, "2D band quadrature: the symbol integrand is not finite")
         assert not out.exists()
 
     def test_positive_real_part(self, tmp_path, capsys, monkeypatch):

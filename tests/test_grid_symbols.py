@@ -1,4 +1,5 @@
-"""Grid symbols: the blocked fixed-node quadrature and the cached grid
+"""Grid symbols: the 2D band tables against adaptive quadrature and
+mpmath, the blocked fixed-node quadrature of 3D bands, and the cached grid
 route GeneratorSymbol.on_grid."""
 
 import math
@@ -10,23 +11,26 @@ import numpy as np
 import pytest
 
 import anisolap.symbols as symbols
-from anisolap._special import dawsn
 from anisolap.analysis import mass_conservation_check
 from anisolap.evolve import SpectralGrid, gaussian_density
 from anisolap.measures import (
+    AngularBand,
+    NumericalError,
     StabilityProfile,
     band_nodes,
     make_atomic_measure,
     make_banded_measure,
     make_measure,
-    measure_nodes,
+    sphere_integrate,
     uniform_measure,
 )
 from anisolap.symbols import (
     _bracket,
+    _rayleigh_dev,
     beta1_symbol,
     gaussian_symbol,
     general_profile_symbol,
+    isotropic_reference_symbol,
     make_generator,
     tempered_symbol,
 )
@@ -52,8 +56,132 @@ def grid_k(n, N, half_width=8.0):
     return SpectralGrid(n, half_width, N).k_points()
 
 
+def reference(measure, g, pts, sign=1.0, rel=1e-16):
+    """sign * int g(k.phi) m(dphi) per wavenumber by sphere_integrate, to an
+    absolute tolerance rel times a first estimate of |psi(k)|."""
+    out = []
+    for k in pts:
+        def f(dirs):
+            return g(dirs @ k)
+        size = abs(sphere_integrate(measure, f, tol=1e-8))
+        out.append(sign * sphere_integrate(measure, f, tol=max(rel * size, 1e-300)))
+    return np.array(out)
+
+
 # ---------------------------------------------------------------------------
-# the blocked core against an unblocked per-band reference
+# the 2D band tables
+# ---------------------------------------------------------------------------
+
+class TestBandTables:
+    # 200 wavenumbers of the 128^2 grid of half width 16
+    pts = grid_k(2, 128, 16.0)[np.random.default_rng(7).choice(128 * 128, 200, replace=False)]
+
+    @pytest.mark.parametrize("beta, lam", [(0.8, 0.5), (0.8, 0.05), (1.3, 0.01), (1.3, 0.0)])
+    def test_fig1_cases_against_adaptive_quadrature(self, beta, lam):
+        # the fixed nodes of refinement 96 were 1.1e-7 and 8.8e-8 off on
+        # (0.8, 0.05) and (1.3, 0.01); the tables measured <= 7.5e-16
+        m = fig1_measure()
+        got = tempered_symbol(m, beta, lam, self.pts)
+        want = reference(m, lambda u: _bracket(u, beta, lam), self.pts,
+                         sign=symbols._ceil_sign(beta))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["tempered_0.8_0.5", "tempered_1.3_0.01", "beta1",
+                                      "gaussian", "isotropic_reference"])
+    def test_radii_from_1e_minus_3_to_1e4(self, kind):
+        # each wavenumber against its own size, real parts against theirs:
+        # the real part is O(|k|^2) below lam, where the bracket cancelled
+        rng = np.random.default_rng(31)
+        th = rng.uniform(0.0, TWO_PI, 22)
+        pts = np.geomspace(1e-3, 1e4, 22)[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        m, sigmas = fig1_measure(), (0.8, 1.2)
+        if kind.startswith("tempered"):
+            beta, lam = (float(v) for v in kind.split("_")[1:])
+            got = tempered_symbol(m, beta, lam, pts)
+            want = reference(m, lambda u: _bracket(u, beta, lam), pts, symbols._ceil_sign(beta))
+        elif kind == "beta1":
+            m = uniform_measure(2)
+            got = beta1_symbol(m, 0.5, pts)
+            want = reference(m, lambda u: u * np.arctan(u / 0.5) - 0.25 * np.log1p((u / 0.5) ** 2),
+                             pts, -1.0)
+        elif kind == "gaussian":
+            got = gaussian_symbol("aniso", pts, measure=m, sigmas=sigmas)
+            s2 = np.dot(m.component_masses(), np.square(sigmas))
+            want = sum(reference(make_banded_measure(2, [AngularBand(b.bounds, 1.0 / b.angular_measure())]),
+                                 lambda u, s=s: _rayleigh_dev(u, s), pts, b.mass() / s2)
+                       for b, s in zip(m.bands, sigmas))
+        else:
+            got = isotropic_reference_symbol(1.3, 0.5, pts, 2)
+            want = reference(uniform_measure(2), lambda u: _bracket(u, 1.3, 0.5).real, pts, -1.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert np.all(np.abs(got.real - want.real) <= 1e-12 * np.abs(want.real))
+
+    @pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("kink", ["inside", "at_end", "two_widths_out", "far_out"])
+    @pytest.mark.parametrize("beta, lam", [(0.8, 0.05), (1.3, 0.01)])
+    def test_narrow_band_against_mpmath(self, width, kink, beta, lam):
+        # one band (1, 1 + width) with the kink theta_k + pi/2 inside it, 1e-3
+        # widths and two widths before it, and 0.03 before it; no worse than
+        # the fixed nodes of refinement 96 (whose error grows as 1/width near
+        # the kink: 3.8e-11 at width 1e-6), or within 1e-15
+        mp = pytest.importorskip("mpmath")
+        band = AngularBand((1.0, 1.0 + width), 1.0 / width)
+        m = make_banded_measure(2, [band])
+        offset = {"inside": 0.3 * width, "at_end": -1e-3 * width,
+                  "two_widths_out": -2.0 * width, "far_out": -0.03}[kink]
+        tk = 1.0 + offset - 0.5 * math.pi
+        sign = symbols._ceil_sign(beta)
+        dirs, w = band_nodes(band, refinement=96)
+        for r in (0.7, 9.0, 300.0):
+            k = r * np.array([math.cos(tk), math.sin(tk)])
+            with mp.workdps(30):
+                kx, ky = mp.mpf(k[0]), mp.mpf(k[1])
+                cuts = sorted({mp.mpf(1.0), mp.mpf(band.bounds[1])} | {
+                    c for c in (mp.atan2(ky, kx) + mp.pi / 2,) if 1.0 < c < band.bounds[1]})
+                want = sign * band.density * complex(mp.quad(
+                    lambda t: (lam - 1j * (kx * mp.cos(t) + ky * mp.sin(t))) ** beta
+                    - mp.mpf(lam) ** beta, cuts))
+            got = tempered_symbol(m, beta, lam, k)
+            nodes = sign * (_bracket(dirs @ k, beta, lam) * w).sum()
+            assert abs(got - want) <= max(abs(nodes - want), 1e-15 * abs(want))
+
+    def test_bits_do_not_depend_on_the_batch(self, monkeypatch):
+        pts = np.concatenate([[[0.0, 0.0]], self.pts[:80], -self.pts[:5], self.pts[:3]])
+        m = fig1_measure()
+        sym = uniform_measure(2)
+        prof = StabilityProfile((0.6, 1.3, 1.7), (0.4, 0.1, 0.2))
+        evaluators = [
+            lambda k: tempered_symbol(m, 0.8, 0.05, k),
+            lambda k: gaussian_symbol("aniso", k, measure=m, sigmas=(0.8, 1.2)),
+            lambda k: beta1_symbol(sym, 0.5, k),
+            lambda k: general_profile_symbol(mixed_measure(), prof, k),
+            lambda k: isotropic_reference_symbol(0.7, 1.1, k, 2),
+        ]
+        perm = np.random.default_rng(3).permutation(len(pts))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ANISOLAP_THREADS", threads)
+            with pytest.warns(symbols.MixedStabilityRangeWarning):
+                for f in evaluators:
+                    full = f(pts)
+                    assert full[0] == 0
+                    assert np.array_equal(f(pts[perm]), full[perm])
+                    assert np.array_equal([f(p) for p in pts[::7]], full[::7])
+                    assert np.array_equal(f(-pts), np.conj(full))
+                    assert np.all(full.real <= 0.0) or f is evaluators[-1]
+
+    def test_half_rule_estimate_raises(self, monkeypatch):
+        # tables cut to the uniform panels cannot follow the kink at lam / |k|;
+        # H then differs from its coarser half by 7.8e-5 relative
+        m = fig1_measure()
+        k = np.array([[10.0, 0.0]])
+        tempered_symbol(m, 0.3, 1e-3, k)
+        monkeypatch.setattr(symbols, "_TABLE_MAX_LEVEL", 0)
+        with pytest.raises(NumericalError, match="coarser half rule"):
+            tempered_symbol(m, 0.3, 1e-3, k)
+
+
+# ---------------------------------------------------------------------------
+# the blocked fixed-node core of 3D bands against an unblocked per-band reference
 # ---------------------------------------------------------------------------
 
 def _reference(pts, node_sets, out):
@@ -63,84 +191,75 @@ def _reference(pts, node_sets, out):
 
 
 class TestBlockedCore:
-    pts = grid_k(2, 64)
+    pts = grid_k(3, 8)
 
     def test_tempered(self):
-        m = fig1_measure()
-        got = tempered_symbol(m, 0.8, 0.5, self.pts, method="nodes")
+        m = band3d_measure()
+        got = tempered_symbol(m, 0.8, 0.5, self.pts, method="nodes", refinement=16)
         g = lambda u: _bracket(u, 0.8, 0.5)
-        sets = [(g, *band_nodes(b, refinement=96)) for b in m.bands]
+        sets = [(g, *band_nodes(b, refinement=16)) for b in m.bands]
         want = -_reference(self.pts, sets, np.zeros(len(self.pts), dtype=complex))
         assert np.array_equal(got, want)
 
     def test_beta1(self):
-        m = uniform_measure(2)
+        m = uniform_measure(3)
         lam = 0.5
-        got = beta1_symbol(m, lam, self.pts, method="nodes")
+        got = beta1_symbol(m, lam, self.pts, method="nodes", refinement=16)
         g = lambda u: u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
-        sets = [(g, *band_nodes(b, refinement=96)) for b in m.bands]
+        sets = [(g, *band_nodes(b, refinement=16)) for b in m.bands]
         want = -_reference(self.pts, sets, np.zeros(len(self.pts), dtype=complex))
         assert np.array_equal(got, want)
 
     def test_general_profile(self):
-        m = mixed_measure()
-        prof = StabilityProfile((0.6, 1.3, 1.7), (0.4, 0.1, 0.2))
+        m = band3d_measure()
+        prof = StabilityProfile((0.6, 1.3), (0.4, 0.1))
         with pytest.warns(symbols.MixedStabilityRangeWarning):
-            got = general_profile_symbol(m, prof, self.pts, method="nodes")
-        (d, w), = m.atoms
-        want = -w * _bracket(self.pts @ d, 0.6, 0.4)
-        for band, beta, lam in zip(m.bands, (1.3, 1.7), (0.1, 0.2)):
+            got = general_profile_symbol(m, prof, self.pts, method="nodes", refinement=16)
+        want = np.zeros(len(self.pts), dtype=complex)
+        for band, beta, lam in zip(m.bands, (0.6, 1.3), (0.4, 0.1)):
             g = lambda u, b=beta, l=lam: _bracket(u, b, l)
-            want = want + _reference(self.pts, [(g, *band_nodes(band, refinement=96))],
-                                     np.zeros(len(self.pts), dtype=complex))
+            want = want + symbols._ceil_sign(beta) * _reference(
+                self.pts, [(g, *band_nodes(band, refinement=16))],
+                np.zeros(len(self.pts), dtype=complex))
         assert np.array_equal(got, want)
 
-    def test_gaussian_aniso(self):
-        m = fig1_measure()
-        sig = np.array([0.8, 1.2])
-        got = gaussian_symbol("aniso", self.pts, measure=m, sigmas=sig)
-        dirs, w, comp = measure_nodes(m, refinement=96)
-        s = sig[comp]
-        u = self.pts @ dirs.T
-        dev = (- u * s ** 3 * math.sqrt(2.0) * dawsn(u * s / math.sqrt(2.0))
-               + 1j * u * s ** 3 * math.sqrt(0.5 * math.pi) * np.exp(-0.5 * (u * s) ** 2))
-        want = (1.0 / np.sum(w * s ** 2)) * (dev * w).sum(axis=1)
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("P", [1, 2, 255, 256, 257, 513])
+    @pytest.mark.parametrize("P", [1, 2, 255, 256, 257, 512])
     def test_block_edges(self, P):
         # a lone trailing row would take BLAS's matrix-vector path
-        m = fig1_measure()
-        pts = self.pts[:P]
+        m = band3d_measure()
+        pts = self.pts[:P] if P < 512 else self.pts
         g = lambda u: _bracket(u, 1.3, 0.2)
-        sets = [(g, *band_nodes(b, refinement=96)) for b in m.bands]
+        sets = [(g, *band_nodes(b, refinement=16)) for b in m.bands]
         want = _reference(pts, sets, np.zeros(P, dtype=complex))  # sign +1 for beta > 1
-        assert np.array_equal(tempered_symbol(m, 1.3, 0.2, pts, method="nodes"), want)
+        got = tempered_symbol(m, 1.3, 0.2, pts, method="nodes", refinement=16)
+        assert np.array_equal(got, want)
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
-        m = fig1_measure()
+        m, m3 = fig1_measure(), band3d_measure()
+        pts2 = grid_k(2, 64)
         outs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ANISOLAP_THREADS", threads)
             sym = make_generator("tempered_aniso", 2, measure=m, beta=0.8, lam=0.5)
-            outs.append((tempered_symbol(m, 1.3, 0.5, self.pts, method="nodes"),
-                         gaussian_symbol("aniso", self.pts, measure=m, sigmas=(0.8, 1.2)),
+            outs.append((tempered_symbol(m3, 1.3, 0.5, self.pts, method="nodes", refinement=16),
+                         gaussian_symbol("aniso", pts2, measure=m, sigmas=(0.8, 1.2)),
                          sym.on_grid(SpectralGrid(2, 16.0, 64))))
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
-        m = fig1_measure()
-        grid = SpectralGrid(2, 16.0, 32)
+        m = band3d_measure()
+        grid = SpectralGrid(3, 16.0, 8)
         pts = grid.k_points()
         monkeypatch.setenv("ANISOLAP_THREADS", "1")
-        want = tempered_symbol(m, 0.8, 0.5, pts, method="nodes")
+        want = tempered_symbol(m, 0.8, 0.5, pts, method="nodes", refinement=16)
         monkeypatch.setenv("ANISOLAP_THREADS", "8")
-        sym = make_generator("tempered_aniso", 2, measure=m, beta=0.8, lam=0.5)
+        sym = make_generator("tempered_aniso", 3, measure=m, beta=0.8, lam=0.5,
+                             method="nodes", refinement=16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = tempered_symbol(m, 0.8, 0.5, pts, method="nodes")
+            got = tempered_symbol(m, 0.8, 0.5, pts, method="nodes", refinement=16)
             with ThreadPoolExecutor(max_workers=4) as ex:
                 futures = [ex.submit(sym.on_grid, grid) for _ in range(8)]
                 psis = [f.result(timeout=120) for f in futures]
@@ -251,8 +370,10 @@ def test_evaluate_memory_is_bounded_on_a_large_lattice(case):
 
 
 def test_auto_method_resolves_on_the_full_grid(monkeypatch):
-    # 10^2 = 100 lattice points select the node rule; the fewer than 64
-    # points evaluated, one per pair +-k, would alone select adaptive quadrature
+    # 5^3 = 125 points of a lattice symmetric about 0 select the node rule
+    # for 3D bands; the 63 points evaluated, one per pair +-k, would alone
+    # select adaptive quadrature (a SpectralGrid of 3D, n_points even and at
+    # least 8, has more than 64 pairs)
     calls = []
     inner = symbols._band_sum
 
@@ -261,8 +382,10 @@ def test_auto_method_resolves_on_the_full_grid(monkeypatch):
         return inner(pts, node_sets)
 
     monkeypatch.setattr(symbols, "_band_sum", spy)
-    sym = make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=0.8, lam=0.5)
-    sym.on_grid(SpectralGrid(2, 8.0, 10))
+    sym = make_generator("tempered_aniso", 3, measure=band3d_measure(), beta=0.8, lam=0.5,
+                         refinement=16)
+    axis = np.arange(-2.0, 3.0)
+    sym.evaluate(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1))
     (n_eval,) = calls
     assert n_eval < 64
 

@@ -207,6 +207,19 @@ class TestPolarIdentityAndRadialOracle:
                 -1j * beta * math.atan2(u, lam))
             assert abs(direct - polar) <= 1e-12 * max(1.0, abs(direct))
 
+    @pytest.mark.parametrize("beta, lam", [(0.8, 0.5), (1.3, 0.7)])
+    def test_bracket_near_zero_against_mpmath(self, beta, lam):
+        # the real part is O(u^2): lam^beta (M c - 1) lost 3.3e-2 of it at
+        # u = 1e-7; the expm1/log1p form below |u| = lam / 8 measured 2.2e-15
+        mp = pytest.importorskip("mpmath")
+        u = np.array([1e-3, 1e-5, 1e-7, -1e-5, 0.99 * lam / 8])
+        got = symbols_mod._bracket(u, beta, lam)
+        with mp.workdps(50):
+            for ui, g in zip(u.tolist(), got):
+                want = (mp.mpf(lam) - 1j * mp.mpf(ui)) ** beta - mp.mpf(lam) ** beta
+                assert abs(g.real - float(want.real)) <= 1e-14 * abs(float(want.real))
+                assert abs(g.imag - float(want.imag)) <= 1e-14 * abs(float(want.imag))
+
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_radial_integral_oracle(self):
         # int_0^inf r^(-1-b) e^(-l r) (1-cos(ur)) dr
