@@ -44,7 +44,6 @@ from .sampler import (
     Trajectory,
     compound_poisson_endpoints,
     empirical_cf,
-    ensemble_msd,
     jump_cf,
     matched_rate,
     sample_direction,

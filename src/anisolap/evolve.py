@@ -144,11 +144,15 @@ def gaussian_density(grid: SpectralGrid, variance: float, center=None) -> Densit
 
 def _symbol_on_grid(symbol, grid: SpectralGrid) -> np.ndarray:
     """psi on the grid lattice: a GeneratorSymbol's cached on_grid, or a
-    plain callable evaluated at every wavenumber."""
+    plain callable evaluated at every wavenumber.  A value that is not
+    finite raises NumericalError."""
     if isinstance(symbol, GeneratorSymbol):
-        return symbol.on_grid(grid)
-    psi = np.asarray(symbol(grid.k_points()), dtype=complex)
-    return psi.reshape(grid.shape())
+        psi = symbol.on_grid(grid)
+    else:
+        psi = np.asarray(symbol(grid.k_points()), dtype=complex).reshape(grid.shape())
+    if not np.all(np.isfinite(psi)):
+        raise NumericalError("symbol evaluation returned non-finite values")
+    return psi
 
 
 def spectral_apply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -183,8 +187,6 @@ def evolve_spectral(p0: DensityField, symbol, t: float, *,
     if t < 0:
         raise ValueError("t must be nonnegative")
     psi = _symbol_on_grid(symbol, p0.grid)
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("symbol evaluation returned non-finite values")
     phat = np.exp(t * psi) * np.fft.ifftn(p0.values)
     out = np.real(np.fft.fftn(phat))
     result = DensityField(p0.grid, out, p0.time + t, _nyquist_shell_mass(phat, p0.grid))

@@ -169,18 +169,15 @@ def simulate_multistate_ctrw(model: StateModel, T: float, start, rng,
 
 
 def multistate_endpoints(model: StateModel, t: float, n_paths: int, rng,
-                         functional: Optional[FunctionalSpec] = None,
-                         start=None) -> MultistateEnsemble:
-    """Vectorised lockstep ensemble: positions, occupied states and the
-    functional values at time t (the final partial waiting interval is
-    included in the functional)."""
+                         functional: Optional[FunctionalSpec] = None) -> MultistateEnsemble:
+    """Vectorised lockstep ensemble from the origin: positions, occupied
+    states and the functional values at time t (the final partial waiting
+    interval is included in the functional)."""
     if t <= 0:
         raise ValueError("t must be positive")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    n = model.dimension
-    x0 = np.zeros(n) if start is None else np.asarray(start, dtype=float)
-    pos = np.broadcast_to(x0, (n_paths, n)).copy()
+    pos = np.zeros((n_paths, model.dimension))
     states = rng.choice(model.n_states, size=n_paths, p=model.init)
     tcur = np.zeros(n_paths)
     A = np.zeros(n_paths)

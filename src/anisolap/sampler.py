@@ -36,7 +36,6 @@ __all__ = [
     "JumpSpec",
     "Trajectory",
     "EcfEstimate",
-    "MsdEstimate",
     "sample_direction",
     "sample_jump",
     "simulate_compound_poisson",
@@ -44,7 +43,6 @@ __all__ = [
     "empirical_cf",
     "sample_one_sided_stable",
     "sample_inverse_subordinator",
-    "ensemble_msd",
     "matched_rate",
     "jump_cf",
 ]
@@ -112,22 +110,11 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", x)
 
-    def position_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.positions[max(idx, 0)]
-
 
 @dataclass(frozen=True)
 class EcfEstimate:
     value: complex
     stderr: float
-
-
-@dataclass(frozen=True)
-class MsdEstimate:
-    value: float
-    stderr: float
-    heavy_tail_warning: bool
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +287,17 @@ def simulate_compound_poisson(spec: JumpSpec, zeta: float, T: float, start,
 
 
 def compound_poisson_endpoints(spec: JumpSpec, zeta: float, t: float,
-                               n_paths: int, rng, start=None) -> np.ndarray:
+                               n_paths: int, rng) -> np.ndarray:
     """Vectorised endpoint ensemble X(t) for n_paths independent walks from
-    start (the origin by default, else reshaped to (dimension,)).
+    the origin.
 
     Draws the Poisson(zeta t) jump counts of every path, then all jumps at
-    once (sample_jump); each endpoint is the start plus the sum of its own
-    path's jumps, so it is exact to the rounding of that one sum."""
+    once (sample_jump); each endpoint is the sum of its own path's jumps, so
+    it is exact to the rounding of that one sum."""
     if zeta <= 0 or t < 0:
         raise ValueError("zeta must be positive and t nonnegative")
-    dim = spec.dimension
-    x0 = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
-    if x0.size != dim:
-        raise ValueError(f"start must have {dim} components, got shape {x0.shape}")
     counts = rng.poisson(zeta * t, size=n_paths)
-    out = np.broadcast_to(x0.reshape(dim), (n_paths, dim)).copy()
+    out = np.zeros((n_paths, spec.dimension))
     # reduceat returns the start element for an empty segment, so paths
     # without a jump are left out of the sums
     hit = counts > 0
@@ -360,24 +343,6 @@ def empirical_cf(endpoints: np.ndarray, k) -> EcfEstimate:
     phases = pts @ k
     val = complex(np.mean(np.exp(1j * phases)))
     return EcfEstimate(val, 1.0 / math.sqrt(len(pts)))
-
-
-def ensemble_msd(endpoints: np.ndarray, start=None) -> MsdEstimate:
-    """Mean squared displacement of an endpoint ensemble with its standard
-    error; flags heavy-tail domination when a single path carries more than
-    10% of the total square displacement."""
-    pts = np.asarray(endpoints, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.size == 0:
-        raise ValueError("empty ensemble")
-    x0 = np.zeros(pts.shape[1]) if start is None else np.asarray(start, dtype=float)
-    sq = np.sum((pts - x0) ** 2, axis=1)
-    n = len(sq)
-    mean = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    heavy = bool(sq.max() > 0.1 * sq.sum()) if sq.sum() > 0 else False
-    return MsdEstimate(mean, stderr, heavy)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ its ends, an integer multiple of H = int_0^(pi/2) plus remainders
 (_assemble): in closed form for the untempered brackets, and otherwise from
 per-radius tables of Gauss-Legendre panels graded toward the kink k.phi = 0
 (_table_bands), whose coarser half estimates their error.  3D bands take
-adaptive quadrature or fixed nodes, as method and refinement choose.
+adaptive quadrature on at most _ADAPTIVE_MAX wavenumbers and the fixed nodes
+of refinement _NODES_REFINEMENT otherwise; only tempered_symbol's method
+overrides that choice.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ __all__ = [
 
 _BLOCK_ROWS = 64  # wavenumbers per block of the fixed-node quadrature
 _ADAPTIVE_TOL = 1e-12  # absolute panel tolerance of the adaptive band rule
+_ADAPTIVE_MAX = 64  # the most wavenumbers on which 3D bands take the adaptive rule
+_NODES_REFINEMENT = 96  # band_nodes refinement of the 3D fixed nodes
 _GRID_CACHE_SIZE = 4  # grids whose symbol values a GeneratorSymbol keeps
 
 
@@ -473,7 +477,7 @@ def _paired(pts, fn):
     return out
 
 
-def _measure_integral(measure, pts, comps, method, refinement):
+def _measure_integral(measure, pts, comps, method="auto"):
     """sum over the components c of sign_c * int g_c(k.phi) m_c(dphi).
 
     comps holds one (sign, g, rule) per component of measure, atoms first.
@@ -481,15 +485,16 @@ def _measure_integral(measure, pts, comps, method, refinement):
     integral, where rule is callable; otherwise rule is the feature scale
     of g in k.phi, and the band takes the per-radius tables of g
     (_table_bands), shared by the bands of one (g, rule).  A 3D band takes
-    adaptive quadrature (method "adaptive", or "auto" on at most 64
-    wavenumbers) or the fixed nodes at refinement.  The components are added
-    in measure order, once per pair +-k (_paired).
+    adaptive quadrature (method "adaptive", or "auto" on at most
+    _ADAPTIVE_MAX wavenumbers) or the fixed nodes of refinement
+    _NODES_REFINEMENT.  The components are added in measure order, once per
+    pair +-k (_paired).
     """
     bands = list(zip(measure.bands, comps[len(measure.atoms):]))
     plane = measure.dimension == 2
-    adaptive = method == "adaptive" or (method == "auto" and len(pts) <= 64)
+    adaptive = method == "adaptive" or (method == "auto" and len(pts) <= _ADAPTIVE_MAX)
     on_nodes = [] if plane or adaptive else [
-        (g, *band_nodes(band, refinement=refinement)) for band, (_, g, _) in bands]
+        (g, *band_nodes(band, refinement=_NODES_REFINEMENT)) for band, (_, g, _) in bands]
     tables = {}  # (g, feature scale) -> the indices of its bands
     for i, (_, (_, g, rule)) in enumerate(bands):
         if plane and not callable(rule):
@@ -517,7 +522,7 @@ def _measure_integral(measure, pts, comps, method, refinement):
     return _paired(pts, integral)
 
 
-def _stable_symbol(measure, profile, k, method, refinement):
+def _stable_symbol(measure, profile, k, method="auto"):
     """The (tempered) stable symbol with the exponent and rate of profile on
     each measure component; untempered 2D bands take the closed form, and
     the components of one (beta, lam) share one integrand."""
@@ -527,35 +532,38 @@ def _stable_symbol(measure, profile, k, method, refinement):
     for b, l in zip(profile.betas, profile.lambdas):
         g = brackets.setdefault((b, l), partial(_bracket, beta=b, lam=l))
         comps.append((_ceil_sign(b), g, partial(_stable_band_2d, beta=b) if l == 0.0 else l))
-    return _from_rows(_measure_integral(measure, pts, comps, method, refinement), shape)
+    return _from_rows(_measure_integral(measure, pts, comps, method), shape)
 
 
 def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
-                    method: str = "auto", refinement: int = 96):
+                    method: str = "auto"):
     """Symbol of the anisotropic (tempered) stable generator.
 
     Returns (-1)^ceil(beta) * int ((lam - i k.phi)^beta - lam^beta) m(phi) dphi,
     the constant-profile case of general_profile_symbol.  beta must lie in
     (0,1) or (1,2) (StabilityProfile); beta near 1 has its own symbol
     (beta1_symbol) and beta = 2 its own quadratic reduction (beta2_symbol).
-    2D bands take the closed form at lam = 0 and the band tables otherwise;
-    method ("auto", "nodes" or "adaptive") and refinement choose the rule of
-    3D bands only (_measure_integral).
+    2D bands take the closed form at lam = 0 and the band tables otherwise.
+    method chooses the rule of 3D bands only (_measure_integral): "auto",
+    what every other symbol takes, "nodes" or "adaptive"; any other value
+    raises ValueError.  It stays because two callers set it: the benchmark's
+    fixed-node reference of a real-space check ("nodes") and the 3D
+    coercivity probes of analysis ("adaptive").
     """
+    if method not in ("auto", "nodes", "adaptive"):
+        raise ValueError(f"unknown quadrature method {method!r}")
     profile = StabilityProfile.constant(measure, beta, lam)
-    return _stable_symbol(measure, profile, k, method, refinement)
+    return _stable_symbol(measure, profile, k, method)
 
 
-def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
-                 method: str = "auto", refinement: int = 96):
+def beta1_symbol(measure: DirectionalMeasure, lam: float, k):
     """Generator symbol for exponent 1 (symmetric measures only).
 
     lam = 0:  -(pi/2) * int |k.phi| m(phi) dphi.
     lam > 0:  -int [ u*arctan(u/lam) - (lam/2)*log1p(u^2/lam^2) ] m(phi) dphi
     with u = k.phi; the lam*log(lam) terms cancel in this arrangement, making
     psi(0) = 0 exact.  2D bands take the closed form at lam = 0 and the band
-    tables with feature scale lam otherwise; method and refinement choose
-    the rule of 3D bands only.
+    tables with feature scale lam otherwise.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -572,7 +580,7 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k, *,
             return u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
 
     comps = [(-1.0, g, _cos_pow_band if lam == 0.0 else lam)] * measure.n_components
-    return _from_rows(_measure_integral(measure, pts, comps, method, refinement), shape)
+    return _from_rows(_measure_integral(measure, pts, comps), shape)
 
 
 def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
@@ -586,8 +594,7 @@ def beta2_symbol(measure: DirectionalMeasure, lam: float, k):
     return _from_rows(-quad - 2j * lam * drift, shape)
 
 
-def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfile, k, *,
-                           method: str = "auto", refinement: int = 96):
+def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfile, k):
     """Symbol with direction-dependent beta(phi), lambda(phi).
 
     Each atom/band carries its own (beta, lambda), as checked by
@@ -595,8 +602,7 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
     inside the integral per component.  Profiles
     mixing the ranges (0,1) and (1,2) are admitted but flagged with
     MixedStabilityRangeWarning since the global sign convention is ambiguous.
-    The 2D bands of one (beta, lambda) share their band tables; method and
-    refinement choose the rule of 3D bands only.
+    The 2D bands of one (beta, lambda) share their band tables.
     """
     profile = profile.for_measure(measure)
     lo = any(b < 1.0 for b in profile.betas)
@@ -606,12 +612,12 @@ def general_profile_symbol(measure: DirectionalMeasure, profile: StabilityProfil
             "profile mixes exponents below and above 1; per-component sign applied",
             MixedStabilityRangeWarning,
         )
-    return _stable_symbol(measure, profile, k, method, refinement)
+    return _stable_symbol(measure, profile, k)
 
 
 def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
                     measure: Optional[DirectionalMeasure] = None,
-                    sigmas=None, dimension: int = 2, refinement: int = 96):
+                    sigmas=None, dimension: int = 2):
     """Phi_0(k) - 1 for compound-Poisson Gaussian jump laws.
 
     iso:  exp(-sigma^2 |k|^2 / 2) - 1.
@@ -621,10 +627,7 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
            summed as c_m sum w (radial - s^2) with c_m = 1 / sum w s^2 rather
            than c_m sum w radial - 1, so that psi(0) = 0 exactly.  The
            bands take the band tables with feature scale 1 / s, one table
-           per distinct spread; the atoms are exact.  refinement chooses
-           the rule of 3D bands, which this 2D-only variant never has: it
-           reaches nothing, and stays until the band-rule fields go from
-           every kind at once.
+           per distinct spread; the atoms are exact.
     """
     if variant in ("iso", "axes"):
         if sigma is None or sigma <= 0:
@@ -644,7 +647,7 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     devs = {s: partial(_rayleigh_dev, s=s) for s in sig.tolist()}
     comps = [(1.0, devs[s], 1.0 / s) for s in sig.tolist()]
     c_m = 1.0 / float(np.dot(measure.component_masses(), sig ** 2))
-    return _from_rows(c_m * _measure_integral(measure, pts, comps, "auto", 0), shape)
+    return _from_rows(c_m * _measure_integral(measure, pts, comps), shape)
 
 
 def _rayleigh_dev(u, s: float):
@@ -719,29 +722,24 @@ _EVALUATORS = {
     "gaussian_axes": lambda s, k: gaussian_symbol(
         "axes", k, sigma=s.sigma, dimension=s.dimension),
     "gaussian_aniso": lambda s, k: gaussian_symbol(
-        "aniso", k, measure=s.measure, sigmas=s.sigmas, refinement=s.refinement),
-    "stable_aniso": lambda s, k: tempered_symbol(
-        s.measure, s.beta, 0.0, k, method=s.method, refinement=s.refinement),
-    "tempered_aniso": lambda s, k: tempered_symbol(
-        s.measure, s.beta, s.lam, k, method=s.method, refinement=s.refinement),
-    "beta1_aniso": lambda s, k: beta1_symbol(
-        s.measure, s.lam, k, method=s.method, refinement=s.refinement),
+        "aniso", k, measure=s.measure, sigmas=s.sigmas),
+    "stable_aniso": lambda s, k: tempered_symbol(s.measure, s.beta, 0.0, k),
+    "tempered_aniso": lambda s, k: tempered_symbol(s.measure, s.beta, s.lam, k),
+    "beta1_aniso": lambda s, k: beta1_symbol(s.measure, s.lam, k),
     "beta2_quadratic": lambda s, k: beta2_symbol(s.measure, s.lam or 0.0, k),
-    "general_profile": lambda s, k: general_profile_symbol(
-        s.measure, s.profile, k, method=s.method, refinement=s.refinement),
+    "general_profile": lambda s, k: general_profile_symbol(s.measure, s.profile, k),
     # as a generator: the negated reference value
     "isotropic_reference": lambda s, k: -1.0 * isotropic_reference_symbol(
         s.beta, s.lam or 0.0, k, s.dimension),
 }
 _KINDS = tuple(_EVALUATORS)
 # kind -> the (required, optional) fields its evaluator reads; __post_init__ names the shared ones
-_BANDS = ("method", "refinement")  # the band quadrature
 _FIELDS = {"gaussian_iso": (("sigma",), ()), "gaussian_axes": (("sigma",), ()),
-           "gaussian_aniso": (("measure", "sigmas"), ("refinement",)),
-           "stable_aniso": (("measure", "beta"), _BANDS),
-           "tempered_aniso": (("measure", "beta", "lam"), _BANDS),
-           "beta1_aniso": (("measure", "lam"), _BANDS), "beta2_quadratic": (("measure",), ("lam",)),
-           "general_profile": (("measure", "profile"), _BANDS),
+           "gaussian_aniso": (("measure", "sigmas"), ()),
+           "stable_aniso": (("measure", "beta"), ()),
+           "tempered_aniso": (("measure", "beta", "lam"), ()),
+           "beta1_aniso": (("measure", "lam"), ()), "beta2_quadratic": (("measure",), ("lam",)),
+           "general_profile": (("measure", "profile"), ()),
            "isotropic_reference": (("beta",), ("lam",))}
 
 
@@ -764,13 +762,9 @@ class GeneratorSymbol:
     lam: Optional[float] = None
     sigma: Optional[float] = None
     sigmas: Optional[tuple[float, ...]] = None
-    method: str = "auto"
-    refinement: int = 96
 
     def __post_init__(self):
         _check_kind(self, _FIELDS, ("dimension", "zeta"))
-        if self.method not in ("auto", "nodes", "adaptive"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if not 0.0 < self.zeta < math.inf:
             raise ValueError("zeta must be finite and positive")
         if self.kind == "beta1_aniso" and not is_symmetric(self.measure):
@@ -795,8 +789,8 @@ class GeneratorSymbol:
     def on_grid(self, grid) -> np.ndarray:
         """Read-only psi on the fftfreq lattice of grid, shaped grid.shape().
 
-        The whole lattice goes through evaluate, so method="auto" (3D bands)
-        resolves on its number of points; the quadrature evaluators run once
+        The whole lattice goes through evaluate, so the rule of 3D bands is
+        chosen on its number of points; the quadrature evaluators run once
         per pair +-k.  The last _GRID_CACHE_SIZE grids are cached.
         """
         with self._grid_lock:

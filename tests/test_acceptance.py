@@ -338,7 +338,7 @@ def _symbol_battery():
             "general_profile", 2,
             measure=make_banded_measure(2, [((0.0, math.pi), 0.5 / math.pi),
                                             ((math.pi, TWO_PI), 0.5 / math.pi)]),
-            profile=StabilityProfile((1.8, 1.4), (0.0, 0.0)), refinement=48), 12.0, 64),
+            profile=StabilityProfile((1.8, 1.4), (0.0, 0.0))), 12.0, 64),
     ]
 
 

@@ -296,7 +296,7 @@ class TestSymbolsAdaptive:
 
     def test_beta1(self, monkeypatch):
         new, ref = self.both(monkeypatch, lambda: beta1_symbol(
-            hemispheres_measure(), 0.5, wavenumbers_3d(), method="adaptive"))
+            hemispheres_measure(), 0.5, wavenumbers_3d()))
         assert np.array_equal(new, ref)
 
     def test_general_profile(self, monkeypatch):
@@ -304,7 +304,7 @@ class TestSymbolsAdaptive:
         # reference tens of seconds
         profile = StabilityProfile((1.3, 1.7), (0.3, 0.6))
         new, ref = self.both(monkeypatch, lambda: general_profile_symbol(
-            hemispheres_measure(), profile, wavenumbers_3d(), method="adaptive"))
+            hemispheres_measure(), profile, wavenumbers_3d()))
         assert np.array_equal(new, ref)
 
 

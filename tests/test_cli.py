@@ -301,7 +301,7 @@ class TestEveryFieldIsRead:
          "field 'truncations' of counterexample config"),
         ("analyze counterexample", {"beta": 0.5, "lam": -1}, "lambda must be nonnegative"),
         ("symbol", {"symbol": dict(JUMP, method="nodes")},
-         "gaussian_iso does not read field 'method'"),
+         "unknown field 'method' in GeneratorSymbol"),
         ("symbol", {"symbol": dict(JUMP, note="a note")}, "unknown field 'note' in GeneratorSymbol"),
         ("symbol", {"symbol": JUMP, "note": 3}, "the note of a config must be a string"),
         ("sample", {"jump": dict(STABLE, max_rejections=7), "t": 1.0, "seed": 3},
@@ -407,16 +407,17 @@ class TestNumericalFailures:
     def test_non_finite_symbol(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"symbol": {
             "kind": "tempered_aniso", "dimension": 3, "measure": UNIFORM3, "beta": 1.3,
-            "lam": 0.5, "method": "nodes", "refinement": 16}})
+            "lam": 0.5}})
         out = tmp_path / "o.csv"
-        code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
+        # 65 wavenumbers: one more than 3D bands take adaptive quadrature on
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:65", "--out", str(out)])
         self.expect_3(capsys, code, "tempered_aniso symbol is not finite")
         assert not out.exists()
 
     def test_non_finite_adaptive_symbol(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"symbol": {
             "kind": "tempered_aniso", "dimension": 3, "measure": UNIFORM3, "beta": 1.3,
-            "lam": 0.5, "method": "adaptive"}})
+            "lam": 0.5}})
         out = tmp_path / "o.csv"
         code = main(["symbol", "--config", cfg, "--k-grid", "0:1e200:3", "--out", str(out)])
         self.expect_3(capsys, code, "symbol integrand is not finite")

@@ -69,12 +69,7 @@ def profiles(draw, size=None):
 @st.composite
 def symbols(draw, kind):
     dim = 2 if kind == "gaussian_aniso" else draw(st.integers(1, 3))
-    # the quadrature fields only where the kind reads them
-    quadrature = symbols_mod._FIELDS[kind][1]
-    kw = draw(st.fixed_dictionaries({}, optional={
-        "zeta": positive, "method": st.sampled_from(["auto", "nodes", "adaptive"]),
-        "refinement": st.integers(1, 256)}).map(
-        lambda d: {k: v for k, v in d.items() if k == "zeta" or k in quadrature}))
+    kw = draw(st.fixed_dictionaries({}, optional={"zeta": positive}))
     if kind in ("gaussian_iso", "gaussian_axes"):
         kw["sigma"] = draw(positive)
     elif kind == "isotropic_reference":
@@ -148,8 +143,7 @@ class TestRoundTrip:
         sym = data.draw(symbols(kind))
         doc = assert_round_trip(GeneratorSymbol, sym)
         back = symbol_from_json(doc)
-        assert (back.method, back.refinement, back.zeta, back.sigmas) == (
-            sym.method, sym.refinement, sym.zeta, sym.sigmas)
+        assert (back.zeta, back.sigmas) == (sym.zeta, sym.sigmas)
 
     @pytest.mark.parametrize("kind", _JUMP_KINDS)
     @FAST

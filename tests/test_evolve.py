@@ -13,11 +13,18 @@ from anisolap.evolve import (
     evolve_time_fractional,
     gaussian_density,
 )
-from anisolap.measures import make_atomic_measure, uniform_measure
+from anisolap.measures import NumericalError, make_atomic_measure, uniform_measure
 from anisolap.sampler import JumpSpec, compound_poisson_endpoints
 from anisolap.symbols import make_generator
 
 TWO_PI = 2.0 * math.pi
+
+
+def nan_symbol(k):
+    # a plain callable whose last wavenumber gives NaN
+    psi = np.zeros(k.shape[:-1], complex)
+    psi.flat[-1] = math.nan
+    return psi
 
 
 def heat_symbol(K1):
@@ -118,6 +125,11 @@ class TestEvolveSpectral:
         p0 = gaussian_density(g, 0.25)
         with pytest.raises(BoundaryMassError):
             evolve_spectral(p0, sym, 4.0)
+
+    def test_non_finite_symbol_is_a_numerical_error(self):
+        p0 = gaussian_density(SpectralGrid(2, 8.0, 32), 1.0)
+        with pytest.raises(NumericalError, match="non-finite values"):
+            evolve_spectral(p0, nan_symbol, 1.0)
 
 
 class TestHistograms:
@@ -222,6 +234,11 @@ class TestTimeFractional:
         with pytest.raises(ValueError):
             evolve_time_fractional(p0, lambda k: 0 * k[..., 0], 1.2, 1.0, 10,
                                    np.random.default_rng(0))
+
+    def test_non_finite_symbol_is_a_numerical_error(self):
+        p0 = gaussian_density(SpectralGrid(1, 6.0, 64), 1.0)
+        with pytest.raises(NumericalError, match="non-finite values"):
+            evolve_time_fractional(p0, nan_symbol, 0.6, 1.0, 10, np.random.default_rng(0))
 
 
 class TestScalingMerge:

@@ -6,6 +6,7 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -184,82 +185,82 @@ class TestBandTables:
 # the blocked fixed-node core of 3D bands against an unblocked per-band reference
 # ---------------------------------------------------------------------------
 
-def _reference(pts, node_sets, out):
-    for g, dirs, w in node_sets:
-        out = out + (g(pts @ dirs.T) * w).sum(axis=1)
-    return out
+def _reference(pts, node_sets):
+    """_band_sum's columns, each summed on all of pts at once."""
+    return np.stack([(g(pts @ dirs.T) * w).sum(axis=1) for g, dirs, w in node_sets], axis=1)
+
+
+def _node_sets(measure, integrands):
+    return [(g, *band_nodes(b, refinement=16)) for g, b in zip(integrands, measure.bands)]
+
+
+def _beta1_integrand(u, lam=0.5):
+    return u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
+
+
+# the 3D bands' integrands of tempered_symbol, beta1_symbol and general_profile_symbol
+CORE_CASES = {
+    "tempered": lambda: _node_sets(band3d_measure(), [partial(_bracket, beta=0.8, lam=0.5)] * 2),
+    "beta1": lambda: _node_sets(uniform_measure(3), [_beta1_integrand]),
+    "general_profile": lambda: _node_sets(band3d_measure(), [
+        partial(_bracket, beta=0.6, lam=0.4), partial(_bracket, beta=1.3, lam=0.1)]),
+}
+
+
+@pytest.fixture
+def coarse_nodes(monkeypatch):
+    """3D bands on the fixed nodes of refinement 16, where a test runs
+    whole symbols on them and needs no more."""
+    monkeypatch.setattr(symbols, "_NODES_REFINEMENT", 16)
 
 
 class TestBlockedCore:
     pts = grid_k(3, 8)
 
-    def test_tempered(self):
-        m = band3d_measure()
-        got = tempered_symbol(m, 0.8, 0.5, self.pts, method="nodes", refinement=16)
-        g = lambda u: _bracket(u, 0.8, 0.5)
-        sets = [(g, *band_nodes(b, refinement=16)) for b in m.bands]
-        want = -_reference(self.pts, sets, np.zeros(len(self.pts), dtype=complex))
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("case", CORE_CASES)
+    def test_matches_unblocked_reference(self, case):
+        sets = CORE_CASES[case]()
+        assert np.array_equal(symbols._band_sum(self.pts, sets), _reference(self.pts, sets))
 
-    def test_beta1(self):
-        m = uniform_measure(3)
-        lam = 0.5
-        got = beta1_symbol(m, lam, self.pts, method="nodes", refinement=16)
-        g = lambda u: u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
-        sets = [(g, *band_nodes(b, refinement=16)) for b in m.bands]
-        want = -_reference(self.pts, sets, np.zeros(len(self.pts), dtype=complex))
-        assert np.array_equal(got, want)
-
-    def test_general_profile(self):
-        m = band3d_measure()
-        prof = StabilityProfile((0.6, 1.3), (0.4, 0.1))
-        with pytest.warns(symbols.MixedStabilityRangeWarning):
-            got = general_profile_symbol(m, prof, self.pts, method="nodes", refinement=16)
-        want = np.zeros(len(self.pts), dtype=complex)
-        for band, beta, lam in zip(m.bands, (0.6, 1.3), (0.4, 0.1)):
-            g = lambda u, b=beta, l=lam: _bracket(u, b, l)
-            want = want + symbols._ceil_sign(beta) * _reference(
-                self.pts, [(g, *band_nodes(band, refinement=16))],
-                np.zeros(len(self.pts), dtype=complex))
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("P", [1, 2, 255, 256, 257, 512])
+    @pytest.mark.parametrize("P", [1, 2, 63, 64, 65, 255, 256, 257, 512])
     def test_block_edges(self, P):
         # a lone trailing row would take BLAS's matrix-vector path
+        pts = self.pts[:P]
+        sets = _node_sets(band3d_measure(), [partial(_bracket, beta=1.3, lam=0.2)] * 2)
+        assert np.array_equal(symbols._band_sum(pts, sets), _reference(pts, sets))
+
+    def test_symbol_takes_the_core(self, coarse_nodes):
         m = band3d_measure()
-        pts = self.pts[:P] if P < 512 else self.pts
-        g = lambda u: _bracket(u, 1.3, 0.2)
-        sets = [(g, *band_nodes(b, refinement=16)) for b in m.bands]
-        want = _reference(pts, sets, np.zeros(P, dtype=complex))  # sign +1 for beta > 1
-        got = tempered_symbol(m, 1.3, 0.2, pts, method="nodes", refinement=16)
-        assert np.array_equal(got, want)
+        got = tempered_symbol(m, 0.8, 0.5, self.pts, method="nodes")
+        sets = CORE_CASES["tempered"]()
+        assert np.array_equal(got, -_reference(self.pts, sets).sum(axis=1))
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
-        m, m3 = fig1_measure(), band3d_measure()
+        m = fig1_measure()
         pts2 = grid_k(2, 64)
+        sets = CORE_CASES["general_profile"]()
         outs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ANISOLAP_THREADS", threads)
             sym = make_generator("tempered_aniso", 2, measure=m, beta=0.8, lam=0.5)
-            outs.append((tempered_symbol(m3, 1.3, 0.5, self.pts, method="nodes", refinement=16),
+            outs.append((symbols._band_sum(self.pts, sets),
                          gaussian_symbol("aniso", pts2, measure=m, sigmas=(0.8, 1.2)),
                          sym.on_grid(SpectralGrid(2, 16.0, 64))))
         for a, b in zip(*outs):
             assert np.array_equal(a, b)
 
-    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch, coarse_nodes):
         m = band3d_measure()
         grid = SpectralGrid(3, 16.0, 8)
         pts = grid.k_points()
         monkeypatch.setenv("ANISOLAP_THREADS", "1")
-        want = tempered_symbol(m, 0.8, 0.5, pts, method="nodes", refinement=16)
+        want = tempered_symbol(m, 0.8, 0.5, pts, method="nodes")
         monkeypatch.setenv("ANISOLAP_THREADS", "8")
-        sym = make_generator("tempered_aniso", 3, measure=m, beta=0.8, lam=0.5,
-                             method="nodes", refinement=16)
+        sym = make_generator("tempered_aniso", 3, measure=m, beta=0.8, lam=0.5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = tempered_symbol(m, 0.8, 0.5, pts, method="nodes", refinement=16)
+            got = tempered_symbol(m, 0.8, 0.5, pts, method="nodes")
             with ThreadPoolExecutor(max_workers=4) as ex:
                 futures = [ex.submit(sym.on_grid, grid) for _ in range(8)]
                 psis = [f.result(timeout=120) for f in futures]
@@ -308,17 +309,15 @@ CASES = [
     ("isoref_2d", 2, dict(kind="isotropic_reference", beta=1.3, lam=0.5)),
     ("gaussian_iso_3d", 3, dict(kind="gaussian_iso", sigma=0.8)),
     ("gaussian_axes_3d", 3, dict(kind="gaussian_axes", sigma=0.8)),
-    ("stable_3d", 3, dict(kind="stable_aniso", measure=band3d_measure(), beta=0.7,
-                          refinement=16)),
+    ("stable_3d", 3, dict(kind="stable_aniso", measure=band3d_measure(), beta=0.7)),
     ("tempered_3d", 3, dict(kind="tempered_aniso", measure=band3d_measure(), beta=1.3,
-                            lam=0.5, refinement=16)),
+                            lam=0.5)),
     # atoms: the exponent-1 symbol needs a symmetric measure, and the two
     # hemispheres of band3d_measure carry unequal mass
     ("beta1_3d", 3, dict(kind="beta1_aniso", measure=SYM3, lam=0.5)),
     ("beta2_3d", 3, dict(kind="beta2_quadratic", measure=band3d_measure(), lam=0.3)),
     ("profile_3d", 3, dict(kind="general_profile", measure=band3d_measure(),
-                           profile=StabilityProfile((1.3, 1.6), (0.2, 0.5)),
-                           refinement=16)),
+                           profile=StabilityProfile((1.3, 1.6), (0.2, 0.5)))),
     ("isoref_3d", 3, dict(kind="isotropic_reference", beta=1.3, lam=0.5)),
 ]
 GRID_N = {1: 16, 2: 16, 3: 8}
@@ -338,7 +337,7 @@ def _mirror(psi):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
-def test_grid_route_matches_direct_evaluation(case):
+def test_grid_route_matches_direct_evaluation(case, coarse_nodes):
     _, n, params = case
     sym = make_generator(dimension=n, zeta=1.7, **params)
     grid = SpectralGrid(n, 8.0, GRID_N[n])
@@ -369,7 +368,7 @@ def test_evaluate_memory_is_bounded_on_a_large_lattice(case):
     assert peak < 32 * 2 ** 20
 
 
-def test_auto_method_resolves_on_the_full_grid(monkeypatch):
+def test_auto_method_resolves_on_the_full_grid(monkeypatch, coarse_nodes):
     # 5^3 = 125 points of a lattice symmetric about 0 select the node rule
     # for 3D bands; the 63 points evaluated, one per pair +-k, would alone
     # select adaptive quadrature (a SpectralGrid of 3D, n_points even and at
@@ -382,8 +381,7 @@ def test_auto_method_resolves_on_the_full_grid(monkeypatch):
         return inner(pts, node_sets)
 
     monkeypatch.setattr(symbols, "_band_sum", spy)
-    sym = make_generator("tempered_aniso", 3, measure=band3d_measure(), beta=0.8, lam=0.5,
-                         refinement=16)
+    sym = make_generator("tempered_aniso", 3, measure=band3d_measure(), beta=0.8, lam=0.5)
     axis = np.arange(-2.0, 3.0)
     sym.evaluate(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1))
     (n_eval,) = calls

@@ -9,6 +9,7 @@ integrals evaluate one member of each pair +-k and conjugate for the other,
 and the remaining kinds see k only through even or odd functions of it."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -86,13 +87,17 @@ def measures(draw, dimension, symmetric=False):
 
 @st.composite
 def cases(draw, kind):
-    """(symbol, a jump law on the same measure or of the same family)."""
+    """(symbol, a jump law on the same measure or of the same family, the
+    most wavenumbers on which its 3D bands take adaptive quadrature): the
+    kinds that integrate over bands draw their 3D rule, the fixed nodes (-1),
+    the rule's own choice or adaptive quadrature (inf)."""
     dim = 2 if kind == "gaussian_aniso" else draw(st.sampled_from([2, 3, 1]))
     m = draw(measures(dim, symmetric=kind == "beta1_aniso"))
     beta, lam = draw(exponent), draw(rate)
     kw = {"zeta": draw(positive)}
-    if "method" in symbols_mod._FIELDS[kind][1]:  # the kinds that read a quadrature method
-        kw["method"] = draw(st.sampled_from(["nodes", "auto", "adaptive"]))
+    adaptive_max = symbols_mod._ADAPTIVE_MAX
+    if kind in ("stable_aniso", "tempered_aniso", "beta1_aniso", "general_profile"):
+        adaptive_max = draw(st.sampled_from([-1, adaptive_max, math.inf]))
     spec = JumpSpec("tempered_stable", dim, measure=m, beta=beta, lam=lam,
                     r0=draw(st.floats(1e-3, 1.0)))
     if kind in ("gaussian_iso", "gaussian_axes"):
@@ -116,7 +121,7 @@ def cases(draw, kind):
         kw["profile"] = StabilityProfile(
             tuple(draw(exponent) for _ in range(size)),
             tuple(draw(rate) for _ in range(size)))
-    return GeneratorSymbol(kind, dim, **kw), spec
+    return GeneratorSymbol(kind, dim, **kw), spec, adaptive_max
 
 
 @pytest.mark.filterwarnings("ignore::anisolap.symbols.MixedStabilityRangeWarning")
@@ -124,11 +129,12 @@ def cases(draw, kind):
 @FAST
 @given(data=st.data())
 def test_generator_invariants(kind, data):
-    sym, spec = data.draw(cases(kind))
+    sym, spec, adaptive_max = data.draw(cases(kind))
     n = sym.dimension
     k = np.array(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=3 * n, max_size=3 * n)))
     k = np.vstack([np.zeros(n), k.reshape(3, n)])
-    plus, minus = sym.evaluate(k), sym.evaluate(-k)
+    with mock.patch.object(symbols_mod, "_ADAPTIVE_MAX", adaptive_max):
+        plus, minus = sym.evaluate(k), sym.evaluate(-k)
     assert plus[0] == 0 and minus[0] == 0
     slack = 1e-10 * max(1.0, float(np.abs(plus).max()))
     assert np.all(plus.real <= slack) and np.all(minus.real <= slack)

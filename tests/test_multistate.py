@@ -102,13 +102,6 @@ class TestSimulation:
         traj = simulate_multistate_ctrw(model, 50.0, [0.0], np.random.default_rng(0))
         assert np.all(traj.states == 1)
 
-    def test_endpoints_start(self):
-        start = np.array([1.5, -0.4])
-        a = multistate_endpoints(swap_chain(), 2.0, 300, np.random.default_rng(8))
-        b = multistate_endpoints(swap_chain(), 2.0, 300, np.random.default_rng(8), start=start)
-        assert np.allclose(b.positions, a.positions + start)
-        assert np.array_equal(b.states, a.states)
-
     def test_swap_chain_alternates(self):
         model = swap_chain()
         traj = simulate_multistate_ctrw(model, 30.0, [0.0, 0.0],

@@ -16,6 +16,7 @@ from anisolap.measures import (
     make_measure,
     uniform_measure,
 )
+import anisolap.symbols as symbols
 from anisolap.realspace import apply_caseI, apply_caseII, apply_general, gaussian_bump
 from anisolap.symbols import general_profile_symbol, tempered_symbol
 
@@ -32,21 +33,23 @@ MEASURES = {
 }
 
 
-def wavenumbers(n):
+def wavenumbers(n, rows):
     rng = np.random.default_rng(7)
-    return np.vstack([np.zeros(n), rng.normal(scale=3.0, size=(12, n))])
+    return np.vstack([np.zeros(n), rng.normal(scale=3.0, size=(rows, n))])
 
 
+# 3D bands take adaptive quadrature on at most 64 wavenumbers and the fixed
+# nodes, here at refinement 32, on more
 @pytest.mark.parametrize("name", sorted(MEASURES))
-@pytest.mark.parametrize("method", ["nodes", "adaptive"])
+@pytest.mark.parametrize("rows", [12, 79], ids=["adaptive", "nodes"])
 @pytest.mark.parametrize("beta, lam", [(0.6, 0.0), (0.6, 0.4), (1.3, 0.0), (1.3, 0.7)])
-def test_tempered_is_constant_profile(name, method, beta, lam):
+def test_tempered_is_constant_profile(monkeypatch, name, rows, beta, lam):
+    monkeypatch.setattr(symbols, "_NODES_REFINEMENT", 32)
     m = MEASURES[name]()
-    k = wavenumbers(m.dimension)
-    kw = dict(method=method, refinement=32)
+    k = wavenumbers(m.dimension, rows)
     prof = StabilityProfile.constant(m, beta, lam)
-    assert np.array_equal(tempered_symbol(m, beta, lam, k, **kw),
-                          general_profile_symbol(m, prof, k, **kw))
+    assert np.array_equal(tempered_symbol(m, beta, lam, k),
+                          general_profile_symbol(m, prof, k))
 
 
 ONE_COMPONENT = {

@@ -124,15 +124,14 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
     return out[0] if size is None else out
 
 
-def fsum_endpoints(spec: JumpSpec, zeta: float, t: float, n_paths: int, rng, start=None):
+def fsum_endpoints(spec: JumpSpec, zeta: float, t: float, n_paths: int, rng):
     """The endpoints from the reference's draws, each the exactly rounded sum
-    of its start and its own jumps, and the bound 64 eps (|start| + sum |jump|)
-    per path and coordinate.  Any summation order of m terms is off by at most
+    of its own jumps, and the bound 64 eps sum |jump| per path and
+    coordinate.  Any summation order of m terms is off by at most
     gamma_{m-1} = (m - 1) u / (1 - (m - 1) u), u = eps / 2, times the sum of
     their magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., eq. 4.4), so the bound holds for paths of up to 120 jumps."""
     dim = spec.dimension
-    x0 = np.zeros(dim) if start is None else np.asarray(start, dtype=float).reshape(dim)
     counts = rng.poisson(zeta * t, size=n_paths)
     assert counts.max(initial=0) <= 120
     total = int(counts.sum())
@@ -142,18 +141,18 @@ def fsum_endpoints(spec: JumpSpec, zeta: float, t: float, n_paths: int, rng, sta
     bound = np.empty((n_paths, dim))
     for i, (a, b) in enumerate(zip(stops - counts, stops)):
         for d in range(dim):
-            ends[i, d] = math.fsum([x0[d], *jumps[a:b, d]])
-            bound[i, d] = 64.0 * np.finfo(float).eps * (abs(x0[d]) + np.abs(jumps[a:b, d]).sum())
+            ends[i, d] = math.fsum(jumps[a:b, d])
+            bound[i, d] = 64.0 * np.finfo(float).eps * np.abs(jumps[a:b, d]).sum()
     return ends, bound
 
 
-def same_endpoints(spec, zeta, t, n_paths, seed, start=None):
+def same_endpoints(spec, zeta, t, n_paths, seed):
     """The endpoints of compound_poisson_endpoints within the rounding bound of
     the per-path sums of the reference's draws, and the generator left in the
     same state."""
     rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
-    want, bound = fsum_endpoints(spec, zeta, t, n_paths, rng_ref, start=start)
-    got = sampler.compound_poisson_endpoints(spec, zeta, t, n_paths, rng_new, start=start)
+    want, bound = fsum_endpoints(spec, zeta, t, n_paths, rng_ref)
+    got = sampler.compound_poisson_endpoints(spec, zeta, t, n_paths, rng_new)
     assert got.shape == want.shape == (n_paths, spec.dimension)
     assert np.all(np.abs(got - want) <= bound)
     assert rng_ref.bit_generator.state == rng_new.bit_generator.state
@@ -365,29 +364,28 @@ class TestLabels:
 
 
 class TestEndpointSegments:
-    """Paths without a jump keep their start wherever they fall in the ensemble."""
+    """Paths without a jump stay at the origin wherever they fall in the ensemble."""
 
     SPEC = SPECS["tempered-mixed_2d"]
-    START = (0.25, -1.5)
 
     def test_zero_counts_first_middle_and_last(self):
         # seed 12 at zeta t = 1 draws no jump for paths 0, 2 to 4, 8 and 11 of 12
         counts = np.random.default_rng(12).poisson(1.0, size=12)
         assert counts[0] == counts[-1] == 0
         assert np.any(counts[1:-1] == 0) and np.any(counts > 1)
-        got = same_endpoints(self.SPEC, 2.0, 0.5, 12, seed=12, start=self.START)
-        assert np.all(got[counts == 0] == self.START)
+        got = same_endpoints(self.SPEC, 2.0, 0.5, 12, seed=12)
+        assert np.all(got[counts == 0] == 0.0)
 
     @pytest.mark.parametrize("zeta, t", [(1e-9, 1.0), (5.0, 0.0)])
     def test_all_counts_zero(self, zeta, t):
-        got = same_endpoints(self.SPEC, zeta, t, 40, seed=3, start=self.START)
-        assert np.all(got == self.START)
+        got = same_endpoints(self.SPEC, zeta, t, 40, seed=3)
+        assert np.all(got == 0.0)
 
     @pytest.mark.parametrize("seed, count", [(3, 0), (4, 3)])
     def test_single_path(self, seed, count):
         assert np.random.default_rng(seed).poisson(1.5, size=1)[0] == count
-        got = same_endpoints(self.SPEC, 1.5, 1.0, 1, seed=seed, start=self.START)
-        assert np.all((got == self.START) == (count == 0))
+        got = same_endpoints(self.SPEC, 1.5, 1.0, 1, seed=seed)
+        assert np.all((got == 0.0) == (count == 0))
 
     def test_no_paths(self):
         got = same_endpoints(self.SPEC, 3.0, 1.0, 0, seed=3)

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 from functools import partial
@@ -407,8 +406,7 @@ class TestIsotropicReference:
 class TestGeneratorObjects:
     def test_non_finite_value_is_a_numerical_error(self):
         # u^2 overflows past |u| ~ 1.3e154 in the bracket, and NaN > slack is false
-        sym = make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=1.3, lam=0.5,
-                             method="nodes")
+        sym = make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=1.3, lam=0.5)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
             sym.evaluate(np.array([[0.0, 0.0], [1e200, 0.0]]))
 
@@ -439,19 +437,22 @@ class TestGeneratorObjects:
             vals = np.atleast_1d(g(ks))
             assert np.all(np.real(vals) <= 1e-12)
 
-    @pytest.mark.parametrize("method", ["auto", "nodes", "adaptive"])
     @pytest.mark.parametrize("gen", [
         lambda: make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=1.3, lam=0.4),
         lambda: make_generator("tempered_aniso", 3, measure=uniform_measure(3), beta=0.7,
                                lam=0.2),
         lambda: make_generator("gaussian_iso", 2, sigma=0.8),
     ], ids=["tempered_2d", "tempered_3d", "gaussian_iso"])
-    def test_empty_wavenumbers(self, gen, method):
+    def test_empty_wavenumbers(self, gen):
         sym = gen()
-        if sym.kind != "gaussian_iso":  # which reads no quadrature method
-            sym = dataclasses.replace(sym, method=method)
         for k in (np.empty((0, sym.dimension)), np.empty((2, 0, sym.dimension))):
             got = sym.evaluate(k)
+            assert got.shape == k.shape[:-1] and got.dtype == complex
+
+    @pytest.mark.parametrize("method", ["auto", "nodes", "adaptive"])
+    def test_empty_wavenumbers_every_method(self, method):
+        for k in (np.empty((0, 3)), np.empty((2, 0, 3))):
+            got = tempered_symbol(uniform_measure(3), 0.7, 0.2, k, method=method)
             assert got.shape == k.shape[:-1] and got.dtype == complex
 
     def test_zeta_scaling(self):
@@ -489,10 +490,10 @@ class TestGeneratorObjects:
         with pytest.raises(RuntimeError, match="violated Re psi <= 0"):
             make_generator("gaussian_iso", 2, sigma=1.0)(np.ones((3, 2)))
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            make_generator("tempered_aniso", 2, measure=fig1_measure(), beta=1.3,
-                           lam=0.1, method="simpson")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unknown_method(self, n):
+        with pytest.raises(ValueError, match="unknown quadrature method 'adaptve'"):
+            tempered_symbol(uniform_measure(n), 0.8, 0.5, np.ones((2, n)), method="adaptve")
 
 
 class TestJson:
@@ -500,20 +501,16 @@ class TestJson:
         m2 = fig1_measure()
         sym_m = make_atomic_measure(2, [((1, 0), .25), ((-1, 0), .25),
                                         ((0, 1), .25), ((0, -1), .25)])
-        # each kind sets the quadrature fields it reads
-        kw = dict(method="nodes", refinement=192, zeta=1.5)
         return [
             make_generator("gaussian_iso", 2, sigma=0.8, zeta=1.5),
             make_generator("gaussian_axes", 3, sigma=0.8, zeta=1.5),
-            make_generator("gaussian_aniso", 2, measure=m2, sigmas=(0.7, 1.1),
-                           refinement=192, zeta=1.5),
-            make_generator("stable_aniso", 2, measure=m2, beta=1.3, **kw),
-            make_generator("tempered_aniso", 1, measure=onesided1d(), beta=0.6, lam=0.4,
-                           method="adaptive", refinement=48),
-            make_generator("beta1_aniso", 2, measure=sym_m, lam=0.5, **kw),
+            make_generator("gaussian_aniso", 2, measure=m2, sigmas=(0.7, 1.1), zeta=1.5),
+            make_generator("stable_aniso", 2, measure=m2, beta=1.3, zeta=1.5),
+            make_generator("tempered_aniso", 1, measure=onesided1d(), beta=0.6, lam=0.4),
+            make_generator("beta1_aniso", 2, measure=sym_m, lam=0.5, zeta=1.5),
             make_generator("beta2_quadratic", 2, measure=m2, lam=0.2, zeta=1.5),
             make_generator("general_profile", 2, measure=m2,
-                           profile=StabilityProfile((1.3, 1.7), (0.1, 0.0)), **kw),
+                           profile=StabilityProfile((1.3, 1.7), (0.1, 0.0)), zeta=1.5),
             make_generator("isotropic_reference", 2, beta=1.3, lam=0.5, zeta=1.5),
         ]
 
@@ -525,17 +522,20 @@ class TestJson:
             doc = to_json(g)
             back = symbol_from_json(json.loads(json.dumps(doc)))
             assert to_json(back) == doc
-            assert (back.method, back.refinement) == (g.method, g.refinement)
 
     def test_config_fields_are_read(self):
         doc = {"kind": "tempered_aniso", "dimension": 2, "beta": 0.8, "lam": 0.5,
-               "measure": measure_to_json(fig1_measure()),
-               "method": "nodes", "refinement": 192}
+               "measure": measure_to_json(fig1_measure())}
         sym = symbol_from_json(doc)
-        assert (sym.method, sym.refinement) == ("nodes", 192)
         k = np.array([[0.7, 0.2], [1.5, -3.0]])
-        want = tempered_symbol(fig1_measure(), 0.8, 0.5, k, method="nodes", refinement=192)
-        assert np.array_equal(sym(k), want)
+        assert np.array_equal(sym(k), tempered_symbol(fig1_measure(), 0.8, 0.5, k))
+
+    @pytest.mark.parametrize("field, value", [("method", "nodes"), ("refinement", 192)])
+    def test_band_rule_fields_are_refused(self, field, value):
+        doc = {"kind": "tempered_aniso", "dimension": 3, "beta": 0.8, "lam": 0.5,
+               "measure": measure_to_json(uniform_measure(3)), field: value}
+        with pytest.raises(ValueError, match=f"unknown field '{field}' in GeneratorSymbol"):
+            symbol_from_json(doc)
 
 
 class TestScalingLimitInvariant:
@@ -579,7 +579,7 @@ class TestThreeDimensional:
         im = si.dblquad(lambda p, t: integrand(t, p, "im"), 0, math.pi / 2,
                         0, TWO_PI, epsabs=1e-11)[0]
         ref = re + 1j * im
-        got = tempered_symbol(m3, beta, lam, k, method="nodes", refinement=128)
+        got = tempered_symbol(m3, beta, lam, k, method="nodes")
         assert abs(got - ref) < 1e-10
         got_a = tempered_symbol(m3, beta, lam, k, method="adaptive")
         assert abs(got_a - ref) < 1e-9
