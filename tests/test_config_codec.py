@@ -192,6 +192,18 @@ class TestStrict:
         with pytest.raises(ValueError, match="unknown field 'refinment' in GeneratorSymbol"):
             from_json(GeneratorSymbol, doc)
 
+    @pytest.mark.parametrize("kind", list(symbols_mod._FIELDS))
+    @pytest.mark.parametrize("field, values", [
+        ("method", st.sampled_from(["auto", "nodes", "adaptive"])),
+        ("refinement", st.integers(1, 256))], ids=["method", "refinement"])
+    @FAST
+    @given(data=st.data())
+    def test_band_rule_field_is_refused(self, kind, field, values, data):
+        # no kind chooses its band rule: a value the symbols once took is refused
+        doc = dict(to_json(data.draw(symbols(kind))), **{field: data.draw(values)})
+        with pytest.raises(ValueError, match=f"unknown field '{field}' in GeneratorSymbol"):
+            symbol_from_json(json.loads(json.dumps(doc)))
+
     def test_missing_required_field_named(self):
         with pytest.raises(ValueError, match="missing field 'n_points' in SpectralGrid"):
             from_json(SpectralGrid, {"dimension": 2, "half_width": 8.0})

@@ -530,13 +530,6 @@ class TestJson:
         k = np.array([[0.7, 0.2], [1.5, -3.0]])
         assert np.array_equal(sym(k), tempered_symbol(fig1_measure(), 0.8, 0.5, k))
 
-    @pytest.mark.parametrize("field, value", [("method", "nodes"), ("refinement", 192)])
-    def test_band_rule_fields_are_refused(self, field, value):
-        doc = {"kind": "tempered_aniso", "dimension": 3, "beta": 0.8, "lam": 0.5,
-               "measure": measure_to_json(uniform_measure(3)), field: value}
-        with pytest.raises(ValueError, match=f"unknown field '{field}' in GeneratorSymbol"):
-            symbol_from_json(doc)
-
 
 class TestScalingLimitInvariant:
     def test_symbols_approach_diffusion(self):
