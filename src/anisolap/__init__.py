@@ -60,10 +60,8 @@ from .evolve import (
     evolve_time_fractional,
 )
 from .multistate import (
-    FunctionalSpec,
     StateModel,
     WaitingLaw,
-    empirical_functional_cf,
     montroll_transform,
     multistate_endpoints,
     simulate_multistate_ctrw,

@@ -139,8 +139,8 @@ class ParsevalReport:
 
 
 def parseval_bilinear_check(field_q: ScalarField, measure: DirectionalMeasure,
-                            beta: float, lam: float, *, half_width: float = 12.0,
-                            n_points: int = 256, budget: float = 1e-2) -> ParsevalReport:
+                            beta: float, lam: float, *, half_width: float,
+                            n_points: int, budget: float) -> ParsevalReport:
     """Compare the double-quadrature a(q,q) against its Fourier form
 
         2|Gamma(-beta)| (2 pi)^(-n) int (-Re psi(k)) |q_hat(k)|^2 dk;
@@ -181,8 +181,7 @@ class CounterexampleReport:
     all_positive: bool
 
 
-def counterexample_1d(beta: float = 0.5, lam: float = 1.0,
-                      truncations=(1.0, 2.0, 5.0, 10.0, 20.0)) -> CounterexampleReport:
+def counterexample_1d(beta: float, lam: float, truncations) -> CounterexampleReport:
     """Asymmetric-kernel bilinear value for the one-sided measure (mass at +1)
     with p the negative-halfline indicator step and q constant:
 

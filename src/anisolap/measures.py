@@ -395,26 +395,30 @@ def measure_nodes(measure: DirectionalMeasure, refinement: int = 64):
     return np.concatenate(dirs), np.concatenate(weights), np.concatenate(comp)
 
 
-def _panel_sums(box, owner, f):
+def _panel_sums(box, owner, f, kinks):
     """15-point Gauss-Legendre integral over each theta interval box[i] of the
     integrand owner[i], taken _BLOCK_PANELS panels at a time; the integrand
-    sees the nodes as (cos theta, sin theta) from _unit_vectors."""
+    sees the nodes as (cos theta, sin theta) from _unit_vectors, and their
+    products u with its kink vector."""
     out = np.empty(len(box), dtype=complex)
     x, w = _gl(15)
     for s in range(0, len(box), _BLOCK_PANELS):
         rows = slice(s, s + _BLOCK_PANELS)
         lo, hi = box[rows, :1], box[rows, 1:]
-        vals = f(_unit_vectors(0.5 * (lo + hi) + 0.5 * (hi - lo) * x), owner[rows])
-        out[rows] = (0.5 * (hi - lo) * w * vals).sum(axis=1)
+        dirs = _unit_vectors(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+        # a stacked matrix product rounds u as dirs @ kinks[i] does per integrand
+        u = (dirs @ kinks[owner[rows]][:, :, None])[..., 0]
+        out[rows] = (0.5 * (hi - lo) * w * f(dirs, owner[rows], u)).sum(axis=1)
     return out
 
 
 def _integrate_band_adaptive(band, f, tol, kinks):
     """Adaptive integrals of len(kinks) integrands over one band.
 
-    f(dirs, owner) returns, for a (P, M, n) block of directions, the values
-    (P, M) of the integrands owner (P,), and raises its caller's error on a
-    value that is not finite.  A 2D arc is cut where kinks[i] . phi
+    f(dirs, owner, u) returns, for a (P, M, n) block of directions, the
+    values (P, M) of the integrands owner (P,), and raises its caller's error
+    on a value that is not finite; u (P, M) is k . phi of the directions with
+    k = kinks[owner].  A 2D arc is cut where kinks[i] . phi
     = 0 for integrand i, at theta_k +- pi/2 (a zero row: no cut), into 15-point
     Gauss-Legendre panels.  A panel is accepted when its 2 halves sum to within
     max(tol, 1e-16) of it, or at depth 40; an integrand with more than
@@ -423,25 +427,26 @@ def _integrate_band_adaptive(band, f, tol, kinks):
     the accepted sums of each integrand in the order of its own panels, so
     the result does not depend on the batching.  A 3D band is this rule in
     phi over the integrals of this rule in theta along the meridians, to
-    tol / 100 and weighted by sin(theta), where k . phi is the 2D product of
-    (k_z, k_x cos(phi) + k_y sin(phi)) and (cos(theta), sin(theta)).
+    tol / 100 and weighted by sin(theta); there u is the meridian's own 2D
+    product of (k_z, k_x cos(phi) + k_y sin(phi)) and (cos(theta),
+    sin(theta)), smooth in theta also where k_x cos(phi) + k_y sin(phi) ~ 0.
     """
     kinks = np.asarray(kinks, dtype=float)
     if band.dimension == 3:
         t0, t1, p0, p1 = band.bounds
 
-        def meridians(u, owner):
-            # the theta integrals on the meridians u = (cos phi, sin phi) of the integrands owner
-            shape = u.shape[:2]
-            u, owner = u.reshape(-1, 2), owner.repeat(shape[1])
+        def meridians(m, owner, u):
+            # the theta integrals on the meridians m = (cos phi, sin phi) of the integrands owner
+            shape = m.shape[:2]
+            m, owner = m.reshape(-1, 2), owner.repeat(shape[1])
             k = kinks[owner]
 
-            def g(v, j):
+            def g(v, j, u):
                 # v = (cos theta, sin theta) on the meridians j
-                dirs = np.concatenate([v[..., 1:] * u[j, None], v[..., :1]], axis=-1)
-                return f(dirs, owner[j]) * v[..., 1]
+                dirs = np.concatenate([v[..., 1:] * m[j, None], v[..., :1]], axis=-1)
+                return f(dirs, owner[j], u) * v[..., 1]
 
-            plane = np.stack([k[:, 2], k[:, 0] * u[:, 0] + k[:, 1] * u[:, 1]], axis=-1)
+            plane = np.stack([k[:, 2], k[:, 0] * m[:, 0] + k[:, 1] * m[:, 1]], axis=-1)
             return _integrate_band_adaptive(AngularBand((t0, t1), 1.0), g, tol / 100.0,
                                             plane).reshape(shape)
 
@@ -458,7 +463,7 @@ def _integrate_band_adaptive(band, f, tol, kinks):
         owner += [i] * (len(cuts) - 1)
     box = np.array(box, dtype=float).reshape(-1, 2)
     owner = np.array(owner, dtype=np.intp)
-    coarse = _panel_sums(box, owner, f)
+    coarse = _panel_sums(box, owner, f, kinks)
     totals = np.zeros(len(kinks), dtype=complex)
     for depth in range(max_depth + 1):
         if len(owner) > _PANEL_BUDGET and np.bincount(owner).max() > _PANEL_BUDGET:
@@ -468,7 +473,7 @@ def _integrate_band_adaptive(band, f, tol, kinks):
                 "noisy at rounding level along an arc")
         mid = 0.5 * (box[:, 0] + box[:, 1])
         kids = np.stack([box[:, 0], mid, mid, box[:, 1]], axis=-1).reshape(-1, 2, 2)
-        vals = _panel_sums(kids.reshape(-1, 2), owner.repeat(2), f).reshape(-1, 2)
+        vals = _panel_sums(kids.reshape(-1, 2), owner.repeat(2), f, kinks).reshape(-1, 2)
         fine = vals[:, 0] + vals[:, 1]
         # np.hypot, not np.abs: the complex abs ufunc rounds differently
         # from the scalar abs of the per-panel reference
@@ -500,7 +505,7 @@ def sphere_integrate(measure: DirectionalMeasure, integrand, tol: float = 1e-10)
         total += w * complex(val)
     n_bands = max(1, len(measure.bands))
 
-    def f(dirs, owner):
+    def f(dirs, owner, u):
         flat = dirs.reshape(-1, dirs.shape[-1])
         vals = np.broadcast_to(integrand(flat), flat.shape[:1]).reshape(dirs.shape[:2])
         if not np.all(np.isfinite(vals)):

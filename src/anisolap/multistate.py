@@ -3,8 +3,10 @@ Fourier-Laplace space, and path-functional statistics.
 
 Exponential waiting admits an exact Fourier-space ODE oracle (the chain is
 Markov), so validation is offered only there; power-law waiting enters the
-Laplace-domain formulas through its small-s transform (WaitingLaw.laplace) and
-is flagged as such rather than validated against ensembles.
+Laplace-domain formulas through its small-s transform (WaitingLaw.laplace),
+and validate_multistate refuses it.  A path functional is its weight U, a
+callable from (..., n) positions to (...) weights; its Fourier dual is a
+wavenumber of empirical_cf on the functional values.
 """
 
 from __future__ import annotations
@@ -17,19 +19,17 @@ import numpy as np
 
 from ._special import expm
 from .measures import _check_kind, from_json, to_json
-from .sampler import JumpSpec, Trajectory, empirical_cf, jump_cf, sample_jump
+from .sampler import JumpSpec, Trajectory, jump_cf, sample_jump
 
 __all__ = [
     "WaitingLaw",
     "StateModel",
-    "FunctionalSpec",
     "MultistateEnsemble",
     "ValidationReport",
     "simulate_multistate_ctrw",
     "multistate_endpoints",
     "montroll_transform",
     "validate_multistate",
-    "empirical_functional_cf",
 ]
 
 _ROW_TOL = 1e-12
@@ -54,10 +54,6 @@ class WaitingLaw:
             raise ValueError("alpha must lie in (0,1)")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
-
-    @property
-    def asymptotic(self) -> bool:
-        return self.kind == "power_law"
 
     def laplace(self, s: complex) -> complex:
         """Laplace transform of the waiting density; the power-law branch is
@@ -120,14 +116,6 @@ class StateModel:
 
 
 @dataclass(frozen=True)
-class FunctionalSpec:
-    """Path functional A = int_0^t U(X(tau)) dtau and its Fourier dual rho."""
-
-    U: Callable
-    rho: float = 1.0
-
-
-@dataclass(frozen=True)
 class MultistateEnsemble:
     positions: np.ndarray
     states: np.ndarray
@@ -136,11 +124,12 @@ class MultistateEnsemble:
 
 
 def simulate_multistate_ctrw(model: StateModel, T: float, start, rng,
-                             functional: Optional[FunctionalSpec] = None) -> Trajectory:
+                             functional: Optional[Callable] = None) -> Trajectory:
     """One path: wait per current state, jump per current state, then switch
     state by the corresponding row of M.  The recorded state at each event
-    time is the one occupying the following interval; the functional column
-    accumulates U(position) * waiting duration."""
+    time is the one occupying the following interval; with a weight U as
+    functional, the functional column accumulates U(position) * waiting
+    duration."""
     if T <= 0:
         raise ValueError("T must be positive")
     x = np.asarray(start, dtype=float).reshape(model.dimension)
@@ -155,7 +144,7 @@ def simulate_multistate_ctrw(model: StateModel, T: float, start, rng,
             break
         t += wait
         if functional is not None:
-            A += float(functional.U(x)) * wait
+            A += float(functional(x)) * wait
         x = x + sample_jump(model.jumps[state], rng)
         state = int(rng.choice(model.n_states, p=model.M[state]))
         times.append(t)
@@ -169,10 +158,13 @@ def simulate_multistate_ctrw(model: StateModel, T: float, start, rng,
 
 
 def multistate_endpoints(model: StateModel, t: float, n_paths: int, rng,
-                         functional: Optional[FunctionalSpec] = None) -> MultistateEnsemble:
+                         functional: Optional[Callable] = None) -> MultistateEnsemble:
     """Vectorised lockstep ensemble from the origin: positions, occupied
-    states and the functional values at time t (the final partial waiting
-    interval is included in the functional)."""
+    states and, with a weight U as functional, the values of
+    A = int_0^t U(X(tau)) dtau (the final partial waiting interval
+    included).  U maps the (paths, n) positions to (paths,) weights.  A
+    transition uniform is counted against the first N - 1 cumulative masses
+    of its row, so a row summing to just under 1 never gives state N."""
     if t <= 0:
         raise ValueError("t must be positive")
     if n_paths < 1:
@@ -182,7 +174,7 @@ def multistate_endpoints(model: StateModel, t: float, n_paths: int, rng,
     tcur = np.zeros(n_paths)
     A = np.zeros(n_paths)
     active = np.ones(n_paths, dtype=bool)
-    cumM = np.cumsum(model.M, axis=1)
+    cumM = np.cumsum(model.M, axis=1)[:, :-1]
     while np.any(active):
         idx = np.flatnonzero(active)
         waits = np.empty(len(idx))
@@ -192,7 +184,7 @@ def multistate_endpoints(model: StateModel, t: float, n_paths: int, rng,
                 waits[sel] = model.waiting[si].sample(rng, int(sel.sum()))
         t_new = tcur[idx] + waits
         if functional is not None:
-            u = np.asarray(functional.U(pos[idx]), dtype=float)
+            u = np.asarray(functional(pos[idx]), dtype=float)
             A[idx] += u * (np.minimum(t_new, t) - tcur[idx])
         fire = t_new <= t
         fidx = idx[fire]
@@ -215,8 +207,9 @@ def multistate_endpoints(model: StateModel, t: float, n_paths: int, rng,
 def montroll_transform(model: StateModel, k, s: complex) -> np.ndarray:
     """State-resolved position transform
         ((I - Phi(s))/s) (I - M^T Lambda(k) Phi(s))^{-1} |init>.
-    Power-law waiting uses the asymptotic transform and is flagged through
-    WaitingLaw.asymptotic; Re s > 0 is required."""
+    Power-law waiting enters through its small-s transform
+    (WaitingLaw.laplace), which holds only as s -> 0, and validate_multistate
+    refuses such a model; Re s > 0 is required."""
     if complex(s).real <= 0:
         raise ValueError("the Laplace variable must satisfy Re s > 0")
     N = model.n_states
@@ -267,12 +260,6 @@ def validate_multistate(model: StateModel, k_probes, t: float, n_paths: int,
             devs.append(abs(emp - oracle[si]))
     devs = np.asarray(devs)
     return ValidationReport(devs, tol, n_paths, bool(np.max(devs) <= tol))
-
-
-def empirical_functional_cf(functional_values: np.ndarray, rho: float):
-    """(1/N) sum exp(i rho A_j) with its 1/sqrt(N) standard error: the
-    empirical_cf of the one-column ensemble A at wavenumber rho."""
-    return empirical_cf(np.asarray(functional_values, dtype=float), [rho])
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,7 @@ _LATTICE_ROWS = 512  # lattice points per block of the bilinear form
 
 def bilinear_form(field_p: ScalarField, field_q: ScalarField,
                   measure: DirectionalMeasure, beta: float, lam: float, *,
-                  half_width: float = 10.0, n_points: int = 256):
+                  half_width: float, n_points: int):
     """Symmetric-kernel double form (no 1/|Gamma(-beta)| factor):
 
         a(p,q) = int int (p(x)-p(y)) (q(x)-q(y)) m((x-y)/|x-y|)

@@ -51,8 +51,10 @@ __all__ = [
 _JUMP_FIELDS = {"gaussian_iso": (("sigma",), ()), "gaussian_axes": (("sigma",), ()),
                 "gaussian_aniso": (("measure",), ("sigmas",)),
                 "stable": (("measure", "beta"), ("r0",)),
-                "tempered_stable": (("measure", "beta"), ("lam", "r0", "max_rejections"))}
+                "tempered_stable": (("measure", "beta"), ("lam", "r0"))}
 _JUMP_KINDS = tuple(_JUMP_FIELDS)
+# the rounds of tempered radius rejection before NumericalError
+_MAX_REJECTIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ class JumpSpec:
     beta: Optional[float] = None
     lam: float = 0.0
     r0: float = 1e-3
-    max_rejections: int = 10_000
 
     def __post_init__(self):
         _check_kind(self, _JUMP_FIELDS, ("dimension",))
@@ -81,8 +82,6 @@ class JumpSpec:
             raise ValueError("r0 must be positive")
         if not self.lam >= 0:
             raise ValueError("lambda must be nonnegative")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be at least 1")
         if self.kind == "gaussian_aniso":
             if self.measure.dimension != 2:
                 raise ValueError("gaussian_aniso requires a 2D measure")
@@ -206,8 +205,7 @@ def _pareto_radii(beta: float, r0: float, rng, n: int) -> np.ndarray:
     return r
 
 
-def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
-                    max_rejections: int) -> np.ndarray:
+def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int) -> np.ndarray:
     out = _pareto_radii(beta, r0, rng, n)
     # the first round: its acceptance uniforms and exp(-lam r), _SLICE at a time
     u, accept, todo = np.empty(min(n, _SLICE)), np.empty(min(n, _SLICE)), []
@@ -217,7 +215,7 @@ def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
         np.exp(accept[:m], out=accept[:m])
         todo.append(np.flatnonzero(rng.random(out=u[:m]) > accept[:m]) + s)
     todo = np.concatenate(todo) if todo else np.empty(0, dtype=np.intp)
-    for _ in range(max_rejections - 1):
+    for _ in range(_MAX_REJECTIONS - 1):
         if len(todo) == 0:
             return out
         prop = _pareto_radii(beta, r0, rng, len(todo))
@@ -227,7 +225,7 @@ def _tempered_radii(beta: float, lam: float, r0: float, rng, n: int,
     if len(todo) == 0:
         return out
     raise NumericalError(
-        f"tempered radius rejection exceeded {max_rejections} rounds "
+        f"tempered radius rejection exceeded {_MAX_REJECTIONS} rounds "
         f"(lambda*r0 = {lam * r0:.3g})"
     )
 
@@ -259,7 +257,7 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
     else:
         out = _directions(spec.measure, _component_sampler(spec.measure), n, rng)
         if spec.lam > 0:
-            out *= _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, spec.max_rejections)
+            out *= _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n)
         else:
             out *= _pareto_radii(spec.beta, spec.r0, rng, n)
         out = out.T

@@ -439,9 +439,8 @@ def _adaptive_bands(pts, bands, integrand_of_u, tol):
     wavenumber, with panels split where k.phi = 0.  A value that is not
     finite raises NumericalError, as on the fixed nodes."""
 
-    def f(dirs, owner):
-        # a stacked matrix product rounds u as dirs @ kvec does per wavenumber
-        vals = integrand_of_u((dirs @ pts[owner][:, :, None])[..., 0])
+    def f(dirs, owner, u):
+        vals = integrand_of_u(u)
         if not np.all(np.isfinite(vals)):
             raise NumericalError("adaptive band quadrature: the symbol integrand is not "
                                  "finite (|k.phi| overflow?)")

@@ -40,10 +40,8 @@ from anisolap.measures import (
     uniform_measure,
 )
 from anisolap.multistate import (
-    FunctionalSpec,
     StateModel,
     WaitingLaw,
-    empirical_functional_cf,
     montroll_transform,
     multistate_endpoints,
     validate_multistate,
@@ -300,7 +298,7 @@ def test_criterion_08_parseval_bilinear():
          {"half_width": 10.0, "n_points": 96}),
     ]
     for name, q, m, beta, lam, kw in scenarios:
-        rep = parseval_bilinear_check(q, m, beta, lam, **kw)
+        rep = parseval_bilinear_check(q, m, beta, lam, **kw, budget=1e-2)
         accept(f"08_parseval[{name}]", rep.relative_deviation, 1e-2)
 
 
@@ -404,15 +402,14 @@ def test_criterion_12_feynman_kac_functionals():
                        waiting=(WaitingLaw("exp", rate=1.0),),
                        jumps=(JumpSpec("gaussian_iso", 1, sigma=1.0),))
     t, rho, n = 1.3, 0.9, 20_000
-    const = FunctionalSpec(U=lambda x: np.ones(np.asarray(x).shape[:-1]), rho=rho)
+    const = lambda x: np.ones(np.asarray(x).shape[:-1])
     ens = multistate_endpoints(model, t, 2000, np.random.default_rng(712),
                                functional=const)
-    est = empirical_functional_cf(ens.functional, rho)
+    est = empirical_cf(ens.functional, [rho])
     accept("12_constant_weight_exact_phase",
            abs(est.value - cmath.exp(1j * rho * t)), 1e-12)
 
-    half = FunctionalSpec(U=lambda x: 0.5 * (1.0 + np.sign(np.asarray(x)[..., 0])),
-                          rho=1.0)
+    half = lambda x: 0.5 * (1.0 + np.sign(np.asarray(x)[..., 0]))
     ens = multistate_endpoints(model, 1.0, n, np.random.default_rng(713),
                                functional=half)
     se = float(ens.functional.std(ddof=1) / math.sqrt(n))

@@ -9,7 +9,9 @@ polar-angle integrals along the meridians; the 3D cases assert accuracy
 against closed forms and a tensor Gauss-Legendre rule whose directions come
 from np.cos and np.sin, and equal values under any batching.  The symbols'
 adaptive route, which only 3D bands take, asserts equal values against the
-breadth-first pass in phi over breadth-first passes along the meridians."""
+breadth-first pass in phi over breadth-first passes along the meridians, each
+integrating its symbol integrand of the meridian's own u = (k_z, k_x cos(phi)
++ k_y sin(phi)) . (cos(theta), sin(theta))."""
 
 import math
 import tracemalloc
@@ -95,20 +97,22 @@ def _kink_splits(k):
     return (tk - 0.5 * math.pi, tk + 0.5 * math.pi)
 
 
-def reference_band_3d(band, f, kvec, tol):
+def reference_band_3d(band, integrand_of_u, kvec, tol):
     """One 3D band as the breadth-first rule in phi over the breadth-first
-    rules in theta along the meridians, each weighted by sin(theta) and cut
-    where (k_z, k_x cos(phi) + k_y sin(phi)) . (cos(theta), sin(theta)) = 0."""
+    rules in theta along the meridians, each weighted by sin(theta), cut
+    where u = (k_z, k_x cos(phi) + k_y sin(phi)) . (cos(theta), sin(theta))
+    = 0, and integrating integrand_of_u of that u."""
     t0, t1, p0, p1 = band.bounds
     meridian = AngularBand((t0, t1), 1.0)
 
-    def meridians(u):
-        out = np.empty(len(u), dtype=complex)
-        for j in range(len(u)):
-            def g(v, j=j):
-                return f(np.concatenate([v[:, 1:] * u[j], v[:, :1]], axis=1)) * v[:, 1]
+    def meridians(m):
+        out = np.empty(len(m), dtype=complex)
+        for j in range(len(m)):
+            plane = np.array([kvec[2], kvec[0] * m[j, 0] + kvec[1] * m[j, 1]])
 
-            plane = (kvec[2], kvec[0] * u[j, 0] + kvec[1] * u[j, 1])
+            def g(v, plane=plane):
+                return integrand_of_u(v @ plane) * v[:, 1]
+
             out[j] = reference_band(meridian, g, tol / 100.0, _kink_splits(plane))
         return out
 
@@ -126,7 +130,7 @@ def reference_adaptive_bands(pts, bands, integrand_of_u, tol):
 
         for band in bands:
             if band.dimension == 3:
-                out[p] += reference_band_3d(band, f, kvec, tol)
+                out[p] += reference_band_3d(band, integrand_of_u, kvec, tol)
             else:
                 out[p] += reference_band(band, f, tol, _kink_splits(kvec))
     return out
@@ -293,6 +297,16 @@ class TestSymbolsAdaptive:
                 got = tempered_symbol(uniform_measure(3), beta, lam, k, method="adaptive")
                 want = -isotropic_reference_symbol(beta, lam, k, 3)
                 assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.6])
+    def test_next_to_a_zero_meridian(self, beta):
+        # k_z = 0: dirs @ k cancels to rounding noise along the meridians
+        # next to the one where k_x cos(phi) + k_y sin(phi) = 0, while the
+        # meridian's own u stays smooth in theta
+        k = np.array([[1.0, 1.0, 0.0]])
+        got = tempered_symbol(uniform_measure(3), beta, 0.0, k)
+        want = -isotropic_reference_symbol(beta, 0.0, k, 3)
+        assert abs(got[0] - want[0]) <= 1e-12
 
     def test_beta1(self, monkeypatch):
         new, ref = self.both(monkeypatch, lambda: beta1_symbol(

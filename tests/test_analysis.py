@@ -72,7 +72,7 @@ class TestParseval:
     def test_1d_symmetric_atoms(self):
         m = make_atomic_measure(1, [((1,), 0.5), ((-1,), 0.5)])
         rep = parseval_bilinear_check(gaussian_bump(1), m, 0.5, 1.0,
-                                      half_width=12.0, n_points=384)
+                                      half_width=12.0, n_points=384, budget=1e-2)
         assert rep.relative_deviation <= 1e-2
 
     def test_budget_enforced(self):
@@ -119,12 +119,12 @@ class TestCounterexample:
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
-            counterexample_1d(beta=1.5)
+            counterexample_1d(beta=1.5, lam=1.0, truncations=(1.0, 2.0))
 
     def test_growing_kernel_is_refused(self):
         # e^(+r) makes the value trivially positive and monotone
         with pytest.raises(ValueError, match="lambda must be nonnegative"):
-            counterexample_1d(beta=0.5, lam=-1.0)
+            counterexample_1d(beta=0.5, lam=-1.0, truncations=(1.0, 2.0))
         rep = counterexample_1d(beta=0.5, lam=0.0, truncations=(1.0, 2.0))
         assert rep.all_positive and rep.monotone and rep.limit_value is None
 

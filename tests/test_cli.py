@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anisolap.cli import main
+from anisolap.symbols import isotropic_reference_symbol
 
 TWO_PI = 2.0 * math.pi
 
@@ -305,7 +306,7 @@ class TestEveryFieldIsRead:
         ("symbol", {"symbol": dict(JUMP, note="a note")}, "unknown field 'note' in GeneratorSymbol"),
         ("symbol", {"symbol": JUMP, "note": 3}, "the note of a config must be a string"),
         ("sample", {"jump": dict(STABLE, max_rejections=7), "t": 1.0, "seed": 3},
-         "stable does not read field 'max_rejections'; use kind 'tempered_stable'"),
+         "unknown field 'max_rejections' in JumpSpec"),
     ])
     def test_refused_config_exits_2(self, tmp_path, capsys, verb, cfg, message):
         pts = tmp_path / "pts.csv"
@@ -376,10 +377,13 @@ class TestNumericalFailures:
         code = main(["evolve", "--config", cfg, "--t", "4.0", "--out", str(tmp_path / "a.csv")])
         self.expect_3(capsys, code, "enlarge the box")
 
-    def test_exhausted_rejection(self, tmp_path, capsys):
+    def test_exhausted_rejection(self, tmp_path, capsys, monkeypatch):
+        import anisolap.sampler as sampler
+
+        monkeypatch.setattr(sampler, "_MAX_REJECTIONS", 1)
         cfg = write_json(tmp_path, "c.json", {
             "jump": {"kind": "tempered_stable", "dimension": 1, "measure": M1_SYM,
-                     "beta": 0.5, "lam": 500.0, "r0": 1.0, "max_rejections": 1},
+                     "beta": 0.5, "lam": 500.0, "r0": 1.0},
             "zeta": 1.0, "t": 1.0, "paths": 50, "seed": 11, "k_list": [[0.5]]})
         code = main(["ecf", "--config", cfg, "--out", str(tmp_path / "ecf.csv")])
         self.expect_3(capsys, code, "tempered radius rejection exceeded 1 rounds")
@@ -478,6 +482,18 @@ class TestSymbolTable:
         assert data.shape == (9, 4)
         assert abs(data[0, 2]) < 1e-13  # psi(0) = 0
         assert np.all(data[1:, 2] < 0)  # Re psi < 0 away from zero
+
+    def test_3d_band_next_to_a_zero_meridian(self, tmp_path):
+        # k_z = 0 on the adaptive route of at most 64 wavenumbers
+        cfg = write_json(tmp_path, "c.json", {"symbol": {
+            "kind": "stable_aniso", "dimension": 3, "beta": 0.25, "measure": UNIFORM3}})
+        out = tmp_path / "tab.csv"
+        code = main(["symbol", "--config", cfg, "--k-grid", "0:2:5",
+                     "--k-dir", "1,1,0", "--out", str(out)])
+        assert code == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        want = -isotropic_reference_symbol(0.25, 0.0, data[:, :3], 3)
+        assert np.max(np.abs(data[:, 3] + 1j * data[:, 4] - want)) <= 1e-12
 
 
 class TestApplyAndEquivalence:
@@ -616,14 +632,6 @@ class TestEcfAndMultistate:
         assert sum("PASS" in l for l in lines) == 3
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (3, 8)
-
-    def test_ecf_rejection_cap_below_one_exits_2(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "c.json", {
-            "jump": {"kind": "tempered_stable", "dimension": 1, "measure": M1_SYM,
-                     "beta": 0.7, "lam": 0.5, "r0": 0.01, "max_rejections": 0},
-            "zeta": 1.0, "t": 1.0, "paths": 100, "seed": 11, "k_list": [[0.5]]})
-        assert main(["ecf", "--config", cfg, "--out", str(tmp_path / "ecf.csv")]) == 2
-        assert "max_rejections" in capsys.readouterr().err
 
     def test_multistate_validate(self, tmp_path, capsys):
         model = {

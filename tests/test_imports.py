@@ -1,8 +1,9 @@
 """Every top-level import of the package and of the tests is used, every
 top-level definition of the package is referenced, no function of the
 package imports from the package, no function of the package has a
-parameter whose name starts with an underscore, and the package neither
-imports scipy nor loads it at start-up.
+parameter whose name starts with an underscore, every field of an input
+class of the package is read somewhere outside its own __post_init__, and
+the package neither imports scipy nor loads it at start-up.
 
 A stand-in for a lint step: each module is parsed with ast, and a name bound
 by a module-level import must appear as a name somewhere in that module (or
@@ -211,3 +212,50 @@ def test_start_up_loads_no_scipy(run):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+# input classes of the package, whose fields a caller or a config sets; the
+# report classes are left out, because the CLI writes their fields whole
+CONFIG_CLASSES = ("GeneratorSymbol", "JumpSpec", "WaitingLaw", "StateModel", "StabilityProfile",
+                  "SpectralGrid", "AngularBand", "DirectionalMeasure", "ScalarField")
+
+
+def unread_fields(sources, classes) -> list:
+    """(class, field) of each annotated field of the named classes that no
+    source reads as an attribute outside that class's own __post_init__: a
+    field nothing reads is a setting that does nothing."""
+    trees = [ast.parse(src) for src in sources]
+    reads = Counter(n.attr for tree in trees for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    out = []
+    for tree in trees:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in classes):
+                continue
+            own = Counter()
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                    own += Counter(n.attr for n in ast.walk(node)
+                                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+            out += [(cls.name, node.target.id) for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                    and reads[node.target.id] == own[node.target.id]]
+    return sorted(out)
+
+
+def test_every_config_field_is_read():
+    sources = [p.read_text() for p in PACKAGE]
+    defined = {n.name for src in sources for n in ast.parse(src).body
+               if isinstance(n, ast.ClassDef)}
+    assert set(CONFIG_CLASSES) <= defined
+    assert unread_fields(sources, CONFIG_CLASSES) == []
+
+
+def test_checker_flags_an_unread_field():
+    # rho is read only in __post_init__ and written elsewhere; Report is no input class
+    mod = ("class Spec:\n    U: object\n    rho: float = 1.0\n    tol: float = 0.1\n"
+           "    def __post_init__(self):\n        if self.rho < 0 or self.tol < 0:\n"
+           "            raise ValueError\n"
+           "class Report:\n    rows: int\n"
+           "def use(spec):\n    spec.rho = 2.0\n    return spec.U(spec.tol)\n")
+    assert unread_fields([mod], ("Spec",)) == [("Spec", "rho")]

@@ -243,7 +243,7 @@ class TestSymmetry:
         with pytest.raises(ValueError, match="symmetric"):
             apply_caseI(field, m, 1.5, 0.5, np.zeros((1, 2)))
         with pytest.raises(ValueError, match="symmetric"):
-            bilinear_form(field, field, m, 0.5, 1.0, n_points=8)
+            bilinear_form(field, field, m, 0.5, 1.0, half_width=10.0, n_points=8)
 
     def test_split_not_at_a_reflected_edge(self):
         # the reflection of the split at 1 is 1 + pi, which is no edge

@@ -6,10 +6,8 @@ import pytest
 from anisolap._special import upper_gamma
 from anisolap.measures import uniform_measure
 from anisolap.multistate import (
-    FunctionalSpec,
     StateModel,
     WaitingLaw,
-    empirical_functional_cf,
     montroll_transform,
     multistate_endpoints,
     simulate_multistate_ctrw,
@@ -53,8 +51,6 @@ class TestModelValidation:
             WaitingLaw("exp", rate=0.0)
         with pytest.raises(ValueError):
             WaitingLaw("power_law", alpha=1.5)
-        assert WaitingLaw("power_law", alpha=0.7).asymptotic
-        assert not WaitingLaw("exp", rate=1.0).asymptotic
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7])
     @pytest.mark.parametrize("scale", [0.5, 2.0])
@@ -139,6 +135,26 @@ class TestSimulation:
             a = empirical_cf(ens.positions, k).value
             b = empirical_cf(ref, k).value
             assert abs(a - b) <= 5.0 / math.sqrt(n)
+
+    def test_transition_draw_above_the_last_cumulative_mass(self):
+        # rows within the row tolerance of 1, and a transition uniform above
+        # their last cumulative mass: the draw lands in the last state
+        class StubRng:
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def uniform(self, size=None):
+                return np.full(size, 1.0 - 1e-13)
+
+        row = [0.5, 0.5 - 4e-13]
+        model = StateModel(M=[row, row], init=[1.0, 0.0],
+                           waiting=(WaitingLaw("exp", rate=100.0),) * 2,
+                           jumps=(JumpSpec("gaussian_iso", 1, sigma=1.0),) * 2)
+        ens = multistate_endpoints(model, 1.0, 50, StubRng())
+        assert np.all(ens.states == 1)
 
     def test_state_distribution_at_small_t(self):
         model = swap_chain(rate1=1.0, rate2=1.0)
@@ -243,15 +259,14 @@ class TestFunctionals:
     def test_constant_weight_gives_exact_phase(self):
         model = swap_chain()
         t, rho = 1.3, 0.9
-        spec = FunctionalSpec(U=lambda x: np.ones(np.asarray(x).shape[:-1]), rho=rho)
         ens = multistate_endpoints(model, t, 500, np.random.default_rng(7),
-                                   functional=spec)
+                                   functional=lambda x: np.ones(np.asarray(x).shape[:-1]))
         assert np.max(np.abs(ens.functional - t)) < 1e-12
-        est = empirical_functional_cf(ens.functional, rho)
+        est = empirical_cf(ens.functional, [rho])
         assert abs(est.value - np.exp(1j * rho * t)) < 1e-12
 
     def test_rho_zero(self):
-        est = empirical_functional_cf(np.random.default_rng(0).uniform(size=100), 0.0)
+        est = empirical_cf(np.random.default_rng(0).uniform(size=100), [0.0])
         assert est.value == 1.0
 
     def test_half_space_occupation_mean(self):
@@ -261,10 +276,9 @@ class TestFunctionals:
                            waiting=(WaitingLaw("exp", rate=1.0),),
                            jumps=(JumpSpec("gaussian_iso", 1, sigma=1.0),))
         t, n = 1.0, 20_000
-        spec = FunctionalSpec(U=lambda x: 0.5 * (1.0 + np.sign(np.asarray(x)[..., 0])),
-                              rho=1.0)
-        ens = multistate_endpoints(model, t, n, np.random.default_rng(8),
-                                   functional=spec)
+        ens = multistate_endpoints(
+            model, t, n, np.random.default_rng(8),
+            functional=lambda x: 0.5 * (1.0 + np.sign(np.asarray(x)[..., 0])))
         se = ens.functional.std(ddof=1) / math.sqrt(n)
         assert abs(ens.functional.mean() - 0.5 * t) <= 3.0 * se
 
@@ -272,12 +286,15 @@ class TestFunctionals:
         # recompute A from the recorded trajectory; waiting intervals are
         # piecewise constant so the sum is exact
         model = swap_chain()
-        spec = FunctionalSpec(U=lambda x: np.asarray(x)[..., 0] ** 2, rho=1.0)
+
+        def U(x):
+            return np.asarray(x)[..., 0] ** 2
+
         traj = simulate_multistate_ctrw(model, 20.0, [0.3, -0.1],
-                                        np.random.default_rng(9), functional=spec)
+                                        np.random.default_rng(9), functional=U)
         acc = 0.0
         for i in range(1, len(traj.times)):
-            u = float(spec.U(traj.positions[i - 1]))
+            u = float(U(traj.positions[i - 1]))
             acc += u * (traj.times[i] - traj.times[i - 1])
             assert traj.functional[i] == pytest.approx(acc, abs=1e-12)
 

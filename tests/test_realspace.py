@@ -458,7 +458,7 @@ class TestBilinearForm:
     def test_asymmetric_rejected(self):
         q = gaussian_bump(1)
         with pytest.raises(ValueError, match="symmetric"):
-            bilinear_form(q, q, onesided1d(), 0.5, 1.0)
+            bilinear_form(q, q, onesided1d(), 0.5, 1.0, half_width=10.0, n_points=256)
 
 
 class TestFieldInvariants:

@@ -468,7 +468,8 @@ def test_invalid_thread_cap_raises_before_any_thread(monkeypatch, value):
                                          f"not '{value}'"):
         apply_caseI(gaussian_bump(2), FIG1, 0.8, 0.5, points(4, 2))
     with pytest.raises(ValueError, match="ANISOLAP_THREADS"):
-        bilinear_form(gaussian_bump(2), gaussian_bump(2), CROSS, 1.3, 0.5, n_points=40)
+        bilinear_form(gaussian_bump(2), gaussian_bump(2), CROSS, 1.3, 0.5, half_width=10.0,
+                      n_points=40)
 
 
 @pytest.mark.parametrize("value", ["0", "1", "3", None])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
+import anisolap.sampler as sampler_mod
 from anisolap.measures import make_atomic_measure, make_banded_measure, to_json, uniform_measure
 from anisolap.sampler import (
     JumpSpec,
@@ -110,11 +111,11 @@ class TestJumps:
                     for lam in (0.1, 0.5, 2.0)}
         assert accepted[2.0] <= accepted[0.5] <= accepted[0.1]
 
-    def test_rejection_cap(self):
+    def test_rejection_cap(self, monkeypatch):
         m = make_atomic_measure(1, [((1,), 1.0)])
-        spec = JumpSpec("tempered_stable", 1, measure=m, beta=0.5, lam=500.0,
-                        r0=1.0, max_rejections=5)
-        with pytest.raises(RuntimeError, match="rejection"):
+        spec = JumpSpec("tempered_stable", 1, measure=m, beta=0.5, lam=500.0, r0=1.0)
+        monkeypatch.setattr(sampler_mod, "_MAX_REJECTIONS", 5)
+        with pytest.raises(RuntimeError, match="exceeded 5 rounds"):
             sample_jump(spec, np.random.default_rng(0), size=100)
 
     def test_single_atom_stable_direction_support(self):
@@ -287,19 +288,10 @@ class TestJson:
         assert spec2.measure.bands[0].density == pytest.approx(
             spec.measure.bands[0].density)
 
-    def test_max_rejections_roundtrip(self):
-        spec = JumpSpec("tempered_stable", 2, measure=fig1_measure(), beta=1.3,
-                        lam=0.5, r0=0.01, max_rejections=7)
-        doc = json.loads(json.dumps(to_json(spec)))
-        assert doc["max_rejections"] == 7
-        assert jump_from_json(doc).max_rejections == 7
-        del doc["max_rejections"]
-        assert jump_from_json(doc).max_rejections == 10_000
-
     def test_gaussian_aniso_roundtrip(self):
         spec = JumpSpec("gaussian_aniso", 2, sigmas=(0.8, 1.2), measure=fig1_measure())
         doc = json.loads(json.dumps(to_json(spec)))
-        assert doc["sigmas"] == [0.8, 1.2] and "max_rejections" not in doc
+        assert doc["sigmas"] == [0.8, 1.2]
         spec2 = jump_from_json(doc)
         assert (spec2.kind, spec2.sigmas) == ("gaussian_aniso", (0.8, 1.2))
         assert spec2.measure.bands == spec.measure.bands

@@ -117,7 +117,7 @@ def sample_jump(spec: JumpSpec, rng, size: Optional[int] = None) -> np.ndarray:
     else:
         d = sample_direction(spec.measure, rng, size=n)
         if spec.kind == "tempered_stable" and spec.lam > 0:
-            r = _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, spec.max_rejections)
+            r = _tempered_radii(spec.beta, spec.lam, spec.r0, rng, n, sampler._MAX_REJECTIONS)
         else:
             r = _pareto_radii(spec.beta, spec.r0, rng, n)
         out = r[:, None] * d
@@ -392,6 +392,12 @@ class TestEndpointSegments:
         assert got.shape == (0, 2)
 
 
+def capped_radii(monkeypatch, beta, lam, r0, rng, n, cap):
+    """The package's tempered radii with at most cap rejection rounds."""
+    monkeypatch.setattr(sampler, "_MAX_REJECTIONS", cap)
+    return sampler._tempered_radii(beta, lam, r0, rng, n)
+
+
 class TestRejectionCap:
     BETA, LAM, R0, N = 0.7, 3.0, 0.5, 200
 
@@ -407,36 +413,31 @@ class TestRejectionCap:
         raise AssertionError("reference needs more than 1000 rounds")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_cap_at_rounds_needed(self, seed):
+    def test_cap_at_rounds_needed(self, monkeypatch, seed):
         m = self.rounds_needed(seed)
         assert m >= 3
         args = (self.BETA, self.LAM, self.R0)
         want = _tempered_radii(*args, np.random.default_rng(seed), self.N, m)
-        got = sampler._tempered_radii(*args, np.random.default_rng(seed), self.N, m)
+        got = capped_radii(monkeypatch, *args, np.random.default_rng(seed), self.N, m)
         assert np.array_equal(got, want)
         with pytest.raises(RuntimeError) as ref_err:
             _tempered_radii(*args, np.random.default_rng(seed), self.N, m - 1)
         with pytest.raises(RuntimeError) as new_err:
-            sampler._tempered_radii(*args, np.random.default_rng(seed), self.N, m - 1)
+            capped_radii(monkeypatch, *args, np.random.default_rng(seed), self.N, m - 1)
         assert str(new_err.value) == str(ref_err.value)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 50])
-    def test_cap_of_one_accepting_round(self, n):
+    def test_cap_of_one_accepting_round(self, monkeypatch, n):
         # lambda*r0 = 1e-7: one round accepts every proposal
         args = (self.BETA, 1e-6, 0.1, np.random.default_rng(5), n, 1)
         want = _tempered_radii(*args)
         args = (self.BETA, 1e-6, 0.1, np.random.default_rng(5), n, 1)
-        assert np.array_equal(sampler._tempered_radii(*args), want)
+        assert np.array_equal(capped_radii(monkeypatch, *args), want)
 
-    def test_cap_of_one_rejecting_round(self):
+    def test_cap_of_one_rejecting_round(self, monkeypatch):
         with pytest.raises(RuntimeError) as ref_err:
             _tempered_radii(self.BETA, self.LAM, self.R0, np.random.default_rng(5), self.N, 1)
         with pytest.raises(RuntimeError) as new_err:
-            sampler._tempered_radii(self.BETA, self.LAM, self.R0,
-                                    np.random.default_rng(5), self.N, 1)
+            capped_radii(monkeypatch, self.BETA, self.LAM, self.R0,
+                         np.random.default_rng(5), self.N, 1)
         assert str(new_err.value) == str(ref_err.value)
-
-    def test_cap_below_one_is_rejected(self):
-        with pytest.raises(ValueError, match="max_rejections"):
-            JumpSpec("tempered_stable", 2, measure=MEASURES["fig1"], beta=1.3, lam=0.5,
-                     max_rejections=0)
