@@ -200,6 +200,16 @@ class TestStrict:
         with pytest.raises(ValueError, match=f"unknown field '{field}' in GeneratorSymbol"):
             symbol_from_json(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("kind", _JUMP_KINDS)
+    @FAST
+    @given(data=st.data())
+    def test_rejection_cap_field_is_refused(self, kind, data):
+        # the cap of the rejection loop is a constant: a cap a jump once took is refused
+        cap = data.draw(st.integers(1, 10**6))
+        doc = dict(to_json(data.draw(jumps(kind))), max_rejections=cap)
+        with pytest.raises(ValueError, match="unknown field 'max_rejections' in JumpSpec"):
+            from_json(JumpSpec, json.loads(json.dumps(doc)))
+
     def test_missing_required_field_named(self):
         with pytest.raises(ValueError, match="missing field 'n_points' in SpectralGrid"):
             from_json(SpectralGrid, {"dimension": 2, "half_width": 8.0})
