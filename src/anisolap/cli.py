@@ -1,6 +1,10 @@
 """Command-line entry point: wires JSON configs to the library modules and
 emits CSV/JSON artifacts plus machine-readable CHECK summary lines.
 
+A run is its config: no flag overrides a config field.  Flags name files and
+the few scalars no config holds (evolve --t, compare --l1-tol, symbol
+--k-grid and --k-dir, multistate --validate).
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or config error,
 3 numerical failure (boundary mass, quadrature tail, rejection sampling, a
 continued fraction or a symbol invariant).
@@ -59,9 +63,14 @@ def _read_case(doc, what: str, key: str, cases: dict, common: dict, noun: str = 
     return _read_fields(doc, what, {key: (str, default), **common, **cases[case]})
 
 
+def _summary_line(tag: str, name: str, value: float, tol: float, passed: bool) -> str:
+    """The machine-readable summary line of one check: CHECK here, ACCEPT in
+    the acceptance suite."""
+    return f"{tag} {name} value={value:.6e} tol={tol:.6e} status={'PASS' if passed else 'FAIL'}"
+
+
 def _check_line(name: str, value: float, tol: float, passed: bool) -> bool:
-    status = "PASS" if passed else "FAIL"
-    print(f"CHECK {name} value={value:.6e} tol={tol:.6e} status={status}")
+    print(_summary_line("CHECK", name, value, tol, passed))
     return passed
 
 
@@ -106,32 +115,37 @@ def _write_density_csv(path: str, rho: DensityField):
 
 
 def _read_density_csv(path: str) -> DensityField:
+    """The density of a CSV that evolve wrote: a header line of dimension,
+    half_width, n_points and time, a column line and one row per grid point.
+    Any other file is a ValueError that names it."""
     with open(path) as fh:
-        meta = fh.readline().lstrip("# ").split()
-    fields = dict(kv.split("=") for kv in meta)
-    grid = SpectralGrid(int(fields["dimension"]), float(fields["half_width"]),
-                        int(fields["n_points"]))
-    data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
-    return DensityField(grid, data[:, -1].reshape(grid.shape()),
-                        float(fields["time"]))
+        meta = dict(kv.split("=", 1) for kv in fh.readline().lstrip("# ").split() if "=" in kv)
+    foreign = f"{path} is not a density that evolve wrote"
+    try:
+        dim, n_points = int(meta["dimension"]), int(meta["n_points"])
+        half_width, time = float(meta["half_width"]), float(meta["time"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{foreign}: its first line must give dimension, half_width, "
+                         "n_points and time") from None
+    grid = SpectralGrid(dim, half_width, n_points)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{foreign}: {exc}") from None
+    if data.shape != (n_points ** dim, dim + 1):
+        raise ValueError(f"{path} holds {len(data)} rows of {data.shape[1]} columns; its header "
+                         f"needs {n_points ** dim} rows of {dim + 1}")
+    return DensityField(grid, data[:, -1].reshape(grid.shape()), time)
 
 
-_RUN = {"t": (float, None), "paths": (int, 1), "seed": (int, None)}  # of a sampling verb
+_RUN = {"t": float, "paths": (int, 1), "seed": int}  # of a sampling verb
 
 
-def _run_fields(args, what: str, t, paths, seed):
-    """(t, paths, seed) of a sampling verb: each flag overrides its config
-    value; t and the seed must come from one or the other."""
-    t = args.t if args.t is not None else t
-    paths = args.paths if args.paths is not None else paths
-    seed = args.seed if args.seed is not None else seed
-    if t is None:
-        raise ValueError(f"missing field 't' in {what}")
+def _path_count(paths: int) -> int:
+    """The paths field of a sampling verb, which must be at least 1."""
     if paths < 1:
         raise ValueError(f"paths must be at least 1, got {paths}")
-    if seed is None:
-        raise ValueError("sampling requires a seed (flag --seed or config field)")
-    return t, paths, seed
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +153,9 @@ def _run_fields(args, what: str, t, paths, seed):
 # ---------------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
-    spec, zeta, start, *run = _read_fields(_load_config(args.config), "sample config", {
+    spec, zeta, start, T, n_paths, seed = _read_fields(_load_config(args.config), "sample config", {
         "jump": JumpSpec, "zeta": (float, 1.0), "start": (_VECTOR, None), **_RUN})
-    T, n_paths, seed = _run_fields(args, "sample config", *run)
+    n_paths = _path_count(n_paths)
     start = np.zeros(spec.dimension) if start is None else np.asarray(start)
     rngs = np.random.SeedSequence(seed).spawn(n_paths)
     rows = []
@@ -156,14 +170,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_ecf(args) -> int:
-    spec, zeta, rows, *run = _read_fields(_load_config(args.config), "ecf config", {
-        "jump": JumpSpec, "zeta": (float, 1.0), "k_list": (_VECTORS, None),
+    spec, zeta, rows, t, n_paths, seed = _read_fields(_load_config(args.config), "ecf config", {
+        "jump": JumpSpec, "zeta": (float, 1.0), "k_list": _VECTORS,
         **_RUN, "paths": (int, 10000)})
-    t, n_paths, seed = _run_fields(args, "ecf config", *run)
-    if args.k_list:
-        # the flag text "k1,k2;k3,k4" as rows
-        rows = [[float(c) for c in part.split(",") if c.strip() != ""]
-                for part in args.k_list.split(";")]
+    n_paths = _path_count(n_paths)
     ks = _k_vectors(rows, spec.dimension)
     ends = ensemble_endpoints_parallel(spec, zeta, t, n_paths, seed)
     tol = 5.0 / math.sqrt(n_paths)
@@ -243,19 +253,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-_MULTISTATE_RUN = {"k_probes": (_VECTORS, None), **_RUN, "t": (float, 1.0), "paths": (int, 10000)}
-
-
 def _cmd_multistate(args) -> int:
-    cfg = _load_config(args.config)
-    if isinstance(cfg, dict) and "M" in cfg:
-        # an inline model shares its top level with the run fields
-        cfg = {"model": {k: v for k, v in cfg.items() if k not in _MULTISTATE_RUN},
-               **{k: v for k, v in cfg.items() if k in _MULTISTATE_RUN}}
-    doc, probes, *run = _read_fields(cfg, "multistate config", {
-        "model": dict, **_MULTISTATE_RUN})
+    doc, probes, t, n_paths, seed = _read_fields(_load_config(args.config), "multistate config", {
+        "model": dict, "k_probes": (_VECTORS, None), **_RUN, "t": (float, 1.0),
+        "paths": (int, 10000)})
     model = state_model_from_json(doc)
-    t, n_paths, seed = _run_fields(args, "multistate config", *run)
+    n_paths = _path_count(n_paths)
     rng = np.random.default_rng(seed)
     ok = True
     if args.validate:
@@ -373,18 +376,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         sp.add_argument("--config", required=flags.get("config", True))
-        if flags.get("seeded"):
-            sp.add_argument("--seed", type=int)
-            sp.add_argument("--paths", type=int)
-            sp.add_argument("--t", type=float)
         if flags.get("out_required"):
             sp.add_argument("--out", required=True)
         elif flags.get("out"):
             sp.add_argument("--out")
         return sp
 
-    add("sample", _cmd_sample, seeded=True, out_required=True)
-    add("ecf", _cmd_ecf, seeded=True, out_required=True).add_argument("--k-list")
+    add("sample", _cmd_sample, out_required=True)
+    add("ecf", _cmd_ecf, out_required=True)
     sp = add("symbol", _cmd_symbol, out_required=True)
     sp.add_argument("--k-grid", required=True)
     sp.add_argument("--k-dir")
@@ -398,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--b", required=True)
     cp.add_argument("--out")
     cp.add_argument("--l1-tol", type=float)
-    ms = add("multistate", _cmd_multistate, seeded=True, out=True)
+    ms = add("multistate", _cmd_multistate, out=True)
     ms.add_argument("--validate", action="store_true")
     an = sub.add_parser("analyze")
     an.set_defaults(fn=_cmd_analyze)

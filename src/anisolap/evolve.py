@@ -123,9 +123,20 @@ class DensityField:
         return float(v[~core].sum() / total)
 
 
+def _grid_center(center, grid: SpectralGrid) -> np.ndarray:
+    """_center of a density on grid; ValueError unless every coordinate lies
+    in [-L, L], since the periodic box would wrap or lose the mass."""
+    c = _center(center, grid.dimension)
+    if not np.all(np.abs(c) <= grid.half_width):
+        L = grid.half_width
+        raise ValueError(f"center {c.tolist()!r} lies outside the box [{-L!r}, {L!r}]"
+                         f"^{grid.dimension}")
+    return c
+
+
 def delta_density(grid: SpectralGrid, center=None) -> DensityField:
     """Unit mass concentrated in the cell nearest to center."""
-    c = _center(center, grid.dimension)
+    c = _grid_center(center, grid)
     idx = tuple(
         int(round((ci + grid.half_width) / grid.spacing)) % grid.n_points for ci in c
     )
@@ -135,24 +146,11 @@ def delta_density(grid: SpectralGrid, center=None) -> DensityField:
 
 
 def gaussian_density(grid: SpectralGrid, variance: float, center=None) -> DensityField:
-    c = _center(center, grid.dimension)
+    c = _grid_center(center, grid)
     pts = grid.points()
     d2 = np.sum((pts - c) ** 2, axis=-1)
     vals = np.exp(-0.5 * d2 / variance) / (2.0 * math.pi * variance) ** (grid.dimension / 2.0)
     return DensityField(grid, vals.reshape(grid.shape()), 0.0)
-
-
-def _symbol_on_grid(symbol, grid: SpectralGrid) -> np.ndarray:
-    """psi on the grid lattice: a GeneratorSymbol's cached on_grid, or a
-    plain callable evaluated at every wavenumber.  A value that is not
-    finite raises NumericalError."""
-    if isinstance(symbol, GeneratorSymbol):
-        psi = symbol.on_grid(grid)
-    else:
-        psi = np.asarray(symbol(grid.k_points()), dtype=complex).reshape(grid.shape())
-    if not np.all(np.isfinite(psi)):
-        raise NumericalError("symbol evaluation returned non-finite values")
-    return psi
 
 
 def spectral_apply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -174,19 +172,17 @@ def _nyquist_shell_mass(transform: np.ndarray, grid: SpectralGrid) -> float:
     return float(np.abs(transform[shell]).sum())
 
 
-def evolve_spectral(p0: DensityField, symbol, t: float, *,
+def evolve_spectral(p0: DensityField, symbol: GeneratorSymbol, t: float, *,
                     check_boundary: bool = True) -> DensityField:
     """Exact grid semigroup: multiply the transform by exp(t*psi(k)).
 
-    A GeneratorSymbol is evaluated through its on_grid (the quadrature
-    evaluators run once per pair +-k) and cached per grid, so repeated
-    evolutions on one grid evaluate it once; a plain callable is called on
-    every wavenumber.
-    With check_boundary, BoundaryMassError is raised when the outermost
-    cells hold more than 1e-6 of the mass."""
+    psi is the symbol's on_grid (the quadrature evaluators run once per pair
+    +-k), cached per grid, so repeated evolutions on one grid evaluate it
+    once.  With check_boundary, BoundaryMassError is raised when the
+    outermost cells hold more than 1e-6 of the mass."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    psi = _symbol_on_grid(symbol, p0.grid)
+    psi = symbol.on_grid(p0.grid)
     phat = np.exp(t * psi) * np.fft.ifftn(p0.values)
     out = np.real(np.fft.fftn(phat))
     result = DensityField(p0.grid, out, p0.time + t, _nyquist_shell_mass(phat, p0.grid))
@@ -206,14 +202,14 @@ class TimeFractionalResult:
     tau_mean: float
 
 
-def evolve_time_fractional(p0: DensityField, symbol, alpha: float, t: float,
+def evolve_time_fractional(p0: DensityField, symbol: GeneratorSymbol, alpha: float, t: float,
                            n_subordination_samples: int, rng) -> TimeFractionalResult:
     """Subordinated evolution: average the semigroup over inverse-subordinator
     times E(t); the Monte Carlo standard-error field is reported."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0,1)")
     taus = sample_inverse_subordinator(alpha, t, rng, size=n_subordination_samples)
-    psi = _symbol_on_grid(symbol, p0.grid)
+    psi = symbol.on_grid(p0.grid)
     base = np.fft.ifftn(p0.values)
     mean = np.zeros(p0.grid.shape())
     m2 = np.zeros(p0.grid.shape())

@@ -354,7 +354,7 @@ def _composite_gl(edges, order):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def band_nodes(band: AngularBand, refinement: int = 64):
+def band_nodes(band: AngularBand, refinement: int):
     """Fixed quadrature nodes/weights (w.r.t. the sphere surface measure).
 
     Returns (directions (M, n), weights (M,)); weights include the density.
@@ -376,7 +376,7 @@ def band_nodes(band: AngularBand, refinement: int = 64):
     return _unit_vectors(PH.ravel(), CT.ravel()), (np.outer(wt, wp) * band.density).ravel()
 
 
-def measure_nodes(measure: DirectionalMeasure, refinement: int = 64):
+def measure_nodes(measure: DirectionalMeasure, refinement: int):
     """All quadrature nodes of a measure: exact atoms plus band rules.
 
     Returns (directions (M, n), weights (M,), component_index (M,)) where

@@ -21,6 +21,7 @@ from anisolap.analysis import (
     scaling_limit_check,
     symbol_asymptotic_slopes,
 )
+from anisolap.cli import _summary_line
 from anisolap.evolve import (
     DensityField,
     SpectralGrid,
@@ -68,8 +69,7 @@ TWO_PI = 2.0 * math.pi
 
 def accept(name, value, tol, passed=None):
     ok = (value <= tol) if passed is None else passed
-    print(f"ACCEPT {name} value={value:.6e} tol={tol:.6e} "
-          f"status={'PASS' if ok else 'FAIL'}")
+    print(_summary_line("ACCEPT", name, value, tol, ok))
     assert ok, f"{name}: {value} vs tolerance {tol}"
 
 

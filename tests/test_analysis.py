@@ -138,13 +138,15 @@ class TestMassConservation:
                                       times=(0.25, 0.5, 1.0))
         assert rep.passed and rep.max_drift <= 1e-12
 
-    def test_corrupted_symbol_fails_with_exponential_decay(self):
+    def test_corrupted_symbol_fails_with_exponential_decay(self, monkeypatch):
+        import anisolap.symbols as symbols
+
         grid = SpectralGrid(1, 8.0, 64)
         leak = 0.1
-
-        def bad_symbol(k):
-            return np.full(np.asarray(k).shape[:-1], -leak, dtype=complex)
-
+        # a symbol with psi(0) = -leak, which leaks mass at that rate
+        monkeypatch.setitem(symbols._EVALUATORS, "gaussian_iso",
+                            lambda s, k: np.full(len(k), -leak + 0j))
+        bad_symbol = make_generator("gaussian_iso", 1, sigma=1.0)
         p0 = gaussian_density(grid, 0.5)
         rep = mass_conservation_check(bad_symbol, p0, times=(0.5, 1.0, 2.0))
         assert not rep.passed

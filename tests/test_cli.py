@@ -194,41 +194,71 @@ class TestErrors:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["sample", "ecf", "multistate --validate", "multistate"])
-    @pytest.mark.parametrize("paths, where", [(0, "flag"), (-5, "flag"), (0, "config")])
-    def test_paths_below_one_exits_2(self, tmp_path, capsys, verb, paths, where):
+    @pytest.mark.parametrize("paths", [0, -5])
+    def test_paths_below_one_exits_2(self, tmp_path, capsys, verb, paths):
         jump = {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}
-        # each verb's own fields beside the run fields t and seed
+        # each verb's own fields beside the run fields t, paths and seed
         own = {"sample": {"jump": jump}, "ecf": {"jump": jump, "k_list": [[0.5, 0.0]]}}
-        cfg = {"t": 1.0, "seed": 3, **own.get(verb, {
+        cfg = {"t": 1.0, "seed": 3, "paths": paths, **own.get(verb, {"model": {
             "N": 1, "M": [[1.0]], "init": [1.0],
-            "waiting": [{"kind": "exp", "rate": 1.0}], "jumps": [jump]})}
-        if where == "config":
-            cfg["paths"] = paths
+            "waiting": [{"kind": "exp", "rate": 1.0}], "jumps": [jump]}})}
         argv = [*verb.split(), "--config", write_json(tmp_path, "c.json", cfg),
                 "--out", str(tmp_path / "o.csv")]
-        if where == "flag":
-            argv += ["--paths", str(paths)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"config error: paths must be at least 1, got {paths}\n"
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("change, flags, message", [
-        ({"k_list": [[0.5, 0.0], [1.0, 0.0, 2.0]]}, [], "k vector [1.0, 0.0, 2.0]"),
-        ({}, ["--k-list", "0.5,0;1"], "k vector [1.0]"),
-        ({"k_list": []}, [], "k_list names no wavenumber"),
+    @pytest.mark.parametrize("change, message", [
+        ({"k_list": [[0.5, 0.0], [1.0, 0.0, 2.0]]}, "k vector [1.0, 0.0, 2.0]"),
+        ({"k_list": []}, "k_list names no wavenumber"),
         ({"jump": {"kind": "stable", "dimension": 2, "beta": 1.3, "lam": 0.5, "r0": 0.01,
-                   "measure": FIG1}}, [], "use kind 'tempered_stable'"),
-    ], ids=["k_list_row", "k_list_flag", "k_list_empty", "stable_with_lam"])
-    def test_ecf_config_error_exits_2(self, tmp_path, capsys, change, flags, message):
+                   "measure": FIG1}}, "use kind 'tempered_stable'"),
+    ], ids=["k_list_row", "k_list_empty", "stable_with_lam"])
+    def test_ecf_config_error_exits_2(self, tmp_path, capsys, change, message):
         cfg = {"jump": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},
                "t": 1.0, "paths": 10, "seed": 3, "k_list": [[0.5, 0.0]], **change}
         argv = ["ecf", "--config", write_json(tmp_path, "c.json", cfg),
-                "--out", str(tmp_path / "o.csv"), *flags]
+                "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "o.csv").exists()
+
+    # a run is its config: no flag sets t, paths, seed or k_list
+    @pytest.mark.parametrize("verb, flag", [
+        (verb, flag) for verb in ("sample", "ecf", "multistate")
+        for flag in ("--seed", "--paths", "--t")] + [("ecf", "--k-list")])
+    def test_removed_run_flag_exits_2(self, tmp_path, capsys, verb, flag):
+        out = tmp_path / "o.csv"
+        assert main([verb, "--config", "c.json", "--out", str(out), flag, "1"]) == 2
+        assert f"error: unrecognized arguments: {flag} 1\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inline_multistate_model_exits_2(self, tmp_path, capsys):
+        # the model sits under "model"; its fields are not run fields
+        cfg = write_json(tmp_path, "c.json", {
+            "M": [[1.0]], "init": [1.0], "waiting": [{"kind": "exp", "rate": 1.0}],
+            "jumps": [{"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}],
+            "t": 1.0, "paths": 10, "seed": 3})
+        assert main(["multistate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("config error: unknown field 'M', 'init', 'jumps', "
+                                           "'waiting' in multistate config\n")
+
+    @pytest.mark.parametrize("verb, initial", [
+        ("evolve", {"kind": "gaussian", "variance": 0.5, "center": [100, 0]}),
+        ("mass", {"kind": "delta", "center": [100, 0]})])
+    def test_center_outside_the_box_exits_2(self, tmp_path, capsys, verb, initial):
+        # the periodic box would wrap a delta there and hold none of a gaussian
+        out = tmp_path / "o.csv"
+        doc = {"symbol": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},
+               "grid": {"dimension": 2, "half_width": 8.0, "n_points": 32}, "initial": initial}
+        argv = {"evolve": ["evolve", "--t", "0.5", "--out", str(out)],
+                "mass": ["analyze", "mass"]}[verb]
+        assert main([*argv, "--config", write_json(tmp_path, "c.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: center [100.0, 0.0] lies outside the box [-8.0, 8.0]^2\n")
+        assert not out.exists()
 
 
 class TestFieldsTheKindReads:
@@ -242,10 +272,11 @@ class TestFieldsTheKindReads:
          "gaussian_iso does not read field 'lam'"),
         ("ecf", {"jump": GAUSS_LAM, "t": 1.0, "paths": 10, "seed": 3, "k_list": [[0.5, 0.0]]},
          [], "gaussian_iso does not read field 'lam'"),
-        ("multistate", {"M": [[1.0]], "init": [1.0], "seed": 3, "paths": 10,
-                        "waiting": [{"kind": "exp", "rate": 1.0, "alpha": 0.5}],
-                        "jumps": [{"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}]},
-         [], "exp does not read field 'alpha'"),
+        ("multistate", {"model": {
+            "M": [[1.0]], "init": [1.0],
+            "waiting": [{"kind": "exp", "rate": 1.0, "alpha": 0.5}],
+            "jumps": [{"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0}]},
+            "seed": 3, "paths": 10}, [], "exp does not read field 'alpha'"),
         ("evolve", {"symbol": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0, "zeta": -1},
                     "grid": {"dimension": 2, "half_width": 8.0, "n_points": 32},
                     "initial": {"kind": "gaussian", "variance": 0.5}},
@@ -286,10 +317,11 @@ class TestEveryFieldIsRead:
         ("analyze mass", dict(MASS, tims=[1.0]), "unknown field 'tims' in mass config"),
         ("ecf", {"jump": JUMP, "t": 1.0, "paths": 10, "sed": 3, "k_list": [[0.5, 0.0]]},
          "unknown field 'sed' in ecf config"),
-        ("multistate --validate", {"M": [[1.0]], "init": [1.0], "seed": 3, "paths": 10,
-                                   "waiting": [{"kind": "exp", "rate": 1.0}], "jumps": [JUMP],
-                                   "k_probe": [[1.0, 0.0]]},
-         "unknown field 'k_probe'"),
+        ("multistate --validate", {"model": {"M": [[1.0]], "init": [1.0],
+                                             "waiting": [{"kind": "exp", "rate": 1.0}],
+                                             "jumps": [JUMP]},
+                                   "seed": 3, "paths": 10, "k_probe": [[1.0, 0.0]]},
+         "unknown field 'k_probe' in multistate config"),
         ("analyze coercivity", {"measure": FIG1, "beta": 1.3, "lam": None},
          "field 'lam' of coercivity config"),
         ("analyze coercivity", {"measure": FIG1, "beta": [1.3]},
@@ -450,23 +482,33 @@ class TestNumericalFailures:
 
 class TestSample:
     def test_fig1_bundled_config(self, tmp_path):
+        # the bundled run, shortened from t = 2000 to 50
+        doc = json.loads(open(bundled("fig1_levy.json")).read())
         out = tmp_path / "traj.csv"
-        code = main(["sample", "--config", bundled("fig1_levy.json"),
-                     "--t", "50", "--out", str(out)])
+        code = main(["sample", "--config", write_json(tmp_path, "c.json", dict(doc, t=50)),
+                     "--out", str(out)])
         assert code == 0
         data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
         assert data.shape[1] == 5  # path_id, t, x1, x2, state
         assert set(np.unique(data[:, 0])) == {0.0, 1.0, 2.0, 3.0, 4.0}
 
-    def test_byte_identical_artifacts(self, tmp_path):
-        cfg = write_json(tmp_path, "c.json", {
-            "jump": {"kind": "stable", "dimension": 2, "beta": 1.3, "r0": 0.01,
-                     "measure": FIG1},
-            "t": 20.0, "paths": 3, "seed": 7})
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sample", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["sample", "--config", cfg, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_byte_identical_artifacts(self, tmp_path, capsys):
+        # a run is its config: each sampling verb, run twice on one config
+        jump = {"kind": "stable", "dimension": 2, "beta": 1.3, "r0": 0.01, "measure": FIG1}
+        model = {"M": [[0.0, 1.0], [1.0, 0.0]], "init": [1.0, 0.0],
+                 "waiting": [{"kind": "exp", "rate": 1.0}, {"kind": "exp", "rate": 2.0}],
+                 "jumps": [jump, {"kind": "gaussian_iso", "dimension": 2, "sigma": 0.7}]}
+        runs = {"sample": {"jump": jump, "t": 20.0, "paths": 3, "seed": 7},
+                "ecf": {"jump": jump, "t": 1.0, "paths": 200, "seed": 7,
+                        "k_list": [[0.5, 0.0], [0.0, 1.0]]},
+                "multistate": {"model": model, "t": 1.0, "paths": 200, "seed": 7}}
+        for verb, doc in runs.items():
+            cfg = write_json(tmp_path, f"{verb}.json", doc)
+            a, b = tmp_path / f"{verb}_a.csv", tmp_path / f"{verb}_b.csv"
+            assert main([verb, "--config", cfg, "--out", str(a)]) == 0
+            assert main([verb, "--config", cfg, "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()  # the CHECK lines stay out of a -s run's output
 
 
 class TestSymbolTable:
@@ -605,6 +647,21 @@ class TestEvolveCompare:
         assert capsys.readouterr().out == (
             f"COMPARE l1={doc['l1']:.6e} l2={doc['l2']:.6e} max={doc['max']:.6e}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,0,1\n", "is not a density that evolve wrote: its first line must give dimension, "
+                    "half_width, n_points and time"),
+        ("# dimension=2 half_width=8.0 n_points=8 time=0.0\n# x1,x2,value\n0,0,1\n",
+         "holds 1 rows of 3 columns; its header needs 64 rows of 3"),
+        ("# dimension=1 half_width=8.0 n_points=8 time=0.0\n# x1,value\n" + "0,a\n" * 8,
+         "is not a density that evolve wrote: could not convert string 'a'"),
+    ], ids=["no_header", "too_few_rows", "not_a_number"])
+    def test_compare_on_a_foreign_csv_exits_2(self, tmp_path, capsys, text, message):
+        foreign = tmp_path / "foreign.csv"
+        foreign.write_text(text)
+        assert main(["compare", "--a", str(foreign), "--b", str(foreign)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {foreign} {message}") and err.count("\n") == 1
+
     def test_compare_l1_tolerance_flag(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", {
             "symbol": {"kind": "gaussian_iso", "dimension": 1, "sigma": 1.0},
@@ -634,11 +691,11 @@ class TestEcfAndMultistate:
         assert data.shape == (3, 8)
 
     def test_multistate_validate(self, tmp_path, capsys):
-        model = {
+        model = {"model": {
             "N": 2, "M": [[0.0, 1.0], [1.0, 0.0]], "init": [1.0, 0.0],
             "waiting": [{"kind": "exp", "rate": 1.0}, {"kind": "exp", "rate": 2.0}],
             "jumps": [{"kind": "gaussian_iso", "dimension": 2, "sigma": 0.7},
-                      {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.3}],
+                      {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.3}]},
             "seed": 5, "paths": 20000, "t": 1.0,
             "k_probes": [[1.0, 0.0], [0.3, 0.6]]}
         cfg = write_json(tmp_path, "model.json", model)
@@ -649,11 +706,11 @@ class TestEcfAndMultistate:
 
     def test_multistate_validate_default_probes(self, tmp_path, capsys):
         # without k_probes the check runs at (1, 0) and (0, 0.5)
-        model = {
+        model = {"model": {
             "M": [[0.0, 1.0], [1.0, 0.0]], "init": [1.0, 0.0],
             "waiting": [{"kind": "exp", "rate": 1.0}, {"kind": "exp", "rate": 2.0}],
             "jumps": [{"kind": "gaussian_iso", "dimension": 2, "sigma": 0.7},
-                      {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.3}],
+                      {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.3}]},
             "seed": 5, "paths": 2000, "t": 1.0}
         outs = []
         for doc in (model, dict(model, k_probes=[[1.0, 0.0], [0.0, 0.5]])):
@@ -663,10 +720,10 @@ class TestEcfAndMultistate:
         assert "CHECK multistate_ecf_deviation" in outs[0] and outs[0] == outs[1]
 
     def test_multistate_endpoints_csv(self, tmp_path):
-        model = {
+        model = {"model": {
             "N": 1, "M": [[1.0]], "init": [1.0],
             "waiting": [{"kind": "exp", "rate": 1.0}],
-            "jumps": [{"kind": "gaussian_iso", "dimension": 1, "sigma": 1.0}],
+            "jumps": [{"kind": "gaussian_iso", "dimension": 1, "sigma": 1.0}]},
             "seed": 3, "paths": 100, "t": 1.0}
         cfg = write_json(tmp_path, "model.json", model)
         out = tmp_path / "ends.csv"

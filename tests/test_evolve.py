@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,17 +15,23 @@ from anisolap.evolve import (
     gaussian_density,
 )
 from anisolap.measures import NumericalError, make_atomic_measure, uniform_measure
+from anisolap.realspace import gaussian_bump
 from anisolap.sampler import JumpSpec, compound_poisson_endpoints
 from anisolap.symbols import make_generator
 
 TWO_PI = 2.0 * math.pi
 
 
-def nan_symbol(k):
-    # a plain callable whose last wavenumber gives NaN
-    psi = np.zeros(k.shape[:-1], complex)
-    psi.flat[-1] = math.nan
-    return psi
+def overflowing_symbol():
+    # |k|^1.5 overflows on a box of half-width 1e-300, whose wavenumbers reach 1e302
+    grid = SpectralGrid(1, 1e-300, 64)
+    return grid, make_generator("tempered_aniso", 1, measure=uniform_measure(1),
+                                beta=1.5, lam=0.5)
+
+
+def zero_symbol(dimension):
+    # exp(-sigma^2 |k|^2 / 2) - 1 is exactly 0 where sigma^2 underflows
+    return make_generator("gaussian_iso", dimension, sigma=1e-200)
 
 
 def heat_symbol(K1):
@@ -61,12 +68,32 @@ class TestGrid:
         with pytest.raises(ValueError, match="does not have 2 components"):
             gaussian_density(SpectralGrid(2, 8.0, 32), 1.0, center=center)
 
+    # the periodic box would put the mass of a delta at (4, 0) and hold none
+    # of a gaussian
+    @pytest.mark.parametrize("center", [[100.0, 0.0], [0.0, -8.5], [math.nan, 0.0]])
+    def test_center_outside_the_box_is_refused(self, center):
+        g = SpectralGrid(2, 8.0, 32)
+        message = re.escape(f"center {center!r} lies outside the box [-8.0, 8.0]^2")
+        with pytest.raises(ValueError, match=message):
+            delta_density(g, center=center)
+        with pytest.raises(ValueError, match=message):
+            gaussian_density(g, 0.5, center=center)
+
+    def test_center_on_the_box_edge_is_accepted(self):
+        g = SpectralGrid(2, 8.0, 32)
+        # +L and -L are one periodic point
+        assert np.array_equal(delta_density(g, center=[8.0, -8.0]).values,
+                              delta_density(g, center=[-8.0, -8.0]).values)
+        assert gaussian_density(g, 0.5, center=[8.0, 0.0]).total_mass() > 0.0
+        # a field lives off any grid, so its center may lie anywhere
+        assert gaussian_bump(2, [100.0, 0.0]).f(np.array([[100.0, 0.0]]))[0] == 1.0
+
 
 class TestEvolveSpectral:
-    def test_zero_symbol_is_identity(self):
+    def test_zero_time_is_identity(self):
         g = SpectralGrid(2, 8.0, 64)
         p0 = gaussian_density(g, 1.0)
-        out = evolve_spectral(p0, lambda k: np.zeros(k.shape[:-1], complex), 1.7)
+        out = evolve_spectral(p0, make_generator("gaussian_iso", 2, sigma=1.0), 0.0)
         assert np.max(np.abs(out.values - p0.values)) < 1e-12
 
     def test_heat_kernel_variance_growth(self):
@@ -127,9 +154,9 @@ class TestEvolveSpectral:
             evolve_spectral(p0, sym, 4.0)
 
     def test_non_finite_symbol_is_a_numerical_error(self):
-        p0 = gaussian_density(SpectralGrid(2, 8.0, 32), 1.0)
-        with pytest.raises(NumericalError, match="non-finite values"):
-            evolve_spectral(p0, nan_symbol, 1.0)
+        grid, sym = overflowing_symbol()
+        with pytest.raises(NumericalError, match="tempered_aniso symbol is not finite"):
+            evolve_spectral(delta_density(grid), sym, 1.0)
 
 
 class TestHistograms:
@@ -208,8 +235,9 @@ class TestTimeFractional:
     def test_zero_symbol_identity(self):
         g = SpectralGrid(1, 6.0, 64)
         p0 = gaussian_density(g, 1.0)
-        res = evolve_time_fractional(p0, lambda k: np.zeros(k.shape[:-1], complex),
-                                     0.6, 1.0, 40, np.random.default_rng(2))
+        sym = zero_symbol(1)
+        assert not np.any(sym.on_grid(g))
+        res = evolve_time_fractional(p0, sym, 0.6, 1.0, 40, np.random.default_rng(2))
         assert np.max(np.abs(res.density.values - p0.values)) < 1e-12
         assert np.max(res.stderr) < 1e-12
 
@@ -232,13 +260,13 @@ class TestTimeFractional:
         g = SpectralGrid(1, 6.0, 64)
         p0 = gaussian_density(g, 1.0)
         with pytest.raises(ValueError):
-            evolve_time_fractional(p0, lambda k: 0 * k[..., 0], 1.2, 1.0, 10,
-                                   np.random.default_rng(0))
+            evolve_time_fractional(p0, zero_symbol(1), 1.2, 1.0, 10, np.random.default_rng(0))
 
     def test_non_finite_symbol_is_a_numerical_error(self):
-        p0 = gaussian_density(SpectralGrid(1, 6.0, 64), 1.0)
-        with pytest.raises(NumericalError, match="non-finite values"):
-            evolve_time_fractional(p0, nan_symbol, 0.6, 1.0, 10, np.random.default_rng(0))
+        grid, sym = overflowing_symbol()
+        with pytest.raises(NumericalError, match="tempered_aniso symbol is not finite"):
+            evolve_time_fractional(delta_density(grid), sym, 0.6, 1.0, 10,
+                                   np.random.default_rng(0))
 
 
 class TestScalingMerge:

@@ -415,17 +415,3 @@ def test_cache_keeps_a_fixed_number_of_grids():
     for g in grids:
         sym.on_grid(g)
     assert list(sym._grid_cache) == grids[-symbols._GRID_CACHE_SIZE:]
-
-
-def test_plain_callable_is_evaluated_on_every_wavenumber():
-    from anisolap.evolve import _symbol_on_grid
-
-    seen = []
-
-    def psi(k):
-        seen.append(len(k))
-        return -np.sum(np.asarray(k) ** 2, axis=-1)
-
-    grid = SpectralGrid(2, 4.0, 8)
-    _symbol_on_grid(psi, grid)
-    assert seen == [64]
