@@ -147,9 +147,9 @@ def parseval_bilinear_check(field_q: ScalarField, measure: DirectionalMeasure,
 
     passed says whether their relative deviation is within budget."""
     n = measure.dimension
+    grid = SpectralGrid(n, half_width, n_points)  # refuses a bad size before any work
     direct, rep = bilinear_form(field_q, field_q, measure, beta, lam,
                                 half_width=half_width, n_points=n_points)
-    grid = SpectralGrid(n, half_width, n_points)
     vals = field_q.f(grid.points()).reshape(grid.shape())
     qhat2 = continuum_dft_abs2(vals, grid)
     psi = make_generator("tempered_aniso", n, measure=measure, beta=beta, lam=lam).on_grid(grid)
@@ -195,6 +195,8 @@ def counterexample_1d(beta: float, lam: float, truncations) -> CounterexampleRep
         raise ValueError("the truncated double integral needs beta in (0,1)")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    if not (len(truncations) and min(truncations) > 0):
+        raise ValueError(f"truncations must be one or more positive lengths, got {truncations}")
     Ts = np.asarray(sorted(truncations), dtype=float)
     values = np.empty(len(Ts))
     for i, T in enumerate(Ts):
@@ -234,6 +236,8 @@ class MassReport:
 def mass_conservation_check(symbol, p0: DensityField, times) -> MassReport:
     """Total grid mass along the time ladder; psi(0) = 0 makes it constant.
     Passes when the drift is within 1e-12 of max(1, |initial mass|)."""
+    if not len(times):
+        raise ValueError("times must name at least one time")
     ts = np.asarray(sorted(times), dtype=float)
     m0 = p0.total_mass()
     masses = np.empty(len(ts))
@@ -263,6 +267,10 @@ def scaling_limit_check(sigmas, K1: float, k_probes) -> ScalingReport:
     moment per jump, so its limit is -(K1/n)|k|^2.  Both deviations are
     O(sigma^2): halving sigma divides them by about four, and the check
     passes when every rung ratio is within 20% of that."""
+    if not (len(sigmas) >= 2 and min(sigmas) > 0):
+        raise ValueError(f"sigmas must be two or more positive spreads, got {sigmas}")
+    if not len(k_probes):
+        raise ValueError("k_probes must name at least one wavenumber")
     sig = np.asarray(sorted(sigmas, reverse=True), dtype=float)
     K = np.atleast_2d(np.asarray(k_probes, dtype=float))
     k2 = np.sum(K ** 2, axis=-1)

@@ -192,12 +192,29 @@ def _cmd_ecf(args) -> int:
     return 0 if ok else 1
 
 
+def _flag_numbers(flag: str, text: str, sep: str, needs: str, ok) -> list:
+    """The finite numbers that sep separates in the text of flag, where
+    ok(numbers) holds; anything else is a ValueError that names the flag and
+    what it needs."""
+    try:
+        values = [float(v) for v in text.split(sep)]
+    except ValueError:
+        values = []
+    if not (values and all(map(math.isfinite, values)) and ok(values)):
+        raise ValueError(f"{flag} needs {needs}, got {text!r}")
+    return values
+
+
 def _cmd_symbol(args) -> int:
     (sym,) = _read_fields(_load_config(args.config), "symbol config", {"symbol": GeneratorSymbol})
     dim = sym.dimension
-    lo, hi, count = args.k_grid.split(":")
-    radii = np.linspace(float(lo), float(hi), int(count))
-    d = np.asarray([float(c) for c in (args.k_dir or "1" + ",0" * (dim - 1)).split(",")])
+    lo, hi, count = _flag_numbers(
+        "--k-grid", args.k_grid, ":", "finite lo:hi:count, count an integer >= 1",
+        lambda v: len(v) == 3 and v[2] >= 1 and v[2].is_integer())
+    radii = np.linspace(lo, hi, int(count))
+    d = np.asarray(_flag_numbers("--k-dir", args.k_dir or "1" + ",0" * (dim - 1), ",",
+                                 f"one finite component per dimension ({dim})",
+                                 lambda v: len(v) == dim))
     if not np.linalg.norm(d) > 0:
         raise ValueError(f"--k-dir {args.k_dir} is not a direction")
     K = radii[:, None] * (d / np.linalg.norm(d))[None, :]
@@ -231,8 +248,10 @@ def _cmd_apply(args) -> int:
 def _cmd_evolve(args) -> int:
     sym, grid, initial = _read_fields(_load_config(args.config), "evolve config", {
         "symbol": GeneratorSymbol, "grid": SpectralGrid, "initial": (dict, {})})
+    if not 0.0 <= args.t < math.inf:
+        raise ValueError(f"--t needs a finite t >= 0, got {args.t}")
     p0 = _initial(initial, grid)
-    rho = evolve_spectral(p0, sym, float(args.t))
+    rho = evolve_spectral(p0, sym, args.t)
     _write_density_csv(args.out, rho)
     drift = abs(rho.total_mass() - p0.total_mass())
     ok = _check_line("evolve_mass_drift", drift, 1e-12, drift <= 1e-12)
@@ -332,6 +351,8 @@ def _cmd_analyze(args) -> int:
         ok &= _check_line("scaling_rung_ratio_error", worst, 0.2, rep.passed)
     else:  # equivalence
         (cases,) = _read_fields(cfg, what, {"cases": tuple[dict, ...]})
+        if not cases:
+            raise ValueError("cases must name at least one equivalence case")
         results = []
         for doc in cases:
             # the spectral reference is the constant-profile symbol

@@ -788,7 +788,7 @@ def _read_fields(doc, what: str, spec: dict) -> list:
             continue
         try:
             values.append(_decode(tp[0] if isinstance(tp, tuple) else tp, doc[name]))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"field {name!r} of {what}: {exc}") from None
     return values
 
@@ -804,7 +804,7 @@ def from_json(cls, doc):
 
 def _decode(tp, value):
     """value as type tp: int (a number, not a bool, a string or a fractional
-    number), float (a number, not a bool or a string), str,
+    number), float (a finite number, not a bool or a string), str,
     tuple[X, ...], Optional[X] (the only type that reads null), a measure or a
     config dataclass; any other type takes the value as it is."""
     if get_origin(tp) is Union:  # Optional[X], the only fields that may be null
@@ -821,6 +821,8 @@ def _decode(tp, value):
                                or tp is int and isinstance(value, float)
                                and not value.is_integer()):
         raise TypeError(f"{value!r} is not {'an integer' if tp is int else 'a number'}")
+    if tp is float and not math.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
     if tp in (int, float, str):
         return tp(value)
     return value

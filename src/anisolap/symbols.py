@@ -13,12 +13,12 @@ numpy evaluates vectorised where cos and sin may run as scalar libm.
 
 The measure integrals sum atoms exactly.  A 2D band's integral of g(|k|
 cos w), w = theta - theta_k, is one periodic antiderivative differenced at
-its ends, an integer multiple of H = int_0^(pi/2) plus remainders
-(_assemble): in closed form for the untempered brackets, and otherwise from
-per-radius tables of Gauss-Legendre panels graded toward the kink k.phi = 0
-(_table_bands), whose coarser half estimates their error.  3D bands take
-adaptive quadrature on at most _ADAPTIVE_MAX wavenumbers and the fixed nodes
-of refinement _NODES_REFINEMENT otherwise; only tempered_symbol's method
+its ends, an integer multiple of H = int_0^(pi/2) plus remainders, through
+one end code (_band_block).  F and H come from the closed form of the
+untempered brackets or from per-radius tables of Gauss-Legendre panels
+graded toward the kink k.phi = 0 (_bands_2d).  3D bands take adaptive
+quadrature on at most _ADAPTIVE_MAX wavenumbers and the fixed nodes of
+refinement _NODES_REFINEMENT otherwise; only tempered_symbol's method
 overrides that choice.
 """
 
@@ -168,38 +168,6 @@ def _assemble(ends, rem_even, rem_odd, h_even, h_odd):
     return (e1 - e0) * h_even + (f1 - f0), (o1 - o0) * h_odd + (g1 - g0)
 
 
-def _cos_pow_band_integrals(pts, band, beta: float):
-    """|k| and (E, O): the integrals of |cos w|^beta and of sign(cos w) |cos w|^beta,
-    w = theta - theta_k, over a 2D band's arc (_assemble).
-
-    Here H = B(1/2, (beta+1)/2) / 2 and rem is an incomplete beta function
-    of sin^2 of |y| or of pi/2 - |y|, whichever is below pi/4, so the
-    remainder stays small near a kink."""
-    kn = np.hypot(pts[:, 0], pts[:, 1])
-    theta_k = np.arctan2(pts[:, 1], pts[:, 0])
-    a = 0.5 * (beta + 1.0)
-    h = 0.5 * math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)  # B(1/2, a) / 2
-    ends = _band_ends(theta_k, band.bounds)
-    rems = []
-    for _, y, near in ends:
-        s = np.sin(np.where(near, 0.5 * math.pi - np.abs(y), y))
-        rems.append(0.5 * incbeta(np.where(near, a, 0.5), np.where(near, 0.5, a), s * s))
-    return (kn, *_assemble(ends, rems, rems, h, h))
-
-
-def _stable_band_2d(pts, band, beta: float):
-    """Exact band contribution to int (-i k.phi)^beta m(phi) dphi for lam = 0."""
-    kn, even, odd = _cos_pow_band_integrals(pts, band, beta)
-    return band.density * kn ** beta * (even * math.cos(0.5 * math.pi * beta)
-                                        - 1j * odd * math.sin(0.5 * math.pi * beta))
-
-
-def _cos_pow_band(pts, band):
-    """Exact band contribution to (pi/2) int |k.phi| m(phi) dphi (exponent 1, lam = 0)."""
-    kn, even, _ = _cos_pow_band_integrals(pts, band, 1.0)
-    return 0.5 * math.pi * band.density * kn * even
-
-
 # The per-radius tables of F.  In s = pi/2 - |y|, the distance from the
 # kink, [0, pi/2] holds _TABLE_UNIFORM equal panels, and the first of them is
 # cut toward s = 0 by ratio 1/_TABLE_GRADING, level times, down to half the
@@ -321,14 +289,17 @@ def _dot_pairs(a, b, c, d):
     return total + ((p - (total - z)) + (q - z) + (e + f))
 
 
-def _table_block(g, pts, r, theta_k, arcs, edges, head, tail):
-    """_table_bands on one block of wavenumbers pts of one level, with |k| r,
-    angle theta_k and the rows head, tail of their tables; arcs holds the
-    bands' bounds (2, B) and the (cos, sin) pairs of each bound (4, 2, B).
+def _band_block(g, pts, theta_k, arcs, edges, remainders):
+    """The 2D band core on one block of wavenumbers pts with angle theta_k:
+    the integrals of g(|k| cos(theta - theta_k)) over the bands' arcs,
+    density excluded, a (P, B) array; arcs holds the bands' bounds (2, B)
+    and the (cos, sin) pairs of each bound (4, 2, B).
 
     An end's distance s from the kink is atan2(|u|, |v|), u = k.phi and
     v = k x phi at the end taken by _dot_pairs, so it is within 2^-52 of
-    itself near the kink, where the band value hangs on it."""
+    itself near the kink, where the band value hangs on it; i is its panel
+    on edges.  remainders(uv, s, i, near) gives each end's remainder and H
+    (_assemble) from the bands' source (_bands_2d)."""
     bounds, (ch, cl, sh, sl) = arcs
     x, w = _gl(_TABLE_ORDER)
     n = len(edges) - 1
@@ -339,21 +310,7 @@ def _table_block(g, pts, r, theta_k, arcs, edges, head, tail):
                     (np.stack([sh, ch])[:, :, None], np.stack([sl, cl])[:, :, None]))
     s = np.arctan2(np.abs(uv[0]), np.abs(uv[1]))
     i = [np.clip(np.searchsorted(edges, si, side="right") - 1, 0, n - 1) for si in s]
-    # each end's partial panel runs toward the nearer end of [0, pi/2]
-    lo = np.stack([np.where(near, edges[ii], si) for si, ii, (_, _, near) in zip(s, i, ends)])
-    hi = np.stack([np.where(near, si, edges[ii + 1]) for si, ii, (_, _, near) in zip(s, i, ends)])
-    half = 0.5 * (hi - lo)
-    # sin t = 2 tau / (1 + tau^2), tau = tan(t / 2): np.sin runs as scalar libm
-    tau = np.tan((0.25 * (lo + hi))[..., None] + (0.5 * half)[..., None] * x)
-    u = (2.0 * r)[:, None, None] * tau / (1.0 + tau * tau)
-    part = (_finite(g(u)) * w).sum(axis=-1) * half
-
-    def at(tab, i):
-        return np.take_along_axis(tab, i, axis=1)
-
-    rems = [np.where(near, at(head, ii), at(tail, ii + 1)) + pe
-            for (_, _, near), ii, pe in zip(ends, i, part)]
-    h = tail[:, :1]
+    rems, h = remainders(uv, s, i, [near for _, _, near in ends])
     even, odd = _assemble(ends, [v.real for v in rems], [v.imag for v in rems], h.real, h.imag)
     out = even + 1j * odd
     # A band with its ends in one panel or in two adjacent ones of one
@@ -381,33 +338,79 @@ def _table_block(g, pts, r, theta_k, arcs, edges, head, tail):
     return out
 
 
-def _table_bands(g, scale: float, pts, bands):
-    """int g(|k| cos(theta - theta_k)) dtheta over the arc of each 2D band,
-    density excluded: a (P, len(bands)) array for the P wavenumbers pts.
-    g must satisfy g(-u) = conj g(u).
-
-    F and H come from the per-radius tables (_radial_tables), built once per
-    distinct |k|, and each band end adds one partial panel of order
-    _TABLE_ORDER, toward the nearer end of [0, pi/2] (_assemble); a band
-    too narrow for that is integrated on its own arc (_table_block).  Each
-    value depends on its own wavenumber only, whatever the blocks.
-    """
-    kn, theta_k = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+def _table_source(g, scale: float, kn, n_bands: int):
+    """The tables of g with feature scale scale in k.phi (_radial_tables),
+    one per distinct |k|, in blocks of at most _TABLE_VALUES integrand values;
+    each end adds one partial panel of order _TABLE_ORDER to its table's
+    sum, toward the nearer end of [0, pi/2]."""
     radii, inv = np.unique(kn, return_inverse=True)
     # the wavenumbers of radius i are by_radius[offsets[i]:offsets[i + 1]]
     by_radius = np.argsort(inv, kind="stable")
     offsets = np.searchsorted(inv[by_radius], np.arange(len(radii) + 1))
-    arcs = (np.array([band.bounds for band in bands]).T,
-            np.array([[_cos_sin_pairs(t) for t in band.bounds] for band in bands]).transpose(2, 1, 0))
-    out = np.empty((len(kn), len(bands)), dtype=complex)
-    per_block = max(4, _TABLE_VALUES // (2 * _TABLE_ORDER * len(bands)))  # wavenumbers
+    per_block = max(4, _TABLE_VALUES // (2 * _TABLE_ORDER * n_bands))  # wavenumbers
+    x, w = _gl(_TABLE_ORDER)
+
+    def remainders(r, head, tail, edges, uv, s, i, near):
+        lo = np.stack([np.where(nr, edges[ii], si) for si, ii, nr in zip(s, i, near)])
+        hi = np.stack([np.where(nr, si, edges[ii + 1]) for si, ii, nr in zip(s, i, near)])
+        half = 0.5 * (hi - lo)
+        # sin t = 2 tau / (1 + tau^2), tau = tan(t / 2): np.sin runs as scalar libm
+        tau = np.tan((0.25 * (lo + hi))[..., None] + (0.5 * half)[..., None] * x)
+        u = (2.0 * r)[:, None, None] * tau / (1.0 + tau * tau)
+        part = (_finite(g(u)) * w).sum(axis=-1) * half
+        return [np.where(nr, np.take_along_axis(head, ii, axis=1),
+                         np.take_along_axis(tail, ii + 1, axis=1)) + pe
+                for nr, ii, pe in zip(near, i, part)], tail[:, :1]
+
     for start, stop, edges, head, tail in _radial_tables(g, scale, radii):
         wavenumbers = by_radius[offsets[start]:offsets[stop]]
         for b in _row_blocks(len(wavenumbers), per_block):
             p = wavenumbers[b]
             rows = inv[p] - start
-            out[p] = _table_block(g, pts[p], kn[p], theta_k[p], arcs, edges,
-                                  head[rows], tail[rows])
+            yield p, edges, partial(remainders, kn[p], head[rows], tail[rows], edges)
+
+
+def _power_source(g, beta: float, kn, n_bands: int):
+    """The closed form of g(u) = g(1) u^beta on u >= 0 on the edges of level
+    _TABLE_MAX_LEVEL, in blocks of _TABLE_VALUES values of (u, v) at the band
+    ends, long for incbeta and bounded in memory.  With a = (beta + 1) / 2 and
+    r^2 = u^2 + v^2, each remainder is B(x; a, 1/2) / 2, x = u^2 / r^2, near
+    the kink or B(x; 1/2, a) / 2, x = v^2 / r^2, near the crest, so x <= 1/2
+    and no end passes through theta_k; H = B(1/2, a) / 2; all times g(1) |k|^beta."""
+    a = 0.5 * (beta + 1.0)
+    h = 0.5 * math.sqrt(math.pi) * math.gamma(a) / math.gamma(a + 0.5)
+    scale = g(np.ones(1))[0] * kn ** beta
+
+    def remainders(scale, uv, s, i, near):
+        rems = []
+        for u, v, nr in zip(uv[0], uv[1], near):
+            x = np.square(np.where(nr, u, v) / np.fmax(np.hypot(u, v), 5e-324))  # 0 at k = 0
+            rem = np.empty_like(x)
+            rem[nr], rem[~nr] = incbeta(a, 0.5, x[nr]), incbeta(0.5, a, x[~nr])
+            rems.append(scale[:, None] * (0.5 * rem))
+        return rems, (h * scale)[:, None]
+
+    for p in _row_blocks(len(kn), max(4, _TABLE_VALUES // (4 * n_bands))):
+        yield p, _table_edges(_TABLE_MAX_LEVEL), partial(remainders, scale[p])
+
+
+def _bands_2d(g, source, pts, bands):
+    """int g(|k| cos(theta - theta_k)) dtheta over the arc of each 2D band,
+    density excluded: a (P, len(bands)) array for the P wavenumbers pts.
+    g must satisfy g(-u) = conj g(u).
+
+    source = (kind, parameter) gives F and H: (_table_source, feature scale
+    of g in k.phi) or, where g(u) = g(1) u^beta on u >= 0, (_power_source,
+    beta).  Every band end goes through one end code (_band_block).  Each
+    value depends on its own wavenumber only, whatever the blocks.
+    """
+    kind, parameter = source
+    kn, theta_k = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+    arcs = (np.array([band.bounds for band in bands]).T,
+            np.array([[_cos_sin_pairs(t) for t in band.bounds] for band in bands]).transpose(2, 1, 0))
+    out = np.empty((len(kn), len(bands)), dtype=complex)
+    for p, edges, remainders in kind(g, parameter, kn, len(bands)):
+        out[p] = _band_block(g, pts[p], theta_k[p], arcs, edges, remainders)
     return out
 
 
@@ -479,12 +482,10 @@ def _paired(pts, fn):
 def _measure_integral(measure, pts, comps, method="auto"):
     """sum over the components c of sign_c * int g_c(k.phi) m_c(dphi).
 
-    comps holds one (sign, g, rule) per component of measure, atoms first.
-    Atoms are summed exactly.  A 2D band takes rule(pts, band), its exact
-    integral, where rule is callable; otherwise rule is the feature scale
-    of g in k.phi, and the band takes the per-radius tables of g
-    (_table_bands), shared by the bands of one (g, rule).  A 3D band takes
-    adaptive quadrature (method "adaptive", or "auto" on at most
+    comps holds one (sign, g, source) per component of measure, atoms first.
+    Atoms are summed exactly.  A 2D band takes the band core with its
+    source (_bands_2d), in one call for the bands of one (g, source).  A 3D
+    band takes adaptive quadrature (method "adaptive", or "auto" on at most
     _ADAPTIVE_MAX wavenumbers) or the fixed nodes of refinement
     _NODES_REFINEMENT.  The components are added in measure order, once per
     pair +-k (_paired).
@@ -494,24 +495,21 @@ def _measure_integral(measure, pts, comps, method="auto"):
     adaptive = method == "adaptive" or (method == "auto" and len(pts) <= _ADAPTIVE_MAX)
     on_nodes = [] if plane or adaptive else [
         (g, *band_nodes(band, refinement=_NODES_REFINEMENT)) for band, (_, g, _) in bands]
-    tables = {}  # (g, feature scale) -> the indices of its bands
-    for i, (_, (_, g, rule)) in enumerate(bands):
-        if plane and not callable(rule):
-            tables.setdefault((g, rule), []).append(i)
+    groups = {}  # (g, source) -> the indices of its 2D bands
+    for i, (_, (_, g, source)) in enumerate(bands if plane else ()):
+        groups.setdefault((g, source), []).append(i)
 
     def integral(pts):
         out = np.zeros(pts.shape[0], dtype=complex)
         for (d, w), (sign, g, _) in zip(measure.atoms, comps):
             out += sign * w * g(pts @ d)
-        tabled = {}
-        for (g, scale), idx in tables.items():
-            tabled.update(zip(idx, _table_bands(g, scale, pts, [bands[i][0] for i in idx]).T))
+        planar = {}
+        for (g, source), idx in groups.items():
+            planar.update(zip(idx, _bands_2d(g, source, pts, [bands[i][0] for i in idx]).T))
         sums = iter(_band_sum(pts, on_nodes).T if on_nodes else ())
-        for i, (band, (sign, g, rule)) in enumerate(bands):
-            if i in tabled:
-                out += sign * band.density * tabled[i]
-            elif plane:
-                out += sign * rule(pts, band)
+        for i, (band, (sign, g, _)) in enumerate(bands):
+            if plane:
+                out += sign * band.density * planar[i]
             elif adaptive:
                 out += sign * _adaptive_bands(pts, [band], g, _ADAPTIVE_TOL)
             else:
@@ -530,7 +528,7 @@ def _stable_symbol(measure, profile, k, method="auto"):
     comps = []
     for b, l in zip(profile.betas, profile.lambdas):
         g = brackets.setdefault((b, l), partial(_bracket, beta=b, lam=l))
-        comps.append((_ceil_sign(b), g, partial(_stable_band_2d, beta=b) if l == 0.0 else l))
+        comps.append((_ceil_sign(b), g, (_power_source, b) if l == 0.0 else (_table_source, l)))
     return _from_rows(_measure_integral(measure, pts, comps, method), shape)
 
 
@@ -542,12 +540,12 @@ def tempered_symbol(measure: DirectionalMeasure, beta: float, lam: float, k, *,
     the constant-profile case of general_profile_symbol.  beta must lie in
     (0,1) or (1,2) (StabilityProfile); beta near 1 has its own symbol
     (beta1_symbol) and beta = 2 its own quadratic reduction (beta2_symbol).
-    2D bands take the closed form at lam = 0 and the band tables otherwise.
-    method chooses the rule of 3D bands only (_measure_integral): "auto",
-    what every other symbol takes, "nodes" or "adaptive"; any other value
-    raises ValueError.  It stays because two callers set it: the benchmark's
-    fixed-node reference of a real-space check ("nodes") and the 3D
-    coercivity probes of analysis ("adaptive").
+    2D bands take one band core (_bands_2d): F from the closed form at lam = 0,
+    from the band tables otherwise.  method chooses the rule of 3D bands only
+    (_measure_integral): "auto", what every other symbol takes, "nodes" or
+    "adaptive"; any other value raises ValueError.  It stays because two
+    callers set it: the benchmark's fixed-node reference of a real-space
+    check ("nodes") and the 3D coercivity probes of analysis ("adaptive").
     """
     if method not in ("auto", "nodes", "adaptive"):
         raise ValueError(f"unknown quadrature method {method!r}")
@@ -561,8 +559,8 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k):
     lam = 0:  -(pi/2) * int |k.phi| m(phi) dphi.
     lam > 0:  -int [ u*arctan(u/lam) - (lam/2)*log1p(u^2/lam^2) ] m(phi) dphi
     with u = k.phi; the lam*log(lam) terms cancel in this arrangement, making
-    psi(0) = 0 exact.  2D bands take the closed form at lam = 0 and the band
-    tables with feature scale lam otherwise.
+    psi(0) = 0 exact.  2D bands take one band core, F from the closed form
+    of |u| at lam = 0 and from the band tables of scale lam otherwise.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -578,7 +576,8 @@ def beta1_symbol(measure: DirectionalMeasure, lam: float, k):
             u = np.asarray(u, dtype=float)
             return u * np.arctan(u / lam) - 0.5 * lam * np.log1p((u / lam) ** 2)
 
-    comps = [(-1.0, g, _cos_pow_band if lam == 0.0 else lam)] * measure.n_components
+    source = (_power_source, 1.0) if lam == 0.0 else (_table_source, lam)
+    comps = [(-1.0, g, source)] * measure.n_components
     return _from_rows(_measure_integral(measure, pts, comps), shape)
 
 
@@ -644,7 +643,7 @@ def gaussian_symbol(variant: str, k, *, sigma: Optional[float] = None,
     sig = _component_spreads(measure, sigmas)
     pts, shape = _as_rows(k, 2)
     devs = {s: partial(_rayleigh_dev, s=s) for s in sig.tolist()}
-    comps = [(1.0, devs[s], 1.0 / s) for s in sig.tolist()]
+    comps = [(1.0, devs[s], (_table_source, 1.0 / s)) for s in sig.tolist()]
     c_m = 1.0 / float(np.dot(measure.component_masses(), sig ** 2))
     return _from_rows(c_m * _measure_integral(measure, pts, comps), shape)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -258,6 +259,78 @@ class TestErrors:
         assert main([*argv, "--config", write_json(tmp_path, "c.json", doc)]) == 2
         assert capsys.readouterr().err == (
             "config error: center [100.0, 0.0] lies outside the box [-8.0, 8.0]^2\n")
+        assert not out.exists()
+
+
+    # json reads NaN and Infinity; a float field refuses both
+    @pytest.mark.parametrize("verb, part, field, value", [
+        ("ecf", None, "zeta", math.inf), ("ecf", None, "zeta", math.nan),
+        ("evolve", "symbol", "lam", math.nan), ("evolve", "grid", "half_width", math.inf),
+        ("evolve", "grid", "half_width", math.nan)],
+        ids=["ecf_zeta_inf", "ecf_zeta_nan", "evolve_lam_nan", "grid_half_width_inf",
+             "grid_half_width_nan"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, verb, part, field, value):
+        out = tmp_path / "o.csv"
+        doc = {"ecf": {"jump": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},
+                       "t": 1.0, "paths": 10, "seed": 3, "k_list": [[0.5, 0.0]]},
+               "evolve": {"symbol": {"kind": "tempered_aniso", "dimension": 2,
+                                     "measure": UNIFORM2, "beta": 1.3, "lam": 0.5},
+                          "grid": {"dimension": 2, "half_width": 8.0, "n_points": 32}}}[verb]
+        (doc[part] if part else doc)[field] = value
+        owner = {None: "ecf config", "symbol": "GeneratorSymbol", "grid": "SpectralGrid"}[part]
+        argv = [verb, "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + (["--t", "0.5"] if verb == "evolve" else [])) == 2
+        err = capsys.readouterr().err
+        assert f"field {field!r} of {owner}: {value!r} is not a finite number\n" in err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    # each is refused before any computation, where it raised IndexError, warned
+    # or passed vacuously
+    @pytest.mark.parametrize("verb, doc, message", [
+        ("counterexample", {"truncations": []}, "truncations must be one or more positive"),
+        ("counterexample", {"truncations": [-1, 2]}, "truncations must be one or more positive"),
+        ("counterexample", {"truncations": [0, 2]}, "truncations must be one or more positive"),
+        ("equivalence", {"cases": []}, "cases must name at least one equivalence case"),
+        ("scaling", {"sigmas": [0.4]}, "sigmas must be two or more positive spreads"),
+        ("scaling", {"k_probes": []}, "k_probes must name at least one wavenumber"),
+        ("mass", {"symbol": {"kind": "gaussian_iso", "dimension": 2, "sigma": 1.0},
+                  "grid": {"dimension": 2, "half_width": 8.0, "n_points": 32}, "times": []},
+         "times must name at least one time"),
+        ("parseval", {"measure": M1_SYM, "beta": 0.5, "lam": 1.0, "half_width": 0},
+         "half_width must be positive")],
+        ids=["truncations_empty", "truncations_negative", "truncations_zero", "cases_empty",
+             "one_sigma", "k_probes_empty", "times_empty", "half_width_zero"])
+    def test_degenerate_analyze_input_exits_2(self, tmp_path, capsys, verb, doc, message):
+        out = tmp_path / "rep.json"
+        argv = ["analyze", verb, "--config", write_json(tmp_path, "c.json", doc),
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["symbol", "--k-grid", "0:1"], "--k-grid needs finite lo:hi:count, count an integer"),
+        (["symbol", "--k-grid", "a:1:3"], "--k-grid needs finite lo:hi:count"),
+        (["symbol", "--k-grid", "0:1:0"], "--k-grid needs finite lo:hi:count"),
+        (["symbol", "--k-grid", "0:1:3", "--k-dir", "1,0,0"],
+         "--k-dir needs one finite component per dimension (2), got '1,0,0'"),
+        (["evolve", "--t", "inf"], "--t needs a finite t >= 0, got inf")],
+        ids=["k_grid_two_fields", "k_grid_not_a_number", "k_grid_no_rows", "k_dir_3d", "t_inf"])
+    def test_flag_error_names_the_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.csv"
+        cfg = write_json(tmp_path, "c.json", TestEveryFieldIsRead.MASS if argv[0] == "evolve"
+                         else {"symbol": TestEveryFieldIsRead.JUMP})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
 

@@ -253,6 +253,12 @@ class TestStrict:
         with pytest.raises(ValueError, match=f"field 'beta' of doc: {value!r} is not a number"):
             _read_fields({"beta": value}, "doc", {"beta": float})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_field_refuses_nan_and_infinity(self, value):
+        # json reads NaN and Infinity; no float field means either
+        with pytest.raises(ValueError, match=f"field 'lam' of doc: {value!r} is not a finite"):
+            _read_fields({"lam": value}, "doc", {"lam": float})
+
     def test_grid_refuses_fractional_sizes(self):
         with pytest.raises(ValueError, match="field 'dimension' of SpectralGrid: 2.9 is not"):
             from_json(SpectralGrid, {"dimension": 2.9, "half_width": 8, "n_points": 64})

@@ -2,8 +2,9 @@
 top-level definition of the package is referenced, no function of the
 package imports from the package, no function of the package has a
 parameter whose name starts with an underscore, every field of an input
-class of the package is read somewhere outside its own __post_init__, and
-the package neither imports scipy nor loads it at start-up.
+class of the package is read somewhere outside its own __post_init__, the
+package neither imports scipy nor loads it at start-up, and its public
+keyword defaults are the listed ones.
 
 A stand-in for a lint step: each module is parsed with ast, and a name bound
 by a module-level import must appear as a name somewhere in that module (or
@@ -259,3 +260,76 @@ def test_checker_flags_an_unread_field():
            "class Report:\n    rows: int\n"
            "def use(spec):\n    spec.rho = 2.0\n    return spec.U(spec.tol)\n")
     assert unread_fields([mod], ("Spec",)) == [("Spec", "rho")]
+
+
+# (module, function, parameter) of every parameter with a default of a public
+# function or method of the package: each is an option that a caller may
+# leave out, so adding or removing one edits this list in the same change
+PUBLIC_DEFAULTS = [
+    ("cli", "main", "argv"),
+    ("evolve", "delta_density", "center"),
+    ("evolve", "gaussian_density", "center"),
+    ("evolve", "evolve_spectral", "check_boundary"),
+    ("measures", "make_measure", "atoms"),
+    ("measures", "make_measure", "bands"),
+    ("measures", "sphere_integrate", "tol"),
+    ("multistate", "simulate_multistate_ctrw", "functional"),
+    ("multistate", "multistate_endpoints", "functional"),
+    ("realspace", "gaussian_bump", "center"),
+    ("realspace", "gaussian_bump", "width"),
+    ("realspace", "gaussian_bump", "amplitude"),
+    ("realspace", "apply_caseI", "refinement"),
+    ("realspace", "apply_caseI", "tol"),
+    ("realspace", "apply_caseII", "refinement"),
+    ("realspace", "apply_caseII", "tol"),
+    ("realspace", "apply_general", "tol"),
+    ("realspace", "apply_gaussian_nonlocal", "sigma"),
+    ("realspace", "apply_gaussian_nonlocal", "measure"),
+    ("realspace", "apply_gaussian_nonlocal", "sigmas"),
+    ("sampler", "sample_direction", "size"),
+    ("sampler", "sample_jump", "size"),
+    ("sampler", "sample_one_sided_stable", "size"),
+    ("sampler", "sample_inverse_subordinator", "size"),
+    ("symbols", "tempered_symbol", "method"),
+    ("symbols", "gaussian_symbol", "sigma"),
+    ("symbols", "gaussian_symbol", "measure"),
+    ("symbols", "gaussian_symbol", "sigmas"),
+    ("symbols", "gaussian_symbol", "dimension"),
+]
+
+
+def public_defaults(module: str, source: str) -> list:
+    """(module, function, parameter) of each parameter with a default of the
+    public functions and the methods of the public classes of source, in
+    source order; a method is named Class.method."""
+    out = []
+
+    def visit(body, prefix):
+        for node in body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [*a.posonlyargs, *a.args]
+                params = positional[len(positional) - len(a.defaults):] + [
+                    p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out.extend((module, prefix + node.name, p.arg) for p in params)
+
+    visit(ast.parse(source).body, "")
+    return out
+
+
+def test_public_keyword_defaults_are_listed():
+    found = [d for p in PACKAGE for d in public_defaults(p.stem, p.read_text())]
+    assert found == PUBLIC_DEFAULTS
+
+
+def test_checker_finds_each_public_default():
+    src = ("def f(a, b=1, *, c, d=2):\n    pass\n"
+           "def _g(x=1):\n    pass\n"
+           "class C:\n    def m(self, y=0):\n        pass\n    def _n(self, z=0):\n        pass\n"
+           "class _D:\n    def m(self, w=0):\n        pass\n")
+    assert public_defaults("mod", src) == [("mod", "f", "b"), ("mod", "f", "d"),
+                                           ("mod", "C.m", "y")]

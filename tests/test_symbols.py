@@ -125,7 +125,7 @@ class TestTempered:
         (1.0, 1.01),
     ], ids=["fig1_upper", "fig1_lower", "wrapped", "turn_from_minus3", "narrow"])
     def test_band_closed_form_vs_adaptive(self, bounds, beta):
-        # the lam = 0 antiderivative over arcs outside [0, 2 pi) and over
+        # the lam = 0 closed form over arcs outside [0, 2 pi) and over
         # three half-periods of cos; the absolute term is the adaptive rule's
         # tolerance, which dominates where |psi| is small
         band = AngularBand(bounds, 1.0 / (bounds[1] - bounds[0]))
@@ -133,8 +133,8 @@ class TestTempered:
         th = rng.uniform(0.0, TWO_PI, 200)
         k = 10.0 ** rng.uniform(-4.0, 4.0, 200)[:, None] * np.stack(
             [np.cos(th), np.sin(th)], axis=-1)
-        got = symbols_mod._stable_band_2d(k, band, beta)
-        want = symbols_mod._adaptive_bands(
+        got = tempered_symbol(make_banded_measure(2, [band]), beta, 0.0, k)
+        want = (-1.0) ** math.ceil(beta) * symbols_mod._adaptive_bands(
             k, [band], partial(symbols_mod._bracket, beta=beta, lam=0.0), 1e-13)
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-11)
 
@@ -142,26 +142,62 @@ class TestTempered:
     def test_narrow_band_antiderivatives_vs_mpmath(self, beta):
         # band (1, 1.01) at |k| = 3: nine kinks theta_k + pi/2 within 0.004 of
         # its centre, where both ends' antiderivatives lie near a multiple of
-        # H, and eight random ones; against 40-digit quadrature cut at the kinks
+        # H, and eight random ones; against 40-digit quadrature cut at the
+        # kinks.  The integrals e of |cos w|^beta and o of sign(cos w)
+        # |cos w|^beta are read off the symbol: tempered_symbol on the band,
+        # and at beta = 1 beta1_symbol on the band and its antipode (a
+        # symmetric measure), whose value holds e only
         mp = pytest.importorskip("mpmath")
         band = AngularBand((1.0, 1.01), 1.0 / 0.01)
         rng = np.random.default_rng(17)
         th = np.concatenate([1.005 + np.linspace(-0.004, 0.004, 9) - 0.5 * math.pi,
                              rng.uniform(0.0, TWO_PI, 8)])
         k = 3.0 * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        kn, even, odd = symbols_mod._cos_pow_band_integrals(k, band, beta)
+        if beta == 1.0:
+            pair = make_banded_measure(2, [AngularBand(b, 0.5 * band.density) for b in (
+                (1.0, 1.01), (1.0 + math.pi, 1.01 + math.pi))])
+            even = beta1_symbol(pair, 0.0, k).real / (-0.5 * math.pi * 3.0 * band.density)
+            odd = None
+        else:
+            psi = tempered_symbol(make_banded_measure(2, [band]), beta, 0.0, k)
+            scale = (-1.0) ** math.ceil(beta) * band.density * 3.0 ** beta
+            even = psi.real / (scale * math.cos(0.5 * math.pi * beta))
+            odd = -psi.imag / (scale * math.sin(0.5 * math.pi * beta))
         with mp.workdps(40):
             for i, tk in enumerate(np.arctan2(k[:, 1], k[:, 0]).tolist()):
                 tk = mp.mpf(tk)
                 cuts = sorted({mp.mpf(1.0), mp.mpf(1.01)} | {
                     c for c in (tk + s * mp.pi / 2 for s in (-3, -1, 1, 3)) if 1.0 < c < 1.01})
                 e = mp.quad(lambda t: abs(mp.cos(t - tk)) ** beta, cuts)
-                o = mp.quad(lambda t: mp.sign(mp.cos(t - tk)) * abs(mp.cos(t - tk)) ** beta, cuts)
                 assert abs(even[i] - e) <= 2e-13 * e
-                assert abs(odd[i] - o) <= 2e-13 * e
-                if beta == 1.0:
-                    got = symbols_mod._cos_pow_band(k[i:i + 1], band)[0]
-                    assert abs(got - 0.5 * mp.pi * band.density * 3 * e) <= 2e-13 * got
+                if odd is not None:
+                    o = mp.quad(lambda t: mp.sign(mp.cos(t - tk)) * abs(mp.cos(t - tk)) ** beta,
+                                cuts)
+                    assert abs(odd[i] - o) <= 2e-13 * e
+
+    @pytest.mark.parametrize("beta", [0.6, 1.3])
+    def test_narrow_band_next_to_a_kink_vs_mpmath(self, beta):
+        # bands of width 1e-2, 1e-4 and 1e-6 from 0 to 1.2 rad from the kink
+        # theta_k + pi/2, on either side, at |k| 0.7, 9 and 300, against
+        # 40-digit quadrature cut at the kinks: the band ends' distances from
+        # the kink are taken error-free, so no width loses digits
+        mp = pytest.importorskip("mpmath")
+        k = np.array([r * np.array([math.cos(0.3), math.sin(0.3)]) for r in (0.7, 9.0, 300.0)])
+        kink = 0.3 + 0.5 * math.pi
+        for width in (1e-2, 1e-4, 1e-6):
+            for d in (0.0, 1e-9, 1e-4, 0.02, 0.4, 1.2):
+                for lo in (kink + d, kink - d - width):
+                    band = AngularBand((lo, lo + width), 1.0 / ((lo + width) - lo))
+                    got = tempered_symbol(make_banded_measure(2, [band]), beta, 0.0, k)
+                    with mp.workdps(40):
+                        a, b = mp.mpf(band.bounds[0]), mp.mpf(band.bounds[1])
+                        for psi, (kx, ky) in zip(got, k.tolist()):
+                            tk = mp.atan2(ky, kx)
+                            cuts = [a, *sorted(c for c in (tk + s * mp.pi / 2 for s in (-1, 1, 3))
+                                               if a < c < b), b]
+                            want = (-1) ** math.ceil(beta) * mp.mpf(band.density) * mp.quad(
+                                lambda t: (-1j * (kx * mp.cos(t) + ky * mp.sin(t))) ** beta, cuts)
+                            assert abs(psi - want) <= 1e-14 * abs(want), (width, d, lo, kx)
 
     def test_nodes_vs_adaptive_tempered_band(self):
         m = fig1_measure()
